@@ -76,9 +76,6 @@ class MetricModel:
         are identically 1.
     dbeta, dk : callables
         First derivatives of the warp factors (needed by the ray tracer).
-    evenness_order : int
-        Order through which beta and k are known to be even in x at x = 0.
-        The toys are exactly even; 3 matches the generic supported case.
     """
 
     kind: str
@@ -90,7 +87,6 @@ class MetricModel:
     k: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     dbeta: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     dk: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
-    evenness_order: int = 3
 
     def __post_init__(self):
         if self.n < 2:
@@ -239,12 +235,21 @@ def _read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
                 continue
             xs.append(float(row[0]))
             vs.append(float(row[1]))
-    x = np.asarray(xs)
-    v = np.asarray(vs)
+    return _table_columns([xs, vs], f"table {path}")
+
+
+def _table_columns(src, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a warp table given as the two columns [xs, values]."""
+    try:
+        x, v = np.asarray(src, dtype=float)  # ragged, non-numeric or not two rows: raises
+        if x.ndim != 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be the two columns [xs, values]") from None
     if x.size < 4:
-        raise ValueError(f"table {path}: need at least 4 samples for spline interpolation")
+        raise ValueError(f"{label}: need at least 4 samples for spline interpolation")
     if np.any(np.diff(x) <= 0):
-        raise ValueError(f"table {path}: x column must be strictly increasing")
+        raise ValueError(f"{label}: x column must be strictly increasing")
     return x, v
 
 
@@ -273,8 +278,9 @@ def load_model(source) -> MetricModel:
     """Build a MetricModel from a config mapping or a JSON file path.
 
     Recognized keys: kind ("ads2_strip" | "ads3_cylinder" | "custom"),
-    nu, L, ell, and for custom models n plus beta_table / k_table paths
-    pointing at two-column (x, value) CSV files.
+    nu, L, ell, and for custom models n plus beta_table / k_table, each a
+    path to a two-column (x, value) CSV file or the inline columns
+    [xs, values].
     """
     if isinstance(source, str):
         with open(source) as fh:
@@ -298,9 +304,7 @@ def load_model(source) -> MetricModel:
         src = cfg.get(f"{name}_table")
         if src is None:
             continue
-        # a table is either a CSV path or an in-memory (x, values) pair
-        tx, tv = _read_table(src) if isinstance(src, str) else map(np.asarray, src)
-        tables[name] = (tx, tv)
+        tables[name] = _read_table(src) if isinstance(src, str) else _table_columns(src, f"inline {name}_table")
     model = MetricModel(
         kind="custom",
         n=n,

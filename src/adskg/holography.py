@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import MetricModel
-from .propagators import BiKernel
+from .propagators import BiKernel, LineSpectrum
 
 __all__ = [
     "IndicialSeries",
@@ -210,7 +210,7 @@ def extract_boundary(
 
 
 @dataclass
-class BoundaryKernel:
+class BoundaryKernel(LineSpectrum):
     """Boundary two-point kernel as spectral lines: k(t,s) = sum_k weight_k
     e^{+-i omega_k (t-s)} with weight_k = c_k^2 / (2 omega_k)."""
 
@@ -229,21 +229,15 @@ class BoundaryKernel:
     def frequency_sign(self) -> int:
         return +1 if self.kind == "plus" else -1
 
-    def trace_series(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        sgn = 1.0 if self.kind == "plus" else -1.0
-        return (self.weights[:, None] * np.exp(1j * sgn * self.omega[:, None] * tau[None, :])).sum(axis=0)
-
-    def values(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, float))
-        s = np.atleast_1d(np.asarray(s, float))
-        tau = (t[:, None] - s[None, :]).ravel()
-        return self.trace_series(tau).reshape(t.size, s.size)
+    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
+        # in units of 1/(2 omega_k), the line weight is c_k^2
+        c2, zero = self.amplitudes**2, np.zeros_like(self.amplitudes)
+        return (c2, zero, "all") if self.kind == "plus" else (zero, c2, "all")
 
     def gram(self, n_times: int = 48) -> np.ndarray:
         idx = np.linspace(0, self.t_grid.size - 1, n_times).round().astype(int)
         times = self.t_grid[idx]
-        return self.values(times, times)
+        return self.trace_series((times[:, None] - times[None, :]).ravel()).reshape(n_times, n_times)
 
 
 def boundary_two_point(

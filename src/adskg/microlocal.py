@@ -32,7 +32,7 @@ from scipy.signal.windows import dpss
 
 from .bchar import PhasePointB, trace_gbb
 from .geometry import MetricModel
-from .propagators import BiKernel
+from .propagators import BiKernel, LineSpectrum
 from .spectral import SpectralModel
 
 __all__ = [
@@ -262,18 +262,14 @@ def gbb_reference(
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Two-slot scan windows: duration, centers, and taper bandwidth.
-
-    centers is a list of (t0, s0) pairs; None lays out an n_centers x
-    n_centers grid over the part of the time square where a full window
-    fits.  nw overrides the DPSS time-bandwidth product (default: matched
-    to the lowest retained frequency with a 0.9 safety factor).
+    """Two-slot scan windows: duration, and an n_centers x n_centers grid of
+    window centers over the part of the time square where a full window
+    fits.  The DPSS time-bandwidth product is matched to the lowest retained
+    frequency with a 0.9 safety factor.
     """
 
     length: float
-    centers: tuple | None = None
     n_centers: int = 4
-    nw: float | None = None
 
 
 @dataclass(frozen=True)
@@ -285,17 +281,17 @@ class ScanRow:
     cross: float  # mass fraction in the two mixed quadrants
 
 
-def _scan_taper(n_w: int, length: float, omega_floor: float, nw_override: float | None) -> tuple[np.ndarray, float]:
-    nw = 0.9 * length * omega_floor / (2.0 * math.pi) if nw_override is None else float(nw_override)
+def _scan_taper(n_w: int, length: float, omega_floor: float) -> np.ndarray:
+    nw = 0.9 * length * omega_floor / (2.0 * math.pi)
     if nw < _MIN_NW:
         raise ValueError(
             f"window too short for the spectral gap: time-bandwidth {nw:.2f} < {_MIN_NW}; "
-            "lengthen the window or lower the bandwidth"
+            "lengthen the window"
         )
-    return dpss(n_w, nw), nw
+    return dpss(n_w, nw)
 
 
-def kernel_wavefront_scan(kernel, spec: WindowSpec, omega_floor: float | None = None) -> list[ScanRow]:
+def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRow]:
     """Windowed two-slot Fourier quadrant masses of a kernel trace.
 
     For each window pair centered at (t0, s0) the tapered trace k(t - s) is
@@ -303,27 +299,19 @@ def kernel_wavefront_scan(kernel, spec: WindowSpec, omega_floor: float | None = 
     (sign Omega_t, sign -Omega_s).  A vacuum positive kernel concentrates
     in (+,+), its conjugate in (-,-), the causal kernel splits across both
     without mixed mass, and the Feynman kernel switches quadrant across
-    t = s.  Works on any object with t_grid and trace_series.
+    t = s.  The taper is matched to the kernel's ``omega_floor``.
     """
-    t = np.asarray(kernel.t_grid, dtype=float)
-    dt = float(t[1] - t[0])
+    t = kernel.t_grid
+    dt = kernel.dt
     span = float(t[-1] - t[0])
     if spec.length > span:
         raise ValueError(f"window length {spec.length} exceeds the grid span {span}")
     n_w = int(round(spec.length / dt)) + 1
-    if omega_floor is None:
-        omega_floor = (
-            kernel.spectral.m_floor_sqrt if hasattr(kernel, "spectral") else float(np.min(kernel.omega))
-        )
-    taper, _ = _scan_taper(n_w, spec.length, omega_floor, spec.nw)
+    taper = _scan_taper(n_w, spec.length, kernel.omega_floor)
 
     half = 0.5 * spec.length
-    if spec.centers is None:
-        lo, hi = t[0] + half, t[-1] - half
-        pts = np.linspace(lo, hi, spec.n_centers)
-        centers = [(float(a), float(b)) for a in pts for b in pts]
-    else:
-        centers = [(float(a), float(b)) for a, b in spec.centers]
+    pts = np.linspace(t[0] + half, t[-1] - half, spec.n_centers)
+    centers = [(float(a), float(b)) for a in pts for b in pts]
 
     om = 2.0 * math.pi * np.fft.fftfreq(n_w, d=dt)
     sgn_t = np.sign(om)[:, None]
@@ -357,7 +345,7 @@ def kernel_wavefront_scan(kernel, spec: WindowSpec, omega_floor: float | None = 
     return rows
 
 
-def off_pattern(rows: list[ScanRow], kernel, band: float | None = None) -> float:
+def off_pattern(rows: list[ScanRow], kernel: LineSpectrum, band: float | None = None) -> float:
     """Largest off-pattern mass fraction over the scan windows.
 
     The expected pattern comes from the kernel: one-sided kernels must
@@ -366,8 +354,7 @@ def off_pattern(rows: list[ScanRow], kernel, band: float | None = None) -> float
     lengths wide, are skipped and make no claim), and two-sided kinds must
     only avoid the mixed quadrants.
     """
-    fs = getattr(kernel, "frequency_sign", 0)
-    kind = getattr(kernel, "kind", "")
+    fs, kind = kernel.frequency_sign, kernel.kind
     worst = -1.0
     used = 0
     for r in rows:
@@ -400,6 +387,7 @@ def off_pattern(rows: list[ScanRow], kernel, band: float | None = None) -> float
 class BogoliubovKernel(BiKernel):
     """Two-point kernel of a quasi-free state with mode occupations n_k.
 
+    The occupations add n_k to both line coefficients of the vacuum kind.
     Reduces to the vacuum kernel at n = 0; for any occupations the pair
     still solves the wave equation, stays Hermitian and positive, and
     preserves the commutator identity exactly.
@@ -419,18 +407,13 @@ class BogoliubovKernel(BiKernel):
         if np.any(self.occupation < 0.0) or not np.all(np.isfinite(self.occupation)):
             raise ValueError("occupation numbers must be finite and nonnegative")
 
-    def mode_gain(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        w = self.omega[:, None]
-        n = self.occupation[:, None]
-        ph = w * tau[None, :]
-        if self.kind == "lambda_plus":
-            return ((1.0 + n) * np.exp(1j * ph) + n * np.exp(-1j * ph)) / (2.0 * w)
-        return ((1.0 + n) * np.exp(-1j * ph) + n * np.exp(1j * ph)) / (2.0 * w)
+    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
+        a, b, support = super().lines()
+        return a + self.occupation, b + self.occupation, support
 
 
 @dataclass
-class DifferenceKernel:
+class DifferenceKernel(LineSpectrum):
     """Mode-sum difference of two state kernels: sum_k n_k cos(omega_k tau) / omega_k.
 
     Real, even in tau, identical for the plus and minus members of a
@@ -440,16 +423,10 @@ class DifferenceKernel:
     t_grid: np.ndarray
     omega: np.ndarray
     coefficients: np.ndarray
-    frequency_sign: int = 0
     kind: str = "difference"
 
-    def mode_gain(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        w = self.omega[:, None]
-        return self.coefficients[:, None] * np.cos(w * tau[None, :]) / w
-
-    def trace_series(self, tau: np.ndarray) -> np.ndarray:
-        return self.mode_gain(tau).sum(axis=0)
+    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
+        return self.coefficients, self.coefficients, "all"
 
 
 @dataclass
@@ -523,7 +500,7 @@ def make_perturbed_state(lp: BiKernel, lm: BiKernel, rotation) -> StatePair:
     return StatePair(lp_a=lp, lm_a=lm, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
 
 
-def smoothness_decay_order(kernel, n_bins: int = 10, floor: float = 1e-7) -> float:
+def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float = 1e-7) -> float:
     """Decay order of the windowed temporal Fourier envelope of a kernel trace.
 
     Fits -d log(envelope) / d log(Omega) over log-spaced bins covering the
@@ -537,14 +514,10 @@ def smoothness_decay_order(kernel, n_bins: int = 10, floor: float = 1e-7) -> flo
     strongest bin (below that, the leakage skirt of the dominant line
     swamps any genuine content and would flatten the fitted slope).
     """
-    t = np.asarray(kernel.t_grid, dtype=float)
-    dt = float(t[1] - t[0])
-    T = t.size
-    tau = dt * np.arange(-(T - 1), T)
-    vals = np.asarray(kernel.trace_series(tau))
+    tau = kernel.lags()
     taper = dpss(tau.size, 4.0)
-    spec = np.fft.fft(vals * taper)
-    om = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)
+    spec = np.fft.fft(kernel.trace_series(tau) * taper)
+    om = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=kernel.dt)
     pos = om > 0
     om, mag = om[pos], np.abs(spec)[pos]
 

@@ -21,15 +21,14 @@ vector, so rebuilds are deterministic.
 
 For models with nonconstant beta the eigenvectors are stored in the "form
 frame" w = beta^(1/2) u, where the discrete inner product is the assembled
-mass matrix; multiply by ``form_to_field`` to recover field values.  For the
-exact toys the two frames coincide.
+mass matrix; divide by beta^(1/2) to recover field values.  For the exact
+toys the two frames coincide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,15 +41,11 @@ __all__ = [
     "SpectralBranch",
     "SpectralModel",
     "build_spectral",
-    "func_of_A",
     "bessel_collocation_eigs",
-    "FUNC_NAMES",
 ]
 
 _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
-
-FUNC_NAMES = ("inv_sqrt", "sqrt", "sin_t_sqrt", "cos_t_sqrt", "exp_pm_it_sqrt", "inv")
 
 
 def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +184,14 @@ class SpectralModel:
     M: sp.csc_matrix = field(repr=False)
     n_modes: int = 0
     m2_floor: float = 0.0
-    form_to_field: np.ndarray = field(default=None, repr=False)
     weight_left: np.ndarray = field(default=None, repr=False)
     weight_right: np.ndarray = field(default=None, repr=False)
     _M_lu: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.form_to_field is None:
+        if self.weight_left is None:
             x = self.grid.dof_x
             b = self.model.beta(x)
-            self.form_to_field = 1.0 / np.sqrt(b)
             n = self.model.n
             self.weight_left = x ** (0.5 * n - 1.0) / np.sqrt(b)
             self.weight_right = x ** (-0.5 * n - 1.0) / np.sqrt(b)
@@ -330,41 +323,6 @@ def build_spectral(
     return SpectralModel(
         model=model, grid=grid, branches=branches, M=M, n_modes=n_modes, m2_floor=floor
     )
-
-
-def func_of_A(sm: SpectralModel, func: str, t: float | None = None, sign: int = +1, m: int = 0) -> np.ndarray:
-    """Dense matrix of f(A) on the retained eigenspan.
-
-    The result acts on grid vectors via the assembled inner product:
-    f(A) v = sum_k f(omega_k^2) phi_k <phi_k, v>.  Supported descriptors:
-    inv_sqrt, sqrt, sin_t_sqrt, cos_t_sqrt, exp_pm_it_sqrt (needs sign),
-    inv.  Time-dependent descriptors require t.
-    """
-    br = sm.branch(m)
-    w = br.omega
-    if func in ("sin_t_sqrt", "cos_t_sqrt", "exp_pm_it_sqrt"):
-        if t is None:
-            raise ValueError(f"descriptor {func!r} requires a time argument")
-    if func == "inv_sqrt":
-        vals = 1.0 / w
-    elif func == "sqrt":
-        vals = w
-    elif func == "inv":
-        vals = 1.0 / br.omega2
-    elif func == "sin_t_sqrt":
-        vals = np.sin(t * w)
-    elif func == "cos_t_sqrt":
-        vals = np.cos(t * w)
-    elif func == "exp_pm_it_sqrt":
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        vals = np.exp(1j * sign * t * w)
-    else:
-        raise ValueError(f"unknown descriptor {func!r}; expected one of {FUNC_NAMES}")
-    proj = (sm.M @ br.phi).T
-    if np.iscomplexobj(vals):
-        return (br.phi * vals[None, :]).astype(complex) @ proj
-    return (br.phi * vals[None, :]) @ proj
 
 
 def bessel_collocation_eigs(

@@ -10,6 +10,15 @@ from adskg.cli import _THREAD_VARS, RunConfig, _export_threads, main
 from oracles import line_weights_mp
 
 
+def test_public_names_resolve():
+    import adskg
+
+    for sub in adskg._SUBMODULES:
+        module = getattr(adskg, sub)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"adskg.{sub}.__all__ lists missing {name!r}"
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))

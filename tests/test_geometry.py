@@ -115,3 +115,20 @@ def test_load_model_custom_tables(tmp_path):
     assert m.dbeta(xq) == pytest.approx(0.5 * xq, rel=1e-5, abs=1e-7)
     # the raw tables ride along for re-serialization
     assert set(m.tables) == {"beta", "k"}
+
+
+def test_load_model_inline_tables():
+    xs = np.linspace(0.0, 1.0, 41)
+    cfg = {"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0}
+    m = load_model(dict(cfg, beta_table=[list(xs), list(1.0 + 0.25 * xs**2)]))
+    assert m.beta(np.array([0.5])) == pytest.approx([1.0625], rel=1e-8)
+    assert m.tables["beta"][0] == pytest.approx(xs)
+    pairs = [[x, 1.0 + 0.25 * x * x] for x in xs]
+    with pytest.raises(ValueError, match=r"\[xs, values\]"):
+        load_model(dict(cfg, beta_table=pairs))
+    # two rows of pairs read as two short columns, which are refused too
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        load_model(dict(cfg, beta_table=pairs[:2]))
+    with pytest.raises(ValueError, match=r"\[xs, values\]"):
+        load_model(dict(cfg, beta_table=[list(xs), [1.0, 2.0]]))
+

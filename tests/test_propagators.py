@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from adskg.holography import boundary_two_point
+from adskg.microlocal import make_perturbed_state
 from adskg.propagators import (
     BiKernel,
     TimeCutoff,
     adjoint_check,
     apply,
-    cauchy_group_residual,
     feynman_consistency,
     frequency_sign_test,
     make_feynman,
@@ -17,22 +20,39 @@ from adskg.propagators import (
 )
 
 
-def test_mode_gain_closed_forms(zoo):
-    w = zoo["causal"].omega
-    tau = np.array([-0.4, 0.0, 0.7])
-    ph = w[:, None] * tau[None, :]
+def test_mode_gain_closed_forms(zoo, sm192, ads2):
+    # every gain on the full grid of 2T-1 lags against its closed form
+    tau = zoo["causal"].lags()
+    assert tau.size == 2 * zoo["causal"].T - 1
+    w = zoo["causal"].omega[:, None]
+    ph = w * tau[None, :]
+    plus, minus = np.exp(1j * ph) / (2 * w), np.exp(-1j * ph) / (2 * w)
+    beta = 5.0 / sm192.m_floor_sqrt
+    n = 1.0 / np.expm1(beta * w)
+    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": beta})
+    flipped = np.arange(w.size)[:, None] < 2  # mutated(0.05) flips ceil(0.05 * 32) modes
     checks = {
-        "retarded": np.where(tau[None, :] > 0, np.sin(ph), 0.0) / w[:, None],
-        "advanced": np.where(tau[None, :] < 0, -np.sin(ph), 0.0) / w[:, None],
-        "causal": np.sin(ph) / w[:, None],
-        "lambda_plus": np.exp(1j * ph) / (2 * w[:, None]),
-        "lambda_minus": np.exp(-1j * ph) / (2 * w[:, None]),
-        "feynman": -1j * np.exp(1j * np.abs(ph)) / (2 * w[:, None]),
-        "antifeynman": 1j * np.exp(-1j * np.abs(ph)) / (2 * w[:, None]),
+        "retarded": (zoo["retarded"], np.where(tau > 0, np.sin(ph), 0.0) / w),
+        "advanced": (zoo["advanced"], np.where(tau < 0, -np.sin(ph), 0.0) / w),
+        "causal": (zoo["causal"], np.sin(ph) / w),
+        "lambda_plus": (zoo["lambda_plus"], plus),
+        "lambda_minus": (zoo["lambda_minus"], minus),
+        "feynman": (zoo["feynman"], -1j * np.exp(1j * np.abs(ph)) / (2 * w)),
+        "antifeynman": (zoo["antifeynman"], 1j * np.exp(-1j * np.abs(ph)) / (2 * w)),
+        "mutated lambda_plus": (zoo["lambda_plus"].mutated(0.05), np.where(flipped, minus, plus)),
+        "thermal lambda_plus": (pair.lp_b, (1 + n) * plus + n * minus),
+        "thermal lambda_minus": (pair.lm_b, n * plus + (1 + n) * minus),
+        "difference": (pair.difference(), n * np.cos(ph) / w),
     }
-    for kind, want in checks.items():
-        got = zoo[kind].mode_gain(tau)
-        assert got == pytest.approx(want, abs=1e-15), kind
+    for name, (kern, want) in checks.items():
+        assert kern.mode_gain(tau) == pytest.approx(want, abs=1e-15), name
+    # boundary lines weight_k e^{+-i omega_k tau}; weights reach 4e3, so
+    # compare per unit weight
+    for kind, sign in (("lambda_plus", 1), ("lambda_minus", -1)):
+        bk = boundary_two_point(make_propagator(sm192, kind, zoo[kind].t_grid, weighting="physical"), ads2)
+        weights = bk.amplitudes[:, None] ** 2 / (2 * w)
+        got = bk.mode_gain(tau) / weights
+        assert got == pytest.approx(np.exp(sign * 1j * ph), abs=1e-15), kind
 
 
 def test_kernel_grid_validation(sm192):
@@ -55,6 +75,16 @@ def test_two_point_algebra(zoo):
         assert rep[name]["value"] >= rep[name]["tol"]
 
 
+def test_two_point_algebra_physical_weighting(sm192, tgrid):
+    # the identities hold in the weighted pairing, which the per-mode check states
+    kernels = [make_propagator(sm192, kind, tgrid, weighting="physical")
+               for kind in ("lambda_plus", "lambda_minus", "causal")]
+    rep = verify_two_point(*kernels)
+    assert rep["pass"]
+    assert rep["commutator_identity"]["value"] <= 1e-12
+    assert rep["hermiticity"]["value"] <= 1e-12
+
+
 def test_two_point_algebra_catches_sign_fault(zoo):
     bad = zoo["lambda_plus"].mutated(0.05)
     rep = verify_two_point(bad, zoo["lambda_minus"], zoo["causal"])
@@ -67,6 +97,9 @@ def test_mutation_bookkeeping(zoo):
     assert zoo["lambda_plus"].describe()["n_flipped"] == 0
     with pytest.raises(ValueError, match="lambda kernels"):
         zoo["causal"].mutated()
+    with pytest.raises(ValueError, match="lambda kernels only"):
+        BiKernel(spectral=zoo["causal"].spectral, kind="causal", t_grid=zoo["causal"].t_grid,
+                 signs=-zoo["causal"].signs)
 
 
 def test_support_is_exact(zoo):
@@ -74,6 +107,27 @@ def test_support_is_exact(zoo):
     assert support_check(zoo["advanced"]) == 0.0
     with pytest.raises(ValueError, match="retarded/advanced"):
         support_check(zoo["causal"])
+
+
+def test_support_check_memory(zoo):
+    # K x (2T-1) gains, not K x T^2: at T=768 the peak stays far below 16 MB
+    assert zoo["retarded"].T == 768
+    tracemalloc.start()
+    try:
+        value = support_check(zoo["retarded"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
+    assert peak < 16 * 2**20
+
+
+def test_identities_need_one_spatial_factor(sm192, tgrid):
+    ret = make_propagator(sm192, "retarded", tgrid)
+    other = make_propagator(sm192, "advanced", tgrid)
+    other.m = 1
+    with pytest.raises(ValueError, match="share one spectral model"):
+        adjoint_check(ret, other)
 
 
 def test_adjoint_pairing(zoo):
@@ -153,7 +207,3 @@ def test_apply_inverts_wave_operator(zoo, sm192):
     # second-order stencil: the defect is dt^2 omega^2 / 12 up to envelope terms
     stencil_scale = zoo["retarded"].dt ** 2 * br.omega[1] ** 2 / 12.0
     assert err <= 1.5 * stencil_scale
-
-
-def test_cauchy_group_composition(sm192):
-    assert cauchy_group_residual(sm192, 0.3, 1.1) <= 1e-12
