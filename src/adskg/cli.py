@@ -754,11 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernels", help="build a propagator kernel blob from a model blob")
     p.add_argument("--model-bin", required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["retarded", "advanced", "causal", "lambda_plus", "lambda_minus", "feynman", "antifeynman"],
-    )
+    p.add_argument("--kind", required=True, help="kernel kind (propagators.KINDS)")
     p.add_argument("--T", type=int, default=256)
     p.add_argument("--dt", type=float, default=0.025)
     p.add_argument("--t0", type=float, default=0.0)

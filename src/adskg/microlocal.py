@@ -15,11 +15,14 @@ Three instruments, all built on the mode decomposition:
   difference from the first is an explicit smooth (superpolynomially
   decaying) mode sum, with the commutator preserved exactly.
 
-Time-slot localization uses a single DPSS taper with its half-bandwidth
+Time-slot localization uses a single Slepian (DPSS) taper, the leading
+eigenvector of the Slepian tridiagonal matrix, with its half-bandwidth
 matched to the lowest retained frequency, so taper leakage across the
 Omega = 0 axis sits orders of magnitude below the quadrant tolerances.
-Spatial localization is exercised only through the wavepacket tests; there
-is no spatial microlocalization in the scans.
+Kernel traces are stationary and the time grid is uniform, so a scan
+evaluates the trace once on the 2T-1 lags and reads every window from it
+by offset.  Spatial localization is exercised only through the wavepacket
+tests; there is no spatial microlocalization in the scans.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import dpss
 
 from .bchar import PhasePointB, trace_gbb
 from .geometry import MetricModel
-from .propagators import BiKernel, LineSpectrum
+from .propagators import BiKernel, LineSpectrum, slepian_taper
 from .spectral import SpectralModel
 
 __all__ = [
@@ -271,6 +273,12 @@ class WindowSpec:
     length: float
     n_centers: int = 4
 
+    def __post_init__(self):
+        if not self.length > 0.0:
+            raise ValueError(f"WindowSpec.length must be positive; got {self.length}")
+        if self.n_centers < 1:
+            raise ValueError(f"WindowSpec.n_centers must be at least 1; got {self.n_centers}")
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -288,7 +296,7 @@ def _scan_taper(n_w: int, length: float, omega_floor: float) -> np.ndarray:
             f"window too short for the spectral gap: time-bandwidth {nw:.2f} < {_MIN_NW}; "
             "lengthen the window"
         )
-    return dpss(n_w, nw)
+    return slepian_taper(n_w, nw)
 
 
 def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRow]:
@@ -300,6 +308,11 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     in (+,+), its conjugate in (-,-), the causal kernel splits across both
     without mixed mass, and the Feynman kernel switches quadrant across
     t = s.  The taper is matched to the kernel's ``omega_floor``.
+
+    The trace is evaluated once, on the 2T-1 lags of the grid; the window
+    starting at grid indices (i0, j0) reads sample (a, b) at lag
+    dt (i0 - j0 + a - b).  Its masses therefore depend on i0 - j0 only and
+    are computed once per distinct offset.
     """
     t = kernel.t_grid
     dt = kernel.dt
@@ -320,26 +333,35 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     q_mm = (sgn_t < 0) & (sgn_s < 0)
     q_x = ((sgn_t > 0) & (sgn_s < 0)) | ((sgn_t < 0) & (sgn_s > 0))
 
+    lag_trace = kernel.trace_series(kernel.lags())
+    # index of lag a - b, lag 0 sitting at T - 1
+    lag_index = (t.size - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
+    masses: dict[int, tuple[float, float, float]] = {}
     rows = []
     for t0, s0 in centers:
         i0 = int(np.searchsorted(t, t0 - half - 0.25 * dt))
         j0 = int(np.searchsorted(t, s0 - half - 0.25 * dt))
         if i0 < 0 or j0 < 0 or i0 + n_w > t.size or j0 + n_w > t.size:
             raise ValueError(f"window at ({t0}, {s0}) exceeds the time grid")
-        tt = t[i0 : i0 + n_w]
-        ss = t[j0 : j0 + n_w]
-        tau = tt[:, None] - ss[None, :]
-        vals = np.asarray(kernel.trace_series(tau.ravel())).reshape(n_w, n_w)
-        windowed = taper[:, None] * vals * taper[None, :]
-        power = np.abs(np.fft.fft2(windowed)) ** 2
-        total = float(power.sum()) + 1e-300
+        offset = i0 - j0
+        if offset not in masses:
+            vals = lag_trace[lag_index + offset]
+            windowed = taper[:, None] * vals * taper[None, :]
+            power = np.abs(np.fft.fft2(windowed)) ** 2
+            total = float(power.sum()) + 1e-300
+            masses[offset] = (
+                float(power[q_pp].sum()) / total,
+                float(power[q_mm].sum()) / total,
+                float(power[q_x].sum()) / total,
+            )
+        plus, minus, cross = masses[offset]
         rows.append(
             ScanRow(
-                t=float(np.mean(tt)),
-                s=float(np.mean(ss)),
-                sign_content_plus=float(power[q_pp].sum()) / total,
-                sign_content_minus=float(power[q_mm].sum()) / total,
-                cross=float(power[q_x].sum()) / total,
+                t=float(np.mean(t[i0 : i0 + n_w])),
+                s=float(np.mean(t[j0 : j0 + n_w])),
+                sign_content_plus=plus,
+                sign_content_minus=minus,
+                cross=cross,
             )
         )
     return rows
@@ -515,7 +537,7 @@ def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float 
     swamps any genuine content and would flatten the fitted slope).
     """
     tau = kernel.lags()
-    taper = dpss(tau.size, 4.0)
+    taper = slepian_taper(tau.size, 4.0)
     spec = np.fft.fft(kernel.trace_series(tau) * taper)
     om = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=kernel.dt)
     pos = om > 0

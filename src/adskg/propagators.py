@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .spectral import SpectralModel
 
@@ -56,6 +57,7 @@ __all__ = [
     "TimeCutoff",
     "support_check",
     "adjoint_check",
+    "slepian_taper",
 ]
 
 # Line coefficients (a, b) per kind in units of h_k = 1/(2 omega_k), and the
@@ -367,18 +369,40 @@ def adjoint_check(ret: BiKernel, adv: BiKernel) -> float:
     return _max_abs(g_ret[:, ::-1] - g_adv)
 
 
+def slepian_taper(M: int, NW: float) -> np.ndarray:
+    """Zeroth discrete prolate spheroidal (Slepian) sequence of length M with
+    time-half-bandwidth NW, scaled to unit peak.
+
+    The leading eigenvector of the Slepian tridiagonal matrix (Percival &
+    Walden 1993, ch. 8), signed to a positive sum, divided by its maximum
+    and, for even M, multiplied by M^2 / (M^2 + NW).  This is the arithmetic
+    of scipy.signal.windows.dpss(M, NW), which costs a scipy.signal import.
+    """
+    if not 0.0 < NW < M / 2.0:
+        raise ValueError(f"taper needs 0 < NW < M/2; got NW={NW} for M={M}")
+    n = np.arange(M, dtype=float)
+    d = ((M - 1 - 2 * n) / 2.0) ** 2 * np.cos(2 * np.pi * (float(NW) / M))
+    e = n[1:] * (M - n[1:]) / 2.0
+    _, v = eigh_tridiagonal(d, e, select="i", select_range=(M - 1, M - 1))
+    taper = v[:, 0]
+    if taper.sum() < 0:
+        taper = -taper
+    taper = taper / taper.max()
+    if M % 2 == 0:
+        taper = taper * (M**2 / float(M**2 + NW))
+    return taper
+
+
 def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | None = None) -> dict:
     """Windowed-DFT test of the one-sided frequency support.
 
     Works on any line spectrum; its ``frequency_sign`` sets the claim (+1:
     support must lie in D_t-frequencies > m/2; -1: mirror; 0: no one-sided
     claim, both half-line masses are just reported).  The window is a single
-    Slepian (dpss) taper whose concentration band is matched to the spectral
-    gap, so the minimal admissible window T_w = 40/m already meets the 1e-6
+    Slepian taper whose concentration band is matched to the spectral gap,
+    so the minimal admissible window T_w = 40/m already meets the 1e-6
     budget.
     """
-    from scipy.signal.windows import dpss
-
     dt = kernel.dt
     span = float(kernel.t_grid[-1] - kernel.t_grid[0])
     if T_w is None:
@@ -395,7 +419,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     nw = 0.95 * T_eff * m_floor_sqrt / (4.0 * math.pi)
     if nw < 2.5:
         raise ValueError("window too short for a concentrated taper; enlarge T_w")
-    window = dpss(tau.size, nw)
+    window = slepian_taper(tau.size, nw)
     sig = kernel.trace_series(tau) * window
     spec = np.fft.fft(sig)
     freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)

@@ -123,6 +123,37 @@ def test_pipeline_blob_to_scan(tmp_path, capsys):
         assert float(row[2]) > 0.999
 
 
+@pytest.fixture(scope="module")
+def small_blobs(tmp_path_factory):
+    """A small model blob and a lambda_plus kernel blob built from it."""
+    d = tmp_path_factory.mktemp("blobs")
+    model, kern = d / "model.bin", d / "lp.bin"
+    assert main(["build-spectral", "--N", "96", "--n-modes", "8", "--out", str(model)]) == 0
+    assert main(["kernels", "--model-bin", str(model), "--kind", "lambda_plus", "--out", str(kern)]) == 0
+    return model, kern
+
+
+@pytest.mark.parametrize("centers", ["0", "-3"])
+def test_wf_scan_refuses_empty_window_grid(small_blobs, tmp_path, capsys, centers):
+    capsys.readouterr()
+    out = tmp_path / "scan.csv"
+    code = main(["wf-scan", "--kernel-bin", str(small_blobs[1]), "--window", "5.0",
+                 "--centers", centers, "--out", str(out)])
+    assert code == 2
+    assert "n_centers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernels_refuses_unknown_kind(small_blobs, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "k.bin"
+    code = main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "bogus", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "lambda_plus" in err
+    assert not out.exists()
+
+
 def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     blob = tmp_path / "model.bin"
     main(["build-spectral", "--nu", "1.0", "--N", "96", "--n-modes", "8",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from adskg.microlocal import (
     off_pattern,
     smoothness_decay_order,
 )
+from adskg.propagators import make_propagator, slepian_taper
 from oracles import thermal_occupation_mp
 
 SCAN = WindowSpec(length=6.5, n_centers=3)
@@ -98,6 +101,86 @@ def test_scan_window_validation(zoo):
         kernel_wavefront_scan(zoo["lambda_plus"], WindowSpec(length=3.0, n_centers=2))
     with pytest.raises(ValueError, match="exceeds the grid span"):
         kernel_wavefront_scan(zoo["lambda_plus"], WindowSpec(length=30.0, n_centers=2))
+
+
+def test_window_spec_validation():
+    with pytest.raises(ValueError, match="n_centers"):
+        WindowSpec(length=6.5, n_centers=0)
+    with pytest.raises(ValueError, match="n_centers"):
+        WindowSpec(length=6.5, n_centers=-3)
+    with pytest.raises(ValueError, match="length"):
+        WindowSpec(length=0.0)
+
+
+def _direct_scan(kernel, spec):
+    """Reference scan: the trace evaluated on t_i - t_j of every window."""
+    t, dt = kernel.t_grid, kernel.dt
+    n_w = int(round(spec.length / dt)) + 1
+    taper = slepian_taper(n_w, 0.9 * spec.length * kernel.omega_floor / (2.0 * math.pi))
+    half = 0.5 * spec.length
+    pts = np.linspace(t[0] + half, t[-1] - half, spec.n_centers)
+    sgn = np.sign(np.fft.fftfreq(n_w, d=dt))
+    sgn_t, sgn_s = sgn[:, None], -sgn[None, :]
+    out = []
+    for t0 in pts:
+        for s0 in pts:
+            i0 = int(np.searchsorted(t, t0 - half - 0.25 * dt))
+            j0 = int(np.searchsorted(t, s0 - half - 0.25 * dt))
+            tt, ss = t[i0 : i0 + n_w], t[j0 : j0 + n_w]
+            # the trace at every t_i - t_j, evaluated once per distinct value
+            tau, inverse = np.unique(tt[:, None] - ss[None, :], return_inverse=True)
+            vals = kernel.trace_series(tau)[inverse].reshape(n_w, n_w)
+            power = np.abs(np.fft.fft2(taper[:, None] * vals * taper[None, :])) ** 2
+            total = power.sum()
+            out.append(
+                (
+                    tt.mean(),
+                    ss.mean(),
+                    power[(sgn_t > 0) & (sgn_s > 0)].sum() / total,
+                    power[(sgn_t < 0) & (sgn_s < 0)].sum() / total,
+                    power[sgn_t * sgn_s < 0].sum() / total,
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
+    grid = t0 + tgrid
+    lp = make_propagator(sm192, "lambda_plus", grid)
+    lm = make_propagator(sm192, "lambda_minus", grid)
+    pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    cases = [
+        (lp, SCAN),
+        (lp.mutated(0.01), SCAN),
+        (pair.lp_b, SCAN),
+        (make_propagator(sm192, "causal", grid), SCAN),
+        (make_propagator(sm192, "feynman", grid), WindowSpec(length=5.0, n_centers=4)),
+    ]
+    for kern, spec in cases:
+        rows = kernel_wavefront_scan(kern, spec)
+        ref = _direct_scan(kern, spec)
+        assert len(rows) == len(ref) == spec.n_centers**2
+        for r, (t, s, plus, minus, cross) in zip(rows, ref):
+            assert (r.t, r.s) == (t, s)
+            assert r.sign_content_plus == pytest.approx(plus, abs=1e-14)
+            assert r.sign_content_minus == pytest.approx(minus, abs=1e-14)
+            assert r.cross == pytest.approx(cross, abs=1e-14)
+
+
+def test_scan_evaluates_trace_once_on_lags(zoo, monkeypatch):
+    kern = zoo["lambda_plus"]
+    sizes = []
+    trace_series = kern.trace_series
+
+    def counting(tau):
+        sizes.append(np.size(tau))
+        return trace_series(tau)
+
+    monkeypatch.setattr(kern, "trace_series", counting)
+    rows = kernel_wavefront_scan(kern, SCAN)
+    assert len(rows) == 9
+    assert sizes == [2 * kern.T - 1]
 
 
 def test_feynman_scan_flips_across_diagonal(zoo):

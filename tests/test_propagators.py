@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal.windows import dpss
+
+import adskg
 
 from adskg.holography import boundary_two_point
 from adskg.microlocal import make_perturbed_state
@@ -14,6 +21,7 @@ from adskg.propagators import (
     frequency_sign_test,
     make_feynman,
     make_propagator,
+    slepian_taper,
     support_check,
     time_slice_check,
     verify_two_point,
@@ -207,3 +215,23 @@ def test_apply_inverts_wave_operator(zoo, sm192):
     # second-order stencil: the defect is dt^2 omega^2 / 12 up to envelope terms
     stencil_scale = zoo["retarded"].dt ** 2 * br.omega[1] ** 2 / 12.0
     assert err <= 1.5 * stencil_scale
+
+
+@pytest.mark.parametrize("M", [201, 261, 262, 1535, 2000, 8191])
+def test_slepian_taper_matches_scipy(M):
+    for nw in (2.5, 4.0, 7.3):
+        assert np.array_equal(slepian_taper(M, nw), dpss(M, nw))
+    with pytest.raises(ValueError, match="NW"):
+        slepian_taper(M, M / 2.0)
+
+
+def test_package_import_skips_scipy_signal():
+    code = (
+        "import sys, adskg\n"
+        "for sub in adskg._SUBMODULES: getattr(adskg, sub)\n"
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+    )
+    src = str(Path(adskg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
