@@ -216,22 +216,6 @@ def _symbol_on_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
     return tau**2 / model.beta(x) - xi**2 - zeta**2 / model.k(x)
 
 
-def _rhs(model: MetricModel, arr: np.ndarray) -> np.ndarray:
-    x, _, _, xi, zeta, tau = arr
-    k = float(model.k(x))
-    b = float(model.beta(x))
-    dk = float(model.dk(x))
-    db = float(model.dbeta(x))
-    return np.array([
-        2.0 * xi,
-        2.0 * zeta / k,
-        2.0 * tau / b,
-        -(tau**2) * db / b**2 + zeta**2 * dk / k**2,
-        0.0,
-        0.0,
-    ])
-
-
 def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
     x, _, _, xi, zeta, tau = rows.T
     k = model.k(x)
@@ -248,12 +232,12 @@ def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
 
 def _irk_step(model: MetricModel, arr: np.ndarray, h: float) -> np.ndarray:
     """One Gauss-Legendre IRK step, stages solved by fixed-point iteration."""
-    f0 = _rhs(model, arr)
+    f0 = _rhs_rows(model, arr[None, :])[0]
     K = np.tile(f0, (4, 1))
     scale = np.max(np.abs(f0)) + 1.0
     for _ in range(_FP_MAXIT):
         Y = arr[None, :] + h * (_GL_A @ K)
-        K_new = np.array([_rhs(model, Y[i]) for i in range(4)])
+        K_new = _rhs_rows(model, Y)
         delta = np.max(np.abs(K_new - K))
         K = K_new
         if delta <= _FP_TOL * scale:

@@ -4,9 +4,10 @@ The module top imports only the standard library so that thread-count
 environment variables (ADSKG_THREADS or --threads) can be exported before
 numpy first loads; the numerical modules are imported inside the handlers.
 
-Exit codes: 0 all requested checks pass, 1 a numerical check failed,
-2 usage or configuration error (bad flags, unparseable config, parameters
-outside the supported regime).
+Exit codes: 0 all requested checks pass; 1 a numerical check failed, or a
+numerical precondition failed inside a verify check (recorded against that
+check, with its message); 2 usage or configuration error (bad flags,
+unparseable config, a model or eigenbasis that cannot be built).
 
 The verify report is deterministic by construction: fixed check order, a
 seeded generator for every randomized probe, shortest round-trip float
@@ -19,9 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -295,26 +298,6 @@ def _cmd_boundary_2pt(args) -> int:
 # verify
 
 
-def _record(checks: list, name: str, identity: str, value: float, tol: float, ok: bool) -> None:
-    checks.append(
-        {
-            "check": name,
-            "identity": identity,
-            "value": float(value),
-            "tolerance": float(tol),
-            "pass": bool(ok),
-        }
-    )
-
-
-def _leq(checks: list, name: str, identity: str, value: float, tol: float) -> None:
-    _record(checks, name, identity, value, tol, value <= tol)
-
-
-def _geq(checks: list, name: str, identity: str, value: float, tol: float) -> None:
-    _record(checks, name, identity, value, tol, value >= tol)
-
-
 def _time_slice_suite(sm, seed: int, m: int = 0):
     """Residuals of G [P, chi] u = u at three time steps (4h, 2h, h).
 
@@ -351,31 +334,59 @@ def _time_slice_suite(sm, seed: int, m: int = 0):
     return res, order, prediction
 
 
+def _tangential_jump(path) -> float:
+    """Largest jump of (t, zeta, tau) across the reflections of a GBB."""
+    jump = 0.0
+    for i, ev in enumerate(path.reflections):
+        pre = path.segments[i].data[-1]
+        post = path.segments[i + 1].data[0] if i + 1 < len(path.segments) else ev.point.as_array()
+        jump = max(jump, abs(pre[2] - post[2]), abs(pre[5] - post[5]), abs(pre[4] - post[4]))
+    return jump
+
+
+def _resonance_refused(model) -> float:
+    """1.0 when the series builder refuses the resonant case 2 nu = 2 <= K."""
+    from .geometry import make_toy_model
+    from .holography import build_series
+
+    try:
+        build_series(make_toy_model("ads2_strip", nu=1.0, L=model.L), w0=1.0, K=2)
+    except ValueError:
+        return 1.0
+    return 0.0
+
+
 def run_verify(config: RunConfig) -> tuple[int, dict]:
-    """Execute the ordered check suite and assemble the JSON report."""
+    """Evaluate the ordered check table and assemble the JSON report.
+
+    Each row is (name, identity, value, tolerance, passes): value and
+    tolerance are thunks, evaluated in report order, and passes(value, tol)
+    gives the verdict.  Objects that several rows share are built on first
+    use by caches local to this call.  A ValueError or RuntimeError raised
+    inside a row fails that row alone: its entry has null value and
+    tolerance and the message under "error", and the next row runs.  The
+    model and the eigenbasis are built before any row, so their errors
+    reach the caller.
+    """
     import numpy as np
 
-    from .bchar import make_null_point, reflect, trace_gbb
-    from .bessel import toy_frequencies, toy_line_weights
+    from .bchar import make_null_point, trace_gbb
+    from .bessel import toy_boundary_amplitudes, toy_frequencies, toy_line_weights
     from .geometry import conformal_symbol, load_model, make_toy_model
-    from .holography import (
-        boundary_two_point,
-        build_series,
-        extract_boundary,
-        indicial_polynomial,
-        mellin_exponent_probe,
-    )
+    from .holography import boundary_two_point, build_series, extract_boundary, indicial_polynomial
+    from .holography import mellin_exponent_probe
     from .microlocal import (
         WindowSpec,
+        evolve_and_track,
+        gbb_reference,
         kernel_wavefront_scan,
         make_perturbed_state,
         make_wavepacket,
-        evolve_and_track,
-        gbb_reference,
         off_pattern,
         smoothness_decay_order,
     )
     from .propagators import (
+        TWO_POINT_IDENTITIES,
         adjoint_check,
         feynman_consistency,
         frequency_sign_test,
@@ -387,267 +398,227 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     from .spectral import bessel_collocation_eigs, build_spectral
 
     tol = config.tolerances
-    checks: list[dict] = []
     model = load_model(config.model)
-    is_toy_ads2 = model.kind == "ads2_strip"
-
-    # -- geometry ------------------------------------------------------------
-    _leq(
-        checks,
-        "indicial_sum",
-        "nu_plus + nu_minus = n - 1",
-        abs(model.nu_plus + model.nu_minus - (model.n - 1)),
-        1e-14 * max(1.0, model.n - 1.0),
-    )
-    _leq(
-        checks,
-        "indicial_gap",
-        "nu_plus - nu_minus = 2 nu",
-        abs(model.nu_plus - model.nu_minus - 2.0 * model.nu),
-        1e-14 * max(1.0, 2.0 * model.nu),
-    )
-    x0a = np.asarray([0.0])
-    _leq(
-        checks,
-        "even_warp_slope",
-        "beta' (0) = k'(0) = 0",
-        abs(float(model.dbeta(x0a)[0])) + abs(float(model.dk(x0a)[0])),
-        1e-12,
-    )
-    pt = make_null_point(model, x=0.5 * model.L, tau=1.0)
-    _leq(
-        checks,
-        "null_point_symbol",
-        "p(x, xi, zeta, tau) = 0 on the characteristic set",
-        abs(conformal_symbol(model, pt)),
-        1e-13,
-    )
-
-    # -- broken bicharacteristics ---------------------------------------------
-    p0 = make_null_point(model, x=0.4 * model.L, tau=2.0)
-    path = trace_gbb(model, p0, t_max=2.4 * model.L, step=2e-3)
-    _leq(checks, "gbb_symbol_drift", "p = 0 along Hamilton arcs", path.symbol_drift, tol["symbol_drift"] * 4.0)
-    _geq(checks, "gbb_reflections", "maximal GBBs reflect at the walls", float(len(path.reflections)), 1.0)
-    xi_flip = max((abs(ev.xi_out + ev.xi_in) for ev in path.reflections), default=math.inf)
-    _leq(checks, "gbb_reflection_law", "xi -> -xi, tangential data fixed", xi_flip, 0.0)
-    tang = 0.0
-    for i, ev in enumerate(path.reflections):
-        pre = path.segments[i].data[-1]
-        post = path.segments[i + 1].data[0] if i + 1 < len(path.segments) else ev.point.as_array()
-        tang = max(tang, abs(pre[2] - post[2]), abs(pre[5] - post[5]), abs(pre[4] - post[4]))
-    _leq(checks, "gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection", tang, 0.0)
-
-    # -- spectral ---------------------------------------------------------------
     sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes, gamma=config.gamma)
-    if model.kind in ("ads2_strip", "ads3_cylinder"):
-        n_cmp = min(10, config.n_modes)
-        oracle = toy_frequencies(model, n_cmp)
-        rel = float(np.max(np.abs(np.sqrt(sm.branch(0).omega2[:n_cmp]) - oracle) / oracle))
-        _leq(checks, "eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)", rel, tol["eig_rel"])
-        coll = bessel_collocation_eigs(model, n_basis=24, n_modes=4)
-        rel_c = float(np.max(np.abs(np.sqrt(coll) - oracle[:4]) / oracle[:4]))
-        _leq(checks, "collocation_oracle", "independent basis reproduces the line", rel_c, 1e-8)
-    if is_toy_ads2:
-        half = make_toy_model("ads2_strip", nu=0.5, L=model.L)
-        sm_half = build_spectral(half, N=max(128, config.N), n_modes=8)
-        kpi = (np.arange(1, 5) * math.pi / model.L) ** 2
-        rel_h = float(np.max(np.abs(sm_half.branch(0).omega2[:4] - kpi) / kpi))
-        _leq(checks, "eigenvalue_exact_half", "nu = 1/2 line is (k pi / L)^2", rel_h, tol["eig_exact"])
-    w1sq = float(sm.branch(0).omega2[0])
-    floor_gap = (w1sq - sm.m2_floor) / w1sq
-    _record(
-        checks,
-        "spectral_floor",
-        "0 < m2_floor <= omega_1^2",
-        floor_gap,
-        2e-6,
-        0.0 < floor_gap <= 2e-6,
-    )
-
-    # -- propagator algebra -----------------------------------------------------
     t_grid = config.dt * np.arange(config.T)
-    lp = make_propagator(sm, "lambda_plus", t_grid, weighting="tilde")
-    lm = make_propagator(sm, "lambda_minus", t_grid, weighting="tilde")
-    g = make_propagator(sm, "causal", t_grid, weighting="tilde")
-    ret = make_propagator(sm, "retarded", t_grid, weighting="tilde")
-    adv = make_propagator(sm, "advanced", t_grid, weighting="tilde")
-    rep = verify_two_point(lp, lm, g)
-    for name in ("wave_op_on_lambda", "commutator_identity", "hermiticity", "psd_lambda_plus", "psd_lambda_minus"):
-        rec = rep[name]
-        _record(checks, name, rec["identity"], rec["value"], rec["tol"], rec["pass"])
-    _leq(checks, "support_retarded", "retarded kernel vanishes for t <= s", support_check(ret), 0.0)
-    _leq(checks, "adjoint_pair", "retarded(s,t)^T = advanced(t,s)", adjoint_check(ret, adv), tol["algebra"])
-    _leq(
-        checks,
-        "feynman_consistency",
-        "(1/i) Lambda_plus + advanced = (1/i) Lambda_minus + retarded",
-        feynman_consistency(lp, lm, ret, adv),
-        tol["algebra"],
-    )
-
-    lp_freq = lp.mutated(0.01) if config.inject_sign_flip else lp
-    fs_p = frequency_sign_test(lp_freq, sm.m_floor_sqrt)
-    _leq(checks, "frequency_sign_plus", fs_p["identity"], fs_p["forbidden_fraction"], tol["freq_mass"])
-    fs_m = frequency_sign_test(lm, sm.m_floor_sqrt)
-    _leq(checks, "frequency_sign_minus", fs_m["identity"], fs_m["forbidden_fraction"], tol["freq_mass"])
-    fs_mut = frequency_sign_test(lp.mutated(0.01), sm.m_floor_sqrt)
-    _geq(
-        checks,
-        "frequency_sign_mutation",
-        "1% flipped modes must fail the one-sided test",
-        fs_mut["forbidden_fraction"] / tol["freq_mass"],
-        tol["mutation_ratio"],
-    )
-
-    res, order, prediction = _time_slice_suite(sm, config.seed)
-    _geq(checks, "time_slice_order", "G [P, chi] u - u shrinks at stencil order", order, 1.9)
-    _leq(
-        checks,
-        "time_slice_residual",
-        "G [P, chi] u = u (interior of the cutoff window)",
-        res[2],
-        max(tol["time_slice_factor"] * prediction, 1e-15),
-    )
-
-    # -- indicial / boundary ------------------------------------------------------
-    _leq(
-        checks,
-        "indicial_roots_annihilated",
-        "c_alpha = 0 at alpha = nu_minus, nu_plus",
-        abs(indicial_polynomial(model, model.nu_plus)) + abs(indicial_polynomial(model, model.nu_minus)),
-        0.0,
-    )
-    _leq(
-        checks,
-        "indicial_midpoint",
-        "c at the midpoint of the roots equals nu^2",
-        abs(indicial_polynomial(model, 0.5 * (model.nu_plus + model.nu_minus)) - model.nu**2),
-        1e-13 * max(1.0, model.nu**2),
-    )
-    series_model = model if abs(2.0 * model.nu - round(2.0 * model.nu)) > 1e-9 or 2.0 * model.nu > 4 else make_toy_model(
-        "ads2_strip", nu=2.5, L=model.L
-    )
-    slopes = {}
-    for K in (0, 2, 4):
-        s = build_series(series_model, w0=1.0, K=K, sigma=1.3)
-        slopes[K] = s.residual_slope
-    gain = (slopes[4] - slopes[0]) / 4.0
-    _geq(checks, "series_order_gain", "each series order gains one residual power", gain, tol["gain_per_order"])
-    try:
-        build_series(make_toy_model("ads2_strip", nu=1.0, L=model.L), w0=1.0, K=2)
-        refused = 0.0
-    except ValueError:
-        refused = 1.0
-    _geq(checks, "series_resonance_refusal", "integer 2 nu <= K must be refused", refused, 1.0)
-
+    L, nu = model.L, model.nu
+    sigma, xi0, x0 = 0.1 * L, -40.0 / L, 0.5 * L
+    n_cmp = min(10, config.n_modes)
     phi1 = sm.branch(0).phi[:, 0]
-    alpha_hat, r2 = mellin_exponent_probe(phi1, model, x=sm.grid.dof_x)
-    _leq(
-        checks,
-        "mode_boundary_exponent",
-        "eigenmodes carry the x^(nu + 1/2) branch",
-        abs(alpha_hat - (model.nu + 0.5)),
-        tol["exponent"],
-    )
-    if is_toy_ads2:
-        from .bessel import toy_boundary_amplitudes
+    le, ge = operator.le, operator.ge
 
-        fit = extract_boundary(
-            sm.weight_left * phi1, model, fit_window=(model.L / 400.0, model.L / 12.0), x=sm.grid.dof_x, weighting="physical"
-        )
+    @cache
+    def kernel(kind: str, weighting: str = "tilde"):
+        return make_propagator(sm, kind, t_grid, weighting=weighting)
+
+    @cache
+    def mutant():
+        return kernel("lambda_plus").mutated(0.01)
+
+    @cache
+    def feynman():
+        return make_feynman(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced")))[0]
+
+    @cache
+    def gbb():
+        return trace_gbb(model, make_null_point(model, x=0.4 * L, tau=2.0), t_max=2.4 * L, step=2e-3)
+
+    @cache
+    def oracle():
+        return toy_frequencies(model, n_cmp)
+
+    @cache
+    def two_point():
+        lp, lm, g = map(kernel, ("lambda_plus", "lambda_minus", "causal"))
+        return verify_two_point(lp, lm, g, tol["algebra"], tol["psd"])
+
+    @cache
+    def time_slice():
+        return _time_slice_suite(sm, config.seed)
+
+    @cache
+    def boundary():
+        return boundary_two_point(kernel("lambda_plus", "physical"), model)
+
+    @cache
+    def boundary_evals():
+        gram = boundary().gram()
+        return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+    @cache
+    def packet():
+        return make_wavepacket(sm, x0=x0, xi0=xi0, sigma=sigma)
+
+    @cache
+    def track():
+        return evolve_and_track(sm, packet(), t_max=1.3 * L, dt=0.005 * L)
+
+    @cache
+    def pair():
+        return make_perturbed_state(kernel("lambda_plus"), kernel("lambda_minus"), {"thermal": 5.0 / sm.m_floor_sqrt})
+
+    @cache
+    def state_two_point():
+        return verify_two_point(pair().lp_b, pair().lm_b, kernel("causal"), tol["algebra"], tol["psd"])
+
+    @cache
+    def difference_traces():
+        taus = config.dt * np.arange(0, config.T, 7)
+        return pair().lp_b.trace_series(taus) - pair().lp_a.trace_series(taus), pair().difference().trace_series(taus)
+
+    def forbidden(k) -> float:
+        return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]
+
+    def scan_off(k, ref=None, length: float = 6.5 * L, n_centers: int = 3, band: float | None = None) -> float:
+        rows = kernel_wavefront_scan(k, WindowSpec(length=length, n_centers=n_centers))
+        return off_pattern(rows, k if ref is None else ref, band=band)
+
+    def rel_err(got, want) -> float:
+        return float(np.max(np.abs(got - want) / want))
+
+    def series_gain() -> float:
+        resonant = abs(2.0 * nu - round(2.0 * nu)) <= 1e-9 and 2.0 * nu <= 4
+        series_model = make_toy_model("ads2_strip", nu=2.5, L=L) if resonant else model
+        slope = {K: build_series(series_model, w0=1.0, K=K, sigma=1.3).residual_slope for K in (0, 4)}
+        return (slope[4] - slope[0]) / 4.0
+
+    def half_line_error() -> float:
+        sm_half = build_spectral(make_toy_model("ads2_strip", nu=0.5, L=L), N=max(128, config.N), n_modes=8)
+        kpi = (np.arange(1, 5) * math.pi / L) ** 2
+        return rel_err(sm_half.branch(0).omega2[:4], kpi)
+
+    def amplitude_error() -> float:
+        window = (L / 400.0, L / 12.0)
+        fit = extract_boundary(sm.weight_left * phi1, model, fit_window=window, x=sm.grid.dof_x, weighting="physical")
         c_oracle = toy_boundary_amplitudes(model, 1)[0]
-        _leq(
-            checks,
-            "boundary_amplitude_mode1",
-            "weighted restriction matches the line amplitude",
-            abs(abs(float(np.real(fit.value))) - c_oracle) / c_oracle,
-            tol["weights_rel"],
-        )
-        lp_phys = make_propagator(sm, "lambda_plus", t_grid, weighting="physical")
-        bk = boundary_two_point(lp_phys, model)
-        w_oracle = toy_line_weights(model, 5)
-        rel_w = float(np.max(np.abs(bk.weights[:5] - w_oracle) / w_oracle))
-        _leq(checks, "boundary_weights_oracle", "line weights c_k^2/(2 omega_k)", rel_w, tol["weights_rel"])
-        gram = bk.gram()
-        evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        _geq(
-            checks,
-            "boundary_psd",
-            "(f | k_plus f) >= 0",
-            float(evals[0]),
-            -tol["psd"] * float(np.max(np.abs(evals))),
-        )
-        fs_b = frequency_sign_test(bk, sm.m_floor_sqrt)
-        _leq(checks, "boundary_one_sided", fs_b["identity"], fs_b["forbidden_fraction"], tol["freq_mass"])
+        return abs(abs(float(np.real(fit.value))) - c_oracle) / c_oracle
 
-    # -- wavepacket / GBB ----------------------------------------------------------
-    sigma, xi0, x0 = 0.1 * model.L, -40.0 / model.L, 0.5 * model.L
-    packet = make_wavepacket(sm, x0=x0, xi0=xi0, sigma=sigma)
-    mom_ratio = max(packet.x_var / (2.0 * sigma**2), packet.xi_var / (2.0 / sigma**2))
-    _leq(checks, "packet_moments", "second moments within 2 sigma^2 and 2/sigma^2", mom_ratio, 1.0)
-    track = evolve_and_track(sm, packet, t_max=1.3 * model.L, dt=0.005 * model.L)
-    gx = gbb_reference(model, x0, xi0, track.times, clip=track.window_floor)
-    dev = float(np.max(np.abs(track.centroid - gx)))
-    ok_dev = dev <= sigma and track.status == "ok"
-    _record(checks, "packet_follows_gbb", "centroid tracks the reflected ray", dev / sigma, 1.0, ok_dev)
-    after = track.times > 1.2 * x0
-    t_back = float(track.times[after][np.argmin(np.abs(track.centroid[after] - x0))])
-    _leq(checks, "packet_reflection_time", "round trip takes 2 x0 / speed", abs(t_back - 2.0 * x0), 2.0 * sigma)
+    def packet_deviation() -> float:
+        tr = track()
+        gx = gbb_reference(model, x0, xi0, tr.times, clip=tr.window_floor)
+        return float(np.max(np.abs(tr.centroid - gx))) / sigma
 
-    # -- state pair / scans -----------------------------------------------------------
-    scan_len = 6.5 * model.L
-    spec_scan = WindowSpec(length=scan_len, n_centers=3)
-    _leq(
-        checks,
-        "scan_vacuum_plus",
-        "vacuum kernel mass sits in one sign quadrant",
-        off_pattern(kernel_wavefront_scan(lp, spec_scan), lp),
-        tol["scan_vacuum"],
-    )
-    _geq(
-        checks,
-        "scan_mutation",
-        "1% flipped modes must fail the quadrant scan",
-        off_pattern(kernel_wavefront_scan(lp.mutated(0.01), spec_scan), lp) / tol["scan_state"],
-        tol["mutation_ratio"],
-    )
-    pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt})
-    off_b = max(
-        off_pattern(kernel_wavefront_scan(pair.lp_b, spec_scan), pair.lp_b),
-        off_pattern(kernel_wavefront_scan(pair.lm_b, spec_scan), pair.lm_b),
-    )
-    _leq(checks, "scan_thermal_state", "perturbed state stays Hadamard-graded", off_b, tol["scan_state"])
-    rep_b = verify_two_point(pair.lp_b, pair.lm_b, g)
-    for name in ("wave_op_on_lambda", "commutator_identity", "psd_lambda_plus", "psd_lambda_minus"):
-        rec = rep_b[name]
-        _record(checks, f"state_{name}", rec["identity"], rec["value"], rec["tol"], rec["pass"])
-    diff = pair.difference()
-    taus = config.dt * np.arange(0, config.T, 7)
-    d_num = pair.lp_b.trace_series(taus) - pair.lp_a.trace_series(taus)
-    d_ana = diff.trace_series(taus)
-    _leq(
-        checks,
-        "difference_coefficients",
-        "state difference is the injected mode sum",
-        float(np.max(np.abs(d_num - d_ana))),
-        1e-13 * float(np.max(np.abs(d_ana)) + 1.0),
-    )
-    _geq(
-        checks,
-        "difference_smoothness",
-        "difference kernel decays superpolynomially in frequency",
-        smoothness_decay_order(diff),
-        tol["smooth_order"],
-    )
-    feyn, _ = make_feynman(lp, lm, ret, adv)
-    spec_f = WindowSpec(length=5.0 * model.L, n_centers=4)
-    _leq(
-        checks,
-        "scan_feynman_flip",
-        "time-ordered pattern flips across t = s",
-        off_pattern(kernel_wavefront_scan(feyn, spec_f), feyn, band=2.0 * spec_f.length),
-        tol["scan_feynman"],
-    )
+    def reflection_time_error() -> float:
+        tr = track()
+        after = tr.times > 1.2 * x0
+        t_back = float(tr.times[after][np.argmin(np.abs(tr.centroid[after] - x0))])
+        return abs(t_back - 2.0 * x0)
+
+    def two_point_rows(report, prefix: str = "", names=tuple(TWO_POINT_IDENTITIES)) -> list:
+        return [
+            (prefix + n, TWO_POINT_IDENTITIES[n], lambda n=n: report()[n]["value"], lambda n=n: report()[n]["tol"],
+             ge if n.startswith("psd") else le)
+            for n in names
+        ]
+
+    sign_identity = "chi_mp(D_t) Lambda_pm = 0"
+    rows = [
+        # geometry
+        ("indicial_sum", "nu_plus + nu_minus = n - 1",
+         lambda: abs(model.nu_plus + model.nu_minus - (model.n - 1)), lambda: 1e-14 * max(1.0, model.n - 1.0), le),
+        ("indicial_gap", "nu_plus - nu_minus = 2 nu",
+         lambda: abs(model.nu_plus - model.nu_minus - 2.0 * nu), lambda: 1e-14 * max(1.0, 2.0 * nu), le),
+        ("even_warp_slope", "beta' (0) = k'(0) = 0",
+         lambda: abs(float(model.dbeta(np.zeros(1))[0])) + abs(float(model.dk(np.zeros(1))[0])), lambda: 1e-12, le),
+        ("null_point_symbol", "p(x, xi, zeta, tau) = 0 on the characteristic set",
+         lambda: abs(conformal_symbol(model, make_null_point(model, x=0.5 * L, tau=1.0))), lambda: 1e-13, le),
+        # broken bicharacteristics
+        ("gbb_symbol_drift", "p = 0 along Hamilton arcs",
+         lambda: gbb().symbol_drift, lambda: tol["symbol_drift"] * 4.0, le),
+        ("gbb_reflections", "maximal GBBs reflect at the walls", lambda: len(gbb().reflections), lambda: 1.0, ge),
+        ("gbb_reflection_law", "xi -> -xi, tangential data fixed",
+         lambda: max((abs(ev.xi_out + ev.xi_in) for ev in gbb().reflections), default=math.inf), lambda: 0.0, le),
+        ("gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection",
+         lambda: _tangential_jump(gbb()), lambda: 0.0, le),
+        # spectral
+        *([
+            ("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",
+             lambda: rel_err(np.sqrt(sm.branch(0).omega2[:n_cmp]), oracle()), lambda: tol["eig_rel"], le),
+            ("collocation_oracle", "independent basis reproduces the line",
+             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, n_basis=24, n_modes=4)), oracle()[:4]),
+             lambda: 1e-8, le),
+        ] if model.kind in ("ads2_strip", "ads3_cylinder") else []),
+        *([
+            ("eigenvalue_exact_half", "nu = 1/2 line is (k pi / L)^2", half_line_error, lambda: tol["eig_exact"], le),
+        ] if model.kind == "ads2_strip" else []),
+        ("spectral_floor", "0 < m2_floor <= omega_1^2",
+         lambda: (sm.branch(0).omega2[0] - sm.m2_floor) / sm.branch(0).omega2[0], lambda: 2e-6,
+         lambda v, t: 0.0 < v <= t),
+        # propagator algebra
+        *two_point_rows(two_point),
+        ("support_retarded", "retarded kernel vanishes for t <= s",
+         lambda: support_check(kernel("retarded")), lambda: 0.0, le),
+        ("adjoint_pair", "retarded(s,t)^T = advanced(t,s)",
+         lambda: adjoint_check(kernel("retarded"), kernel("advanced")), lambda: tol["algebra"], le),
+        ("feynman_consistency", "(1/i) Lambda_plus + advanced = (1/i) Lambda_minus + retarded",
+         lambda: feynman_consistency(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced"))),
+         lambda: tol["algebra"], le),
+        ("frequency_sign_plus", sign_identity,
+         lambda: forbidden(mutant() if config.inject_sign_flip else kernel("lambda_plus")),
+         lambda: tol["freq_mass"], le),
+        ("frequency_sign_minus", sign_identity,
+         lambda: forbidden(kernel("lambda_minus")), lambda: tol["freq_mass"], le),
+        ("frequency_sign_mutation", "1% flipped modes must fail the one-sided test",
+         lambda: forbidden(mutant()) / tol["freq_mass"], lambda: tol["mutation_ratio"], ge),
+        ("time_slice_order", "G [P, chi] u - u shrinks at stencil order", lambda: time_slice()[1], lambda: 1.9, ge),
+        ("time_slice_residual", "G [P, chi] u = u (interior of the cutoff window)",
+         lambda: time_slice()[0][2], lambda: max(tol["time_slice_factor"] * time_slice()[2], 1e-15), le),
+        # indicial / boundary
+        ("indicial_roots_annihilated", "c_alpha = 0 at alpha = nu_minus, nu_plus",
+         lambda: abs(indicial_polynomial(model, model.nu_plus)) + abs(indicial_polynomial(model, model.nu_minus)),
+         lambda: 0.0, le),
+        ("indicial_midpoint", "c at the midpoint of the roots equals nu^2",
+         lambda: abs(indicial_polynomial(model, 0.5 * (model.nu_plus + model.nu_minus)) - nu**2),
+         lambda: 1e-13 * max(1.0, nu**2), le),
+        ("series_order_gain", "each series order gains one residual power",
+         series_gain, lambda: tol["gain_per_order"], ge),
+        ("series_resonance_refusal", "integer 2 nu <= K must be refused",
+         lambda: _resonance_refused(model), lambda: 1.0, ge),
+        ("mode_boundary_exponent", "eigenmodes carry the x^(nu + 1/2) branch",
+         lambda: abs(mellin_exponent_probe(phi1, model, x=sm.grid.dof_x)[0] - (nu + 0.5)), lambda: tol["exponent"], le),
+        *([
+            ("boundary_amplitude_mode1", "weighted restriction matches the line amplitude",
+             amplitude_error, lambda: tol["weights_rel"], le),
+            ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
+             lambda: rel_err(boundary().weights[:5], toy_line_weights(model, 5)), lambda: tol["weights_rel"], le),
+            ("boundary_psd", "(f | k_plus f) >= 0",
+             lambda: boundary_evals()[0], lambda: -tol["psd"] * float(np.max(np.abs(boundary_evals()))), ge),
+            ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
+        ] if model.kind == "ads2_strip" else []),
+        # wavepacket / GBB
+        ("packet_moments", "second moments within 2 sigma^2 and 2/sigma^2",
+         lambda: max(packet().x_var / (2.0 * sigma**2), packet().xi_var / (2.0 / sigma**2)), lambda: 1.0, le),
+        ("packet_follows_gbb", "centroid tracks the reflected ray",
+         packet_deviation, lambda: 1.0, lambda v, t: v <= t and track().status == "ok"),
+        ("packet_reflection_time", "round trip takes 2 x0 / speed",
+         reflection_time_error, lambda: 2.0 * sigma, le),
+        # state pair / scans
+        ("scan_vacuum_plus", "vacuum kernel mass sits in one sign quadrant",
+         lambda: scan_off(kernel("lambda_plus")), lambda: tol["scan_vacuum"], le),
+        ("scan_mutation", "1% flipped modes must fail the quadrant scan",
+         lambda: scan_off(mutant(), ref=kernel("lambda_plus")) / tol["scan_state"], lambda: tol["mutation_ratio"], ge),
+        ("scan_thermal_state", "perturbed state stays Hadamard-graded",
+         lambda: max(scan_off(pair().lp_b), scan_off(pair().lm_b)), lambda: tol["scan_state"], le),
+        *two_point_rows(state_two_point, "state_",
+                        ("wave_op_on_lambda", "commutator_identity", "psd_lambda_plus", "psd_lambda_minus")),
+        ("difference_coefficients", "state difference is the injected mode sum",
+         lambda: float(np.max(np.abs(np.subtract(*difference_traces())))),
+         lambda: 1e-13 * (float(np.max(np.abs(difference_traces()[1]))) + 1.0), le),
+        ("difference_smoothness", "difference kernel decays superpolynomially in frequency",
+         lambda: smoothness_decay_order(pair().difference()), lambda: tol["smooth_order"], ge),
+        ("scan_feynman_flip", "time-ordered pattern flips across t = s",
+         lambda: scan_off(feynman(), length=5.0 * L, n_centers=4, band=10.0 * L), lambda: tol["scan_feynman"], le),
+    ]
+
+    checks = []
+    for name, identity, value, tolerance, passes in rows:
+        entry = {"check": name, "identity": identity}
+        try:
+            v, t = float(value()), float(tolerance())
+            entry.update({"value": v, "tolerance": t, "pass": bool(passes(v, t))})
+        except (ValueError, RuntimeError) as exc:
+            entry.update({"value": None, "tolerance": None, "pass": False, "error": str(exc)})
+        checks.append(entry)
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = {
@@ -699,7 +670,8 @@ def _cmd_verify(args) -> int:
         )
     for c in report["checks"]:
         mark = "ok  " if c["pass"] else "FAIL"
-        print(f"{mark} {c['check']}: value={c['value']:.6e} tol={c['tolerance']:.6e}", file=sys.stderr)
+        detail = f"error: {c['error']}" if "error" in c else f"value={c['value']:.6e} tol={c['tolerance']:.6e}"
+        print(f"{mark} {c['check']}: {detail}", file=sys.stderr)
     print(f"report: {out_path} ({report['n_checks']} checks, {report['n_failed']} failed)", file=sys.stderr)
     return code
 
@@ -758,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=256)
     p.add_argument("--dt", type=float, default=0.025)
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--weighting", default="tilde", choices=["tilde", "physical"])
+    p.add_argument("--weighting", default="tilde", help="kernel weighting (propagators.WEIGHTINGS)")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kernels)

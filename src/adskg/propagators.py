@@ -50,6 +50,7 @@ __all__ = [
     "apply",
     "apply_wave_operator",
     "verify_two_point",
+    "TWO_POINT_IDENTITIES",
     "frequency_sign_test",
     "make_feynman",
     "feynman_consistency",
@@ -148,7 +149,7 @@ class BiKernel(LineSpectrum):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {self.weighting!r}")
+            raise ValueError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         if self.t_grid.size < 32:
             raise ValueError("time grid too coarse: need T >= 32")
@@ -305,17 +306,28 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _rec(identity: str, value: float, tol: float, ok: bool) -> dict:
-    return {"identity": identity, "value": value, "tol": tol, "pass": bool(ok)}
+TWO_POINT_IDENTITIES = {
+    "wave_op_on_lambda": "P Lambda_pm = 0",
+    "commutator_identity": "Lambda_plus - Lambda_minus = i G",
+    "hermiticity": "Lambda_pm(t,s) = Lambda_pm(s,t)*",
+    "psd_lambda_plus": "(f | Lambda_pm f) >= 0",
+    "psd_lambda_minus": "(f | Lambda_pm f) >= 0",
+}
 
 
-def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel) -> dict:
+def _rec(name: str, value: float, tol: float, ok: bool) -> dict:
+    return {"identity": TWO_POINT_IDENTITIES[name], "value": value, "tol": tol, "pass": bool(ok)}
+
+
+def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel, algebra: float = 1e-12, psd: float = 1e-10) -> dict:
     """Algebraic checks on a two-point-function pair and the commutator.
 
-    Returns a dict of records {value, tol, pass}: wave-operator residuals on
-    both lambda kernels (second-order time stencil, so O(dt^2)), the
-    lambda_plus - lambda_minus = i*causal identity and Hermiticity per mode
-    on every lag, and the least eigenvalue of the space-time Gram matrices.
+    Returns a dict of records {identity, value, tol, pass}, keyed as
+    ``TWO_POINT_IDENTITIES``: wave-operator residuals on both lambda kernels
+    (second-order time stencil, so O(dt^2)), the lambda_plus - lambda_minus
+    = i*causal identity and Hermiticity per mode on every lag to ``algebra``,
+    and the least eigenvalue of the space-time Gram matrices, which must
+    not fall below -psd times the largest one.
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus" or g.kind != "causal":
         raise ValueError("expected (lambda_plus, lambda_minus, causal) kernels")
@@ -333,18 +345,18 @@ def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel) -> dict:
         # scale by the mode amplitude so the number is a relative residual
         pl_res = max(pl_res, float(np.max(np.abs(resid) * (2.0 * w[:, None]) / w[:, None] ** 2)))
     tol_pl = 2.0 * dt**2 * float(np.max(w)) ** 2
-    report["wave_op_on_lambda"] = _rec("P Lambda_pm = 0", pl_res, tol_pl, pl_res <= tol_pl)
+    report["wave_op_on_lambda"] = _rec("wave_op_on_lambda", pl_res, tol_pl, pl_res <= tol_pl)
     comm = _max_abs(gp - gm - 1j * gg)
-    report["commutator_identity"] = _rec("Lambda_plus - Lambda_minus = i G", comm, 1e-12, comm <= 1e-12)
+    report["commutator_identity"] = _rec("commutator_identity", comm, algebra, comm <= algebra)
     # K(t,s) = K(s,t)^H; reversing the lag axis maps tau to -tau
     herm = max(_max_abs(gk - gk[:, ::-1].conj()) for gk in (gp, gm))
-    report["hermiticity"] = _rec("Lambda_pm(t,s) = Lambda_pm(s,t)*", herm, 1e-12, herm <= 1e-12)
+    report["hermiticity"] = _rec("hermiticity", herm, algebra, herm <= algebra)
 
     for name, kern in (("plus", lp), ("minus", lm)):
         gram = _gram_matrix(kern)
         evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        tol = -1e-10 * float(np.max(np.abs(evals)))
-        report[f"psd_lambda_{name}"] = _rec("(f | Lambda_pm f) >= 0", float(evals[0]), tol, evals[0] >= tol)
+        tol = -psd * float(np.max(np.abs(evals)))
+        report[f"psd_lambda_{name}"] = _rec(f"psd_lambda_{name}", float(evals[0]), tol, evals[0] >= tol)
 
     report["pass"] = all(rec["pass"] for rec in report.values())
     return report

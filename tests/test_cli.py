@@ -154,6 +154,17 @@ def test_kernels_refuses_unknown_kind(small_blobs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernels_refuses_unknown_weighting(small_blobs, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "k.bin"
+    code = main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "lambda_plus",
+                 "--weighting", "bogus", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "physical" in err
+    assert not out.exists()
+
+
 def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     blob = tmp_path / "model.bin"
     main(["build-spectral", "--nu", "1.0", "--N", "96", "--n-modes", "8",
@@ -240,3 +251,84 @@ def test_verify_rejects_bad_model(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err or "error" in err
+
+
+DEFAULT_CHECKS = [
+    "indicial_sum", "indicial_gap", "even_warp_slope", "null_point_symbol",
+    "gbb_symbol_drift", "gbb_reflections", "gbb_reflection_law", "gbb_tangential_continuity",
+    "eigenvalue_oracle", "collocation_oracle", "eigenvalue_exact_half", "spectral_floor",
+    "wave_op_on_lambda", "commutator_identity", "hermiticity", "psd_lambda_plus", "psd_lambda_minus",
+    "support_retarded", "adjoint_pair", "feynman_consistency",
+    "frequency_sign_plus", "frequency_sign_minus", "frequency_sign_mutation",
+    "time_slice_order", "time_slice_residual",
+    "indicial_roots_annihilated", "indicial_midpoint", "series_order_gain", "series_resonance_refusal",
+    "mode_boundary_exponent", "boundary_amplitude_mode1", "boundary_weights_oracle", "boundary_psd",
+    "boundary_one_sided",
+    "packet_moments", "packet_follows_gbb", "packet_reflection_time",
+    "scan_vacuum_plus", "scan_mutation", "scan_thermal_state",
+    "state_wave_op_on_lambda", "state_commutator_identity", "state_psd_lambda_plus", "state_psd_lambda_minus",
+    "difference_coefficients", "difference_smoothness", "scan_feynman_flip",
+]
+
+
+def test_verify_check_names_in_order(verify_run):
+    report = json.loads(verify_run[1])
+    assert [c["check"] for c in report["checks"]] == DEFAULT_CHECKS
+    assert all("error" not in c for c in report["checks"])
+
+
+def test_verify_config_tolerances_reach_two_point_checks(tmp_path, capsys):
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps({"tolerances": {"algebra": 1e-30, "psd": 1e-30}}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    checks = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("commutator_identity", "hermiticity", "state_commutator_identity"):
+        assert checks[name]["tolerance"] == 1e-30
+    for name in ("psd_lambda_plus", "psd_lambda_minus", "state_psd_lambda_plus", "state_psd_lambda_minus"):
+        # -psd * max|eigenvalue|, with max|eigenvalue| of order one
+        assert -1e-29 < checks[name]["tolerance"] < 0.0
+    assert 0.0 < checks["state_commutator_identity"]["value"] < 1e-15
+    assert checks["state_commutator_identity"]["pass"] is False
+
+
+_CONTAMINATED = "complementary-branch contamination"
+_SHORT_WINDOW = "window too short for the spectral gap"
+_BOUNDARY_FITS = ("boundary_weights_oracle", "boundary_psd", "boundary_one_sided")
+
+
+@pytest.mark.parametrize(
+    "flags, failing",
+    [
+        (["--nu", "0.5"], {"scan_feynman_flip": _SHORT_WINDOW}),
+        (["--nu", "0.7"], {"scan_feynman_flip": _SHORT_WINDOW}),
+        (["--L", "2"], {"scan_feynman_flip": "no scan window lies outside the diagonal band"}),
+        (["--nu", "2.5"], dict.fromkeys(_BOUNDARY_FITS, _CONTAMINATED)),
+        (["--nu", "0.3"], {"collocation_oracle": None, "scan_vacuum_plus": None, "scan_feynman_flip": _SHORT_WINDOW}),
+    ],
+    ids=["nu0.5", "nu0.7", "L2", "nu2.5", "nu0.3"],
+)
+def test_verify_records_failed_preconditions(tmp_path, capsys, flags, failing):
+    """A precondition that fails inside a check fails that check alone; the
+    other checks still run and the report is written (exit 1, not 2).
+    ``failing`` maps each failing check to its error text, or None when the
+    check failed on its value."""
+    out, table = tmp_path / "report.json", tmp_path / "checks.csv"
+    assert main(["verify", *flags, "--out", str(out), "--csv", str(table)]) == 1
+    assert "FAIL" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["n_checks"] == len(DEFAULT_CHECKS)
+    failed = {c["check"]: c for c in report["checks"] if not c["pass"]}
+    assert set(failed) == set(failing)
+    assert report["n_failed"] == len(failing)
+    rows = {r[0]: r for r in _read_csv(table)[1:]}
+    for name, message in failing.items():
+        entry = failed[name]
+        assert entry["identity"]
+        if message is None:
+            assert "error" not in entry and np.isfinite(entry["value"])
+        else:
+            assert message in entry["error"]
+            assert entry["value"] is None and entry["tolerance"] is None
+            assert rows[name][2:] == ["", "", "0"]
