@@ -52,8 +52,7 @@ _GLANCE_TOL = 1e-8
 _FP_TOL = 1e-14
 _FP_MAXIT = 60
 _SYMBOL_TOL = 1e-8
-
-COLUMNS = ("x", "y", "t", "xi_bar", "xi", "zeta", "tau")
+_MAX_REFLECTIONS = 64
 
 
 class GlancingRayError(RuntimeError):
@@ -400,7 +399,6 @@ def trace_gbb(
     p0: PhasePointB,
     t_max: float,
     step: float = 1e-3,
-    max_reflections: int = 64,
 ) -> GBBPath:
     """Concatenate Hamilton arcs and reflections until |t| passes t_max.
 
@@ -442,8 +440,8 @@ def trace_gbb(
                 point=out,
             )
         )
-        if len(reflections) > max_reflections:
-            raise RuntimeError(f"exceeded max_reflections={max_reflections}")
+        if len(reflections) > _MAX_REFLECTIONS:
+            raise RuntimeError(f"exceeded {_MAX_REFLECTIONS} reflections")
         point = out
         if t_dir * point.t >= t_dir * t_max:
             break

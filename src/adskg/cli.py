@@ -361,8 +361,10 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     Each row is (name, identity, value, tolerance, passes): value and
     tolerance are thunks, evaluated in report order, and passes(value, tol)
-    gives the verdict.  Objects that several rows share are built on first
-    use by caches local to this call.  A ValueError or RuntimeError raised
+    gives the verdict.  Identity texts, tolerances and comparisons live
+    only here; the library functions the rows call return measurements.
+    Objects that several rows share are built on first use by caches local
+    to this call.  A ValueError or RuntimeError raised
     inside a row fails that row alone: its entry has null value and
     tolerance and the message under "error", and the next row runs.  The
     model and the eigenbasis are built before any row, so their errors
@@ -386,7 +388,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         smoothness_decay_order,
     )
     from .propagators import (
-        TWO_POINT_IDENTITIES,
         adjoint_check,
         feynman_consistency,
         frequency_sign_test,
@@ -429,8 +430,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def two_point():
-        lp, lm, g = map(kernel, ("lambda_plus", "lambda_minus", "causal"))
-        return verify_two_point(lp, lm, g, tol["algebra"], tol["psd"])
+        return verify_two_point(*map(kernel, ("lambda_plus", "lambda_minus", "causal")))
 
     @cache
     def time_slice():
@@ -439,11 +439,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     @cache
     def boundary():
         return boundary_two_point(kernel("lambda_plus", "physical"), model)
-
-    @cache
-    def boundary_evals():
-        gram = boundary().gram()
-        return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
 
     @cache
     def packet():
@@ -459,7 +454,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def state_two_point():
-        return verify_two_point(pair().lp_b, pair().lm_b, kernel("causal"), tol["algebra"], tol["psd"])
+        return verify_two_point(pair().lp_b, pair().lm_b, kernel("causal"))
 
     @cache
     def difference_traces():
@@ -504,13 +499,17 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         t_back = float(tr.times[after][np.argmin(np.abs(tr.centroid[after] - x0))])
         return abs(t_back - 2.0 * x0)
 
-    def two_point_rows(report, prefix: str = "", names=tuple(TWO_POINT_IDENTITIES)) -> list:
-        return [
-            (prefix + n, TWO_POINT_IDENTITIES[n], lambda n=n: report()[n]["value"], lambda n=n: report()[n]["tol"],
-             ge if n.startswith("psd") else le)
-            for n in names
-        ]
+    def psd(name: str, identity: str, evals) -> tuple:
+        """Row of the PSD rule: least Gram eigenvalue >= -psd * max |eigenvalue|."""
+        evals = cache(evals)  # a thunk of ascending eigenvalues, read by both thunks of the row
+        return name, identity, lambda: evals()[0], lambda: -tol["psd"] * float(np.max(np.abs(evals()))), ge
 
+    def boundary_gram_evals():
+        gram = boundary().gram()
+        return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+    wave_op_identity, comm_identity = "P Lambda_pm = 0", "Lambda_plus - Lambda_minus = i G"
+    psd_identity = "(f | Lambda_pm f) >= 0"
     sign_identity = "chi_mp(D_t) Lambda_pm = 0"
     rows = [
         # geometry
@@ -545,7 +544,14 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          lambda: (sm.branch(0).omega2[0] - sm.m2_floor) / sm.branch(0).omega2[0], lambda: 2e-6,
          lambda v, t: 0.0 < v <= t),
         # propagator algebra
-        *two_point_rows(two_point),
+        ("wave_op_on_lambda", wave_op_identity,
+         lambda: two_point()["wave_op"], lambda: two_point()["wave_op_bound"], le),
+        ("commutator_identity", comm_identity,
+         lambda: two_point()["commutator"], lambda: tol["algebra"], le),
+        ("hermiticity", "Lambda_pm(t,s) = Lambda_pm(s,t)*",
+         lambda: two_point()["hermiticity"], lambda: tol["algebra"], le),
+        psd("psd_lambda_plus", psd_identity, lambda: two_point()["gram_plus"]),
+        psd("psd_lambda_minus", psd_identity, lambda: two_point()["gram_minus"]),
         ("support_retarded", "retarded kernel vanishes for t <= s",
          lambda: support_check(kernel("retarded")), lambda: 0.0, le),
         ("adjoint_pair", "retarded(s,t)^T = advanced(t,s)",
@@ -581,8 +587,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
              amplitude_error, lambda: tol["weights_rel"], le),
             ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
              lambda: rel_err(boundary().weights[:5], toy_line_weights(model, 5)), lambda: tol["weights_rel"], le),
-            ("boundary_psd", "(f | k_plus f) >= 0",
-             lambda: boundary_evals()[0], lambda: -tol["psd"] * float(np.max(np.abs(boundary_evals()))), ge),
+            psd("boundary_psd", "(f | k_plus f) >= 0", boundary_gram_evals),
             ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
         ] if model.kind == "ads2_strip" else []),
         # wavepacket / GBB
@@ -599,8 +604,12 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          lambda: scan_off(mutant(), ref=kernel("lambda_plus")) / tol["scan_state"], lambda: tol["mutation_ratio"], ge),
         ("scan_thermal_state", "perturbed state stays Hadamard-graded",
          lambda: max(scan_off(pair().lp_b), scan_off(pair().lm_b)), lambda: tol["scan_state"], le),
-        *two_point_rows(state_two_point, "state_",
-                        ("wave_op_on_lambda", "commutator_identity", "psd_lambda_plus", "psd_lambda_minus")),
+        ("state_wave_op_on_lambda", wave_op_identity,
+         lambda: state_two_point()["wave_op"], lambda: state_two_point()["wave_op_bound"], le),
+        ("state_commutator_identity", comm_identity,
+         lambda: state_two_point()["commutator"], lambda: tol["algebra"], le),
+        psd("state_psd_lambda_plus", psd_identity, lambda: state_two_point()["gram_plus"]),
+        psd("state_psd_lambda_minus", psd_identity, lambda: state_two_point()["gram_minus"]),
         ("difference_coefficients", "state difference is the injected mode sum",
          lambda: float(np.max(np.abs(np.subtract(*difference_traces())))),
          lambda: 1e-13 * (float(np.max(np.abs(difference_traces()[1]))) + 1.0), le),

@@ -41,8 +41,8 @@ __all__ = [
     "mellin_exponent_probe",
 ]
 
-_CONTAM_WARN = 1e-6
 _CONTAM_FAIL = 5e-2
+_GRAM_TIMES = 48  # subsampled times of the boundary Gram matrix
 
 
 def indicial_polynomial(model: MetricModel, alpha: float) -> float:
@@ -142,7 +142,6 @@ class BoundaryFit:
     value: float
     quality: float
     contamination: float
-    warn: bool
 
 
 def default_fit_window(model: MetricModel, omega: float) -> tuple[float, float]:
@@ -166,7 +165,10 @@ def extract_boundary(
     e is nu + 1/2 in the tilde frame and nu_plus in the physical frame (the
     two are consistent by construction; asserted).  Fits 1 + a x + b x^2 by
     least squares on the window and separately scores contamination by the
-    complementary x^(-2 nu) branch.
+    complementary x^(-2 nu) branch.  Returns measurements: the constant
+    term, the R^2 quality of the fit and the contamination score relative
+    to the constant term at the window midpoint.  Data whose score exceeds
+    ``_CONTAM_FAIL`` is not a Dirichlet-branch solution and is refused.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u)
@@ -201,12 +203,7 @@ def extract_boundary(
     value = coef[0]
     if np.iscomplexobj(u) and abs(value.imag) < 1e-12 * abs(value.real):
         value = value.real
-    return BoundaryFit(
-        value=value,
-        quality=quality,
-        contamination=float(contam),
-        warn=bool(contam > _CONTAM_WARN),
-    )
+    return BoundaryFit(value=value, quality=quality, contamination=float(contam))
 
 
 @dataclass
@@ -234,10 +231,10 @@ class BoundaryKernel(LineSpectrum):
         c2, zero = self.amplitudes**2, np.zeros_like(self.amplitudes)
         return (c2, zero, "all") if self.kind == "plus" else (zero, c2, "all")
 
-    def gram(self, n_times: int = 48) -> np.ndarray:
-        idx = np.linspace(0, self.t_grid.size - 1, n_times).round().astype(int)
+    def gram(self) -> np.ndarray:
+        idx = np.linspace(0, self.t_grid.size - 1, _GRAM_TIMES).round().astype(int)
         times = self.t_grid[idx]
-        return self.trace_series((times[:, None] - times[None, :]).ravel()).reshape(n_times, n_times)
+        return self.trace_series((times[:, None] - times[None, :]).ravel()).reshape(_GRAM_TIMES, _GRAM_TIMES)
 
 
 def boundary_two_point(

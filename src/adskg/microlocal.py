@@ -27,6 +27,7 @@ tests; there is no spatial microlocalization in the scans.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ __all__ = [
 _TAIL_TOL = 1e-6
 _DISPERSE_FRACTION = 0.25
 _MIN_NW = 2.5
+_DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
+_DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +68,15 @@ _MIN_NW = 2.5
 
 @dataclass
 class Wavepacket:
-    """Normalized coherent packet in the eigenbasis of one transverse mode.
-
-    center/momentum hold (x0, y0) and (xi0, zeta0); y0 and zeta0 are None
-    in two dimensions.  energy_sign +1 evolves every coefficient with
-    e^{-i omega t} (positive frequency), -1 with the conjugate.
+    """Normalized coherent packet in the eigenbasis of one transverse mode,
+    launched at x0 with momentum xi0.  energy_sign +1 evolves every
+    coefficient with e^{-i omega t} (positive frequency), -1 with the
+    conjugate.
     """
 
     spectral: SpectralModel
-    center: tuple
-    momentum: tuple
+    x0: float
+    xi0: float
     width: float
     energy_sign: int
     coefficients: np.ndarray
@@ -84,20 +86,6 @@ class Wavepacket:
     xi_mean: float = math.nan
     xi_var: float = math.nan
     tail: float = math.nan
-
-    @property
-    def x0(self) -> float:
-        return self.center[0]
-
-    @property
-    def xi0(self) -> float:
-        return self.momentum[0]
-
-    def field_values(self, t: float = 0.0) -> np.ndarray:
-        """Grid samples of the packet at time t."""
-        w = self.spectral.branch(self.m).omega
-        phase = np.exp(-1j * self.energy_sign * w * t)
-        return self.spectral.synthesize(self.coefficients * phase, m=self.m)
 
 
 def make_wavepacket(
@@ -135,8 +123,8 @@ def make_wavepacket(
 
     w = Wavepacket(
         spectral=sm,
-        center=(x0, None),
-        momentum=(xi0, None),
+        x0=x0,
+        xi0=xi0,
         width=sigma,
         energy_sign=int(sign),
         coefficients=c,
@@ -265,9 +253,10 @@ def gbb_reference(
 @dataclass(frozen=True)
 class WindowSpec:
     """Two-slot scan windows: duration, and an n_centers x n_centers grid of
-    window centers over the part of the time square where a full window
-    fits.  The DPSS time-bandwidth product is matched to the lowest retained
-    frequency with a 0.9 safety factor.
+    windows whose start indices in each slot are spread evenly from the
+    first grid point to the last start where a full window fits.  The DPSS
+    time-bandwidth product is matched to the lowest retained frequency with
+    a 0.9 safety factor.
     """
 
     length: float
@@ -302,7 +291,7 @@ def _scan_taper(n_w: int, length: float, omega_floor: float) -> np.ndarray:
 def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRow]:
     """Windowed two-slot Fourier quadrant masses of a kernel trace.
 
-    For each window pair centered at (t0, s0) the tapered trace k(t - s) is
+    For each pair of windows (one per time slot) the tapered trace k(t - s) is
     transformed in both slots and the power is binned by the primed signs
     (sign Omega_t, sign -Omega_s).  A vacuum positive kernel concentrates
     in (+,+), its conjugate in (-,-), the causal kernel splits across both
@@ -321,10 +310,7 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
         raise ValueError(f"window length {spec.length} exceeds the grid span {span}")
     n_w = int(round(spec.length / dt)) + 1
     taper = _scan_taper(n_w, spec.length, kernel.omega_floor)
-
-    half = 0.5 * spec.length
-    pts = np.linspace(t[0] + half, t[-1] - half, spec.n_centers)
-    centers = [(float(a), float(b)) for a in pts for b in pts]
+    starts = np.rint(np.linspace(0, t.size - n_w, spec.n_centers)).astype(int)
 
     om = 2.0 * math.pi * np.fft.fftfreq(n_w, d=dt)
     sgn_t = np.sign(om)[:, None]
@@ -338,11 +324,7 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     lag_index = (t.size - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
     masses: dict[int, tuple[float, float, float]] = {}
     rows = []
-    for t0, s0 in centers:
-        i0 = int(np.searchsorted(t, t0 - half - 0.25 * dt))
-        j0 = int(np.searchsorted(t, s0 - half - 0.25 * dt))
-        if i0 < 0 or j0 < 0 or i0 + n_w > t.size or j0 + n_w > t.size:
-            raise ValueError(f"window at ({t0}, {s0}) exceeds the time grid")
+    for i0, j0 in itertools.product(starts, starts):
         offset = i0 - j0
         if offset not in masses:
             vals = lag_trace[lag_index + offset]
@@ -522,7 +504,7 @@ def make_perturbed_state(lp: BiKernel, lm: BiKernel, rotation) -> StatePair:
     return StatePair(lp_a=lp, lm_a=lm, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
 
 
-def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float = 1e-7) -> float:
+def smoothness_decay_order(kernel: LineSpectrum) -> float:
     """Decay order of the windowed temporal Fourier envelope of a kernel trace.
 
     Fits -d log(envelope) / d log(Omega) over log-spaced bins covering the
@@ -532,7 +514,7 @@ def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float 
 
     Only resolved bins enter the fit: a bin must contain at least one
     modal line (a bin between lines measures only the taper skirt of its
-    neighbours) and its envelope must exceed ``floor`` relative to the
+    neighbours) and its envelope must reach ``_DECAY_FLOOR`` relative to the
     strongest bin (below that, the leakage skirt of the dominant line
     swamps any genuine content and would flatten the fitted slope).
     """
@@ -545,7 +527,7 @@ def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float 
 
     w = np.asarray(kernel.omega, dtype=float)
     lo, hi = 0.8 * float(w.min()), 1.1 * float(w.max())
-    edges = np.geomspace(lo, min(hi, float(om.max())), n_bins + 1)
+    edges = np.geomspace(lo, min(hi, float(om.max())), _DECAY_BINS + 1)
     cents, envs = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (om >= a) & (om < b)
@@ -556,7 +538,7 @@ def smoothness_decay_order(kernel: LineSpectrum, n_bins: int = 10, floor: float 
     if not envs:
         raise ValueError("no resolved bins to fit a decay order")
     envs = np.asarray(envs)
-    keep = envs >= floor * envs.max()
+    keep = envs >= _DECAY_FLOOR * envs.max()
     cents, envs = np.asarray(cents)[keep], envs[keep]
     if cents.size < 4:
         raise ValueError("too few resolved bins to fit a decay order")

@@ -46,6 +46,7 @@ __all__ = [
 
 _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
+_FLOOR_DEFLATION = 1e-6  # relative margin of the certified spectral floor below the least eigenvalue
 
 
 def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +207,6 @@ class SpectralModel:
             raise KeyError(f"transverse mode m={m} not built (have {sorted(self.branches)})")
         return self.branches[key]
 
-    def omega(self, m: int = 0) -> np.ndarray:
-        return self.branch(m).omega
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         return np.conj(u) @ (self.M @ v)
 
@@ -267,7 +265,6 @@ def build_spectral(
     m_max: int = 0,
     n_modes: int = 16,
     gamma: float = 2.0,
-    tol_eig: float = 1e-6,
 ) -> SpectralModel:
     """Discretize and diagonalize the spatial operator.
 
@@ -283,9 +280,9 @@ def build_spectral(
         Retained eigenpairs per transverse branch; at most N/4.
     gamma : float
         Mesh grading exponent; edges sit at L (i/N)^gamma.
-    tol_eig : float
-        Relative deflation applied to the smallest computed eigenvalue to
-        obtain the certified spectral floor m2_floor.
+
+    The certified spectral floor m2_floor is the smallest computed
+    eigenvalue deflated by the relative margin ``_FLOOR_DEFLATION``.
     """
     if N < 64:
         raise ValueError(f"N={N} too small; need at least 64 elements")
@@ -319,7 +316,7 @@ def build_spectral(
             )
         branches[m] = SpectralBranch(m=m, mu=mu, omega2=vals, phi=vecs, K=K_m)
 
-    floor = min(float(b.omega2[0]) for b in branches.values()) * (1.0 - tol_eig)
+    floor = min(float(b.omega2[0]) for b in branches.values()) * (1.0 - _FLOOR_DEFLATION)
     return SpectralModel(
         model=model, grid=grid, branches=branches, M=M, n_modes=n_modes, m2_floor=floor
     )

@@ -2,21 +2,28 @@ import argparse
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adskg.cli import _THREAD_VARS, RunConfig, _export_threads, main
+import adskg
+from adskg.cli import _THREAD_VARS, RunConfig, _default_tolerances, _export_threads, main, run_verify
 from oracles import line_weights_mp
 
 
 def test_public_names_resolve():
-    import adskg
-
     for sub in adskg._SUBMODULES:
         module = getattr(adskg, sub)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"adskg.{sub}.__all__ lists missing {name!r}"
+
+
+def test_source_lines_fit_120_columns():
+    src = Path(adskg.__file__).parent
+    long = [f"{f.name}:{i}" for f in sorted(src.glob("*.py"))
+            for i, line in enumerate(f.read_text().splitlines(), 1) if len(line) > 120]
+    assert not long, f"lines longer than 120 characters: {long}"
 
 
 def _read_csv(path):
@@ -142,6 +149,24 @@ def test_wf_scan_refuses_empty_window_grid(small_blobs, tmp_path, capsys, center
     assert code == 2
     assert "n_centers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_wf_scan_window_off_the_time_step(small_blobs, tmp_path, capsys):
+    """A window length that is not a multiple of dt still yields a full
+    window grid, every window inside the time grid."""
+    kern, out = tmp_path / "lp768.bin", tmp_path / "scan.csv"
+    dt, T, length = 0.025, 768, 7.34
+    assert main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "lambda_plus",
+                 "--T", str(T), "--dt", str(dt), "--out", str(kern)]) == 0
+    assert main(["wf-scan", "--kernel-bin", str(kern), "--window", str(length),
+                 "--centers", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = _read_csv(out)[1:]
+    assert len(rows) == 9
+    half = 0.5 * dt * round(length / dt)  # rows report window midpoints
+    for row in rows:
+        for mid in map(float, row[:2]):
+            assert half - 1e-9 <= mid <= dt * (T - 1) - half + 1e-9
 
 
 def test_kernels_refuses_unknown_kind(small_blobs, tmp_path, capsys):
@@ -291,6 +316,32 @@ def test_verify_config_tolerances_reach_two_point_checks(tmp_path, capsys):
         assert -1e-29 < checks[name]["tolerance"] < 0.0
     assert 0.0 < checks["state_commutator_identity"]["value"] < 1e-15
     assert checks["state_commutator_identity"]["pass"] is False
+
+
+# rows whose tolerance reads the config's "tolerances"; every other row
+# states its tolerance as a constant or derives it from the data
+CONFIG_TOLERANCE_CHECKS = [
+    "gbb_symbol_drift", "eigenvalue_oracle", "eigenvalue_exact_half",
+    "commutator_identity", "hermiticity", "psd_lambda_plus", "psd_lambda_minus",
+    "adjoint_pair", "feynman_consistency",
+    "frequency_sign_plus", "frequency_sign_minus", "frequency_sign_mutation", "time_slice_residual",
+    "series_order_gain", "mode_boundary_exponent", "boundary_amplitude_mode1", "boundary_weights_oracle",
+    "boundary_psd", "boundary_one_sided",
+    "scan_vacuum_plus", "scan_mutation", "scan_thermal_state",
+    "state_commutator_identity", "state_psd_lambda_plus", "state_psd_lambda_minus",
+    "difference_smoothness", "scan_feynman_flip",
+]
+
+
+def test_verify_tolerances_come_from_the_table(verify_run):
+    """Doubling every config tolerance moves exactly the rows that read the
+    config; every other row keeps its tolerance bit for bit."""
+    doubled = {name: 2.0 * value for name, value in _default_tolerances().items()}
+    _, report = run_verify(RunConfig(tolerances=doubled))
+    base = {c["check"]: c["tolerance"] for c in json.loads(verify_run[1])["checks"]}
+    got = {c["check"]: c["tolerance"] for c in report["checks"]}
+    assert list(got) == list(base)
+    assert [name for name in got if got[name] != base[name]] == CONFIG_TOLERANCE_CHECKS
 
 
 _CONTAMINATED = "complementary-branch contamination"

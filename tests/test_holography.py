@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import boundary_amplitudes_mp, line_weights_mp
 
+from adskg.cli import _default_tolerances
 from adskg.geometry import make_toy_model
 from adskg.holography import (
     BoundaryKernel,
@@ -13,6 +14,8 @@ from adskg.holography import (
     mellin_exponent_probe,
 )
 from adskg.propagators import frequency_sign_test, make_propagator
+
+FREQ_MASS = _default_tolerances()["freq_mass"]
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +88,7 @@ def test_extract_boundary_recovers_constant():
     fit = extract_boundary(u, m, (1e-3, 0.05), x=x, weighting="tilde")
     assert fit.value == pytest.approx(3.0, rel=1e-9)
     assert fit.quality > 0.999
-    assert not fit.warn
+    assert fit.contamination <= 1e-6
 
 
 def test_extract_boundary_weighting_consistency():
@@ -103,7 +106,7 @@ def test_contamination_warning_and_failure():
     x = np.geomspace(1e-4, 0.3, 400)
     clean = x ** (m.nu + 0.5)
     fit = extract_boundary(clean + 1e-8 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x)
-    assert fit.warn and fit.contamination > 1e-6
+    assert fit.contamination > 1e-6
     with pytest.raises(ValueError, match="contamination"):
         extract_boundary(clean + 1e-3 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x)
 
@@ -165,7 +168,7 @@ def test_boundary_kernel_structure(sm192, ads2, tgrid):
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     assert evals[0] >= -1e-10 * float(np.abs(evals).max())
     rep = frequency_sign_test(bk, sm192.m_floor_sqrt)
-    assert rep["pass"] and rep["forbidden_fraction"] <= 1e-6
+    assert rep["forbidden_fraction"] <= FREQ_MASS
 
 
 def test_minus_kernel_mirrors(sm192, ads2, tgrid):
@@ -173,7 +176,7 @@ def test_minus_kernel_mirrors(sm192, ads2, tgrid):
     bk = boundary_two_point(lm, ads2)
     assert bk.kind == "minus" and bk.frequency_sign == -1
     rep = frequency_sign_test(bk, sm192.m_floor_sqrt)
-    assert rep["pass"]
+    assert rep["forbidden_fraction"] <= FREQ_MASS
 
 
 def test_mellin_probe_validation(ads2):
