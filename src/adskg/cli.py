@@ -74,17 +74,15 @@ class RunConfig:
     """Everything a verify run depends on.
 
     The model block follows the geometry loader's schema; numerics fix the
-    discretization and the shared kernel time grid; the seed drives every
-    randomized probe so reports are reproducible byte for byte.
+    discretization (the kernel time grid is worked out from L and the
+    spectrum by ``run_verify``); the seed drives every randomized probe so
+    reports are reproducible byte for byte.
     """
 
     model: dict = field(default_factory=lambda: {"kind": "ads2_strip", "nu": 1.0, "L": 1.0})
     N: int = 192
     n_modes: int = 32
     m_max: int = 0
-    T: int = 768
-    dt: float = 0.025
-    gamma: float = 2.0
     tolerances: dict = field(default_factory=_default_tolerances)
     out_dir: str = "."
     seed: int = 1234
@@ -94,10 +92,6 @@ class RunConfig:
         for name, val in self.tolerances.items():
             if not (isinstance(val, (int, float)) and val > 0.0):
                 raise ValueError(f"tolerance {name!r} must be positive, got {val!r}")
-        if self.T < 32:
-            raise ValueError("T must be at least 32")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -116,12 +110,10 @@ class RunConfig:
                 tols.update(raw.pop("tolerances"))
                 raw["tolerances"] = tols
             cfg = replace(cfg, **raw)
-        for name in ("N", "n_modes", "m_max", "T", "seed"):
-            val = getattr(args, name.replace("-", "_"), None)
+        for name in ("N", "n_modes", "m_max", "seed"):
+            val = getattr(args, name, None)
             if val is not None:
                 cfg = replace(cfg, **{name: int(val)})
-        if getattr(args, "dt", None) is not None:
-            cfg = replace(cfg, dt=float(args.dt))
         if getattr(args, "nu", None) is not None:
             cfg.model = dict(cfg.model, nu=float(args.nu))
         if getattr(args, "L", None) is not None:
@@ -299,7 +291,7 @@ def _cmd_boundary_2pt(args) -> int:
 
 
 def _time_slice_suite(sm, seed: int, m: int = 0):
-    """Residuals of G [P, chi] u = u at three time steps (4h, 2h, h).
+    """Residuals of G [P, chi] u = u at three time steps (4h, 2h, h), h = L/1000.
 
     Returns (residuals, order, prediction): the convergence order is fitted
     from the two coarse runs and extrapolated to the finest step, so the
@@ -317,8 +309,8 @@ def _time_slice_suite(sm, seed: int, m: int = 0):
     amp /= np.linalg.norm(amp)
     phase = rng.uniform(0.0, 2.0 * math.pi, n_sel)
 
-    base_dt = 1e-3
-    span = 0.256
+    base_dt = 1e-3 * sm.model.L
+    span = 0.256 * sm.model.L
     res = []
     for level in (4, 2, 1):
         dt = base_dt * level
@@ -391,6 +383,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         adjoint_check,
         feynman_consistency,
         frequency_sign_test,
+        gram_eigenvalues,
         make_feynman,
         make_propagator,
         support_check,
@@ -400,9 +393,13 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     tol = config.tolerances
     model = load_model(config.model)
-    sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes, gamma=config.gamma)
-    t_grid = config.dt * np.arange(config.T)
+    sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes)
     L, nu = model.L, model.nu
+    # kernel time grid: step 0.025 L, divided by the least integer that keeps
+    # omega_max dt below pi; the span stays 19.2 L
+    refine = math.floor(0.025 * L * float(sm.branch(0).omega[-1]) / math.pi) + 1
+    dt, T = 0.025 * L / refine, 768 * refine
+    t_grid = dt * np.arange(T)
     sigma, xi0, x0 = 0.1 * L, -40.0 / L, 0.5 * L
     n_cmp = min(10, config.n_modes)
     phi1 = sm.branch(0).phi[:, 0]
@@ -422,7 +419,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def gbb():
-        return trace_gbb(model, make_null_point(model, x=0.4 * L, tau=2.0), t_max=2.4 * L, step=2e-3)
+        return trace_gbb(model, make_null_point(model, x=0.4 * L, tau=2.0), t_max=2.4 * L, step=2e-3 * L)
 
     @cache
     def oracle():
@@ -458,7 +455,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def difference_traces():
-        taus = config.dt * np.arange(0, config.T, 7)
+        taus = dt * np.arange(0, T, 7)
         return pair().lp_b.trace_series(taus) - pair().lp_a.trace_series(taus), pair().difference().trace_series(taus)
 
     def forbidden(k) -> float:
@@ -503,10 +500,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         """Row of the PSD rule: least Gram eigenvalue >= -psd * max |eigenvalue|."""
         evals = cache(evals)  # a thunk of ascending eigenvalues, read by both thunks of the row
         return name, identity, lambda: evals()[0], lambda: -tol["psd"] * float(np.max(np.abs(evals()))), ge
-
-    def boundary_gram_evals():
-        gram = boundary().gram()
-        return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
 
     wave_op_identity, comm_identity = "P Lambda_pm = 0", "Lambda_plus - Lambda_minus = i G"
     psd_identity = "(f | Lambda_pm f) >= 0"
@@ -587,7 +580,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
              amplitude_error, lambda: tol["weights_rel"], le),
             ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
              lambda: rel_err(boundary().weights[:5], toy_line_weights(model, 5)), lambda: tol["weights_rel"], le),
-            psd("boundary_psd", "(f | k_plus f) >= 0", boundary_gram_evals),
+            psd("boundary_psd", "(f | k_plus f) >= 0", lambda: gram_eigenvalues(boundary().gram())),
             ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
         ] if model.kind == "ads2_strip" else []),
         # wavepacket / GBB
@@ -636,9 +629,9 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             "N": config.N,
             "n_modes": config.n_modes,
             "m_max": config.m_max,
-            "T": config.T,
-            "dt": config.dt,
-            "gamma": config.gamma,
+            "T": T,
+            "dt": dt,
+            "gamma": sm.grid.gamma,
             "seed": config.seed,
             "inject_sign_flip": config.inject_sign_flip,
             "tolerances": config.tolerances,
@@ -778,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--n-modes", dest="n_modes", type=int, default=None)
     p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--out", default=None, help="report path (default: out_dir/report.json)")

@@ -38,7 +38,6 @@ __all__ = [
     "MetricModel",
     "make_toy_model",
     "load_model",
-    "indicial_roots",
     "conformal_symbol",
     "TOY_KINDS",
 ]
@@ -76,6 +75,9 @@ class MetricModel:
         are identically 1.
     dbeta, dk : callables
         First derivatives of the warp factors (needed by the ray tracer).
+    tables : dict or None
+        The sampled (xs, values) warp tables of a custom model, by name
+        ("beta", "k"); None for the toys.
     """
 
     kind: str
@@ -87,6 +89,7 @@ class MetricModel:
     k: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     dbeta: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     dk: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    tables: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -165,16 +168,6 @@ def make_toy_model(kind: str, nu: float, L: float, ell: float = 2.0 * math.pi) -
         raise ValueError(f"unknown toy kind {kind!r}; expected one of {TOY_KINDS}")
     n = 2 if kind == "ads2_strip" else 3
     return MetricModel(kind=kind, n=n, nu=float(nu), L=float(L), ell=float(ell))
-
-
-def indicial_roots(model: MetricModel) -> tuple[float, float]:
-    """Return (nu_minus, nu_plus) = ((n-1)/2 - nu, (n-1)/2 + nu).
-
-    These satisfy nu_plus + nu_minus = n - 1 and nu_plus - nu_minus = 2 nu,
-    and are the two rates x^nu_minus, x^nu_plus at which solutions can decay
-    at the conformal boundary.
-    """
-    return model.nu_minus, model.nu_plus
 
 
 def conformal_symbol(model: MetricModel, point) -> float:
@@ -311,6 +304,7 @@ def load_model(source) -> MetricModel:
         nu=float(cfg["nu"]),
         L=L,
         ell=float(cfg.get("ell", 2.0 * math.pi)),
+        tables=tables,
     )
     for name, (tx, tv) in tables.items():
         fn, dfn = _spline_pair(tx, tv, name, L)
@@ -318,5 +312,4 @@ def load_model(source) -> MetricModel:
             model.beta, model.dbeta = fn, dfn
         else:
             model.k, model.dk = fn, dfn
-    model.tables = tables
     return model

@@ -98,7 +98,6 @@ def build_series(
     K: int,
     sigma: float = 0.0,
     m: int = 0,
-    fit_window: tuple[float, float] | None = None,
 ) -> IndicialSeries:
     """Indicial recursion from the boundary datum w0 at exponent nu_plus.
 
@@ -125,9 +124,7 @@ def build_series(
         w[k] = -shift * w[k - 2] / indicial_polynomial(model, alpha + k)
     series = IndicialSeries(model=model, alpha=alpha, coeffs=w, K=K, sigma=sigma, mu=mu)
 
-    if fit_window is None:
-        fit_window = (1e-4 * model.L, 5e-2 * model.L)
-    xs = np.geomspace(fit_window[0], fit_window[1], 24)
+    xs = np.geomspace(1e-4 * model.L, 5e-2 * model.L, 24)
     res = np.abs(series.residual(xs))
     if np.max(res) < 1e-300 * max(abs(w0), 1.0):
         series.residual_slope = math.inf
@@ -278,17 +275,14 @@ def mellin_exponent_probe(
     u: np.ndarray,
     model: MetricModel,
     x: np.ndarray,
-    window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """Leading boundary exponent by log-log regression of |u| near x = 0.
+    """Leading boundary exponent by log-log regression of |u| on L/400 <= x <= L/20.
 
     Returns (alpha_hat, r_squared).  Raises on degenerate data (too few
     samples in the window or vanishing values)."""
     x = np.asarray(x, dtype=float)
     mag = np.abs(np.asarray(u))
-    if window is None:
-        window = (model.L / 400.0, model.L / 20.0)
-    sel = (x >= window[0]) & (x <= window[1])
+    sel = (x >= model.L / 400.0) & (x <= model.L / 20.0)
     if np.count_nonzero(sel) < 8:
         raise ValueError("exponent probe needs at least 8 samples in the window")
     xs, ms = x[sel], mag[sel]

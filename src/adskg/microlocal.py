@@ -60,6 +60,8 @@ _DISPERSE_FRACTION = 0.25
 _MIN_NW = 2.5
 _DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
 _DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
+_GBB_STEP = 1e-3  # IRK step of the reference ray
+_MOMENTUM_SAMPLES = 2048  # FFT length of the packet's frequency-side moments
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +148,15 @@ def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, 
     return mean, var
 
 
-def _momentum_moments(
-    sm: SpectralModel, c: np.ndarray, m: int, x0: float, sigma: float, n: int = 2048
-) -> tuple[float, float]:
+def _momentum_moments(sm: SpectralModel, c: np.ndarray, m: int, x0: float, sigma: float) -> tuple[float, float]:
     """Frequency-side moments from an FFT on a smooth interior window around
     the packet (the envelope itself provides the decay at the window ends)."""
     L = sm.grid.L
     lo, hi = max(x0 - 5.0 * sigma, L * 1e-6), min(x0 + 5.0 * sigma, L * (1.0 - 1e-9))
-    xs = np.linspace(lo, hi, n, endpoint=False)
+    xs = np.linspace(lo, hi, _MOMENTUM_SAMPLES, endpoint=False)
     fv = sm.grid.evaluate(sm.synthesize(c, m=m), xs)
     spec = np.fft.fft(fv)
-    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=xs[1] - xs[0])
+    xi = 2.0 * math.pi * np.fft.fftfreq(_MOMENTUM_SAMPLES, d=xs[1] - xs[0])
     p = np.abs(spec) ** 2
     tot = float(p.sum())
     mean = float((p * xi).sum() / tot)
@@ -222,7 +222,6 @@ def gbb_reference(
     times: np.ndarray,
     clip: float | None = None,
     m: int = 0,
-    step: float = 1e-3,
 ) -> np.ndarray:
     """x(t) along the broken bicharacteristic matching a packet launch.
 
@@ -238,7 +237,7 @@ def gbb_reference(
     q = xi0**2 + mu / model.k(x0)
     tau = math.sqrt(model.beta(x0) * q)
     p0 = PhasePointB(x=x0, t=float(times[0]), tau=tau, xi=xi0, zeta=zeta)
-    path = trace_gbb(model, p0, t_max=float(times[-1]) + 10.0 * step, step=step)
+    path = trace_gbb(model, p0, t_max=float(times[-1]) + 10.0 * _GBB_STEP, step=_GBB_STEP)
     rows = path.sample(times)
     xs = rows[:, 0]
     if clip is not None:
@@ -438,7 +437,6 @@ class StatePair:
     """Two states on one grid: the input pair A and the rotated pair B."""
 
     lp_a: BiKernel
-    lm_a: BiKernel
     lp_b: BogoliubovKernel
     lm_b: BogoliubovKernel
     occupation: np.ndarray
@@ -501,7 +499,7 @@ def make_perturbed_state(lp: BiKernel, lm: BiKernel, rotation) -> StatePair:
     lm_b = BogoliubovKernel(
         spectral=lm.spectral, kind="lambda_minus", t_grid=lm.t_grid, weighting=lm.weighting, m=lm.m, occupation=n
     )
-    return StatePair(lp_a=lp, lm_a=lm, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
+    return StatePair(lp_a=lp, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
 
 
 def smoothness_decay_order(kernel: LineSpectrum) -> float:

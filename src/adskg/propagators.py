@@ -53,6 +53,7 @@ __all__ = [
     "apply",
     "apply_wave_operator",
     "verify_two_point",
+    "gram_eigenvalues",
     "frequency_sign_test",
     "make_feynman",
     "feynman_consistency",
@@ -291,6 +292,11 @@ def _gram_matrix(kernel: BiKernel) -> np.ndarray:
     return gram.reshape(n, n)
 
 
+def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a Gram matrix."""
+    return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+
 def _lag_gains(*kernels: BiKernel) -> list[np.ndarray]:
     """Per-mode gains on the 2T-1 lags of kernels that share one grid,
     weighting and spatial factor: identities between such kernels are
@@ -334,7 +340,7 @@ def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel) -> dict:
         resid = stencil + w[:, None] ** 2 * gains[:, 1:-1]
         # scale by the mode amplitude so the number is a relative residual
         wave_op = max(wave_op, float(np.max(np.abs(resid) * (2.0 * w[:, None]) / w[:, None] ** 2)))
-    gram_plus, gram_minus = (np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)) for gram in map(_gram_matrix, (lp, lm)))
+    gram_plus, gram_minus = (gram_eigenvalues(_gram_matrix(k)) for k in (lp, lm))
     return {
         "wave_op": wave_op,
         "wave_op_bound": 2.0 * dt**2 * float(np.max(w)) ** 2,

@@ -396,13 +396,12 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
         arrays[f"K_indices_{m}"] = br.K.indices
         arrays[f"K_indptr_{m}"] = br.K.indptr
     if sm.model.kind == "custom":
-        tables = getattr(sm.model, "tables", None)
-        if tables is None:
+        if sm.model.tables is None:
             raise ValueError("custom models need inline warp tables to be saved")
-        for name, (tx, tv) in tables.items():
+        for name, (tx, tv) in sm.model.tables.items():
             arrays[f"table_{name}_x"] = tx
             arrays[f"table_{name}_v"] = tv
-        meta["tables"] = sorted(tables)
+        meta["tables"] = sorted(sm.model.tables)
     binio.write_blob(path, meta, arrays)
 
 

@@ -65,10 +65,6 @@ def test_export_threads_rejects_garbage():
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError, match="T must be at least 32"):
-        RunConfig(T=16).validate()
-    with pytest.raises(ValueError, match="dt must be positive"):
-        RunConfig(dt=-0.1).validate()
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         RunConfig(seed=-1).validate()
     with pytest.raises(ValueError, match="must be positive"):
@@ -89,6 +85,11 @@ def test_run_config_merging(tmp_path):
     bad.write_text(json.dumps({"n_grid": 10}))
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_sources(str(bad), argparse.Namespace())
+    # verify works out its time grid; the config cannot set it
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"dt": 0.0125}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        RunConfig.from_sources(str(grid), argparse.Namespace())
 
 
 def test_help_and_usage_exit_codes(capsys):
@@ -344,6 +345,30 @@ def test_verify_tolerances_come_from_the_table(verify_run):
     assert [name for name in got if got[name] != base[name]] == CONFIG_TOLERANCE_CHECKS
 
 
+@pytest.mark.parametrize("L", [0.5, 2.0])
+def test_verify_is_the_same_at_every_wall_length(verify_run, L):
+    """Every check is dimensionless, so a run at another L, with the grid
+    worked out by verify, passes and reproduces the L = 1 values.  The
+    boundary Gram's least eigenvalue sits at round-off and is left out."""
+    code, report = run_verify(RunConfig(model={"kind": "ads2_strip", "nu": 1.0, "L": L}))
+    assert code == 0
+    assert report["config"]["dt"] == pytest.approx(0.025 * L, rel=1e-15)
+    assert report["config"]["T"] == 768
+    base = {c["check"]: c["value"] for c in json.loads(verify_run[1])["checks"]}
+    for c in report["checks"]:
+        want = base[c["check"]]
+        if abs(want) > 1e-10 and c["check"] != "boundary_psd":
+            assert c["value"] == pytest.approx(want, rel=1e-6), c["check"]
+
+
+def test_verify_refines_the_grid_for_more_modes():
+    """48 modes put omega_max * 0.025 above pi: verify halves the step and
+    doubles the grid, and every check passes."""
+    code, report = run_verify(RunConfig(n_modes=48))
+    assert code == 0
+    assert (report["config"]["T"], report["config"]["dt"]) == (1536, 0.0125)
+
+
 _CONTAMINATED = "complementary-branch contamination"
 _SHORT_WINDOW = "window too short for the spectral gap"
 _BOUNDARY_FITS = ("boundary_weights_oracle", "boundary_psd", "boundary_one_sided")
@@ -354,11 +379,10 @@ _BOUNDARY_FITS = ("boundary_weights_oracle", "boundary_psd", "boundary_one_sided
     [
         (["--nu", "0.5"], {"scan_feynman_flip": _SHORT_WINDOW}),
         (["--nu", "0.7"], {"scan_feynman_flip": _SHORT_WINDOW}),
-        (["--L", "2"], {"scan_feynman_flip": "no scan window lies outside the diagonal band"}),
         (["--nu", "2.5"], dict.fromkeys(_BOUNDARY_FITS, _CONTAMINATED)),
         (["--nu", "0.3"], {"collocation_oracle": None, "scan_vacuum_plus": None, "scan_feynman_flip": _SHORT_WINDOW}),
     ],
-    ids=["nu0.5", "nu0.7", "L2", "nu2.5", "nu0.3"],
+    ids=["nu0.5", "nu0.7", "nu2.5", "nu0.3"],
 )
 def test_verify_records_failed_preconditions(tmp_path, capsys, flags, failing):
     """A precondition that fails inside a check fails that check alone; the

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adskg.geometry import (
     MetricModel,
     conformal_symbol,
-    indicial_roots,
     load_model,
     make_toy_model,
 )
@@ -25,13 +24,13 @@ def test_toy_warp_factors_are_unit():
 
 def test_indicial_roots_ads2():
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
-    assert indicial_roots(m) == (-0.5, 1.5)
+    assert (m.nu_minus, m.nu_plus) == (-0.5, 1.5)
     assert m.kg_mass_squared == 1.0 - 0.25
 
 
 def test_indicial_roots_ads3():
     m = make_toy_model("ads3_cylinder", nu=1.0, L=2.0)
-    assert indicial_roots(m) == (0.0, 2.0)
+    assert (m.nu_minus, m.nu_plus) == (0.0, 2.0)
     assert m.n == 3
 
 
@@ -42,7 +41,7 @@ def test_indicial_roots_ads3():
 )
 def test_indicial_root_algebra(nu, kind):
     m = make_toy_model(kind, nu=nu, L=1.0)
-    lo, hi = indicial_roots(m)
+    lo, hi = m.nu_minus, m.nu_plus
     assert hi + lo == pytest.approx(m.n - 1, abs=1e-12)
     assert hi - lo == pytest.approx(2.0 * nu, abs=1e-12)
 
