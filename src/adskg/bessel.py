@@ -5,7 +5,7 @@ with J_nu(omega L) = 0, so eigenvalues and boundary amplitudes reduce to
 Bessel-zero arithmetic.  scipy only tabulates zeros for integer order, so
 the finder below brackets sign changes of J_nu by a fixed-step scan
 (consecutive zeros of J_nu are separated by at least ~3 for nu >= 0) and
-polishes them with brentq.  These values feed the eigensolver comparisons
+polishes them by bisection.  These values feed the eigensolver comparisons
 and the boundary-coefficient checks; they never come from the solver under
 test.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as _gamma
 from scipy.special import jv
 
@@ -27,24 +26,32 @@ _SCAN_STEP = 0.5
 
 
 def bessel_zeros(nu: float, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_nu, nu >= 0, by scan + brentq."""
+    """First `count` positive zeros of J_nu, nu >= 0: scan, then bisect each
+    bracket to adjacent floats and keep the end with the smaller |J_nu|."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
     if count < 1:
         raise ValueError("count must be >= 1")
-    zeros = []
+    starts = []
     # all positive zeros of J_nu lie above nu; start just below the first
     x = max(nu, 0.1) + 1e-9 if nu > 0 else 1e-9
     f_prev = jv(nu, x)
-    while len(zeros) < count:
-        x_next = x + _SCAN_STEP
-        f_next = jv(nu, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-        elif f_prev * f_next < 0.0:
-            zeros.append(brentq(lambda z: jv(nu, z), x, x_next, xtol=1e-14, rtol=8.9e-16))
-        x, f_prev = x_next, f_next
-    return np.array(zeros[:count])
+    while len(starts) < count:
+        f_next = jv(nu, x + _SCAN_STEP)
+        if f_prev == 0.0 or f_prev * f_next < 0.0:
+            starts.append(x)
+        x, f_prev = x + _SCAN_STEP, f_next
+    a, b = np.array(starts), np.array(starts) + _SCAN_STEP
+    fa, fb = jv(nu, a), jv(nu, b)
+    mid = 0.5 * (a + b)
+    # a bracket whose ends are adjacent floats has mid at an end and stays put
+    while np.any((a < mid) & (mid < b)):
+        fm = jv(nu, mid)
+        right = np.sign(fm) == np.sign(fa)  # the zero lies in [mid, b]
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+        b, fb = np.where(right, b, mid), np.where(right, fb, fm)
+        mid = 0.5 * (a + b)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def toy_frequencies(model: MetricModel, count: int, m: int = 0) -> np.ndarray:

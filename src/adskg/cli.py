@@ -214,7 +214,7 @@ def _cmd_kernels(args) -> int:
     from .spectral import load_spectral
 
     sm = load_spectral(args.model_bin)
-    t_grid = args.t0 + args.dt * np.arange(args.T)
+    t_grid = args.t0 + (args.dt if args.dt is not None else _time_step(sm, args.m)[0]) * np.arange(args.T)
     kernel = make_propagator(sm, args.kind, t_grid, weighting=args.weighting, m=args.m)
     _save_kernel(kernel, args.out)
     print(json.dumps({"out": args.out, **kernel.describe()}))
@@ -273,7 +273,7 @@ def _cmd_boundary_2pt(args) -> int:
     from .spectral import load_spectral
 
     sm = load_spectral(args.model_bin)
-    t_grid = args.dt * np.arange(args.T)
+    t_grid = (args.dt if args.dt is not None else _time_step(sm)[0]) * np.arange(args.T)
     lp = make_propagator(sm, "lambda_plus", t_grid, weighting="physical")
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
     bk = boundary_two_point(lp, sm.model, fit_window=window)
@@ -288,6 +288,12 @@ def _cmd_boundary_2pt(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def _time_step(sm, m: int = 0) -> tuple[float, int]:
+    """Kernel time step 0.025 L / r and r, the least integer with omega_max dt < pi (omega_max of branch m)."""
+    r = math.floor(0.025 * sm.model.L * float(sm.branch(m).omega[-1]) / math.pi) + 1
+    return 0.025 * sm.model.L / r, r
 
 
 def _time_slice_suite(sm, seed: int, m: int = 0):
@@ -395,10 +401,9 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     model = load_model(config.model)
     sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes)
     L, nu = model.L, model.nu
-    # kernel time grid: step 0.025 L, divided by the least integer that keeps
-    # omega_max dt below pi; the span stays 19.2 L
-    refine = math.floor(0.025 * L * float(sm.branch(0).omega[-1]) / math.pi) + 1
-    dt, T = 0.025 * L / refine, 768 * refine
+    # kernel time grid: the span stays 19.2 L
+    dt, refine = _time_step(sm)
+    T = 768 * refine
     t_grid = dt * np.arange(T)
     sigma, xi0, x0 = 0.1 * L, -40.0 / L, 0.5 * L
     n_cmp = min(10, config.n_modes)
@@ -730,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-bin", required=True)
     p.add_argument("--kind", required=True, help="kernel kind (propagators.KINDS)")
     p.add_argument("--T", type=int, default=256)
-    p.add_argument("--dt", type=float, default=0.025)
+    p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--weighting", default="tilde", help="kernel weighting (propagators.WEIGHTINGS)")
     p.add_argument("--m", type=int, default=0)
@@ -758,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary-2pt", help="boundary two-point lines from a model blob")
     p.add_argument("--model-bin", required=True)
     p.add_argument("--T", type=int, default=256)
-    p.add_argument("--dt", type=float, default=0.025)
+    p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi")
     p.add_argument("--fit-lo", dest="fit_lo", type=float, default=None)
     p.add_argument("--fit-hi", dest="fit_hi", type=float, default=None)
     p.add_argument("--out", required=True)

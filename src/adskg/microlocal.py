@@ -5,7 +5,8 @@ Three instruments, all built on the mode decomposition:
 * coherent wavepackets (Gaussian envelope times a plane phase, expanded in
   the eigenbasis) evolved by e^{-+ i t A^(1/2)} and tracked through their
   energy-density centroid, for comparison against broken-bicharacteristic
-  paths including boundary reflection;
+  paths including boundary reflection.  Tracking tabulates the mode values and
+  x-derivatives on the quadrature points once and takes the times in blocks;
 * windowed two-slot Fourier scans of kernel traces, reporting the spectral
   mass in the four frequency-sign quadrants under the primed pairing
   (sign of Omega_t, sign of -Omega_s), which puts a vacuum positive kernel
@@ -62,6 +63,7 @@ _DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
 _DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
 _GBB_STEP = 1e-3  # IRK step of the reference ray
 _MOMENTUM_SAMPLES = 2048  # FFT length of the packet's frequency-side moments
+_TRACK_BLOCK = 32  # times per table product in evolve_and_track; peak memory grows with it
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def make_wavepacket(
 
 
 def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float]:
-    vals, _ = sm.grid.eval_gauss(sm.synthesize(c, m=m))
-    dens = np.abs(vals) ** 2 * sm.grid.gauss_w
+    values, _ = sm.grid.eval_gauss(sm.branch(m).phi.T)
+    dens = np.abs(np.tensordot(c, values, axes=1)) ** 2 * sm.grid.gauss_w
     xg = sm.grid.gauss_x
     tot = float(dens.sum())
     mean = float((dens * xg).sum() / tot)
@@ -179,7 +181,12 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     The tilde-frame energy density |u_t|^2 + |u_x|^2 is integrated on the
     quadrature points restricted to x >= 2 sigma (the boundary weight would
     otherwise dominate during reflection).  Tracking stops early with
-    status "partial" once the spread exceeds L/4.
+    status "partial" at the first time whose spread exceeds L/4.
+
+    The values V and x-derivatives D of every mode on the kept points come
+    from one ``eval_gauss`` call.  A block of ``_TRACK_BLOCK`` times with
+    phased coefficients a = c e^{-+ i omega t} then costs two table products,
+    u_x = a D and u_t = (-+ i omega a) V, and row reductions.
     """
     br = sm.branch(w.m)
     if float(br.omega[-1]) * dt >= math.pi:
@@ -190,29 +197,25 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     sel = xg >= floor
     wq = sm.grid.gauss_w[sel]
     xq = xg[sel]
+    values, derivs = (tab[:, sel] for tab in sm.grid.eval_gauss(br.phi.T))
+    limit = _DISPERSE_FRACTION * sm.grid.L
 
-    cent = np.empty(times.size)
-    spr = np.empty(times.size)
-    status = "ok"
-    n_kept = times.size
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * w.energy_sign * br.omega * t)
-        a = w.coefficients * phase
-        u = sm.synthesize(a, m=w.m)
-        ut = sm.synthesize(-1j * w.energy_sign * br.omega * a, m=w.m)
-        uv, ux = sm.grid.eval_gauss(u)
-        tv, _ = sm.grid.eval_gauss(ut)
-        dens = (np.abs(tv) ** 2 + np.abs(ux) ** 2)[sel] * wq
-        tot = float(dens.sum())
-        cent[i] = float((dens * xq).sum() / tot)
-        spr[i] = math.sqrt(max(float((dens * (xq - cent[i]) ** 2).sum() / tot), 0.0))
-        if spr[i] > _DISPERSE_FRACTION * sm.grid.L:
-            status = "partial"
-            n_kept = i + 1
+    cent, spr = np.zeros(times.size), np.zeros(times.size)
+    for i0 in range(0, times.size, _TRACK_BLOCK):
+        blk = slice(i0, i0 + _TRACK_BLOCK)
+        a = w.coefficients * np.exp(-1j * w.energy_sign * np.outer(times[blk], br.omega))
+        at = -1j * w.energy_sign * br.omega * a
+        # |u_x|^2 + |u_t|^2 from real products: the tables are real, a is not
+        dens = sum(np.square(part @ tab) for tab, c in ((derivs, a), (values, at)) for part in (c.real, c.imag))
+        dens *= wq
+        tot = dens.sum(axis=1)
+        cent[blk] = (dens * xq).sum(axis=1) / tot
+        spr[blk] = np.sqrt(np.maximum((dens * (xq - cent[blk, None]) ** 2).sum(axis=1) / tot, 0.0))
+        if np.any(spr[blk] > limit):
             break
-    return TrackResult(
-        times=times[:n_kept], centroid=cent[:n_kept], spread=spr[:n_kept], status=status, window_floor=floor
-    )
+    over = np.flatnonzero(spr > limit)
+    n, status = (int(over[0]) + 1, "partial") if over.size else (times.size, "ok")
+    return TrackResult(times=times[:n], centroid=cent[:n], spread=spr[:n], status=status, window_floor=floor)
 
 
 def gbb_reference(

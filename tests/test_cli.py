@@ -206,6 +206,17 @@ def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     assert got == pytest.approx(want, rel=1e-2)
 
 
+def test_kernel_grid_defaults_follow_the_blob(tmp_path, capsys):
+    """Without --dt, kernels and boundary-2pt take the step verify works out
+    from L and the spectrum, so a short wall needs no hand-tuned step."""
+    blob = tmp_path / "model.bin"
+    assert main(["build-spectral", "--L", "0.5", "--N", "192", "--n-modes", "32", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    assert main(["kernels", "--model-bin", str(blob), "--kind", "lambda_plus", "--out", str(tmp_path / "k.bin")]) == 0
+    assert json.loads(capsys.readouterr().out)["dt"] == 0.0125
+    assert main(["boundary-2pt", "--model-bin", str(blob), "--out", str(tmp_path / "b2p.csv")]) == 0
+
+
 def test_trace_gbb_csv(tmp_path, capsys):
     out = tmp_path / "ray.csv"
     code = main(

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adskg import microlocal
+from adskg.geometry import make_toy_model
 from adskg.microlocal import (
     BogoliubovKernel,
     WindowSpec,
@@ -15,6 +18,7 @@ from adskg.microlocal import (
     smoothness_decay_order,
 )
 from adskg.propagators import make_propagator, slepian_taper
+from adskg.spectral import build_spectral
 from oracles import thermal_occupation_mp
 
 SCAN = WindowSpec(length=6.5, n_centers=3)
@@ -62,6 +66,76 @@ def test_short_track_stays_put(sm192):
     # the packet moves toward the boundary at unit speed
     drop = tr.centroid[0] - tr.centroid[-1]
     assert drop == pytest.approx(0.2, abs=0.03)
+
+
+def _track_loop(sm, w, t_max, dt):
+    """Reference tracker: one synthesize + eval_gauss pass per time step,
+    stopping at the first spread above _DISPERSE_FRACTION L."""
+    br = sm.branch(w.m)
+    times = np.arange(0.0, t_max + 0.5 * dt, dt)
+    sel = sm.grid.gauss_x >= 2.0 * w.width
+    wq, xq = sm.grid.gauss_w[sel], sm.grid.gauss_x[sel]
+    cent, spr, status = [], [], "ok"
+    for t in times:
+        a = w.coefficients * np.exp(-1j * w.energy_sign * br.omega * t)
+        _, ux = sm.grid.eval_gauss(sm.synthesize(a, m=w.m))
+        ut, _ = sm.grid.eval_gauss(sm.synthesize(-1j * w.energy_sign * br.omega * a, m=w.m))
+        dens = (np.abs(ut) ** 2 + np.abs(ux) ** 2)[sel] * wq
+        cent.append(float((dens * xq).sum() / dens.sum()))
+        spr.append(math.sqrt(max(float((dens * (xq - cent[-1]) ** 2).sum() / dens.sum()), 0.0)))
+        if spr[-1] > microlocal._DISPERSE_FRACTION * sm.grid.L:
+            status = "partial"
+            break
+    return times[: len(cent)], np.array(cent), np.array(spr), status
+
+
+def _assert_track_matches_loop(sm, w, t_max, dt):
+    tr = evolve_and_track(sm, w, t_max=t_max, dt=dt)
+    times, cent, spr, status = _track_loop(sm, w, t_max, dt)
+    assert tr.status == status
+    assert np.array_equal(tr.times, times)
+    assert tr.centroid == pytest.approx(cent, rel=0.0, abs=1e-13)
+    assert tr.spread == pytest.approx(spr, rel=0.0, abs=1e-13)
+    return tr
+
+
+@pytest.fixture(scope="module")
+def cyl192():
+    cyl = make_toy_model("ads3_cylinder", nu=1.0, L=1.0, ell=2.0 * math.pi)
+    return build_spectral(cyl, N=192, n_modes=32, m_max=2)
+
+
+@pytest.mark.parametrize("model, sign, m", [("strip", 1, 0), ("strip", -1, 0), ("cylinder", 1, 1)])
+def test_track_matches_per_step_loop(sm192, cyl192, model, sign, m):
+    sm = sm192 if model == "strip" else cyl192
+    w = make_wavepacket(sm, x0=0.5, xi0=-40.0, sigma=0.1, sign=sign, m=m)
+    tr = _assert_track_matches_loop(sm, w, t_max=1.3, dt=0.005)
+    assert tr.times.size == 261 and tr.times.size % microlocal._TRACK_BLOCK != 0
+
+
+def test_track_partial_cut_inside_a_block(sm192, monkeypatch):
+    """A spread limit first crossed in the middle of a block keeps exactly
+    the times up to the crossing, as the per-step loop does."""
+    w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
+    _, _, spr, _ = _track_loop(sm192, w, 1.3, 0.005)
+    block = microlocal._TRACK_BLOCK
+    cut = next(i for i in range(block, spr.size) if 0 < i % block < block - 1 and spr[i] > spr[:i].max() + 1e-9)
+    monkeypatch.setattr(microlocal, "_DISPERSE_FRACTION", 0.5 * (spr[:cut].max() + spr[cut]) / sm192.grid.L)
+    tr = _assert_track_matches_loop(sm192, w, t_max=1.3, dt=0.005)
+    assert tr.status == "partial"
+    assert tr.times.size == cut + 1
+
+
+def test_track_memory_at_stress_size():
+    sm = build_spectral(make_toy_model("ads2_strip", nu=1.0, L=1.0), N=2000, n_modes=32)
+    w = make_wavepacket(sm, x0=0.5, xi0=-40.0, sigma=0.1)
+    tracemalloc.start()
+    try:
+        evolve_and_track(sm, w, t_max=1.3, dt=0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_gbb_reference_closed_form(ads2):

@@ -230,13 +230,22 @@ def test_slepian_taper_matches_scipy(M):
         slepian_taper(M, M / 2.0)
 
 
-def test_package_import_skips_scipy_signal():
+def _assert_package_import_skips(module: str) -> None:
+    """Load every submodule in a fresh interpreter; `module` must stay unloaded."""
     code = (
         "import sys, adskg\n"
         "for sub in adskg._SUBMODULES: getattr(adskg, sub)\n"
-        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+        f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
     src = str(Path(adskg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_skips_scipy_signal():
+    _assert_package_import_skips("scipy.signal")
+
+
+def test_package_import_skips_scipy_optimize():
+    _assert_package_import_skips("scipy.optimize")

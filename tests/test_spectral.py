@@ -6,6 +6,7 @@ from oracles import (
     toy_frequencies_mp,
 )
 
+from adskg.bessel import bessel_zeros
 from adskg.geometry import make_toy_model
 from adskg.spectral import (
     bessel_collocation_eigs,
@@ -20,6 +21,12 @@ def test_oracle_spot_values():
     # guard the oracle itself against misuse before trusting it elsewhere
     assert bessel_zeros_mp(1.0, 1)[0] == pytest.approx(J1_FIRST_ZERO, rel=1e-14)
     assert bessel_zeros_mp(0.5, 3) == pytest.approx(np.pi * np.arange(1, 4), rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 2.5, 4.0])
+def test_bessel_zeros_match_mpmath(nu):
+    want = bessel_zeros_mp(nu, 64)
+    assert np.max(np.abs(bessel_zeros(nu, 64) - want) / want) <= 4e-16
 
 
 def test_grid_grading_and_quadrature():
