@@ -6,8 +6,9 @@ numpy first loads; the numerical modules are imported inside the handlers.
 
 Exit codes: 0 all requested checks pass; 1 a numerical check failed, or a
 numerical precondition failed inside a verify check (recorded against that
-check, with its message); 2 usage or configuration error (bad flags,
-unparseable config, a model or eigenbasis that cannot be built).
+check, with its message); 2 usage or configuration error (bad flags, a
+transverse mode the model blob was not built with, unparseable config, a
+model or eigenbasis that cannot be built).
 
 The verify report is deterministic by construction: fixed check order, a
 seeded generator for every randomized probe, shortest round-trip float
@@ -800,8 +801,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError) as exc:  # KeyError: SpectralModel.branch on a mode not built
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -250,11 +250,14 @@ def apply(kernel: BiKernel, f: np.ndarray) -> np.ndarray:
     a = sm.project(g, m=kernel.m)  # (T, K)
     a = a * (_trap_weights(T) * kernel.dt)[:, None]
 
-    tau_wrapped = np.concatenate([kernel.t_grid - kernel.t_grid[0], (kernel.t_grid[:-1] - kernel.t_grid[-1])])
-    gains = kernel.mode_gain(tau_wrapped)  # (K, 2T-1), circularly ordered
-    L = 2 * T - 1
+    # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
+    # pocketfft's slow path); lag -m sits at L-m with zeros in the middle
+    L = 1 << (2 * T - 2).bit_length()
+    gains = np.zeros((kernel.omega.size, L), dtype=complex)
+    gains[:, :T] = kernel.mode_gain(kernel.t_grid - kernel.t_grid[0])
+    gains[:, L - T + 1 :] = kernel.mode_gain(kernel.t_grid[:-1] - kernel.t_grid[-1])
     A_hat = np.fft.fft(a.T, n=L, axis=1)
-    G_hat = np.fft.fft(gains, n=L, axis=1)
+    G_hat = np.fft.fft(gains, axis=1)
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
     a_lines, b_lines, _ = kernel.lines()
     if not np.iscomplexobj(f) and np.array_equal(b_lines, np.conj(a_lines)):

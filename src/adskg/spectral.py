@@ -17,7 +17,9 @@ Gauss-Legendre quadrature.  On the first element every retained shape
 function vanishes linearly at x = 0, so the singular potential integrand is
 a polynomial there and the quadrature is exact.  Eigenpairs come from a
 shift-invert Lanczos solve of K w = omega^2 M w with a fixed starting
-vector, so rebuilds are deterministic.
+vector, so rebuilds are deterministic; the shift-invert operator is the
+banded Cholesky factor of K (half-bandwidth 3: an element couples its four
+dofs), and M^-1 in ``apply_A`` uses the same factorization of M.
 
 For models with nonconstant beta the eigenvectors are stored in the "form
 frame" w = beta^(1/2) u, where the discrete inner product is the assembled
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import MetricModel
 
@@ -47,6 +50,7 @@ __all__ = [
 _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
 _FLOOR_DEFLATION = 1e-6  # relative margin of the certified spectral floor below the least eigenvalue
+_FLOOR_FAILS = "the spectral floor assumption fails for this model/discretization"
 
 
 def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +191,7 @@ class SpectralModel:
     m2_floor: float = 0.0
     weight_left: np.ndarray = field(default=None, repr=False)
     weight_right: np.ndarray = field(default=None, repr=False)
-    _M_lu: object = field(default=None, repr=False)
+    _M_solve: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.weight_left is None:
@@ -224,15 +228,11 @@ class SpectralModel:
 
     def apply_A(self, f: np.ndarray, m: int = 0) -> np.ndarray:
         """Apply the assembled operator M^-1 K to data with shape (..., ndof)."""
-        if self._M_lu is None:
-            self._M_lu = splu(self.M)
+        if self._M_solve is None:
+            self._M_solve = _banded_cholesky_solve(self.M)
         g = np.asarray(f)
-        kd = (self.branch(m).K @ g.reshape(-1, g.shape[-1]).T).T
-        if np.iscomplexobj(kd):
-            out = self._M_lu.solve(kd.real.T) + 1j * self._M_lu.solve(kd.imag.T)
-        else:
-            out = self._M_lu.solve(kd.T)
-        return out.T.reshape(g.shape)
+        kd = self.branch(m).K @ g.reshape(-1, g.shape[-1]).T
+        return self._M_solve(kd).T.reshape(g.shape)
 
     def describe(self) -> dict:
         return {
@@ -245,10 +245,26 @@ class SpectralModel:
         }
 
 
+def _banded_cholesky_solve(A: sp.csc_matrix):
+    """Banded Cholesky factor of a symmetric positive definite element matrix, as its solve b -> A^-1 b."""
+    u = _REF_NODES.size - 1  # half-bandwidth: an element couples its elem_dofs.shape[1] = 4 dofs
+    ab = np.zeros((u + 1, A.shape[0]))
+    for d in range(u + 1):
+        ab[u - d, d:] = A.diagonal(d)  # upper band storage: ab[u + i - j, j] = A[i, j]
+    try:
+        cb = cholesky_banded(ab, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"element matrix is not positive definite; {_FLOOR_FAILS}") from None
+    return lambda b: cho_solve_banded((cb, False), b, check_finite=False)
+
+
 def _solve_branch(K: sp.csc_matrix, M: sp.csc_matrix, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_modes eigenpairs of K w = omega^2 M w, ascending, by shift-invert
+    Lanczos at sigma = 0 with the banded Cholesky factor of K as the inverse."""
     ndof = K.shape[0]
     v0 = np.full(ndof, 1.0 / math.sqrt(ndof))
-    vals, vecs = eigsh(K, k=n_modes, M=M, sigma=0.0, which="LM", v0=v0)
+    k_inv = LinearOperator(K.shape, matvec=_banded_cholesky_solve(K), dtype=float)
+    vals, vecs = eigsh(K, k=n_modes, M=M, sigma=0.0, which="LM", v0=v0, OPinv=k_inv)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -310,10 +326,7 @@ def build_spectral(
             M = M_m
         vals, vecs = _solve_branch(K_m, M, n_modes)
         if vals[0] <= 0.0:
-            raise ValueError(
-                f"lowest eigenvalue {vals[0]:.3e} is not positive; the spectral "
-                "floor assumption fails for this model/discretization"
-            )
+            raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
         branches[m] = SpectralBranch(m=m, mu=mu, omega2=vals, phi=vecs, K=K_m)
 
     floor = min(float(b.omega2[0]) for b in branches.values()) * (1.0 - _FLOOR_DEFLATION)

@@ -191,6 +191,17 @@ def test_kernels_refuses_unknown_weighting(small_blobs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernels_refuses_a_branch_the_blob_lacks(small_blobs, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "k.bin"
+    code = main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "lambda_plus", "--m", "3",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "m=3" in err and "[0]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     blob = tmp_path / "model.bin"
     main(["build-spectral", "--nu", "1.0", "--N", "96", "--n-modes", "8",

@@ -222,6 +222,37 @@ def test_apply_inverts_wave_operator(zoo, sm192):
     assert err <= 1.5 * stencil_scale
 
 
+_CLOSED_GAINS = {  # per-mode gains g_k(tau), written out
+    "causal": lambda w, tau: np.sin(w * tau) / w,
+    "retarded": lambda w, tau: np.where(tau > 0, np.sin(w * tau), 0.0) / w,
+    "lambda_plus": lambda w, tau: np.exp(1j * w * tau) / (2 * w),
+}
+
+
+@pytest.mark.parametrize("T", [64, 100])  # 2T-1 = 127 and 199, both prime
+@pytest.mark.parametrize(
+    "kind, weighting",
+    [("causal", "tilde"), ("retarded", "tilde"), ("lambda_plus", "tilde"), ("causal", "physical")],
+)
+def test_apply_matches_direct_trapezoid_sum(sm192, kind, weighting, T):
+    t = 0.3 + 0.025 * np.arange(T)
+    kern = make_propagator(sm192, kind, t, weighting=weighting)
+    rng = np.random.default_rng(T)
+    f = rng.standard_normal((T, sm192.grid.ndof))
+    if kind == "lambda_plus":
+        f = f + 1j * rng.standard_normal(f.shape)
+    wl, wr = (sm192.weight_left, sm192.weight_right) if weighting == "physical" else (1.0, 1.0)
+    trap = np.full(T, 0.025)
+    trap[[0, -1]] *= 0.5
+    a = sm192.project(f * wr) * trap[:, None]  # (T, K)
+    w = sm192.branch(0).omega
+    tau = t[:, None] - t[None, :]
+    gains = _CLOSED_GAINS[kind](w[None, None, :], tau[:, :, None])  # (T, T, K)
+    want = sm192.synthesize(np.einsum("ijk,jk->ik", gains, a)) * wl
+    got = apply(kern, f)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("M", [201, 261, 262, 1535, 2000, 8191])
 def test_slepian_taper_matches_scipy(M):
     for nw in (2.5, 4.0, 7.3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh, spsolve
 from oracles import (
     J1_FIRST_ZERO,
     bessel_zeros_mp,
@@ -9,6 +10,7 @@ from oracles import (
 from adskg.bessel import bessel_zeros
 from adskg.geometry import make_toy_model
 from adskg.spectral import (
+    _solve_branch,
     bessel_collocation_eigs,
     build_spectral,
     load_spectral,
@@ -85,6 +87,34 @@ def test_apply_A_reproduces_eigenvalues(sm192):
     br = sm192.branch(0)
     got = sm192.apply_A(br.phi[:, 4])
     assert got == pytest.approx(br.omega2[4] * br.phi[:, 4], rel=1e-7, abs=1e-7)
+
+
+def test_apply_A_matches_sparse_solve(sm192):
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((3, sm192.grid.ndof)) + 1j * rng.standard_normal((3, sm192.grid.ndof))
+    K, M = sm192.branch(0).K, sm192.M
+    want = np.stack([spsolve(M, K @ row) for row in f])
+    got = sm192.apply_A(f)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0])
+@pytest.mark.parametrize("kind, m_max", [("ads2_strip", 0), ("ads3_cylinder", 2)])
+def test_eigensolve_matches_superlu_shift_invert(kind, m_max, nu):
+    """The banded Cholesky shift-invert path against SciPy's default (SuperLU)
+    shift-invert at the stress size, where K is worst conditioned at small nu."""
+    sm = build_spectral(make_toy_model(kind, nu=nu, L=1.0), N=2000, n_modes=32, m_max=m_max)
+    M = sm.M
+    for m, br in sm.branches.items():
+        v0 = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
+        want = np.sort(eigsh(br.K, k=32, M=M, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
+        assert np.abs(br.omega2 / want - 1.0).max() <= 1e-10, m
+        assert np.abs(sm.gram(m) - np.eye(32)).max() <= 1e-12, m
+
+
+def test_negative_stiffness_fails_the_spectral_floor(sm192):
+    with pytest.raises(ValueError, match="spectral floor assumption fails"):
+        _solve_branch(-sm192.branch(0).K, sm192.M, 4)
 
 
 def test_transverse_branches_shift_in_quadrature():
