@@ -140,28 +140,23 @@ def _save_kernel(kernel, path: str) -> None:
     meta["payload"] = "kernel"
     meta["kernel"] = {"kind": kernel.kind, "weighting": kernel.weighting, "m": kernel.m}
     arrays["t_grid"] = kernel.t_grid
-    arrays["signs"] = kernel.signs
+    arrays["signs"] = 1.0 - 2.0 * kernel.flipped
     binio.write_blob(path, meta, arrays)
 
 
 def _load_kernel(path: str):
     from . import binio
-    from .propagators import BiKernel
+    from .propagators import make_propagator
     from .spectral import load_spectral
 
     meta, arrays = binio.read_blob(path)
     if meta.get("payload") != "kernel":
         raise ValueError(f"{path}: blob does not hold a kernel")
-    sm = load_spectral(path)
     kmeta = meta["kernel"]
-    return BiKernel(
-        spectral=sm,
-        kind=kmeta["kind"],
-        t_grid=arrays["t_grid"],
-        weighting=kmeta["weighting"],
-        m=int(kmeta["m"]),
-        signs=arrays["signs"],
+    kernel = make_propagator(
+        load_spectral(path), kmeta["kind"], arrays["t_grid"], weighting=kmeta["weighting"], m=int(kmeta["m"])
     )
+    return kernel.flip(arrays["signs"] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +264,20 @@ def _cmd_boundary_2pt(args) -> int:
     import numpy as np
 
     from . import binio
-    from .holography import boundary_two_point
+    from .holography import boundary_fits, boundary_two_point
     from .propagators import make_propagator
     from .spectral import load_spectral
 
+    if (args.fit_lo is None) != (args.fit_hi is None):
+        raise ValueError("--fit-lo and --fit-hi must be given together")
     sm = load_spectral(args.model_bin)
     t_grid = (args.dt if args.dt is not None else _time_step(sm)[0]) * np.arange(args.T)
     lp = make_propagator(sm, "lambda_plus", t_grid, weighting="physical")
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
     bk = boundary_two_point(lp, sm.model, fit_window=window)
+    amps, quals = boundary_fits(lp, sm.model, fit_window=window)
     rows = [
-        (k + 1, float(bk.omega[k]), float(bk.amplitudes[k]), float(bk.weights[k]), float(bk.fit_quality[k]))
+        (k + 1, float(bk.omega[k]), float(amps[k]), float(bk.weights[k]), float(quals[k]))
         for k in range(bk.omega.size)
     ]
     binio.write_csv(args.out, ["mode", "omega", "amplitude", "weight", "fit_quality"], rows)
@@ -374,7 +372,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     from .bchar import make_null_point, trace_gbb
     from .bessel import toy_boundary_amplitudes, toy_frequencies, toy_line_weights
     from .geometry import conformal_symbol, load_model, make_toy_model
-    from .holography import boundary_two_point, build_series, extract_boundary, indicial_polynomial
+    from .holography import boundary_gram, boundary_two_point, build_series, extract_boundary, indicial_polynomial
     from .holography import mellin_exponent_probe
     from .microlocal import (
         WindowSpec,
@@ -586,7 +584,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
              amplitude_error, lambda: tol["weights_rel"], le),
             ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
              lambda: rel_err(boundary().weights[:5], toy_line_weights(model, 5)), lambda: tol["weights_rel"], le),
-            psd("boundary_psd", "(f | k_plus f) >= 0", lambda: gram_eigenvalues(boundary().gram())),
+            psd("boundary_psd", "(f | k_plus f) >= 0", lambda: gram_eigenvalues(boundary_gram(boundary()))),
             ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
         ] if model.kind == "ads2_strip" else []),
         # wavepacket / GBB

@@ -5,7 +5,8 @@ indicial polynomial c_alpha = (alpha - nu_minus)(nu_plus - alpha), plus
 terms two orders down for the exactly even warped models.  Solutions with
 Dirichlet data follow the x^{nu_plus} branch; dividing it out and reading
 the constant term at the boundary is the weighted restriction that turns
-bulk kernels into boundary two-point kernels.
+bulk kernels into boundary two-point kernels: line spectra with the lines
+(c_k^2, 0) or (0, c_k^2) and no spatial factor.
 
 Frames: the eigensolve lives in the conjugated ("tilde") frame where modes
 behave like x^(nu + 1/2); physical-frame quantities carry the extra
@@ -22,22 +23,23 @@ used only to detect contamination by the complementary branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import MetricModel
-from .propagators import BiKernel, LineSpectrum
+from .propagators import LineSpectrum
 
 __all__ = [
     "IndicialSeries",
     "BoundaryFit",
-    "BoundaryKernel",
     "indicial_polynomial",
     "build_series",
     "extract_boundary",
     "default_fit_window",
+    "boundary_fits",
     "boundary_two_point",
+    "boundary_gram",
     "mellin_exponent_probe",
 ]
 
@@ -203,72 +205,53 @@ def extract_boundary(
     return BoundaryFit(value=value, quality=quality, contamination=float(contam))
 
 
-@dataclass
-class BoundaryKernel(LineSpectrum):
-    """Boundary two-point kernel as spectral lines: k(t,s) = sum_k weight_k
-    e^{+-i omega_k (t-s)} with weight_k = c_k^2 / (2 omega_k)."""
+def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary coefficient |c_k| and fit quality of every retained mode of a
+    bulk lambda kernel (physical weighting, so the exponent is nu_plus).
 
-    t_grid: np.ndarray
-    kind: str  # "plus" or "minus"
-    omega: np.ndarray
-    amplitudes: np.ndarray  # fitted boundary coefficients c_k
-    m: int = 0
-    fit_quality: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.amplitudes**2 / (2.0 * self.omega)
-
-    @property
-    def frequency_sign(self) -> int:
-        return +1 if self.kind == "plus" else -1
-
-    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
-        # in units of 1/(2 omega_k), the line weight is c_k^2
-        c2, zero = self.amplitudes**2, np.zeros_like(self.amplitudes)
-        return (c2, zero, "all") if self.kind == "plus" else (zero, c2, "all")
-
-    def gram(self) -> np.ndarray:
-        idx = np.linspace(0, self.t_grid.size - 1, _GRAM_TIMES).round().astype(int)
-        times = self.t_grid[idx]
-        return self.trace_series((times[:, None] - times[None, :]).ravel()).reshape(_GRAM_TIMES, _GRAM_TIMES)
-
-
-def boundary_two_point(
-    kernel: BiKernel,
-    model: MetricModel,
-    fit_window: tuple[float, float] | None = None,
-) -> BoundaryKernel:
-    """Boundary restriction of a bulk two-point kernel in both slots.
-
-    Fits every retained mode's boundary coefficient (physical weighting, so
-    the exponent is nu_plus) and returns the induced line spectrum.  The
-    mode sum diagonalizes the restriction, so applying the fit per mode is
-    exact, not an approximation to a double integral.
+    Each mode is fitted on ``fit_window``, or on its ``default_fit_window``.
     """
     if kernel.kind not in ("lambda_plus", "lambda_minus"):
         raise ValueError("boundary kernels are built from the lambda kernels")
     if kernel.weighting != "physical":
         raise ValueError("boundary restriction needs the physical weighting")
     sm = kernel.spectral
-    br = sm.branch(kernel.m)
     x = sm.grid.dof_x
-    phys_modes = br.phi * sm.weight_left[:, None]
-    amps = np.empty(br.omega2.size)
-    quals = np.empty(br.omega2.size)
-    for k in range(br.omega2.size):
-        win = fit_window if fit_window is not None else default_fit_window(model, float(br.omega[k]))
+    phys_modes = sm.branch(kernel.m).phi * sm.weight_left[:, None]
+    amps = np.empty(kernel.omega.size)
+    quals = np.empty(kernel.omega.size)
+    for k, w in enumerate(kernel.omega):
+        win = fit_window if fit_window is not None else default_fit_window(model, float(w))
         fit = extract_boundary(phys_modes[:, k], model, win, x=x, weighting="physical")
         amps[k] = abs(float(np.real(fit.value)))
         quals[k] = fit.quality
-    return BoundaryKernel(
-        t_grid=kernel.t_grid,
-        kind="plus" if kernel.kind == "lambda_plus" else "minus",
-        omega=br.omega.copy(),
-        amplitudes=amps,
-        m=kernel.m,
-        fit_quality=quals,
-    )
+    return amps, quals
+
+
+def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> LineSpectrum:
+    """Boundary restriction of a bulk two-point kernel in both slots.
+
+    The induced kernel is k(t,s) = sum_k weight_k e^{+-i omega_k (t-s)},
+    weight_k = c_k^2 / (2 omega_k): the lines (c_k^2, 0) of kind "plus" or
+    (0, c_k^2) of kind "minus", with the ``boundary_fits`` coefficients c_k
+    and no spatial factor.  The mode sum diagonalizes the restriction, so
+    applying the fit per mode is exact, not an approximation to a double
+    integral.
+    """
+    amps, _ = boundary_fits(kernel, model, fit_window)
+    c2, zero = amps**2, np.zeros_like(amps)
+    plus = kernel.kind == "lambda_plus"
+    a, b = (c2, zero) if plus else (zero, c2)
+    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.omega, a, b, "all", +1 if plus else -1,
+                        float(np.min(kernel.omega)), m=kernel.m)
+
+
+def boundary_gram(kernel: LineSpectrum) -> np.ndarray:
+    """Gram matrix k(t_i - t_j) of a boundary kernel on ``_GRAM_TIMES``
+    subsampled times of its grid."""
+    idx = np.linspace(0, kernel.T - 1, _GRAM_TIMES).round().astype(int)
+    times = kernel.t_grid[idx]
+    return kernel.trace_series((times[:, None] - times[None, :]).ravel()).reshape(_GRAM_TIMES, _GRAM_TIMES)
 
 
 def mellin_exponent_probe(

@@ -12,7 +12,8 @@ Three instruments, all built on the mode decomposition:
   (sign of Omega_t, sign of -Omega_s), which puts a vacuum positive kernel
   entirely in the (+,+) quadrant and makes the Feynman kernel flip pattern
   across t = s;
-* Bogoliubov-perturbed states: a second pair of two-point kernels whose
+* Bogoliubov-perturbed states: a second pair of two-point kernels, the
+  first pair with occupations n_k added to both lines of every mode, whose
   difference from the first is an explicit smooth (superpolynomially
   decaying) mode sum, with the commutator preserved exactly.
 
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bchar import PhasePointB, trace_gbb
 from .geometry import MetricModel
-from .propagators import BiKernel, LineSpectrum, slepian_taper
+from .propagators import LineSpectrum, slepian_taper
 from .spectral import SpectralModel
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "TrackResult",
     "WindowSpec",
     "ScanRow",
-    "BogoliubovKernel",
-    "DifferenceKernel",
     "StatePair",
     "make_wavepacket",
     "evolve_and_track",
@@ -390,67 +389,22 @@ def off_pattern(rows: list[ScanRow], kernel: LineSpectrum, band: float | None = 
 
 
 @dataclass
-class BogoliubovKernel(BiKernel):
-    """Two-point kernel of a quasi-free state with mode occupations n_k.
-
-    The occupations add n_k to both line coefficients of the vacuum kind.
-    Reduces to the vacuum kernel at n = 0; for any occupations the pair
-    still solves the wave equation, stays Hermitian and positive, and
-    preserves the commutator identity exactly.
-    """
-
-    occupation: np.ndarray | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kind not in ("lambda_plus", "lambda_minus"):
-            raise ValueError("occupied kernels exist for the lambda kinds only")
-        if self.occupation is None:
-            self.occupation = np.zeros(self.omega.size)
-        self.occupation = np.asarray(self.occupation, dtype=float)
-        if self.occupation.shape != self.omega.shape:
-            raise ValueError("occupation numbers must match the retained modes")
-        if np.any(self.occupation < 0.0) or not np.all(np.isfinite(self.occupation)):
-            raise ValueError("occupation numbers must be finite and nonnegative")
-
-    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
-        a, b, support = super().lines()
-        return a + self.occupation, b + self.occupation, support
-
-
-@dataclass
-class DifferenceKernel(LineSpectrum):
-    """Mode-sum difference of two state kernels: sum_k n_k cos(omega_k tau) / omega_k.
-
-    Real, even in tau, identical for the plus and minus members of a
-    Bogoliubov pair.  coefficients holds the injected occupations exactly.
-    """
-
-    t_grid: np.ndarray
-    omega: np.ndarray
-    coefficients: np.ndarray
-    kind: str = "difference"
-
-    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
-        return self.coefficients, self.coefficients, "all"
-
-
-@dataclass
 class StatePair:
-    """Two states on one grid: the input pair A and the rotated pair B."""
+    """Two states on one grid: the input pair A, the rotated pair B and the
+    occupations that B adds to A."""
 
-    lp_a: BiKernel
-    lp_b: BogoliubovKernel
-    lm_b: BogoliubovKernel
+    lp_a: LineSpectrum
+    lp_b: LineSpectrum
+    lm_b: LineSpectrum
     occupation: np.ndarray
     descriptor: str
 
-    def difference(self) -> DifferenceKernel:
-        return DifferenceKernel(
-            t_grid=self.lp_a.t_grid,
-            omega=self.lp_a.omega.copy(),
-            coefficients=self.occupation.copy(),
-        )
+    def difference(self) -> LineSpectrum:
+        """lp_b - lp_a (= lm_b - lm_a): sum_k n_k cos(omega_k tau) / omega_k,
+        real and even in tau, with no spatial factor."""
+        n = self.occupation
+        return LineSpectrum(kind="difference", t_grid=self.lp_a.t_grid, omega=self.lp_a.omega, a=n, b=n,
+                            support="all", frequency_sign=0, omega_floor=float(np.min(self.lp_a.omega)))
 
 
 def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
@@ -482,26 +436,23 @@ def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
     return n, f"modes {sorted(k for k, _ in pairs)!r}"
 
 
-def make_perturbed_state(lp: BiKernel, lm: BiKernel, rotation) -> StatePair:
-    """Bogoliubov-rotate a vacuum pair into a second state on the same grid.
+def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StatePair:
+    """Bogoliubov-rotate a two-point pair into a second state on the same grid.
 
-    The rotated kernels keep the wave equation, Hermiticity, positivity and
-    the exact commutator; the difference from the input pair is the mode
-    sum with exactly the injected occupations.
+    The input may be any unmutated pair, the vacuum or an already rotated
+    one.  The occupations n_k add to both line coefficients of each member,
+    so the rotated kernels keep the wave equation, Hermiticity, positivity
+    and the exact commutator, and the difference from the input pair is the
+    mode sum with exactly the injected occupations.
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus":
         raise ValueError("expected a (lambda_plus, lambda_minus) pair")
     if not np.array_equal(lp.t_grid, lm.t_grid) or lp.weighting != lm.weighting or lp.m != lm.m:
         raise ValueError("pair members must share grid, weighting and transverse mode")
-    if np.any(lp.signs < 0) or np.any(lm.signs < 0):
+    if np.any(lp.flipped) or np.any(lm.flipped):
         raise ValueError("cannot rotate a sign-mutated pair")
     n, desc = _parse_rotation(rotation, lp.omega)
-    lp_b = BogoliubovKernel(
-        spectral=lp.spectral, kind="lambda_plus", t_grid=lp.t_grid, weighting=lp.weighting, m=lp.m, occupation=n
-    )
-    lm_b = BogoliubovKernel(
-        spectral=lm.spectral, kind="lambda_minus", t_grid=lm.t_grid, weighting=lm.weighting, m=lm.m, occupation=n
-    )
+    lp_b, lm_b = (replace(k, a=k.a + n, b=k.b + n) for k in (lp, lm))
     return StatePair(lp_a=lp, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
 
 

@@ -11,9 +11,13 @@ two-point function of d^2/dt^2 + A is a stationary mode sum in tau = t - s:
     feynman      -i (2 omega)^-1 exp(+i omega |tau|)
     antifeynman  +i (2 omega)^-1 exp(-i omega |tau|)
 
-each multiplied by phi_k phi_k^T and summed over retained modes; these
-gains, like those of occupied states and boundary kernels, are line spectra
-(``LineSpectrum``).  The normalization is pinned by the pair of identities
+each multiplied by phi_k phi_k^T and summed over retained modes.  One value
+type, ``LineSpectrum``, carries every kernel: the gain of mode k is
+h_k [a_k e^{+i omega_k tau} + b_k e^{-i omega_k tau}] S(tau), times the
+spatial factor when there is one.  ``make_propagator`` fills (a, b, S) from
+the table above; a sign flip swaps a and b, occupations add to both, and
+state differences and boundary kernels carry lines with no spatial factor.
+The normalization is pinned by the pair of identities
 
     lambda_plus - lambda_minus = i * causal
     feynman = -i lambda_plus + advanced = -i lambda_minus + retarded
@@ -37,7 +41,7 @@ matrix in time).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -46,7 +50,6 @@ from .spectral import SpectralModel
 
 __all__ = [
     "LineSpectrum",
-    "BiKernel",
     "KINDS",
     "WEIGHTINGS",
     "make_propagator",
@@ -81,20 +84,31 @@ WEIGHTINGS = ("tilde", "physical")
 _GRAM_TIMES, _GRAM_VECS = 16, 6  # Gram test family: subsampled times, random mode vectors
 
 
+@dataclass(frozen=True, eq=False)
 class LineSpectrum:
     """Stationary kernel with per-mode gain h_k [a_k e^{+i omega_k tau} +
-    b_k e^{-i omega_k tau}] S(tau), h_k = 1/(2 omega_k).
+    b_k e^{-i omega_k tau}] S(tau), h_k = 1/(2 omega_k), on a uniform grid.
 
     The support S is "all" (1), "future" (theta(tau), theta(0) = 0), "past"
-    (theta(-tau)) or "abs" (both exponentials taken at |tau|).  Subclasses
-    provide ``t_grid``, ``omega``, ``kind`` and ``lines()`` -> (a, b, S);
-    ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0.
+    (theta(-tau)) or "abs" (both exponentials taken at |tau|).
+    ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0, and
+    ``omega_floor`` is the lowest frequency a scan taper must separate from
+    zero.  ``spectral``, ``weighting`` and ``m`` give the spatial factor
+    phi_k phi_k^T of branch m in that weighting; ``spectral`` is None for
+    kernels without one (boundary lines, state differences).
     """
 
-    frequency_sign = 0
-
-    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
-        raise NotImplementedError
+    kind: str
+    t_grid: np.ndarray
+    omega: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    support: str
+    frequency_sign: int
+    omega_floor: float
+    spectral: SpectralModel | None = None
+    weighting: str = "tilde"
+    m: int = 0
 
     @property
     def dt(self) -> float:
@@ -105,9 +119,14 @@ class LineSpectrum:
         return self.t_grid.size
 
     @property
-    def omega_floor(self) -> float:
-        """Lowest frequency a scan taper must separate from zero."""
-        return float(np.min(self.omega))
+    def weights(self) -> np.ndarray:
+        """Line weight per mode, (|a_k| + |b_k|) / (2 omega_k)."""
+        return (np.abs(self.a) + np.abs(self.b)) / (2.0 * self.omega)
+
+    @property
+    def flipped(self) -> np.ndarray:
+        """Mask of the modes whose dominant line sits on the forbidden side."""
+        return self.frequency_sign * (np.abs(self.a) - np.abs(self.b)) < 0.0
 
     def lags(self) -> np.ndarray:
         """The 2T-1 lags t_i - t_j of the grid in increasing order; reversing
@@ -117,13 +136,12 @@ class LineSpectrum:
     def mode_gain(self, tau: np.ndarray) -> np.ndarray:
         """Per-mode temporal factor, shape (K, len(tau))."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        a, b, support = self.lines()
         w = self.omega[:, None]
-        e = np.exp(1j * (w * (np.abs(tau) if support == "abs" else tau)[None, :]))
-        g = (a[:, None] * e + b[:, None] * e.conj()) * (0.5 / w)
-        if support == "future":
+        e = np.exp(1j * (w * (np.abs(tau) if self.support == "abs" else tau)[None, :]))
+        g = (self.a[:, None] * e + self.b[:, None] * e.conj()) * (0.5 / w)
+        if self.support == "future":
             return np.where(tau > 0.0, g, 0.0)
-        if support == "past":
+        if self.support == "past":
             return np.where(tau < 0.0, g, 0.0)
         return g
 
@@ -132,67 +150,19 @@ class LineSpectrum:
         the assembled inner product)."""
         return self.mode_gain(tau).sum(axis=0)
 
-
-@dataclass
-class BiKernel(LineSpectrum):
-    """Stationary two-time kernel on a uniform grid, as a lazy mode sum.
-
-    ``signs`` is +1 per mode; the mutation harness flips entries to -1 to
-    fake a frequency-sign fault in the lambda kernels (a flip swaps the two
-    lines of a mode).
-    """
-
-    spectral: SpectralModel
-    kind: str
-    t_grid: np.ndarray
-    weighting: str = "tilde"
-    m: int = 0
-    signs: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        if self.t_grid.size < 32:
-            raise ValueError("time grid too coarse: need T >= 32")
-        steps = np.diff(self.t_grid)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-            raise ValueError("time grid must be uniform")
-        if self.signs is None:
-            self.signs = np.ones(self.spectral.branch(self.m).omega2.size)
-        if np.any(self.signs < 0) and self.frequency_sign == 0:
+    def flip(self, modes) -> "LineSpectrum":
+        """Copy with the two lines swapped on the given modes, which fakes a
+        frequency-sign fault; only the one-sided kernels make a claim to break."""
+        sel = np.zeros(self.omega.size, dtype=bool)
+        sel[modes] = True
+        if sel.any() and self.frequency_sign == 0:
             raise ValueError("frequency-sign flips apply to the lambda kernels only")
+        return replace(self, a=np.where(sel, self.b, self.a), b=np.where(sel, self.a, self.b))
 
-    @property
-    def omega(self) -> np.ndarray:
-        return self.spectral.branch(self.m).omega
-
-    @property
-    def omega_floor(self) -> float:
-        return self.spectral.m_floor_sqrt
-
-    @property
-    def frequency_sign(self) -> int:
-        """+1 / -1 for the one-sided kernels, 0 for the two-sided ones."""
-        return {"lambda_plus": +1, "lambda_minus": -1}.get(self.kind, 0)
-
-    def lines(self) -> tuple[np.ndarray, np.ndarray, str]:
-        a, b, support = _LINES[self.kind]
-        flip = self.signs < 0
-        return np.where(flip, b, a), np.where(flip, a, b), support
-
-    def mutated(self, fraction: float = 0.01) -> "BiKernel":
+    def mutated(self, fraction: float = 0.01) -> "LineSpectrum":
         """Copy with the frequency sign flipped on the lowest ceil(fraction*K)
-        modes; only meaningful for the lambda kernels."""
-        if self.kind not in ("lambda_plus", "lambda_minus"):
-            raise ValueError("mutation targets the lambda kernels")
-        k = self.omega.size
-        n_flip = max(1, math.ceil(fraction * k))
-        signs = self.signs.copy()
-        signs[:n_flip] = -signs[:n_flip]
-        return replace(self, signs=signs)
+        modes."""
+        return self.flip(np.arange(max(1, math.ceil(fraction * self.omega.size))))
 
     def describe(self) -> dict:
         return {
@@ -202,7 +172,7 @@ class BiKernel(LineSpectrum):
             "T": self.T,
             "t0": float(self.t_grid[0]),
             "dt": self.dt,
-            "n_flipped": int(np.sum(self.signs < 0)),
+            "n_flipped": int(np.sum(self.flipped)),
         }
 
 
@@ -212,20 +182,33 @@ def make_propagator(
     t_grid: np.ndarray,
     weighting: str = "tilde",
     m: int = 0,
-) -> BiKernel:
+) -> LineSpectrum:
     """Build a mode-sum kernel on a uniform time grid.
 
     Rejects grids that undersample the largest retained frequency
     (omega_max * dt must stay below pi).
     """
-    kernel = BiKernel(spectral=sm, kind=kind, t_grid=np.asarray(t_grid, float), weighting=weighting, m=m)
-    w_max = float(kernel.omega[-1])
-    if w_max * kernel.dt >= math.pi:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 32:
+        raise ValueError("time grid too coarse: need T >= 32")
+    steps = np.diff(t_grid)
+    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        raise ValueError("time grid must be uniform")
+    omega = sm.branch(m).omega
+    dt = float(t_grid[1] - t_grid[0])
+    if float(omega[-1]) * dt >= math.pi:
         raise ValueError(
-            f"time grid too coarse: omega_max*dt = {w_max * kernel.dt:.3f} >= pi; "
+            f"time grid too coarse: omega_max*dt = {float(omega[-1]) * dt:.3f} >= pi; "
             "refine dt or retain fewer modes"
         )
-    return kernel
+    a, b, support = _LINES[kind]
+    return LineSpectrum(kind, t_grid, omega, np.full(omega.size, a), np.full(omega.size, b), support,
+                        frequency_sign={"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0),
+                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting, m=m)
 
 
 def _trap_weights(T: int) -> np.ndarray:
@@ -234,13 +217,15 @@ def _trap_weights(T: int) -> np.ndarray:
     return w
 
 
-def apply(kernel: BiKernel, f: np.ndarray) -> np.ndarray:
+def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     """Apply the kernel to space-time data f of shape (T, ndof).
 
     Trapezoid quadrature in s; the stationary mode sums make this a batched
     Toeplitz product, done by FFT per mode.  Physical weighting conjugates
     by the stored weight vectors.
     """
+    if kernel.spectral is None:
+        raise ValueError(f"{kernel.kind} kernel has no spatial factor to apply")
     f = np.asarray(f)
     T = kernel.T
     if f.shape != (T, kernel.spectral.grid.ndof):
@@ -259,8 +244,7 @@ def apply(kernel: BiKernel, f: np.ndarray) -> np.ndarray:
     A_hat = np.fft.fft(a.T, n=L, axis=1)
     G_hat = np.fft.fft(gains, axis=1)
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
-    a_lines, b_lines, _ = kernel.lines()
-    if not np.iscomplexobj(f) and np.array_equal(b_lines, np.conj(a_lines)):
+    if not np.iscomplexobj(f) and np.array_equal(kernel.b, np.conj(kernel.a)):
         conv = conv.real  # conjugate lines make a real kernel
     out = sm.synthesize(conv.T, m=kernel.m)
     if kernel.weighting == "physical":
@@ -276,7 +260,7 @@ def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float, m: int = 0)
     return dtt + sm.apply_A(f[1:-1], m=m)
 
 
-def _gram_matrix(kernel: BiKernel) -> np.ndarray:
+def _gram_matrix(kernel: LineSpectrum) -> np.ndarray:
     """Hermitian space-time Gram of the kernel on a test family.
 
     Entries <(t_i, f_a), K (t_j, f_b)> over _GRAM_TIMES subsampled times
@@ -300,7 +284,7 @@ def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
 
 
-def _lag_gains(*kernels: BiKernel) -> list[np.ndarray]:
+def _lag_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
     """Per-mode gains on the 2T-1 lags of kernels that share one grid,
     weighting and spatial factor: identities between such kernels are
     identities between these arrays."""
@@ -318,7 +302,7 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
-def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel) -> dict:
+def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dict:
     """Measurements of the algebra of a two-point-function pair and the
     commutator, as plain values; the verdicts are the caller's.
 
@@ -355,7 +339,7 @@ def verify_two_point(lp: BiKernel, lm: BiKernel, g: BiKernel) -> dict:
     }
 
 
-def support_check(kernel: BiKernel) -> float:
+def support_check(kernel: LineSpectrum) -> float:
     """Largest mode-summed gain magnitude on the forbidden lags (retarded:
     t <= s; advanced: t >= s).  Exact zero by construction of the theta
     factor; returned so tests can assert it."""
@@ -366,7 +350,7 @@ def support_check(kernel: BiKernel) -> float:
     return _max_abs(np.abs(kernel.mode_gain(forbidden)).sum(axis=0))
 
 
-def adjoint_check(ret: BiKernel, adv: BiKernel) -> float:
+def adjoint_check(ret: LineSpectrum, adv: LineSpectrum) -> float:
     """Largest per-mode |retarded(s,t)^T - advanced(t,s)| over every lag."""
     if ret.kind != "retarded" or adv.kind != "advanced":
         raise ValueError("expected (retarded, advanced)")
@@ -452,7 +436,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     }
 
 
-def feynman_consistency(lp: BiKernel, lm: BiKernel, ret: BiKernel, adv: BiKernel) -> float:
+def feynman_consistency(lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, adv: LineSpectrum) -> float:
     """Largest per-mode magnitude of (1/i)Lambda_plus + advanced -
     (1/i)Lambda_minus - retarded over every lag, which vanishes iff the
     commutator identity holds."""
@@ -460,7 +444,9 @@ def feynman_consistency(lp: BiKernel, lm: BiKernel, ret: BiKernel, adv: BiKernel
     return _max_abs(-1j * gp + g_adv - (-1j * gm + g_ret))
 
 
-def make_feynman(lp: BiKernel, lm: BiKernel, ret: BiKernel, adv: BiKernel) -> tuple[BiKernel, BiKernel]:
+def make_feynman(
+    lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, adv: LineSpectrum
+) -> tuple[LineSpectrum, LineSpectrum]:
     """Time-ordered and anti-time-ordered inverses from the two-point data.
 
     Checks the construction identity (1/i)Lambda_plus + advanced =
@@ -469,8 +455,7 @@ def make_feynman(lp: BiKernel, lm: BiKernel, ret: BiKernel, adv: BiKernel) -> tu
     resid = feynman_consistency(lp, lm, ret, adv)
     if resid > 1e-12:
         raise ValueError(f"feynman consistency identity violated: {resid:.3e} > 1e-12")
-    f = BiKernel(spectral=lp.spectral, kind="feynman", t_grid=lp.t_grid, weighting=lp.weighting, m=lp.m)
-    fbar = BiKernel(spectral=lp.spectral, kind="antifeynman", t_grid=lp.t_grid, weighting=lp.weighting, m=lp.m)
+    f, fbar = (make_propagator(lp.spectral, kind, lp.t_grid, lp.weighting, lp.m) for kind in ("feynman", "antifeynman"))
     return f, fbar
 
 
@@ -488,7 +473,7 @@ class TimeCutoff:
         return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
-def time_slice_check(g: BiKernel, sm: SpectralModel, chi: TimeCutoff, u: np.ndarray) -> float:
+def time_slice_check(g: LineSpectrum, sm: SpectralModel, chi: TimeCutoff, u: np.ndarray) -> float:
     """Residual of the time-slice identity G [P, chi] u = u on a solution u.
 
     u is sampled on (T, ndof); chi must be constant outside the grid

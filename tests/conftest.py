@@ -1,8 +1,8 @@
 """Shared fixtures: one mid-resolution spectral model and its kernel family.
 
 Building the eigenbasis dominates test startup, so everything that only
-reads from the model shares these session-scoped objects.  Tests that
-mutate state (signs, occupations) must copy first.
+reads from the model shares these session-scoped objects.  Kernels are
+frozen values: a mutation or an occupied state is a new kernel.
 """
 
 from __future__ import annotations

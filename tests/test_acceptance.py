@@ -13,7 +13,13 @@ import numpy as np
 
 from adskg.cli import _default_tolerances, _time_slice_suite, main
 from adskg.geometry import make_toy_model
-from adskg.holography import boundary_two_point, build_series, indicial_polynomial, mellin_exponent_probe
+from adskg.holography import (
+    boundary_gram,
+    boundary_two_point,
+    build_series,
+    indicial_polynomial,
+    mellin_exponent_probe,
+)
 from adskg.microlocal import (
     WindowSpec,
     evolve_and_track,
@@ -173,7 +179,7 @@ def test_criterion_08_boundary_kernel(sm192, tgrid):
     bk = boundary_two_point(lp, sm192.model)
     want = np.array(line_weights_mp(1.0, 1.0, 5))
     rel = float(np.max(np.abs(bk.weights[:5] - want) / want))
-    eig = np.linalg.eigvalsh(bk.gram())
+    eig = np.linalg.eigvalsh(boundary_gram(bk))
     psd_ok = bool(eig.min() >= -1e-10 * eig.max())
     fs = frequency_sign_test(bk, sm192.m_floor_sqrt)
     ok = rel <= 1e-2 and psd_ok and fs["forbidden_fraction"] <= 1e-6

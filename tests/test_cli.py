@@ -217,6 +217,26 @@ def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     assert got == pytest.approx(want, rel=1e-2)
 
 
+@pytest.mark.parametrize("flag", [["--fit-lo", "0.001"], ["--fit-hi", "0.05"]], ids=["lo", "hi"])
+def test_boundary_2pt_needs_both_fit_bounds(small_blobs, tmp_path, capsys, flag):
+    out = tmp_path / "b2p.csv"
+    assert main(["boundary-2pt", "--model-bin", str(small_blobs[0]), *flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--fit-lo" in err and "--fit-hi" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_kernel_blob_keeps_flipped_modes(small_blobs, tmp_path):
+    from adskg.cli import _load_kernel, _save_kernel
+
+    kern = _load_kernel(str(small_blobs[1])).mutated(0.3)
+    path = str(tmp_path / "mutant.bin")
+    _save_kernel(kern, path)
+    back = _load_kernel(path)
+    assert back.describe() == kern.describe() and back.describe()["n_flipped"] == 3
+    assert np.array_equal(back.a, kern.a) and np.array_equal(back.b, kern.b)
+
+
 def test_kernel_grid_defaults_follow_the_blob(tmp_path, capsys):
     """Without --dt, kernels and boundary-2pt take the step verify works out
     from L and the spectrum, so a short wall needs no hand-tuned step."""
@@ -389,6 +409,21 @@ def test_verify_refines_the_grid_for_more_modes():
     code, report = run_verify(RunConfig(n_modes=48))
     assert code == 0
     assert (report["config"]["T"], report["config"]["dt"]) == (1536, 0.0125)
+
+
+def test_constant_tables_reproduce_the_toy(verify_run):
+    """A custom model whose warp tables are constant 1 is the toy strip: the
+    40 rows it shares with the default report agree bit for bit."""
+    xs = np.linspace(0.0, 1.0, 41)
+    ones = [list(xs), [1.0] * xs.size]
+    model = {"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0, "beta_table": ones, "k_table": ones}
+    _, report = run_verify(RunConfig(model=model))
+    base = {c["check"]: c for c in json.loads(verify_run[1])["checks"]}
+    shared = [c for c in report["checks"] if c["check"] in base]
+    assert len(shared) == len(report["checks"]) == 40
+    for c in shared:
+        want = base[c["check"]]
+        assert (c["value"], c["tolerance"], c["pass"]) == (want["value"], want["tolerance"], want["pass"]), c["check"]
 
 
 _CONTAMINATED = "complementary-branch contamination"

@@ -7,7 +7,6 @@ import pytest
 from adskg import microlocal
 from adskg.geometry import make_toy_model
 from adskg.microlocal import (
-    BogoliubovKernel,
     WindowSpec,
     evolve_and_track,
     gbb_reference,
@@ -17,7 +16,7 @@ from adskg.microlocal import (
     off_pattern,
     smoothness_decay_order,
 )
-from adskg.propagators import make_propagator, slepian_taper
+from adskg.propagators import LineSpectrum, make_propagator, slepian_taper
 from adskg.spectral import build_spectral
 from oracles import thermal_occupation_mp
 
@@ -245,13 +244,13 @@ def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
 def test_scan_evaluates_trace_once_on_lags(zoo, monkeypatch):
     kern = zoo["lambda_plus"]
     sizes = []
-    trace_series = kern.trace_series
+    trace_series = LineSpectrum.trace_series
 
-    def counting(tau):
+    def counting(self, tau):
         sizes.append(np.size(tau))
-        return trace_series(tau)
+        return trace_series(self, tau)
 
-    monkeypatch.setattr(kern, "trace_series", counting)
+    monkeypatch.setattr(LineSpectrum, "trace_series", counting)
     rows = kernel_wavefront_scan(kern, SCAN)
     assert len(rows) == 9
     assert sizes == [2 * kern.T - 1]
@@ -272,25 +271,11 @@ def test_feynman_scan_flips_across_diagonal(zoo):
         off_pattern(rows, zoo["feynman"], band=50.0)
 
 
-def test_bogoliubov_reduces_to_vacuum(zoo, sm192, tgrid):
-    bk = BogoliubovKernel(
-        spectral=sm192, kind="lambda_plus", t_grid=tgrid, occupation=np.zeros(32)
-    )
+def test_bogoliubov_reduces_to_vacuum(zoo):
+    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [])
     tau = np.array([-1.3, 0.0, 0.4])
-    assert bk.mode_gain(tau) == pytest.approx(zoo["lambda_plus"].mode_gain(tau), abs=1e-15)
-
-
-def test_bogoliubov_validation(sm192, tgrid):
-    with pytest.raises(ValueError, match="lambda kinds"):
-        BogoliubovKernel(spectral=sm192, kind="causal", t_grid=tgrid)
-    with pytest.raises(ValueError, match="nonnegative"):
-        BogoliubovKernel(
-            spectral=sm192, kind="lambda_plus", t_grid=tgrid, occupation=-np.ones(32)
-        )
-    with pytest.raises(ValueError, match="match the retained modes"):
-        BogoliubovKernel(
-            spectral=sm192, kind="lambda_plus", t_grid=tgrid, occupation=np.zeros(7)
-        )
+    for bk, vac in ((pair.lp_b, zoo["lambda_plus"]), (pair.lm_b, zoo["lambda_minus"])):
+        assert bk.mode_gain(tau) == pytest.approx(vac.mode_gain(tau), abs=1e-15)
 
 
 def test_perturbed_state_thermal_occupations(zoo, sm192):
@@ -320,6 +305,21 @@ def test_perturbed_state_difference_is_exact(zoo, sm192):
     n2 = np.sinh(0.6) ** 2
     w2 = zoo["lambda_plus"].omega[2]
     assert d.trace_series(np.array([0.0]))[0] == pytest.approx(n2 / w2, rel=1e-12)
+
+
+def test_rotating_a_rotated_pair_adds_its_occupations(zoo, sm192):
+    # the input pair may itself be rotated: the new difference is exactly
+    # the newly injected mode sum, the old occupations are kept
+    p1 = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
+    p2 = make_perturbed_state(p1.lp_b, p1.lm_b, [(3, 0.4)])
+    tau = np.linspace(-4.0, 4.0, 33)
+    d = p2.difference().trace_series(tau)
+    scale = float(np.abs(d).max())
+    for new, old in ((p2.lp_b, p1.lp_b), (p2.lm_b, p1.lm_b)):
+        direct = new.trace_series(tau) - old.trace_series(tau)
+        assert float(np.abs(d - direct).max()) <= 1e-14 * scale
+    n = p1.occupation + p2.occupation
+    assert p2.lp_b.a == pytest.approx(1.0 + n, rel=1e-15) and p2.lp_b.b == pytest.approx(n, rel=1e-15)
 
 
 def test_perturbed_state_rejections(zoo):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,10 @@ from scipy.signal.windows import dpss
 
 import adskg
 from adskg.cli import _default_tolerances
-from adskg.holography import boundary_two_point
+from adskg.holography import boundary_fits, boundary_two_point
 from adskg.microlocal import make_perturbed_state
 from adskg.propagators import (
-    BiKernel,
+    LineSpectrum,
     TimeCutoff,
     adjoint_check,
     apply,
@@ -64,10 +65,43 @@ def test_mode_gain_closed_forms(zoo, sm192, ads2):
     # boundary lines weight_k e^{+-i omega_k tau}; weights reach 4e3, so
     # compare per unit weight
     for kind, sign in (("lambda_plus", 1), ("lambda_minus", -1)):
-        bk = boundary_two_point(make_propagator(sm192, kind, zoo[kind].t_grid, weighting="physical"), ads2)
-        weights = bk.amplitudes[:, None] ** 2 / (2 * w)
+        bulk = make_propagator(sm192, kind, zoo[kind].t_grid, weighting="physical")
+        bk = boundary_two_point(bulk, ads2)
+        weights = boundary_fits(bulk, ads2)[0][:, None] ** 2 / (2 * w)
         got = bk.mode_gain(tau) / weights
         assert got == pytest.approx(np.exp(sign * 1j * ph), abs=1e-15), kind
+
+
+def test_every_kernel_is_one_line_spectrum(zoo, sm192, ads2, tgrid):
+    lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
+    pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    bulk = make_propagator(sm192, "lambda_plus", tgrid, weighting="physical")
+    built = {
+        "make_propagator": lp,
+        "mutated": lp.mutated(0.05),
+        "make_feynman": zoo["feynman"],
+        "make_feynman bar": zoo["antifeynman"],
+        "lp_b": pair.lp_b,
+        "lm_b": pair.lm_b,
+        "difference": pair.difference(),
+        "boundary_two_point": boundary_two_point(bulk, ads2),
+    }
+    for name, kern in built.items():
+        assert type(kern) is LineSpectrum, name
+    classes = {c for sub in adskg._SUBMODULES for c in vars(getattr(adskg, sub)).values()
+               if isinstance(c, type) and c.__module__.startswith("adskg.")}
+    for method in ("mode_gain", "trace_series"):
+        assert [c for c in classes if method in vars(c)] == [LineSpectrum], method
+    assert [c for c in classes if issubclass(c, LineSpectrum)] == [LineSpectrum]
+
+
+def test_apply_needs_a_spatial_factor(zoo, sm192, ads2, tgrid):
+    bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, weighting="physical"), ads2)
+    diff = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [(1, 0.5)]).difference()
+    f = np.zeros((tgrid.size, sm192.grid.ndof))
+    for kern in (bk, diff):
+        with pytest.raises(ValueError, match="no spatial factor"):
+            apply(kern, f)
 
 
 def test_kernel_grid_validation(sm192):
@@ -78,7 +112,9 @@ def test_kernel_grid_validation(sm192):
     with pytest.raises(ValueError, match="too coarse"):
         make_propagator(sm192, "causal", 0.2 * np.arange(64))
     with pytest.raises(ValueError, match="unknown kind"):
-        BiKernel(spectral=sm192, kind="schwinger", t_grid=0.025 * np.arange(64))
+        make_propagator(sm192, "schwinger", 0.025 * np.arange(64))
+    with pytest.raises(ValueError, match="unknown weighting"):
+        make_propagator(sm192, "causal", 0.025 * np.arange(64), weighting="conformal")
 
 
 def test_two_point_algebra(zoo):
@@ -113,8 +149,9 @@ def test_mutation_bookkeeping(zoo):
     with pytest.raises(ValueError, match="lambda kernels"):
         zoo["causal"].mutated()
     with pytest.raises(ValueError, match="lambda kernels only"):
-        BiKernel(spectral=zoo["causal"].spectral, kind="causal", t_grid=zoo["causal"].t_grid,
-                 signs=-zoo["causal"].signs)
+        zoo["causal"].flip(np.arange(zoo["causal"].omega.size))
+    # flipping the same modes twice restores the kernel
+    assert np.array_equal(bad.flip([0]).a, zoo["lambda_plus"].a)
 
 
 def test_support_is_exact(zoo):
@@ -139,8 +176,7 @@ def test_support_check_memory(zoo):
 
 def test_identities_need_one_spatial_factor(sm192, tgrid):
     ret = make_propagator(sm192, "retarded", tgrid)
-    other = make_propagator(sm192, "advanced", tgrid)
-    other.m = 1
+    other = replace(make_propagator(sm192, "advanced", tgrid), m=1)
     with pytest.raises(ValueError, match="share one spectral model"):
         adjoint_check(ret, other)
 
