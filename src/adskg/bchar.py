@@ -24,6 +24,16 @@ Integration is the 4-stage Gauss-Legendre implicit Runge-Kutta scheme
 (order 8, symplectic), which conserves p to roundoff on the toys; wall
 contact is located by bisection on the step length to |x - wall| <= 1e-13.
 Glancing incidence (|xi| ~ 0 at a wall) is out of scope and aborts.
+
+A step is plain Python float arithmetic on the state tuple
+(x, y, t, xi, zeta, tau): the stage sums, right-hand sides and update are
+float expressions, and each right-hand-side evaluation calls beta, k, beta'
+and k' once on the list of stage abscissae (one point for f0, four per
+fixed-point iteration).  zeta and tau are constants of motion and pass
+through unchanged.  Each arc's flow-parameter budget is capped so that it
+carries t at most 2L past t_max, which bounds the work of a trace by t_max
+even for nearly tangential rays.  ``GBBPath.sample`` runs one Newton
+iteration on the cubic Hermite interpolant for all requested times at once.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ class GlancingRayError(RuntimeError):
     """Raised when a ray meets a wall tangentially; not handled here."""
 
 
-def _gl_tableau(s: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def _gl_tableau(s: int = 4) -> tuple[list[float], list[list[float]]]:
     nodes, weights = np.polynomial.legendre.leggauss(s)
     c = 0.5 * (nodes + 1.0)
     b = 0.5 * weights
@@ -67,7 +77,7 @@ def _gl_tableau(s: int = 4) -> tuple[np.ndarray, np.ndarray]:
     P = np.vander(c, s, increasing=True).T
     R = np.array([[ci ** (k + 1) / (k + 1) for k in range(s)] for ci in c])
     A = np.linalg.solve(P, R.T).T
-    return b, A
+    return b.tolist(), A.tolist()
 
 
 _GL_B, _GL_A = _gl_tableau(4)
@@ -116,15 +126,14 @@ class PhasePointB:
         ])
 
 
-def _point_from_array(arr: np.ndarray, keep_y: bool) -> PhasePointB:
-    x = float(arr[0])
+def _point_from_array(arr: np.ndarray, keep_y: bool, keep_zeta: bool) -> PhasePointB:
     return PhasePointB(
-        x=x,
+        x=float(arr[0]),
         t=float(arr[2]),
         tau=float(arr[5]),
         xi=float(arr[3]),
         y=float(arr[1]) if keep_y else None,
-        zeta=float(arr[4]) if keep_y else None,
+        zeta=float(arr[4]) if keep_zeta else None,
     )
 
 
@@ -136,8 +145,8 @@ class Segment:
     data: np.ndarray  # (n, 6) rows (x, y, t, xi, zeta, tau)
     hit: str | None = None  # None, "boundary", or "wall"
 
-    def point(self, i: int, keep_y: bool = True) -> PhasePointB:
-        return _point_from_array(self.data[i], keep_y)
+    def point(self, i: int, keep_y: bool = True, keep_zeta: bool = True) -> PhasePointB:
+        return _point_from_array(self.data[i], keep_y, keep_zeta)
 
     @property
     def xi_bar(self) -> np.ndarray:
@@ -190,11 +199,32 @@ class GBBPath:
         tq = sign * times
         if np.any(tq < th[0] - 1e-12) or np.any(tq > th[-1] + 1e-12):
             raise ValueError("requested time outside the traced range")
-        out = np.empty((times.size, 6))
-        idx = np.clip(np.searchsorted(th, tq, side="right") - 1, 0, len(th) - 2)
-        for i, (j, t_want) in enumerate(zip(idx, times)):
-            out[i] = _hermite_state(s_all, rows, derivs, j, t_want)
-        return out
+        j = np.clip(np.searchsorted(th, tq, side="right") - 1, 0, len(th) - 2)
+        ds = (s_all[j + 1] - s_all[j])[:, None]
+        y0, y1, d0, d1 = rows[j], rows[j + 1], derivs[j] * ds, derivs[j + 1] * ds
+        t0, t1 = y0[:, 2], y1[:, 2]
+        denom = t1 - t0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sig = np.clip(np.where(denom == 0.0, 0.5, (times - t0) / denom), 0.0, 1.0)
+            # Newton on t(sig) = t_want, all times at once; a time stops at a
+            # flat t(sig) or once its step is below 1e-15
+            active = ds[:, 0] != 0.0
+            for _ in range(30):
+                if not active.any():
+                    break
+                h00, h10, h01, h11 = _hermite_basis(sig)
+                t_sig = h00 * t0 + h10 * d0[:, 2] + h01 * t1 + h11 * d1[:, 2]
+                sig2 = np.float_power(sig, 2)
+                dt_dsig = (
+                    d0[:, 2] * (1 - 4 * sig + 3 * sig2) + d1[:, 2] * (3 * sig2 - 2 * sig) + 6 * sig * (1 - sig) * denom
+                )
+                step = (t_sig - times) / dt_dsig
+                active &= dt_dsig != 0.0
+                sig = np.where(active, sig - step, sig)
+                active &= ~(np.abs(step) < 1e-15)
+        h00, h10, h01, h11 = (h[:, None] for h in _hermite_basis(np.clip(sig, 0.0, 1.0)))
+        out = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+        return np.where(ds == 0.0, y0, out)
 
     def to_rows(self) -> list[list]:
         """CSV rows (s, t, x, y, xi_bar, xi, zeta, tau, segment_id, event)."""
@@ -208,6 +238,14 @@ class GBBPath:
                     event = f"reflect_{seg.hit}"
                 rows.append([seg.s[i], t, x, y, x * xi, xi, zeta, tau, sid, event])
         return rows
+
+
+def _hermite_basis(sig: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cubic Hermite basis (h00, h10, h01, h11) at sig; squares go through
+    pow, as a float64 scalar's ** does."""
+    sig2 = np.float_power(sig, 2)
+    one2 = np.float_power(1 - sig, 2)
+    return (1 + 2 * sig) * one2, sig * one2, sig2 * (3 - 2 * sig), sig2 * (sig - 1)
 
 
 def _symbol_on_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
@@ -229,56 +267,47 @@ def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _irk_step(model: MetricModel, arr: np.ndarray, h: float) -> np.ndarray:
-    """One Gauss-Legendre IRK step, stages solved by fixed-point iteration."""
-    f0 = _rhs_rows(model, arr[None, :])[0]
-    K = np.tile(f0, (4, 1))
-    scale = np.max(np.abs(f0)) + 1.0
+def _stage_rhs(model: MetricModel, xs: list, xis: list, zeta: float, tau: float) -> list[tuple]:
+    """Right-hand sides (dx, dy, dt, dxi) at the stage points (xs, xis): one
+    call of each warp function on the whole stage set; dzeta = dtau = 0."""
+    b = model.beta(xs).tolist()
+    k = model.k(xs).tolist()
+    db = model.dbeta(xs).tolist()
+    dk = model.dk(xs).tolist()
+    return [
+        (2.0 * xi, 2.0 * zeta / ki, 2.0 * tau / bi, -(tau * tau) * dbi / (bi * bi) + zeta * zeta * dki / (ki * ki))
+        for xi, bi, ki, dbi, dki in zip(xis, b, k, db, dk)
+    ]
+
+
+def _irk_step(model: MetricModel, state: tuple, h: float) -> tuple:
+    """One Gauss-Legendre IRK step on the state (x, y, t, xi, zeta, tau),
+    stages solved by fixed-point iteration in Python floats."""
+    x, y, t, xi, zeta, tau = state
+    (f0,) = _stage_rhs(model, [x], [xi], zeta, tau)
+    K = [f0] * 4
+    scale = max(abs(v) for v in f0) + 1.0
     for _ in range(_FP_MAXIT):
-        Y = arr[None, :] + h * (_GL_A @ K)
-        K_new = _rhs_rows(model, Y)
-        delta = np.max(np.abs(K_new - K))
+        k0, k1, k2, k3 = K
+        xs = [x + h * (a0 * k0[0] + a1 * k1[0] + a2 * k2[0] + a3 * k3[0]) for a0, a1, a2, a3 in _GL_A]
+        xis = [xi + h * (a0 * k0[3] + a1 * k1[3] + a2 * k2[3] + a3 * k3[3]) for a0, a1, a2, a3 in _GL_A]
+        K_new = _stage_rhs(model, xs, xis, zeta, tau)
+        delta = max(abs(u - v) for new, old in zip(K_new, K) for u, v in zip(new, old))
         K = K_new
         if delta <= _FP_TOL * scale:
             break
     else:
         raise RuntimeError(f"implicit stage iteration stalled at step size {h:.3e}")
-    return arr + h * (_GL_B @ K)
-
-
-def _hermite_state(s_all, rows, derivs, j, t_want) -> np.ndarray:
-    s0, s1 = s_all[j], s_all[j + 1]
-    ds = s1 - s0
-    y0, y1 = rows[j], rows[j + 1]
-    if ds == 0.0:
-        return y0
-    d0, d1 = derivs[j] * ds, derivs[j + 1] * ds
-
-    def eval_at(sig: float) -> np.ndarray:
-        h00 = (1 + 2 * sig) * (1 - sig) ** 2
-        h10 = sig * (1 - sig) ** 2
-        h01 = sig**2 * (3 - 2 * sig)
-        h11 = sig**2 * (sig - 1)
-        return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-
-    denom = y1[2] - y0[2]
-    sig = 0.5 if denom == 0.0 else (t_want - y0[2]) / denom
-    sig = min(max(sig, 0.0), 1.0)
-    for _ in range(30):
-        st = eval_at(sig)
-        dt_dsig = (
-            d0[2] * (1 - 4 * sig + 3 * sig**2)
-            + d1[2] * (3 * sig**2 - 2 * sig)
-            + 6 * sig * (1 - sig) * (y1[2] - y0[2])
-        )
-        if dt_dsig == 0.0:
-            break
-        step = (st[2] - t_want) / dt_dsig
-        sig -= step
-        if abs(step) < 1e-15:
-            break
-    sig = min(max(sig, 0.0), 1.0)
-    return eval_at(sig)
+    b0, b1, b2, b3 = _GL_B
+    k0, k1, k2, k3 = K
+    return (
+        x + h * (b0 * k0[0] + b1 * k1[0] + b2 * k2[0] + b3 * k3[0]),
+        y + h * (b0 * k0[1] + b1 * k1[1] + b2 * k2[1] + b3 * k3[1]),
+        t + h * (b0 * k0[2] + b1 * k1[2] + b2 * k2[2] + b3 * k3[2]),
+        xi + h * (b0 * k0[3] + b1 * k1[3] + b2 * k2[3] + b3 * k3[3]),
+        zeta,
+        tau,
+    )
 
 
 def make_null_point(
@@ -332,17 +361,17 @@ def flow_segment(
     if abs(p_val) > 1e-8 * scale:
         raise ValueError(f"initial data is not null: p = {p_val:.3e}")
 
-    arr = p0.as_array()
+    state = tuple(p0.as_array().tolist())
     s_now = s0
     s_hist = [s_now]
-    hist = [arr.copy()]
+    hist = [state]
     hit = None
     remaining = dt_param
     while remaining > 1e-15 * dt_param:
         h = min(step, remaining)
-        trial = _irk_step(model, arr, h)
+        trial = _irk_step(model, state, h)
         if 0.0 < trial[0] < model.L:
-            arr = trial
+            state = trial
             s_now += h
             remaining -= h
         else:
@@ -352,7 +381,7 @@ def flow_segment(
             land = trial
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
-                cand = _irk_step(model, arr, mid)
+                cand = _irk_step(model, state, mid)
                 if (cand[0] - wall_x) * (trial[0] - wall_x) > 0.0:
                     hi = mid
                     land = cand
@@ -360,11 +389,10 @@ def flow_segment(
                     lo = mid
                 if abs(land[0] - wall_x) <= _X_TOL:
                     break
-            arr = land.copy()
-            arr[0] = wall_x
+            state = (wall_x,) + land[1:]
             s_now += 0.5 * (lo + hi)
         s_hist.append(s_now)
-        hist.append(arr.copy())
+        hist.append(state)
         if hit is not None:
             break
 
@@ -413,15 +441,17 @@ def trace_gbb(
     reflections: list[ReflectionEvent] = []
     point = p0
     s_now = 0.0
-    keep_y = p0.y is not None
-    # flow-parameter budget per arc: chosen so each call spans the slab a few
-    # times over; actual arc ends come from wall contact or the t_max check
+    # flow-parameter budget per arc: enough to cross the slab a few times
+    # over, and never more than carries t past t_max by 2L (ds = dt beta / 2|tau|);
+    # arc ends come from wall contact or the t_max check
     span = 2.0 * model.L / max(2.0 * abs(point.xi or 1.0), 1e-12)
     while t_dir * point.t < t_dir * t_max:
-        seg = flow_segment(model, point, dt_param=span, step=step, s0=s_now)
+        t_left = t_dir * (t_max - point.t) + 2.0 * model.L
+        budget = min(span, t_left * float(model.beta([point.x])[0]) / (2.0 * abs(point.tau)))
+        seg = flow_segment(model, point, dt_param=budget, step=step, s0=s_now)
         segments.append(seg)
         s_now = float(seg.s[-1])
-        end = seg.point(len(seg.s) - 1, keep_y=keep_y)
+        end = seg.point(len(seg.s) - 1, keep_y=p0.y is not None, keep_zeta=p0.zeta is not None)
         if seg.hit is None:
             point = end
             continue

@@ -4,9 +4,10 @@ The module top imports only the standard library so that thread-count
 environment variables (ADSKG_THREADS or --threads) can be exported before
 numpy first loads; the numerical modules are imported inside the handlers.
 
-Exit codes: 0 all requested checks pass; 1 a numerical check failed, or a
+Exit codes: 0 all requested checks pass; 1 a numerical check failed, a
 numerical precondition failed inside a verify check (recorded against that
-check, with its message); 2 usage or configuration error (bad flags, a
+check, with its message), or another subcommand hit a numerical failure (a
+RuntimeError, printed as "error: <message>"); 2 usage or configuration error (bad flags, a
 transverse mode the model blob was not built with, unparseable config, a
 model or eigenbasis that cannot be built).
 
@@ -802,6 +803,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:  # KeyError: SpectralModel.branch on a mode not built
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a numerical failure outside verify's check rows, e.g. a ray the step cannot hold
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -447,11 +447,19 @@ def feynman_consistency(lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, a
 def make_feynman(
     lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, adv: LineSpectrum
 ) -> tuple[LineSpectrum, LineSpectrum]:
-    """Time-ordered and anti-time-ordered inverses from the two-point data.
+    """Time-ordered and anti-time-ordered inverses from the vacuum two-point
+    data (vacuum only).
 
-    Checks the construction identity (1/i)Lambda_plus + advanced =
+    Refuses a pair whose lines are not the vacuum lambda_plus / lambda_minus
+    lines (an occupied state or a sign flip): the commutator identity holds
+    for every state, but the returned kernels are the vacuum ones.  Checks
+    the construction identity (1/i)Lambda_plus + advanced =
     (1/i)Lambda_minus + retarded to 1e-12 before returning the pair.
     """
+    for k, kind in ((lp, "lambda_plus"), (lm, "lambda_minus")):
+        a, b, _ = _LINES[kind]
+        if k.kind != kind or not (np.all(k.a == a) and np.all(k.b == b)):
+            raise ValueError(f"make_feynman is vacuum only: the {kind} slot does not carry the vacuum {kind} lines")
     resid = feynman_consistency(lp, lm, ret, adv)
     if resid > 1e-12:
         raise ValueError(f"feynman consistency identity violated: {resid:.3e} > 1e-12")

@@ -1,8 +1,13 @@
+import math
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adskg import bchar
 from adskg.bchar import (
     PhasePointB,
     flow_segment,
@@ -10,12 +15,32 @@ from adskg.bchar import (
     reflect,
     trace_gbb,
 )
-from adskg.geometry import conformal_symbol, make_toy_model
+from adskg.geometry import conformal_symbol, load_model, make_toy_model
 
 
 @pytest.fixture(scope="module")
 def toy():
     return make_toy_model("ads2_strip", nu=1.0, L=1.0)
+
+
+@pytest.fixture(scope="module")
+def cyl():
+    return make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+
+
+@pytest.fixture(scope="module")
+def table():
+    """A custom n = 3 model whose warp factors are 8-knot splines."""
+    xs = np.linspace(0.0, 1.0, 8)
+    return load_model({
+        "kind": "custom", "n": 3, "nu": 1.0, "L": 1.0,
+        "beta_table": [list(xs), list(1.0 + 0.3 * xs**2)],
+        "k_table": [list(xs), list(1.0 + 0.2 * xs**2)],
+    })
+
+
+def _rows(path):
+    return np.vstack([seg.data for seg in path.segments])
 
 
 def test_phase_point_invariants():
@@ -142,3 +167,142 @@ def test_symbol_exactly_conserved(x0, tau):
     path = trace_gbb(toy, p0, t_max=1.1, step=2e-3)
     assert path.symbol_drift == 0.0
     assert len(path.reflections) >= 1
+
+
+def test_trace_keeps_zeta_without_y(cyl):
+    """A ray given zeta but no y keeps zeta on every arc, not only the first."""
+    zeta = math.sqrt(1.75)
+    path = trace_gbb(cyl, PhasePointB(x=0.4, t=0.0, tau=2.0, xi=-1.5, zeta=zeta), t_max=3.0, step=2e-3)
+    assert len(path.reflections) == 3
+    assert np.all(_rows(path)[:, 4] == zeta)
+    assert all(ev.point.zeta == zeta and ev.point.y is None for ev in path.reflections)
+
+
+def test_trace_work_bounded_by_t_max(cyl):
+    """A nearly tangential ray (|xi| = 1e-4) would get an arc budget of 1e4 L
+    of flow parameter from xi alone; the t_max cap ends its one arc once t
+    has passed t_max by 2L: (0.1 + 2) / (2 tau) / step = 525 steps."""
+    p0 = PhasePointB(x=0.5, t=0.0, tau=2.0, xi=1e-4, zeta=math.sqrt(4.0 - 1e-8))
+    path = trace_gbb(cyl, p0, t_max=0.1, step=1e-3)
+    assert [len(seg.s) for seg in path.segments] == [526]
+    assert path.segments[-1].data[-1, 2] >= 0.1
+
+
+def _irk_step_tableau(model, state, h):
+    """The Gauss-Legendre step in numpy tableau form: stage sums as A @ K,
+    right-hand sides as one (4, 6) array per fixed-point iteration."""
+    A, B = np.array(bchar._GL_A), np.array(bchar._GL_B)
+    arr = np.array(state)
+    f0 = bchar._rhs_rows(model, arr[None, :])[0]
+    K = np.tile(f0, (4, 1))
+    scale = np.max(np.abs(f0)) + 1.0
+    for _ in range(bchar._FP_MAXIT):
+        K_new = bchar._rhs_rows(model, arr[None, :] + h * (A @ K))
+        delta = np.max(np.abs(K_new - K))
+        K = K_new
+        if delta <= bchar._FP_TOL * scale:
+            break
+    else:
+        raise RuntimeError("stalled")
+    return tuple((arr + h * (B @ K)).tolist())
+
+
+@pytest.mark.parametrize("model, zeta, t_max, exact", [
+    ("toy", None, 24.0, True),
+    ("cyl", 0.7, 25.0, True),
+    ("table", 0.7, 6.0, False),
+])
+def test_irk_step_matches_tableau_form(request, monkeypatch, model, zeta, t_max, exact):
+    """Float stage sums give the tableau form's rays: bit for bit on the toys
+    over 25 reflections; on a spline table the tableau's BLAS products round
+    differently, so the rows agree to 1e-13."""
+    m = request.getfixturevalue(model)
+    p0 = make_null_point(m, x=0.4, tau=2.0, zeta=zeta, y=None if zeta is None else 0.0)
+    got = trace_gbb(m, p0, t_max=t_max, step=2e-3)
+    monkeypatch.setattr(bchar, "_irk_step", _irk_step_tableau)
+    want = trace_gbb(m, p0, t_max=t_max, step=2e-3)
+    assert len(got.reflections) == len(want.reflections) >= (25 if exact else 5)
+    assert _rows(got).shape == _rows(want).shape
+    if exact:
+        assert np.array_equal(_rows(got), _rows(want))
+    else:
+        assert np.max(np.abs(_rows(got) - _rows(want))) <= 1e-13
+
+
+def _sample_per_time(path, times):
+    """Reference sampler: one scalar Newton iteration per requested time."""
+    s_all, rows, derivs = path._flat()
+    th = rows[:, 2] * (1.0 if rows[-1, 2] >= rows[0, 2] else -1.0)
+    tq = times * (1.0 if rows[-1, 2] >= rows[0, 2] else -1.0)
+    out = np.empty((times.size, 6))
+    for i, j in enumerate(np.clip(np.searchsorted(th, tq, side="right") - 1, 0, len(th) - 2)):
+        t_want = times[i]
+        ds = s_all[j + 1] - s_all[j]
+        y0, y1 = rows[j], rows[j + 1]
+        if ds == 0.0:
+            out[i] = y0
+            continue
+        d0, d1 = derivs[j] * ds, derivs[j + 1] * ds
+
+        def eval_at(sig):
+            h00 = (1 + 2 * sig) * (1 - sig) ** 2
+            h10 = sig * (1 - sig) ** 2
+            h01 = sig**2 * (3 - 2 * sig)
+            h11 = sig**2 * (sig - 1)
+            return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+
+        denom = y1[2] - y0[2]
+        sig = 0.5 if denom == 0.0 else (t_want - y0[2]) / denom
+        sig = min(max(sig, 0.0), 1.0)
+        for _ in range(30):
+            st_ = eval_at(sig)
+            dt_dsig = d0[2] * (1 - 4 * sig + 3 * sig**2) + d1[2] * (3 * sig**2 - 2 * sig) + 6 * sig * (1 - sig) * denom
+            if dt_dsig == 0.0:
+                break
+            step = (st_[2] - t_want) / dt_dsig
+            sig -= step
+            if abs(step) < 1e-15:
+                break
+        out[i] = eval_at(min(max(sig, 0.0), 1.0))
+    return out
+
+
+@pytest.mark.parametrize("model, tau, t_max, exact", [
+    ("toy", 2.0, 24.0, True),
+    ("toy", -2.0, -6.0, True),
+    ("cyl", 2.0, 12.0, True),
+    ("table", 2.0, 6.0, False),
+])
+def test_sample_matches_per_time_newton(request, model, tau, t_max, exact):
+    """All-times sampling reproduces the per-time Newton loop: bit for bit on
+    the toys, to 1e-14 on a spline table; the times include the stored knots
+    and the reflection times."""
+    m = request.getfixturevalue(model)
+    p0 = make_null_point(m, x=0.4, tau=tau, zeta=None if model == "toy" else 0.7)
+    path = trace_gbb(m, p0, t_max=t_max, step=2e-3)
+    knots = _rows(path)[::7, 2]
+    times = np.concatenate([np.linspace(0.0, t_max, 777), knots, [ev.t for ev in path.reflections]])
+    got, want = path.sample(times), _sample_per_time(path, times)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_warp_calls_per_step(cyl):
+    """One step calls each warp function once for f0 and once per
+    fixed-point iteration on the whole stage set; a toy converges in one."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapped
+
+    names = ("beta", "k", "dbeta", "dk")
+    model = replace(cyl, **{n: counted(n, getattr(cyl, n)) for n in names})
+    state = tuple(make_null_point(cyl, x=0.4, tau=2.0, zeta=0.7, y=0.0).as_array().tolist())
+    bchar._irk_step(model, state, 2e-3)
+    assert calls == dict.fromkeys(names, 2)

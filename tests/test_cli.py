@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 from pathlib import Path
 
@@ -262,6 +263,31 @@ def test_trace_gbb_csv(tmp_path, capsys):
     assert rows[0] == ["s", "t", "x", "y", "xi_bar", "xi", "zeta", "tau",
                        "segment_id", "event"]
     assert len(rows) > 10
+
+
+def test_trace_gbb_keeps_zeta_without_y(tmp_path, capsys):
+    """--zeta0 without --y0 holds on every arc, so the ray reflects three
+    times instead of failing the null check after the first one."""
+    out = tmp_path / "ray.csv"
+    code = main(["trace-gbb", "--model", "ads3_cylinder", "--x0", "0.4", "--xi0", "-1.5", "--tau", "2.0",
+                 "--zeta0", "1.3228756555322954", "--tmax", "3", "--out", str(out)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["reflections"] == 3
+    assert {row[6] for row in _read_csv(out)[1:]} == {"1.3228756555322954"}
+
+
+def test_trace_gbb_numerical_failure_exits_1(tmp_path, capsys):
+    """A step too coarse to hold the null condition on a steep table ends in
+    an error message and exit 1, not a traceback."""
+    xs = np.linspace(0.0, 1.0, 11)
+    model = tmp_path / "steep.json"
+    model.write_text(json.dumps({"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0,
+                                 "beta_table": [list(xs), list(1.0 + 10.0 * xs**2)]}))
+    code = main(["trace-gbb", "--model-json", str(model), "--x0", "0.4", "--xi0", "-1.0",
+                 "--tau", repr(math.sqrt(2.6)), "--tmax", "3", "--step", "0.05", "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integrator could not hold the null condition") and "Traceback" not in err
 
 
 def test_wavepacket_csv(tmp_path, capsys):

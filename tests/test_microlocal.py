@@ -271,6 +271,16 @@ def test_feynman_scan_flips_across_diagonal(zoo):
         off_pattern(rows, zoo["feynman"], band=50.0)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_gbb_reference_cylinder_branch(m):
+    """On a cylinder branch m >= 1 the ray carries zeta = 2 pi m / ell and no
+    y; it moves at |dx/dt| = |xi0| / tau and bounces off x = 0."""
+    cyl = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+    t = np.linspace(0.0, 0.9, 61)
+    speed = 40.0 / math.sqrt(40.0**2 + m**2)
+    assert gbb_reference(cyl, 0.5, -40.0, t, m=m) == pytest.approx(np.abs(0.5 - speed * t), abs=1e-9)
+
+
 def test_bogoliubov_reduces_to_vacuum(zoo):
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [])
     tau = np.array([-1.3, 0.0, 0.4])

@@ -196,6 +196,18 @@ def test_feynman_identity_and_construction(zoo):
     assert f.kind == "feynman" and fbar.kind == "antifeynman"
 
 
+def test_make_feynman_is_vacuum_only(zoo, sm192):
+    """The returned kernels are the vacuum ones, so a thermal pair or a
+    sign-flipped lambda_plus is refused rather than silently replaced."""
+    lp, lm, ret, adv = (zoo[k] for k in ("lambda_plus", "lambda_minus", "retarded", "advanced"))
+    thermal = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    for pair in ((thermal.lp_b, thermal.lm_b), (lp.mutated(0.01), lm), (lp, lm.mutated(0.01))):
+        with pytest.raises(ValueError, match="vacuum only"):
+            make_feynman(*pair, ret, adv)
+    with pytest.raises(ValueError, match="vacuum only"):
+        make_feynman(lm, lp, ret, adv)
+
+
 def test_frequency_sign_one_sided(zoo, sm192):
     for kind, key in (("lambda_plus", "mass_negative_half"), ("lambda_minus", "mass_positive_half")):
         rep = frequency_sign_test(zoo[kind], sm192.m_floor_sqrt)
