@@ -27,13 +27,15 @@ Glancing incidence (|xi| ~ 0 at a wall) is out of scope and aborts.
 
 A step is plain Python float arithmetic on the state tuple
 (x, y, t, xi, zeta, tau): the stage sums, right-hand sides and update are
-float expressions, and each right-hand-side evaluation calls beta, k, beta'
-and k' once on the list of stage abscissae (one point for f0, four per
-fixed-point iteration).  zeta and tau are constants of motion and pass
-through unchanged.  Each arc's flow-parameter budget is capped so that it
-carries t at most 2L past t_max, which bounds the work of a trace by t_max
-even for nearly tangential rays.  ``GBBPath.sample`` runs one Newton
-iteration on the cubic Hermite interpolant for all requested times at once.
+float expressions, and each right-hand-side evaluation makes one
+``model.warps`` call (beta, k, beta', k' together) on the list of stage
+abscissae (one point for f0, four per fixed-point iteration): constants on
+the toys, one call of each spline on custom tables.  zeta and tau are
+constants of motion and pass through unchanged.  Each arc's flow-parameter
+budget is capped so that it carries t at most 2L past t_max, which bounds
+the work of a trace by t_max even for nearly tangential rays.
+``GBBPath.sample`` runs one Newton iteration on the cubic Hermite
+interpolant for all requested times at once.
 """
 
 from __future__ import annotations
@@ -269,11 +271,8 @@ def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
 
 def _stage_rhs(model: MetricModel, xs: list, xis: list, zeta: float, tau: float) -> list[tuple]:
     """Right-hand sides (dx, dy, dt, dxi) at the stage points (xs, xis): one
-    call of each warp function on the whole stage set; dzeta = dtau = 0."""
-    b = model.beta(xs).tolist()
-    k = model.k(xs).tolist()
-    db = model.dbeta(xs).tolist()
-    dk = model.dk(xs).tolist()
+    warp evaluation on the whole stage set; dzeta = dtau = 0."""
+    b, k, db, dk = model.warps(xs)
     return [
         (2.0 * xi, 2.0 * zeta / ki, 2.0 * tau / bi, -(tau * tau) * dbi / (bi * bi) + zeta * zeta * dki / (ki * ki))
         for xi, bi, ki, dbi, dki in zip(xis, b, k, db, dk)

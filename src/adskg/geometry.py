@@ -43,20 +43,19 @@ __all__ = [
 ]
 
 
-def _const_fn(value: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(x):
-        return np.full_like(np.asarray(x, dtype=float), value)
-
-    return f
+def _one(x):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _zero_fn(x):
+def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricModel:
     """A static warped-product model of an asymptotically AdS metric.
+
+    Instances are frozen; ``dataclasses.replace`` makes a variant.
 
     Attributes
     ----------
@@ -72,9 +71,11 @@ class MetricModel:
         Circumference of the transverse circle (n = 3 only).
     beta, k : callables
         Warp factors evaluated on arrays of x in [0, L].  For the toys both
-        are identically 1.
+        are identically 1; custom tables give cubic splines.
     dbeta, dk : callables
         First derivatives of the warp factors (needed by the ray tracer).
+        A warp factor other than the constant 1 must come with its own
+        derivative; the default zero derivative belongs to the constant.
     tables : dict or None
         The sampled (xs, values) warp tables of a custom model, by name
         ("beta", "k"); None for the toys.
@@ -85,10 +86,10 @@ class MetricModel:
     nu: float
     L: float
     ell: float = 2.0 * math.pi
-    beta: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
-    k: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
-    dbeta: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
-    dk: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    beta: Callable[[np.ndarray], np.ndarray] = field(default=_one, repr=False)
+    k: Callable[[np.ndarray], np.ndarray] = field(default=_one, repr=False)
+    dbeta: Callable[[np.ndarray], np.ndarray] = field(default=_zero, repr=False)
+    dk: Callable[[np.ndarray], np.ndarray] = field(default=_zero, repr=False)
     tables: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,12 +104,18 @@ class MetricModel:
             raise ValueError(f"wall location must be positive, got L={self.L}")
         if self.n >= 3 and not (self.ell > 0.0):
             raise ValueError(f"transverse circumference must be positive, got ell={self.ell}")
-        if self.beta is None:
-            self.beta = _const_fn(1.0)
-            self.dbeta = _zero_fn
-        if self.k is None:
-            self.k = _const_fn(1.0)
-            self.dk = _zero_fn
+        for name in ("beta", "k"):
+            if getattr(self, name) is not _one and getattr(self, "d" + name) is _zero:
+                raise ValueError(f"{name} is given without its derivative d{name}")
+
+    def warps(self, xs) -> tuple[list[float], list[float], list[float], list[float]]:
+        """(beta, k, beta', k') at the points xs, as float lists: the
+        constants with no numpy call on the toys and untabulated warps,
+        otherwise one call of each callable on the whole of xs."""
+        if self.beta is _one and self.k is _one and self.dbeta is _zero and self.dk is _zero:
+            n = len(xs)
+            return [1.0] * n, [1.0] * n, [0.0] * n, [0.0] * n
+        return tuple(np.asarray(f(xs), dtype=float).tolist() for f in (self.beta, self.k, self.dbeta, self.dk))
 
     # -- derived constants -------------------------------------------------
 
@@ -261,10 +268,7 @@ def _spline_pair(x: np.ndarray, v: np.ndarray, name: str, L: float):
             "only even-to-third-order warp factors are fully supported",
             stacklevel=3,
         )
-    dsp = sp.derivative()
-    return (lambda xq: np.asarray(sp(xq), dtype=float)), (
-        lambda xq: np.asarray(dsp(xq), dtype=float)
-    )
+    return sp, sp.derivative()
 
 
 def load_model(source) -> MetricModel:
@@ -293,23 +297,19 @@ def load_model(source) -> MetricModel:
     n = int(cfg["n"])
     L = float(cfg["L"])
     tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    warps = {}
     for name in ("beta", "k"):
         src = cfg.get(f"{name}_table")
         if src is None:
             continue
         tables[name] = _read_table(src) if isinstance(src, str) else _table_columns(src, f"inline {name}_table")
-    model = MetricModel(
+        warps[name], warps[f"d{name}"] = _spline_pair(*tables[name], name, L)
+    return MetricModel(
         kind="custom",
         n=n,
         nu=float(cfg["nu"]),
         L=L,
         ell=float(cfg.get("ell", 2.0 * math.pi)),
         tables=tables,
+        **warps,
     )
-    for name, (tx, tv) in tables.items():
-        fn, dfn = _spline_pair(tx, tv, name, L)
-        if name == "beta":
-            model.beta, model.dbeta = fn, dfn
-        else:
-            model.k, model.dk = fn, dfn
-    return model

@@ -6,7 +6,8 @@ Three instruments, all built on the mode decomposition:
   the eigenbasis) evolved by e^{-+ i t A^(1/2)} and tracked through their
   energy-density centroid, for comparison against broken-bicharacteristic
   paths including boundary reflection.  Tracking tabulates the mode values and
-  x-derivatives on the quadrature points once and takes the times in blocks;
+  x-derivatives on the quadrature points once and takes the times in blocks,
+  each reduced to its density moments by one product;
 * windowed two-slot Fourier scans of kernel traces, reporting the spectral
   mass in the four frequency-sign quadrants under the primed pairing
   (sign of Omega_t, sign of -Omega_s), which puts a vacuum positive kernel
@@ -140,8 +141,8 @@ def make_wavepacket(
 
 
 def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float]:
-    values, _ = sm.grid.eval_gauss(sm.branch(m).phi.T)
-    dens = np.abs(np.tensordot(c, values, axes=1)) ** 2 * sm.grid.gauss_w
+    values, _ = sm.grid.eval_gauss(sm.synthesize(c, m=m))
+    dens = np.abs(values) ** 2 * sm.grid.gauss_w
     xg = sm.grid.gauss_x
     tot = float(dens.sum())
     mean = float((dens * xg).sum() / tot)
@@ -184,8 +185,13 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
 
     The values V and x-derivatives D of every mode on the kept points come
     from one ``eval_gauss`` call.  A block of ``_TRACK_BLOCK`` times with
-    phased coefficients a = c e^{-+ i omega t} then costs two table products,
-    u_x = a D and u_t = (-+ i omega a) V, and row reductions.
+    phased coefficients a = c e^{-+ i omega t} then costs four real table
+    products, the real and imaginary parts of u_x = a D and of
+    u_t = (-+ i omega a) V, squared in place and summed into the density.
+    One product of the density with the fixed (points x 3) matrix
+    [w, w x, w x^2] of quadrature weights gives the moments m0, m1, m2 of
+    every time in the block; centroid = m1/m0 and
+    spread = sqrt(max(m2/m0 - centroid^2, 0)).
     """
     br = sm.branch(w.m)
     if float(br.omega[-1]) * dt >= math.pi:
@@ -197,6 +203,7 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     wq = sm.grid.gauss_w[sel]
     xq = xg[sel]
     values, derivs = (tab[:, sel] for tab in sm.grid.eval_gauss(br.phi.T))
+    moments = np.stack([wq, wq * xq, wq * xq * xq], axis=1)
     limit = _DISPERSE_FRACTION * sm.grid.L
 
     cent, spr = np.zeros(times.size), np.zeros(times.size)
@@ -205,11 +212,14 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
         a = w.coefficients * np.exp(-1j * w.energy_sign * np.outer(times[blk], br.omega))
         at = -1j * w.energy_sign * br.omega * a
         # |u_x|^2 + |u_t|^2 from real products: the tables are real, a is not
-        dens = sum(np.square(part @ tab) for tab, c in ((derivs, a), (values, at)) for part in (c.real, c.imag))
-        dens *= wq
-        tot = dens.sum(axis=1)
-        cent[blk] = (dens * xq).sum(axis=1) / tot
-        spr[blk] = np.sqrt(np.maximum((dens * (xq - cent[blk, None]) ** 2).sum(axis=1) / tot, 0.0))
+        dens = a.real @ derivs
+        np.square(dens, out=dens)
+        for part, tab in ((a.imag, derivs), (at.real, values), (at.imag, values)):
+            prod = part @ tab
+            dens += np.square(prod, out=prod)
+        m0, m1, m2 = (dens @ moments).T
+        cent[blk] = m1 / m0
+        spr[blk] = np.sqrt(np.maximum(m2 / m0 - cent[blk] ** 2, 0.0))
         if np.any(spr[blk] > limit):
             break
     over = np.flatnonzero(spr > limit)

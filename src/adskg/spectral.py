@@ -364,8 +364,9 @@ def bessel_collocation_eigs(
     sq = np.sqrt(x)
     scale = zeros[None, :] / L
     arg = x[:, None] * scale
-    psi = sq[:, None] * jv(nu, arg)
-    dpsi = 0.5 / sq[:, None] * jv(nu, arg) + sq[:, None] * scale * jvp(nu, arg)
+    j = jv(nu, arg)
+    psi = sq[:, None] * j
+    dpsi = 0.5 / sq[:, None] * j + sq[:, None] * scale * jvp(nu, arg)
     pot = (model.nu**2 - 0.25) / x**2 + model.transverse_mu(m) / model.k(x)
     wbeta = 1.0 / model.beta(x)
     if model.n >= 3:

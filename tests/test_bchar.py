@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from adskg.bchar import (
     reflect,
     trace_gbb,
 )
-from adskg.geometry import conformal_symbol, load_model, make_toy_model
+from adskg.geometry import MetricModel, conformal_symbol, load_model, make_toy_model
 
 
 @pytest.fixture(scope="module")
@@ -289,9 +289,23 @@ def test_sample_matches_per_time_newton(request, model, tau, t_max, exact):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_warp_calls_per_step(cyl):
-    """One step calls each warp function once for f0 and once per
-    fixed-point iteration on the whole stage set; a toy converges in one."""
+def test_warp_calls_per_step(monkeypatch, cyl):
+    """One step makes one warp evaluation for f0 and one per fixed-point
+    iteration on the whole stage set; a toy converges in one.  A model whose
+    callables were replaced evaluates the replacements, never the toy
+    constants, and no model can be changed in place."""
+    evals = Counter()
+    warps = MetricModel.warps
+
+    def counted_warps(self, xs):
+        evals[len(xs)] += 1
+        return warps(self, xs)
+
+    monkeypatch.setattr(MetricModel, "warps", counted_warps)
+    state = tuple(make_null_point(cyl, x=0.4, tau=2.0, zeta=0.7, y=0.0).as_array().tolist())
+    toy_step = bchar._irk_step(cyl, state, 2e-3)
+    assert evals == {1: 1, 4: 1}
+
     calls = Counter()
 
     def counted(name, fn):
@@ -302,7 +316,45 @@ def test_warp_calls_per_step(cyl):
         return wrapped
 
     names = ("beta", "k", "dbeta", "dk")
-    model = replace(cyl, **{n: counted(n, getattr(cyl, n)) for n in names})
-    state = tuple(make_null_point(cyl, x=0.4, tau=2.0, zeta=0.7, y=0.0).as_array().tolist())
-    bchar._irk_step(model, state, 2e-3)
+    evals.clear()
+    assert bchar._irk_step(replace(cyl, **{n: counted(n, getattr(cyl, n)) for n in names}), state, 2e-3) == toy_step
+    assert evals == {1: 1, 4: 1}
     assert calls == dict.fromkeys(names, 2)
+    # a replaced warp factor reaches the step: beta = 2 halves dt/ds
+    doubled = replace(
+        cyl,
+        beta=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        dbeta=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    assert doubled.warps([0.1, 0.9]) == ([2.0, 2.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+    assert bchar._irk_step(doubled, state, 2e-3)[2] == pytest.approx(0.5 * toy_step[2], rel=1e-12)
+    # in-place assignment would bypass the derivative check at construction
+    with pytest.raises(FrozenInstanceError):
+        cyl.beta = doubled.beta
+
+
+def _custom(**tables):
+    cfg = {"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0}
+    cfg.update({f"{name}_table": [list(xs), list(vs)] for name, (xs, vs) in tables.items()})
+    return load_model(cfg)
+
+
+_X8, _X41 = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("model", ["toy", "cyl", "table", "beta_only", "constant"])
+def test_warps_match_the_callables(request, model):
+    """One warp evaluation gives the four callables' values bit for bit, as
+    float lists: the constants on the toys, the splines on tables (a
+    beta-only table keeps k = 1, k' = 0), and constant tables."""
+    m = {
+        "beta_only": lambda: _custom(beta=(_X8, 1.0 + 0.3 * _X8**2)),
+        "constant": lambda: _custom(beta=(_X41, np.ones(41)), k=(_X41, np.ones(41))),
+    }.get(model, lambda: request.getfixturevalue(model))()
+    xs = np.linspace(-0.05, 1.05, 331).tolist() + _X8.tolist() + _X41.tolist()
+    got = m.warps(xs)
+    assert all(type(col) is list and len(col) == len(xs) for col in got)
+    want = (m.beta(xs), m.k(xs), m.dbeta(xs), m.dk(xs))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if model in ("toy", "cyl", "beta_only"):
+        assert got[1] == [1.0] * len(xs) and got[3] == [0.0] * len(xs)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_bad_dimension_and_wall():
         make_toy_model("ads2_strip", nu=1.0, L=0.0)
     with pytest.raises(ValueError, match="unknown toy kind"):
         make_toy_model("ads4", nu=1.0, L=1.0)
+
+
+@pytest.mark.parametrize("name", ["beta", "k"])
+def test_warp_factor_needs_its_derivative(name):
+    """A warp factor given without its derivative is refused, not paired
+    with the zero derivative of the constant default."""
+    toy = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+    warp = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float) ** 2  # noqa: E731
+    with pytest.raises(ValueError, match=f"{name} is given without its derivative d{name}"):
+        replace(toy, **{name: warp})
+    with pytest.raises(ValueError, match="without its derivative"):
+        MetricModel(kind="custom", n=3, nu=1.0, L=1.0, **{name: warp})
+    m = replace(toy, **{name: warp, "d" + name: lambda x: 0.6 * np.asarray(x, dtype=float)})
+    assert getattr(m, "d" + name)(0.5) == pytest.approx(0.3)
 
 
 def test_transverse_mu():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adskg import microlocal
-from adskg.geometry import make_toy_model
+from adskg.geometry import load_model, make_toy_model
 from adskg.microlocal import (
     WindowSpec,
     evolve_and_track,
@@ -104,9 +104,23 @@ def cyl192():
     return build_spectral(cyl, N=192, n_modes=32, m_max=2)
 
 
-@pytest.mark.parametrize("model, sign, m", [("strip", 1, 0), ("strip", -1, 0), ("cylinder", 1, 1)])
-def test_track_matches_per_step_loop(sm192, cyl192, model, sign, m):
-    sm = sm192 if model == "strip" else cyl192
+@pytest.fixture(scope="module")
+def table192():
+    """The 8-knot spline-table model of the ray tests, nonconstant beta and k."""
+    xs = np.linspace(0.0, 1.0, 8)
+    model = load_model({
+        "kind": "custom", "n": 3, "nu": 1.0, "L": 1.0,
+        "beta_table": [list(xs), list(1.0 + 0.3 * xs**2)],
+        "k_table": [list(xs), list(1.0 + 0.2 * xs**2)],
+    })
+    return build_spectral(model, N=192, n_modes=32)
+
+
+@pytest.mark.parametrize(
+    "model, sign, m", [("strip", 1, 0), ("strip", -1, 0), ("cylinder", 1, 1), ("table", 1, 0)]
+)
+def test_track_matches_per_step_loop(sm192, cyl192, table192, model, sign, m):
+    sm = {"strip": sm192, "cylinder": cyl192, "table": table192}[model]
     w = make_wavepacket(sm, x0=0.5, xi0=-40.0, sigma=0.1, sign=sign, m=m)
     tr = _assert_track_matches_loop(sm, w, t_max=1.3, dt=0.005)
     assert tr.times.size == 261 and tr.times.size % microlocal._TRACK_BLOCK != 0
