@@ -18,7 +18,8 @@ and the flow parameter aligned for tau > 0).  Rays meeting x = 0 (the
 conformal boundary) or x = L (the artificial wall) reflect specularly: xi
 flips sign, the tangential data (t, y, tau, zeta) are continuous, and the
 compressed momentum xi_bar = x*xi passes through 0.  On the toy models the
-flow is piecewise linear with |dx/dt| = 1.
+flow is piecewise linear with |dx/dt| = 1.  A phase point always carries all
+six coordinates; y and zeta default to 0.
 
 Integration is the 4-stage Gauss-Legendre implicit Runge-Kutta scheme
 (order 8, symplectic), which conserves p to roundoff on the toys; wall
@@ -30,8 +31,8 @@ A step is plain Python float arithmetic on the state tuple
 float expressions, and each right-hand-side evaluation makes one
 ``model.warps`` call (beta, k, beta', k' together) on the list of stage
 abscissae (one point for f0, four per fixed-point iteration): constants on
-the toys, one call of each spline on custom tables.  zeta and tau are
-constants of motion and pass through unchanged.  Each arc's flow-parameter
+the toys, one call of each of the model's splines on custom tables.  zeta
+and tau are constants of motion and pass through unchanged.  Each arc's flow-parameter
 budget is capped so that it carries t at most 2L past t_max, which bounds
 the work of a trace by t_max even for nearly tangential rays.
 ``GBBPath.sample`` runs one Newton iteration on the cubic Hermite
@@ -41,7 +42,7 @@ interpolant for all requested times at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,56 +88,33 @@ _GL_B, _GL_A = _gl_tableau(4)
 
 @dataclass(frozen=True)
 class PhasePointB:
-    """Point of the compressed phase space, with uncompressed xi when known.
+    """Point (x, y, t, xi, zeta, tau) of phase space over the slab, with the
+    uncompressed xi; the compressed momentum is the property xi_bar = x*xi,
+    so it vanishes over the boundary x = 0.
 
-    Invariants: xi_bar = x*xi whenever xi is recorded; xi_bar = 0 over the
-    boundary x = 0; the momenta (tau, xi, zeta) do not all vanish.
+    Invariants: x >= 0; the momenta (tau, xi, zeta) do not all vanish.
     """
 
     x: float
     t: float
     tau: float
-    xi: float | None = None
-    xi_bar: float = 0.0
-    y: float | None = None
-    zeta: float | None = None
+    xi: float
+    y: float = 0.0
+    zeta: float = 0.0
 
     def __post_init__(self):
         if self.x < 0.0:
             raise ValueError("x must be >= 0")
-        if self.x > 0.0:
-            if self.xi is None:
-                raise ValueError("interior point needs the uncompressed xi")
-            object.__setattr__(self, "xi_bar", self.x * self.xi)
-        else:
-            if abs(self.xi_bar) > 0.0:
-                raise ValueError("boundary point must have xi_bar = 0")
-        z = 0.0 if self.zeta is None else self.zeta
-        xi = 0.0 if self.xi is None else self.xi
-        if self.tau == 0.0 and xi == 0.0 and z == 0.0:
+        if self.tau == 0.0 and self.xi == 0.0 and self.zeta == 0.0:
             raise ValueError("momenta (tau, xi, zeta) must not all vanish")
 
+    @property
+    def xi_bar(self) -> float:
+        return self.x * self.xi
+
     def as_array(self) -> np.ndarray:
-        """(x, y, t, xi, zeta, tau) with absent entries as 0."""
-        return np.array([
-            self.x,
-            0.0 if self.y is None else self.y,
-            self.t,
-            0.0 if self.xi is None else self.xi,
-            0.0 if self.zeta is None else self.zeta,
-            self.tau,
-        ])
-
-
-def _point_from_array(arr: np.ndarray, keep_y: bool, keep_zeta: bool) -> PhasePointB:
-    return PhasePointB(
-        x=float(arr[0]),
-        t=float(arr[2]),
-        tau=float(arr[5]),
-        xi=float(arr[3]),
-        y=float(arr[1]) if keep_y else None,
-        zeta=float(arr[4]) if keep_zeta else None,
-    )
+        """(x, y, t, xi, zeta, tau)."""
+        return np.array([self.x, self.y, self.t, self.xi, self.zeta, self.tau])
 
 
 @dataclass
@@ -147,12 +125,9 @@ class Segment:
     data: np.ndarray  # (n, 6) rows (x, y, t, xi, zeta, tau)
     hit: str | None = None  # None, "boundary", or "wall"
 
-    def point(self, i: int, keep_y: bool = True, keep_zeta: bool = True) -> PhasePointB:
-        return _point_from_array(self.data[i], keep_y, keep_zeta)
-
-    @property
-    def xi_bar(self) -> np.ndarray:
-        return self.data[:, 0] * self.data[:, 3]
+    def point(self, i: int) -> PhasePointB:
+        x, y, t, xi, zeta, tau = self.data[i].tolist()
+        return PhasePointB(x=x, t=t, tau=tau, xi=xi, y=y, zeta=zeta)
 
 
 @dataclass
@@ -313,17 +288,16 @@ def make_null_point(
     model: MetricModel,
     x: float,
     tau: float,
-    zeta: float | None = None,
+    zeta: float = 0.0,
     t: float = 0.0,
-    y: float | None = None,
+    y: float = 0.0,
     direction: int = -1,
 ) -> PhasePointB:
     """Interior null phase point with xi solved from the symbol; direction < 0
     points toward the conformal boundary."""
     if not 0.0 < x < model.L:
         raise ValueError("starting point must be strictly inside (0, L)")
-    z = 0.0 if zeta is None else zeta
-    xi2 = tau**2 / float(model.beta(x)) - z**2 / float(model.k(x))
+    xi2 = tau**2 / float(model.beta(x)) - zeta**2 / float(model.k(x))
     if xi2 <= 0.0:
         raise ValueError("no real null xi: need tau^2/beta > zeta^2/k")
     xi = math.copysign(math.sqrt(xi2), float(direction))
@@ -346,16 +320,15 @@ def flow_segment(
     """
     if not (0.0 <= p0.x <= model.L):
         raise ValueError(f"flow_segment starts inside [0, L]; got x = {p0.x}")
-    xi0 = p0.xi or 0.0
     # a start on either wall is allowed right after a reflection, but only
     # with strictly inward momentum; otherwise the arc would leave the slab
-    if p0.x <= _X_TOL and xi0 <= 0.0:
+    if p0.x <= _X_TOL and p0.xi <= 0.0:
         raise ValueError("start on the conformal boundary needs xi > 0 (inward)")
-    if p0.x >= model.L - _X_TOL and xi0 >= 0.0:
+    if p0.x >= model.L - _X_TOL and p0.xi >= 0.0:
         raise ValueError("start on the wall x = L needs xi < 0 (inward)")
-    if step <= 0.0 or dt_param <= 0.0:
+    if not (step > 0.0 and dt_param > 0.0):  # NaN fails too
         raise ValueError("step and dt_param must be positive")
-    scale = max(p0.tau**2, (p0.xi or 0.0) ** 2, (p0.zeta or 0.0) ** 2)
+    scale = max(p0.tau**2, p0.xi**2, p0.zeta**2)
     p_val = conformal_symbol(model, p0)
     if abs(p_val) > 1e-8 * scale:
         raise ValueError(f"initial data is not null: p = {p_val:.3e}")
@@ -408,8 +381,6 @@ def flow_segment(
 def reflect(p_in: PhasePointB, L: float | None = None) -> PhasePointB:
     """Specular reflection law at the conformal boundary (or, with L given,
     at the artificial wall x = L): xi flips, tangential data unchanged."""
-    if p_in.xi is None:
-        raise ValueError("reflection needs the uncompressed incoming xi")
     at_boundary = abs(p_in.x) <= _X_TOL
     at_wall = L is not None and abs(p_in.x - L) <= _X_TOL
     if not (at_boundary or at_wall):
@@ -418,7 +389,7 @@ def reflect(p_in: PhasePointB, L: float | None = None) -> PhasePointB:
         raise ValueError("boundary reflection expects incoming xi < 0")
     if at_wall and p_in.xi <= 0.0:
         raise ValueError("wall reflection expects incoming xi > 0")
-    return replace(p_in, xi=-p_in.xi, xi_bar=0.0)
+    return replace(p_in, xi=-p_in.xi)
 
 
 def trace_gbb(
@@ -435,6 +406,8 @@ def trace_gbb(
     """
     if p0.tau == 0.0:
         raise ValueError("tau must be nonzero: t would not be monotone")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got t_max={t_max}")
     t_dir = 1.0 if p0.tau > 0 else -1.0
     segments: list[Segment] = []
     reflections: list[ReflectionEvent] = []
@@ -443,32 +416,21 @@ def trace_gbb(
     # flow-parameter budget per arc: enough to cross the slab a few times
     # over, and never more than carries t past t_max by 2L (ds = dt beta / 2|tau|);
     # arc ends come from wall contact or the t_max check
-    span = 2.0 * model.L / max(2.0 * abs(point.xi or 1.0), 1e-12)
+    span = 2.0 * model.L / max(2.0 * (abs(point.xi) or 1.0), 1e-12)
     while t_dir * point.t < t_dir * t_max:
         t_left = t_dir * (t_max - point.t) + 2.0 * model.L
         budget = min(span, t_left * float(model.beta([point.x])[0]) / (2.0 * abs(point.tau)))
         seg = flow_segment(model, point, dt_param=budget, step=step, s0=s_now)
         segments.append(seg)
         s_now = float(seg.s[-1])
-        end = seg.point(len(seg.s) - 1, keep_y=p0.y is not None, keep_zeta=p0.zeta is not None)
+        end = seg.point(-1)
         if seg.hit is None:
             point = end
             continue
-        if abs(end.xi or 0.0) < _GLANCE_TOL * max(abs(p0.tau), 1.0):
-            raise GlancingRayError(
-                f"glancing contact at {seg.hit} (|xi| = {abs(end.xi or 0.0):.3e}); aborting"
-            )
+        if abs(end.xi) < _GLANCE_TOL * max(abs(p0.tau), 1.0):
+            raise GlancingRayError(f"glancing contact at {seg.hit} (|xi| = {abs(end.xi):.3e}); aborting")
         out = reflect(end, L=model.L if seg.hit == "wall" else None)
-        reflections.append(
-            ReflectionEvent(
-                s=s_now,
-                t=end.t,
-                wall=seg.hit,
-                xi_in=float(end.xi),
-                xi_out=float(out.xi),
-                point=out,
-            )
-        )
+        reflections.append(ReflectionEvent(s=s_now, t=end.t, wall=seg.hit, xi_in=end.xi, xi_out=out.xi, point=out))
         if len(reflections) > _MAX_REFLECTIONS:
             raise RuntimeError(f"exceeded {_MAX_REFLECTIONS} reflections")
         point = out

@@ -170,9 +170,7 @@ def _cmd_trace_gbb(args) -> int:
     from .geometry import load_model
 
     model = load_model(_model_cfg(args))
-    p0 = PhasePointB(
-        x=args.x0, t=args.t0, tau=args.tau, xi=args.xi0, y=args.y0, zeta=args.zeta0
-    )
+    p0 = PhasePointB(x=args.x0, t=args.t0, tau=args.tau, xi=args.xi0, y=args.y0, zeta=args.zeta0)
     path = trace_gbb(model, p0, t_max=args.tmax, step=args.step)
     binio.write_csv(
         args.out,
@@ -714,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--xi0", type=float, required=True)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--zeta0", type=float, default=None)
+    p.add_argument("--y0", type=float, default=0.0)
+    p.add_argument("--zeta0", type=float, default=0.0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--step", type=float, default=1e-3)

@@ -15,10 +15,12 @@ Two exact toys are provided:
 * ``ads2_strip``     n = 2, no transverse directions, beta = 1.
 * ``ads3_cylinder``  n = 3, transverse circle of circumference ell, k = 1.
 
-Custom models supply sampled beta(x) and k(x) tables; these are interpolated
-with cubic splines.  Only exactly-even toys are exercised by the acceptance
-suite; custom tables are supported on a best-effort basis and oddness at
-x = 0 is reported via a warning, not an error.
+Custom models supply sampled beta(x) and k(x) tables; the tables are the
+model's only warp state.  Each is interpolated once, at construction, by a
+cubic spline and its derivative; a warp factor without a table is the
+constant 1 (derivative 0).  Only exactly-even toys are exercised by the
+acceptance suite; custom tables are supported on a best-effort basis and
+oddness at x = 0 is reported via a warning, not an error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -43,19 +44,12 @@ __all__ = [
 ]
 
 
-def _one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class MetricModel:
     """A static warped-product model of an asymptotically AdS metric.
 
-    Instances are frozen; ``dataclasses.replace`` makes a variant.
+    Instances are frozen; ``dataclasses.replace`` makes a variant, and a
+    variant with new tables gets new splines.
 
     Attributes
     ----------
@@ -69,16 +63,12 @@ class MetricModel:
         Location of the artificial Dirichlet wall.
     ell : float
         Circumference of the transverse circle (n = 3 only).
-    beta, k : callables
-        Warp factors evaluated on arrays of x in [0, L].  For the toys both
-        are identically 1; custom tables give cubic splines.
-    dbeta, dk : callables
-        First derivatives of the warp factors (needed by the ray tracer).
-        A warp factor other than the constant 1 must come with its own
-        derivative; the default zero derivative belongs to the constant.
     tables : dict or None
         The sampled (xs, values) warp tables of a custom model, by name
-        ("beta", "k"); None for the toys.
+        ("beta", "k"), stored as float arrays; None for the toys, which
+        refuse tables.  The methods beta, k, dbeta and dk evaluate a table's
+        cubic spline and its derivative, or the constants 1 and 0 where
+        there is no table.
     """
 
     kind: str
@@ -86,15 +76,14 @@ class MetricModel:
     nu: float
     L: float
     ell: float = 2.0 * math.pi
-    beta: Callable[[np.ndarray], np.ndarray] = field(default=_one, repr=False)
-    k: Callable[[np.ndarray], np.ndarray] = field(default=_one, repr=False)
-    dbeta: Callable[[np.ndarray], np.ndarray] = field(default=_zero, repr=False)
-    dk: Callable[[np.ndarray], np.ndarray] = field(default=_zero, repr=False)
     tables: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"spacetime dimension must be >= 2, got n={self.n}")
+        for name in ("nu", "L", "ell"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if not (self.nu > 0.0):
             raise ValueError(
                 f"nu={self.nu} violates the positivity floor: this package "
@@ -104,15 +93,39 @@ class MetricModel:
             raise ValueError(f"wall location must be positive, got L={self.L}")
         if self.n >= 3 and not (self.ell > 0.0):
             raise ValueError(f"transverse circumference must be positive, got ell={self.ell}")
-        for name in ("beta", "k"):
-            if getattr(self, name) is not _one and getattr(self, "d" + name) is _zero:
-                raise ValueError(f"{name} is given without its derivative d{name}")
+        if self.tables is not None and self.is_toy:
+            raise ValueError(f"toy model {self.kind!r} takes no warp tables")
+        tables, splines = (None if self.tables is None else {}), {}
+        for name, src in (self.tables or {}).items():
+            if name not in ("beta", "k"):
+                raise ValueError(f"unknown warp table {name!r}; expected 'beta' or 'k'")
+            tables[name] = _table_columns(src, f"{name}_table")
+            splines[name] = _spline(*tables[name], name, self.L)
+            splines["d" + name] = splines[name].derivative()
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "_splines", splines)
+
+    def _warp(self, name: str, x, const: float) -> np.ndarray:
+        sp = self._splines.get(name)
+        return np.full_like(np.asarray(x, dtype=float), const) if sp is None else sp(x)
+
+    def beta(self, x) -> np.ndarray:
+        return self._warp("beta", x, 1.0)
+
+    def k(self, x) -> np.ndarray:
+        return self._warp("k", x, 1.0)
+
+    def dbeta(self, x) -> np.ndarray:
+        return self._warp("dbeta", x, 0.0)
+
+    def dk(self, x) -> np.ndarray:
+        return self._warp("dk", x, 0.0)
 
     def warps(self, xs) -> tuple[list[float], list[float], list[float], list[float]]:
         """(beta, k, beta', k') at the points xs, as float lists: the
-        constants with no numpy call on the toys and untabulated warps,
-        otherwise one call of each callable on the whole of xs."""
-        if self.beta is _one and self.k is _one and self.dbeta is _zero and self.dk is _zero:
+        constants with no numpy call when there is no table, otherwise one
+        evaluation of each warp method on the whole of xs."""
+        if not self._splines:
             n = len(xs)
             return [1.0] * n, [1.0] * n, [0.0] * n, [0.0] * n
         return tuple(np.asarray(f(xs), dtype=float).tolist() for f in (self.beta, self.k, self.dbeta, self.dk))
@@ -180,40 +193,18 @@ def make_toy_model(kind: str, nu: float, L: float, ell: float = 2.0 * math.pi) -
 def conformal_symbol(model: MetricModel, point) -> float:
     """Evaluate the boundary-rescaled principal symbol at a phase point.
 
-    The value is p = tau^2/beta(x) - xi^2 - zeta^2/k(x); null covectors of
-    the conformally rescaled metric satisfy p = 0.  ``point`` may be a
-    PhasePointB-like object (attributes x, xi, zeta, tau, optionally xi_bar)
-    or a mapping with those keys.  Over the boundary x = 0 the compressed
-    momentum xi_bar = x*xi must vanish (points with xi_bar != 0 there are
-    not in the compressed image and are rejected); the uncompressed xi, if
-    recorded, still enters the symbol value.
+    The value is p = tau^2/beta(x) - xi^2 - zeta^2/k(x) at the phase point's
+    x, xi, zeta and tau; null covectors of the conformally rescaled metric
+    satisfy p = 0.  Over the boundary x = 0 the uncompressed xi still enters
+    the value.
     """
-    if hasattr(point, "x"):
-        x, zeta, tau = point.x, getattr(point, "zeta", 0.0), point.tau
-        xi = getattr(point, "xi", None)
-        xi_bar = getattr(point, "xi_bar", None)
-    else:
-        x = point["x"]
-        xi = point.get("xi")
-        xi_bar = point.get("xi_bar")
-        zeta = point.get("zeta", 0.0)
-        tau = point["tau"]
-    if zeta is None:
-        zeta = 0.0
+    x, xi, zeta, tau = point.x, point.xi, point.zeta, point.tau
     if x < 0.0 or x > model.L:
         raise ValueError(f"x={x} outside the slab [0, L={model.L}]")
-    if x == 0.0 and xi_bar is not None and xi_bar != 0.0:
-        raise ValueError("boundary phase point must have xi_bar = 0 (compression)")
-    if xi is None:
-        if x > 0.0:
-            raise ValueError("interior phase point must carry the uncompressed xi")
-        xi = 0.0
-    xa = np.asarray([x], dtype=float)
-    beta = float(model.beta(xa)[0])
-    kk = float(model.k(xa)[0])
+    (beta,), (k,), _, _ = model.warps([x])
     val = tau**2 / beta - xi**2
     if model.n >= 3:
-        val -= zeta**2 / kk
+        val -= zeta**2 / k
     elif zeta != 0.0:
         raise ValueError("zeta must vanish for n = 2 models")
     return float(val)
@@ -253,7 +244,7 @@ def _table_columns(src, label: str) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
-def _spline_pair(x: np.ndarray, v: np.ndarray, name: str, L: float):
+def _spline(x: np.ndarray, v: np.ndarray, name: str, L: float):
     from scipy.interpolate import CubicSpline
 
     if x[0] > 0.0 or x[-1] < L:
@@ -266,9 +257,9 @@ def _spline_pair(x: np.ndarray, v: np.ndarray, name: str, L: float):
         warnings.warn(
             f"{name} has a nonzero odd part at x=0 (slope {slope0:.3e}); "
             "only even-to-third-order warp factors are fully supported",
-            stacklevel=3,
+            stacklevel=5,
         )
-    return sp, sp.derivative()
+    return sp
 
 
 def load_model(source) -> MetricModel:
@@ -294,22 +285,16 @@ def load_model(source) -> MetricModel:
         )
     if kind != "custom":
         raise ValueError(f"unknown model kind {kind!r}")
-    n = int(cfg["n"])
-    L = float(cfg["L"])
-    tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    warps = {}
+    tables = {}
     for name in ("beta", "k"):
         src = cfg.get(f"{name}_table")
-        if src is None:
-            continue
-        tables[name] = _read_table(src) if isinstance(src, str) else _table_columns(src, f"inline {name}_table")
-        warps[name], warps[f"d{name}"] = _spline_pair(*tables[name], name, L)
+        if src is not None:
+            tables[name] = _read_table(src) if isinstance(src, str) else src
     return MetricModel(
         kind="custom",
-        n=n,
+        n=int(cfg["n"]),
         nu=float(cfg["nu"]),
-        L=L,
+        L=float(cfg["L"]),
         ell=float(cfg.get("ell", 2.0 * math.pi)),
         tables=tables,
-        **warps,
     )

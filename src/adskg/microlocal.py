@@ -245,10 +245,9 @@ def gbb_reference(
     """
     times = np.asarray(times, dtype=float)
     mu = model.transverse_mu(m)
-    zeta = math.sqrt(mu) if mu > 0.0 else None
     q = xi0**2 + mu / model.k(x0)
     tau = math.sqrt(model.beta(x0) * q)
-    p0 = PhasePointB(x=x0, t=float(times[0]), tau=tau, xi=xi0, zeta=zeta)
+    p0 = PhasePointB(x=x0, t=float(times[0]), tau=tau, xi=xi0, zeta=math.sqrt(mu))
     path = trace_gbb(model, p0, t_max=float(times[-1]) + 10.0 * _GBB_STEP, step=_GBB_STEP)
     rows = path.sample(times)
     xs = rows[:, 0]

@@ -308,6 +308,8 @@ def build_spectral(
         raise ValueError("m_max must be >= 0")
     if model.n == 2 and m_max != 0:
         raise ValueError("ads2_strip has no transverse modes; m_max must be 0")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"mesh grading gamma must be finite and > 0, got gamma={gamma}")
 
     grid = make_grid(model.L, N, gamma)
     xg = grid.gauss_x
@@ -383,9 +385,9 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
     """Write a spectral model to a versioned binary blob.
 
     Stores the eigendata and assembled matrices together with the model
-    recipe, so loading reproduces the object without re-solving.  Custom
-    models must carry inline warp tables (``model.tables``) to be savable;
-    the toy models reconstruct from their parameters alone.
+    recipe, so loading reproduces the object without re-solving.  A custom
+    model's recipe includes its warp tables (``model.tables``), its only
+    warp state; the toy models reconstruct from their parameters alone.
     """
     from . import binio
 
@@ -410,31 +412,23 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
         arrays[f"K_indices_{m}"] = br.K.indices
         arrays[f"K_indptr_{m}"] = br.K.indptr
     if sm.model.kind == "custom":
-        if sm.model.tables is None:
-            raise ValueError("custom models need inline warp tables to be saved")
-        for name, (tx, tv) in sm.model.tables.items():
+        tables = sm.model.tables or {}
+        for name, (tx, tv) in tables.items():
             arrays[f"table_{name}_x"] = tx
             arrays[f"table_{name}_v"] = tv
-        meta["tables"] = sorted(sm.model.tables)
+        meta["tables"] = sorted(tables)
     binio.write_blob(path, meta, arrays)
 
 
 def load_spectral(path: str) -> SpectralModel:
     """Rebuild a spectral model saved by :func:`save_spectral`."""
     from . import binio
-    from .geometry import load_model, make_toy_model
 
     meta, arrays = binio.read_blob(path)
     if meta.get("payload") not in ("spectral_model", "kernel"):
         raise ValueError(f"{path}: blob does not hold a spectral model")
-    mm = meta["model"]
-    if mm["kind"] == "custom":
-        cfg = {"kind": "custom", "n": mm["n"], "nu": mm["nu"], "L": mm["L"], "ell": mm["ell"]}
-        for name in meta["tables"]:
-            cfg[f"{name}_table"] = (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"])
-        model = load_model(cfg)
-    else:
-        model = make_toy_model(mm["kind"], nu=mm["nu"], L=mm["L"], ell=mm["ell"])
+    tables = {name: (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"]) for name in meta.get("tables", ())}
+    model = MetricModel(**meta["model"], tables=tables if meta["model"]["kind"] == "custom" else None)
     grid = make_grid(model.L, int(meta["N"]), float(meta["gamma"]))
     ndof = grid.ndof
     M = sp.csc_matrix((arrays["M_data"], arrays["M_indices"], arrays["M_indptr"]), shape=(ndof, ndof))

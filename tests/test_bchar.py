@@ -45,13 +45,18 @@ def _rows(path):
 
 def test_phase_point_invariants():
     p = PhasePointB(x=0.3, t=0.0, tau=1.0, xi=-1.0)
-    assert p.xi_bar == pytest.approx(-0.3, rel=1e-15)
+    assert p.xi_bar == -0.3
+    assert (p.y, p.zeta) == (0.0, 0.0)
+    assert PhasePointB(x=0.0, t=0.0, tau=1.0, xi=-2.0).xi_bar == 0.0  # compressed over the boundary
+    assert p.as_array().tolist() == [0.3, 0.0, 0.0, -1.0, 0.0, 1.0]
     with pytest.raises(ValueError, match="x must be"):
         PhasePointB(x=-0.1, t=0.0, tau=1.0, xi=1.0)
-    with pytest.raises(ValueError, match="uncompressed xi"):
+    with pytest.raises(TypeError, match="xi"):
         PhasePointB(x=0.3, t=0.0, tau=1.0)
     with pytest.raises(ValueError, match="not all vanish"):
-        PhasePointB(x=0.0, t=0.0, tau=0.0)
+        PhasePointB(x=0.0, t=0.0, tau=0.0, xi=0.0)
+    with pytest.raises(FrozenInstanceError):
+        p.xi_bar = 0.0
 
 
 def test_make_null_point(toy):
@@ -149,6 +154,12 @@ def test_trace_rejects_zero_tau(toy):
         trace_gbb(toy, PhasePointB(x=0.5, t=0.0, tau=0.0, xi=1.0), t_max=1.0)
 
 
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+def test_trace_rejects_non_finite_t_max(toy, t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        trace_gbb(toy, make_null_point(toy, x=0.4, tau=2.0), t_max=t_max)
+
+
 def test_trace_runs_backward(toy):
     p0 = make_null_point(toy, x=0.4, tau=-2.0)
     path = trace_gbb(toy, p0, t_max=-1.0, step=2e-3)
@@ -170,12 +181,17 @@ def test_symbol_exactly_conserved(x0, tau):
 
 
 def test_trace_keeps_zeta_without_y(cyl):
-    """A ray given zeta but no y keeps zeta on every arc, not only the first."""
+    """A ray given zeta but no y starts at y = 0, keeps zeta on every arc, and
+    carries y continuously across each reflection (it is tangential data)."""
     zeta = math.sqrt(1.75)
     path = trace_gbb(cyl, PhasePointB(x=0.4, t=0.0, tau=2.0, xi=-1.5, zeta=zeta), t_max=3.0, step=2e-3)
     assert len(path.reflections) == 3
     assert np.all(_rows(path)[:, 4] == zeta)
-    assert all(ev.point.zeta == zeta and ev.point.y is None for ev in path.reflections)
+    assert path.segments[0].data[0, 1] == 0.0
+    for prev, nxt in zip(path.segments, path.segments[1:]):
+        assert nxt.data[0, 1] == prev.data[-1, 1] > 0.0
+    for ev, seg in zip(path.reflections, path.segments):
+        assert ev.point.zeta == zeta and ev.point.y == seg.data[-1, 1]
 
 
 def test_trace_work_bounded_by_t_max(cyl):
@@ -217,7 +233,8 @@ def test_irk_step_matches_tableau_form(request, monkeypatch, model, zeta, t_max,
     over 25 reflections; on a spline table the tableau's BLAS products round
     differently, so the rows agree to 1e-13."""
     m = request.getfixturevalue(model)
-    p0 = make_null_point(m, x=0.4, tau=2.0, zeta=zeta, y=None if zeta is None else 0.0)
+    # zeta None: the toy's point takes the default zeta = 0
+    p0 = make_null_point(m, x=0.4, tau=2.0) if zeta is None else make_null_point(m, x=0.4, tau=2.0, zeta=zeta)
     got = trace_gbb(m, p0, t_max=t_max, step=2e-3)
     monkeypatch.setattr(bchar, "_irk_step", _irk_step_tableau)
     want = trace_gbb(m, p0, t_max=t_max, step=2e-3)
@@ -278,7 +295,7 @@ def test_sample_matches_per_time_newton(request, model, tau, t_max, exact):
     the toys, to 1e-14 on a spline table; the times include the stored knots
     and the reflection times."""
     m = request.getfixturevalue(model)
-    p0 = make_null_point(m, x=0.4, tau=tau, zeta=None if model == "toy" else 0.7)
+    p0 = make_null_point(m, x=0.4, tau=tau, zeta=0.0 if model == "toy" else 0.7)
     path = trace_gbb(m, p0, t_max=t_max, step=2e-3)
     knots = _rows(path)[::7, 2]
     times = np.concatenate([np.linspace(0.0, t_max, 777), knots, [ev.t for ev in path.reflections]])
@@ -291,46 +308,39 @@ def test_sample_matches_per_time_newton(request, model, tau, t_max, exact):
 
 def test_warp_calls_per_step(monkeypatch, cyl):
     """One step makes one warp evaluation for f0 and one per fixed-point
-    iteration on the whole stage set; a toy converges in one.  A model whose
-    callables were replaced evaluates the replacements, never the toy
-    constants, and no model can be changed in place."""
-    evals = Counter()
-    warps = MetricModel.warps
+    iteration on the whole stage set; a toy converges in one, and so does a
+    model with constant tables.  A model whose tables were replaced steps on
+    the replacements, never on the old splines, and no model can be changed
+    in place."""
+    evals, calls = Counter(), Counter()
+    warps, warp = MetricModel.warps, MetricModel._warp
 
     def counted_warps(self, xs):
         evals[len(xs)] += 1
         return warps(self, xs)
 
+    def counted_warp(self, name, x, const):
+        calls[name] += 1
+        return warp(self, name, x, const)
+
     monkeypatch.setattr(MetricModel, "warps", counted_warps)
-    state = tuple(make_null_point(cyl, x=0.4, tau=2.0, zeta=0.7, y=0.0).as_array().tolist())
+    monkeypatch.setattr(MetricModel, "_warp", counted_warp)
+    state = tuple(make_null_point(cyl, x=0.4, tau=2.0, zeta=0.7).as_array().tolist())
+    calls.clear()
     toy_step = bchar._irk_step(cyl, state, 2e-3)
-    assert evals == {1: 1, 4: 1}
+    assert evals == {1: 1, 4: 1} and not calls
 
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapped(x):
-            calls[name] += 1
-            return fn(x)
-
-        return wrapped
-
-    names = ("beta", "k", "dbeta", "dk")
+    ones = _custom(beta=(_X41, np.ones(41)), k=(_X41, np.ones(41)))
     evals.clear()
-    assert bchar._irk_step(replace(cyl, **{n: counted(n, getattr(cyl, n)) for n in names}), state, 2e-3) == toy_step
+    assert bchar._irk_step(ones, state, 2e-3) == toy_step
     assert evals == {1: 1, 4: 1}
-    assert calls == dict.fromkeys(names, 2)
-    # a replaced warp factor reaches the step: beta = 2 halves dt/ds
-    doubled = replace(
-        cyl,
-        beta=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        dbeta=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    assert calls == dict.fromkeys(("beta", "k", "dbeta", "dk"), 2)
+    # replaced tables reach the step: beta = 2 halves dt/ds
+    doubled = replace(ones, tables=dict(ones.tables, beta=(_X41, np.full(41, 2.0))))
     assert doubled.warps([0.1, 0.9]) == ([2.0, 2.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     assert bchar._irk_step(doubled, state, 2e-3)[2] == pytest.approx(0.5 * toy_step[2], rel=1e-12)
-    # in-place assignment would bypass the derivative check at construction
     with pytest.raises(FrozenInstanceError):
-        cyl.beta = doubled.beta
+        ones.tables = doubled.tables
 
 
 def _custom(**tables):

@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,8 @@ def test_public_names_resolve():
 
 
 def test_source_lines_fit_120_columns():
-    src = Path(adskg.__file__).parent
-    long = [f"{f.name}:{i}" for f in sorted(src.glob("*.py"))
+    files = sorted(Path(adskg.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    long = [f"{f.parent.name}/{f.name}:{i}" for f in files
             for i, line in enumerate(f.read_text().splitlines(), 1) if len(line) > 120]
     assert not long, f"lines longer than 120 characters: {long}"
 
@@ -288,6 +290,34 @@ def test_trace_gbb_numerical_failure_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: integrator could not hold the null condition") and "Traceback" not in err
+
+
+def test_non_finite_parameters_exit_2(tmp_path, capsys):
+    """An infinite t_max or nu, a NaN ray step, or a mesh grading gamma that
+    is not finite and positive, is a configuration error that names the
+    parameter."""
+    ray = ["trace-gbb", "--x0", "0.4", "--xi0", "-2", "--tau", "2", "--out", str(tmp_path / "r.csv")]
+    build = ["build-spectral", "--N", "96", "--n-modes", "8", "--out", str(tmp_path / "m.bin")]
+    cases = [(ray + ["--tmax", "inf"], "t_max=inf"), (["verify", "--nu", "inf", "--out-dir", str(tmp_path)], "nu=inf")]
+    cases += [(ray + ["--tmax", "1", "--step", "nan"], "step and dt_param must be positive")]
+    cases += [(build + ["--gamma", g], "gamma=") for g in ("0", "-1", "nan")]
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        assert named in capsys.readouterr().err
+
+
+def test_infinite_wall_exits_2(tmp_path):
+    """--L inf is refused when the model is built; it used to give every arc
+    an infinite budget, so the ray never advanced.  Run as a subprocess with
+    a timeout so that a hang fails the test instead of stalling the suite."""
+    src = str(Path(adskg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["trace-gbb", "--x0", "0.4", "--xi0", "-2", "--tau", "2", "--tmax", "1", "--L", "inf",
+            "--out", str(tmp_path / "r.csv")]
+    proc = subprocess.run([sys.executable, "-m", "adskg.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "L=inf" in proc.stderr
 
 
 def test_wavepacket_csv(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adskg.bchar import PhasePointB
 from adskg.geometry import (
     MetricModel,
     conformal_symbol,
@@ -62,18 +63,36 @@ def test_bad_dimension_and_wall():
         make_toy_model("ads4", nu=1.0, L=1.0)
 
 
-@pytest.mark.parametrize("name", ["beta", "k"])
-def test_warp_factor_needs_its_derivative(name):
-    """A warp factor given without its derivative is refused, not paired
-    with the zero derivative of the constant default."""
-    toy = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
-    warp = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float) ** 2  # noqa: E731
-    with pytest.raises(ValueError, match=f"{name} is given without its derivative d{name}"):
-        replace(toy, **{name: warp})
-    with pytest.raises(ValueError, match="without its derivative"):
-        MetricModel(kind="custom", n=3, nu=1.0, L=1.0, **{name: warp})
-    m = replace(toy, **{name: warp, "d" + name: lambda x: 0.6 * np.asarray(x, dtype=float)})
-    assert getattr(m, "d" + name)(0.5) == pytest.approx(0.3)
+@pytest.mark.parametrize("name", ["nu", "L", "ell"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(name, value):
+    params = {"kind": "ads3_cylinder", "n": 3, "nu": 1.0, "L": 1.0, "ell": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MetricModel(**params)
+
+
+def test_toy_refuses_tables():
+    xs = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="takes no warp tables"):
+        MetricModel(kind="ads2_strip", n=2, nu=1.0, L=1.0, tables={"beta": (xs, np.ones(8))})
+    with pytest.raises(ValueError, match="takes no warp tables"):
+        replace(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), tables={})
+    with pytest.raises(ValueError, match="unknown warp table 'gamma'"):
+        MetricModel(kind="custom", n=2, nu=1.0, L=1.0, tables={"gamma": (xs, np.ones(8))})
+
+
+def test_replaced_tables_give_the_warps():
+    """The tables are the only warp state: a variant with new tables evaluates
+    the new splines, and one with a wall past its tables is refused."""
+    xs = np.linspace(0.0, 1.0, 41)
+    m = load_model({"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0, "beta_table": [list(xs), list(1.0 + xs**2)]})
+    v = replace(m, tables={"k": (xs, 2.0 + xs**2)})
+    xq = np.array([0.2, 0.5])
+    assert np.array_equal(v.beta(xq), np.ones(2)) and np.array_equal(v.dbeta(xq), np.zeros(2))
+    assert v.k(xq) == pytest.approx(2.0 + xq**2, rel=1e-6)
+    assert v.dk(xq) == pytest.approx(2.0 * xq, rel=1e-3)
+    with pytest.raises(ValueError, match="must cover"):
+        replace(m, L=2.0)
 
 
 def test_transverse_mu():
@@ -87,14 +106,16 @@ def test_transverse_mu():
 
 def test_conformal_symbol_null_and_rejections():
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
-    val = conformal_symbol(m, {"x": 0.3, "tau": 2.0, "xi": -2.0})
-    assert val == 0.0
+    assert conformal_symbol(m, PhasePointB(x=0.3, t=0.0, tau=2.0, xi=-2.0)) == 0.0
+    # over the boundary the uncompressed xi still enters the value
+    assert conformal_symbol(m, PhasePointB(x=0.0, t=0.0, tau=2.0, xi=1.0)) == 3.0
+    m3 = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+    p3 = PhasePointB(x=0.3, t=0.0, tau=2.0, xi=-1.5, zeta=math.sqrt(1.75))
+    assert conformal_symbol(m3, p3) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError, match="outside the slab"):
-        conformal_symbol(m, {"x": 1.5, "tau": 1.0, "xi": 0.0})
-    with pytest.raises(ValueError, match="xi_bar = 0"):
-        conformal_symbol(m, {"x": 0.0, "tau": 1.0, "xi_bar": 0.5})
+        conformal_symbol(m, PhasePointB(x=1.5, t=0.0, tau=1.0, xi=0.0))
     with pytest.raises(ValueError, match="zeta must vanish"):
-        conformal_symbol(m, {"x": 0.3, "tau": 1.0, "xi": 1.0, "zeta": 0.5})
+        conformal_symbol(m, PhasePointB(x=0.3, t=0.0, tau=1.0, xi=1.0, zeta=0.5))
 
 
 def test_load_model_toy_config():

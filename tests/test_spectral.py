@@ -7,8 +7,10 @@ from oracles import (
     toy_frequencies_mp,
 )
 
+from dataclasses import replace
+
 from adskg.bessel import bessel_zeros
-from adskg.geometry import make_toy_model
+from adskg.geometry import load_model, make_toy_model
 from adskg.spectral import (
     _solve_branch,
     bessel_collocation_eigs,
@@ -149,8 +151,6 @@ def test_blob_roundtrip(tmp_path, sm192):
 
 def test_blob_roundtrip_custom_model(tmp_path):
     xs = np.linspace(0.0, 1.0, 161)
-    from adskg.geometry import load_model
-
     m = load_model(
         {
             "kind": "custom",
@@ -168,3 +168,20 @@ def test_blob_roundtrip_custom_model(tmp_path):
     assert np.array_equal(back.branch(0).omega2, sm.branch(0).omega2)
     xq = np.array([0.2, 0.5])
     assert back.model.beta(xq) == pytest.approx(m.beta(xq), rel=1e-12)
+
+
+def test_blob_roundtrip_replaced_tables(tmp_path):
+    """A variant with new tables is saved with the eigendata of those tables
+    and reloads with the same warp factors."""
+    xs = np.linspace(0.0, 1.0, 41)
+    m = load_model({"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0, "beta_table": (xs, 1.0 + 0.3 * xs**2)})
+    v = replace(m, tables={"beta": (xs, 2.0 + xs**2), "k": (xs, 1.0 + 0.2 * xs**2)})
+    sm = build_spectral(v, N=64, n_modes=4)
+    path = str(tmp_path / "replaced.bin")
+    save_spectral(sm, path)
+    back = load_spectral(path)
+    xq = np.linspace(0.0, 1.0, 9)
+    for name in ("beta", "k", "dbeta", "dk"):
+        assert np.array_equal(getattr(back.model, name)(xq), getattr(v, name)(xq)), name
+    assert back.model.beta(0.5) == pytest.approx(2.25, rel=1e-12)
+    assert np.array_equal(back.branch(0).omega2, build_spectral(back.model, N=64, n_modes=4).branch(0).omega2)
