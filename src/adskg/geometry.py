@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,20 @@ class MetricModel:
             splines["d" + name] = splines[name].derivative()
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_splines", splines)
+
+    def __eq__(self, other):
+        """Equal parameters and equal warp tables, compared array by array
+        (no table and an empty table dict are the same constant warps).  The
+        generated hash covers the parameters only, so equal models hash
+        equally."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if any(getattr(self, f.name) != getattr(other, f.name) for f in fields(self) if f.compare):
+            return False
+        mine, theirs = self.tables or {}, other.tables or {}
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(p, q) for name in mine for p, q in zip(mine[name], theirs[name])
+        )
 
     def _warp(self, name: str, x, const: float) -> np.ndarray:
         sp = self._splines.get(name)

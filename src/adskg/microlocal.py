@@ -22,10 +22,15 @@ Time-slot localization uses a single Slepian (DPSS) taper, the leading
 eigenvector of the Slepian tridiagonal matrix, with its half-bandwidth
 matched to the lowest retained frequency, so taper leakage across the
 Omega = 0 axis sits orders of magnitude below the quadrant tolerances.
-Kernel traces are stationary and the time grid is uniform, so a scan
-evaluates the trace once on the 2T-1 lags and reads every window from it
-by offset.  Spatial localization is exercised only through the wavepacket
-tests; there is no spatial microlocalization in the scans.
+Kernel traces are stationary and the time grid is uniform, so a window's
+masses depend only on its offset between the slots.  Where the support
+factor does not jump on a window's lags, the window is a sum of separable
+line terms, and its masses are Hermitian forms in the line coefficients
+over Gram matrices of the tapered lines' spectra; only windows whose lags
+straddle a jump (tau = 0 for the retarded, advanced and time-ordered
+kinds) are read from the trace on the 2T-1 lags and transformed in 2-D.
+Spatial localization is exercised only through the wavepacket tests;
+there is no spatial microlocalization in the scans.
 """
 
 from __future__ import annotations
@@ -298,6 +303,77 @@ def _scan_taper(n_w: int, length: float, omega_floor: float) -> np.ndarray:
     return slepian_taper(n_w, nw)
 
 
+def _line_set(support: str, lo: int, hi: int) -> str | None:
+    """Which lines the kernel has on the lags lo..hi (grid units): "direct"
+    (a on e^{+i omega tau}, b on e^{-i omega tau}), "swapped" (b, a: "abs"
+    at tau <= 0), "zero", or None where the support factor jumps."""
+    if support == "all" or (support == "abs" and lo >= 0) or (support == "future" and lo > 0) \
+            or (support == "past" and hi < 0):
+        return "direct"
+    if support == "abs" and hi <= 0:
+        return "swapped"
+    if (support == "future" and hi <= 0) or (support == "past" and lo >= 0):
+        return "zero"
+    return None
+
+
+def _line_masses(kernel: LineSpectrum, swapped: bool, taper: np.ndarray, offsets: list[int]) -> list[tuple]:
+    """Quadrant mass fractions of the windows at the given offsets, from the
+    kernel's lines.
+
+    The window is sum_j gamma_j u_j[a] conj(u_j[b]) with u_j[a] =
+    taper[a] e^{i nu_j dt a} and gamma_j = c_j e^{i nu_j dt offset}, so its
+    t-slot transform is U_j = fft(u_j) and its s-slot transform is U_j read
+    at -q, conjugated.  The power summed over a pair of bin sets is then the
+    Hermitian form of gamma with the elementwise product of the two slots'
+    J x J Gram matrices of U over those sets.
+    """
+    a, b = (kernel.b, kernel.a) if swapped else (kernel.a, kernel.b)
+    h = 0.5 / kernel.omega
+    nu = np.concatenate([kernel.omega, -kernel.omega])
+    c = np.concatenate([h * a, h * b])
+    nu, c = nu[c != 0], c[c != 0]
+    n_w = taper.size
+    u = np.fft.fft(taper * np.exp(1j * np.outer(nu, kernel.dt * np.arange(n_w))), axis=1)
+    sgn_t = np.sign(np.fft.fftfreq(n_w))
+    # primed s-slot sign of the bin that reads U at p; it differs from sgn_t
+    # only at the Nyquist bin of an even n_w
+    sgn_s = -sgn_t[-np.arange(n_w)]
+
+    def gram(sel):
+        part = u[:, sel]
+        return part @ part.conj().T
+
+    tp, tm, every = (gram(sel) for sel in (sgn_t > 0, sgn_t < 0, slice(None)))
+    sp, sm = (tp, tm) if n_w % 2 else (gram(sgn_s > 0), gram(sgn_s < 0))
+    forms = (tp * sp.conj(), tm * sm.conj(), tp * sm.conj() + tm * sp.conj(), every * every.conj())
+    gamma = c * np.exp(1j * np.outer(kernel.dt * np.asarray(offsets), nu))
+    plus, minus, cross, total = (((gamma @ f) * gamma.conj()).sum(axis=1).real for f in forms)
+    total = total + 1e-300
+    return list(zip(plus / total, minus / total, cross / total))
+
+
+def _trace_masses(kernel: LineSpectrum, taper: np.ndarray, offsets: list[int]) -> list[tuple]:
+    """Quadrant mass fractions of the windows at the given offsets, from the
+    trace on the 2T-1 lags and one ``fft2`` per offset."""
+    n_w = taper.size
+    sgn = np.sign(np.fft.fftfreq(n_w))
+    sgn_t, sgn_s = sgn[:, None], -sgn[None, :]
+    q_pp = (sgn_t > 0) & (sgn_s > 0)
+    q_mm = (sgn_t < 0) & (sgn_s < 0)
+    q_x = ((sgn_t > 0) & (sgn_s < 0)) | ((sgn_t < 0) & (sgn_s > 0))
+    lag_trace = kernel.trace_series(kernel.lags())
+    # index of lag a - b, lag 0 sitting at T - 1
+    lag_index = (kernel.T - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
+    out = []
+    for offset in offsets:
+        windowed = taper[:, None] * lag_trace[lag_index + offset] * taper[None, :]
+        power = np.abs(np.fft.fft2(windowed)) ** 2
+        total = float(power.sum()) + 1e-300
+        out.append(tuple(float(power[q].sum()) / total for q in (q_pp, q_mm, q_x)))
+    return out
+
+
 def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRow]:
     """Windowed two-slot Fourier quadrant masses of a kernel trace.
 
@@ -308,10 +384,14 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     without mixed mass, and the Feynman kernel switches quadrant across
     t = s.  The taper is matched to the kernel's ``omega_floor``.
 
-    The trace is evaluated once, on the 2T-1 lags of the grid; the window
-    starting at grid indices (i0, j0) reads sample (a, b) at lag
-    dt (i0 - j0 + a - b).  Its masses therefore depend on i0 - j0 only and
-    are computed once per distinct offset.
+    The window starting at grid indices (i0, j0) reads the trace at lag
+    dt (i0 - j0 + a - b), so its masses depend on the offset i0 - j0 only
+    and are computed once per distinct offset.  Where the support factor is
+    one fixed line set on the window's lags, the masses come from the lines
+    (``_line_masses``); no trace sample and no 2-D transform is formed.  A
+    window whose lags straddle a jump of the support (tau = 0 for the
+    retarded, advanced and time-ordered kinds) is read from the trace,
+    evaluated once on the 2T-1 lags, and transformed by ``fft2``.
     """
     t = kernel.t_grid
     dt = kernel.dt
@@ -322,38 +402,27 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     taper = _scan_taper(n_w, spec.length, kernel.omega_floor)
     starts = np.rint(np.linspace(0, t.size - n_w, spec.n_centers)).astype(int)
 
-    om = 2.0 * math.pi * np.fft.fftfreq(n_w, d=dt)
-    sgn_t = np.sign(om)[:, None]
-    sgn_s = -np.sign(om)[None, :]
-    q_pp = (sgn_t > 0) & (sgn_s > 0)
-    q_mm = (sgn_t < 0) & (sgn_s < 0)
-    q_x = ((sgn_t > 0) & (sgn_s < 0)) | ((sgn_t < 0) & (sgn_s > 0))
+    offsets = sorted({int(i0 - j0) for i0, j0 in itertools.product(starts, starts)})
+    groups: dict[str | None, list[int]] = {}
+    for offset in offsets:
+        groups.setdefault(_line_set(kernel.support, offset - (n_w - 1), offset + (n_w - 1)), []).append(offset)
+    masses = dict.fromkeys(groups.pop("zero", []), (0.0, 0.0, 0.0))
+    straddling = groups.pop(None, [])
+    for lines, offs in groups.items():
+        masses.update(zip(offs, _line_masses(kernel, lines == "swapped", taper, offs)))
+    if straddling:
+        masses.update(zip(straddling, _trace_masses(kernel, taper, straddling)))
 
-    lag_trace = kernel.trace_series(kernel.lags())
-    # index of lag a - b, lag 0 sitting at T - 1
-    lag_index = (t.size - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
-    masses: dict[int, tuple[float, float, float]] = {}
     rows = []
     for i0, j0 in itertools.product(starts, starts):
-        offset = i0 - j0
-        if offset not in masses:
-            vals = lag_trace[lag_index + offset]
-            windowed = taper[:, None] * vals * taper[None, :]
-            power = np.abs(np.fft.fft2(windowed)) ** 2
-            total = float(power.sum()) + 1e-300
-            masses[offset] = (
-                float(power[q_pp].sum()) / total,
-                float(power[q_mm].sum()) / total,
-                float(power[q_x].sum()) / total,
-            )
-        plus, minus, cross = masses[offset]
+        plus, minus, cross = masses[int(i0 - j0)]
         rows.append(
             ScanRow(
                 t=float(np.mean(t[i0 : i0 + n_w])),
                 s=float(np.mean(t[j0 : j0 + n_w])),
-                sign_content_plus=plus,
-                sign_content_minus=minus,
-                cross=cross,
+                sign_content_plus=float(plus),
+                sign_content_minus=float(minus),
+                cross=float(cross),
             )
         )
     return rows

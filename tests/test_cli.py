@@ -155,6 +155,26 @@ def test_wf_scan_refuses_empty_window_grid(small_blobs, tmp_path, capsys, center
     assert not out.exists()
 
 
+def test_wf_scan_feynman_flips_across_diagonal(small_blobs, tmp_path, capsys):
+    """The Feynman scan mixes windows from the kernel's lines with windows
+    whose lags straddle tau = 0; far from t = s its mass sits in (+,+) for
+    t > s and in (-,-) for t < s."""
+    kern, out = tmp_path / "feynman.bin", tmp_path / "scan.csv"
+    length = 5.0
+    assert main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "feynman",
+                 "--T", "768", "--dt", "0.025", "--out", str(kern)]) == 0
+    assert main(["wf-scan", "--kernel-bin", str(kern), "--window", str(length),
+                 "--centers", "4", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["kind"] == "feynman"
+    rows = [list(map(float, row)) for row in _read_csv(out)[1:]]
+    assert len(rows) == 16
+    future = [r for r in rows if r[0] - r[1] > 2.0 * length]
+    past = [r for r in rows if r[1] - r[0] > 2.0 * length]
+    assert future and past
+    assert all(r[2] > 0.999 for r in future)
+    assert all(r[3] > 0.999 for r in past)
+
+
 def test_wf_scan_window_off_the_time_step(small_blobs, tmp_path, capsys):
     """A window length that is not a multiple of dt still yields a full
     window grid, every window inside the time grid."""

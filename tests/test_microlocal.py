@@ -218,7 +218,7 @@ def _direct_scan(kernel, spec):
             tau, inverse = np.unique(tt[:, None] - ss[None, :], return_inverse=True)
             vals = kernel.trace_series(tau)[inverse].reshape(n_w, n_w)
             power = np.abs(np.fft.fft2(taper[:, None] * vals * taper[None, :])) ** 2
-            total = power.sum()
+            total = power.sum() or 1.0  # a zero window has zero masses
             out.append(
                 (
                     tt.mean(),
@@ -233,17 +233,31 @@ def _direct_scan(kernel, spec):
 
 @pytest.mark.parametrize("t0", [0.0, 3.7])
 def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
+    """Line-form and straddling windows against the per-window oracle, for
+    every support factor.  The 769-point grid with 6.4-long windows
+    (n_w = 257, starts 0/256/512) puts window lag ranges that start or end
+    exactly at tau = 0, where theta(0) = 0 decides; the 6.475-long windows
+    have an even n_w, whose Nyquist bin is negative in the t slot and
+    positive in the s slot."""
     grid = t0 + tgrid
+    edge_grid = t0 + 0.025 * np.arange(769)
     lp = make_propagator(sm192, "lambda_plus", grid)
     lm = make_propagator(sm192, "lambda_minus", grid)
     pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    edge, even = WindowSpec(length=6.4, n_centers=3), WindowSpec(length=6.475, n_centers=3)
     cases = [
         (lp, SCAN),
         (lp.mutated(0.01), SCAN),
         (pair.lp_b, SCAN),
+        (lm, SCAN),
         (make_propagator(sm192, "causal", grid), SCAN),
         (make_propagator(sm192, "feynman", grid), WindowSpec(length=5.0, n_centers=4)),
     ]
+    cases += [(make_propagator(sm192, kind, grid), spec) for kind in ("retarded", "advanced", "feynman", "antifeynman")
+              for spec in (SCAN, even)]
+    cases += [(make_propagator(sm192, kind, edge_grid), edge)
+              for kind in ("lambda_plus", "retarded", "advanced", "feynman", "antifeynman")]
+    zero_windows = 0
     for kern, spec in cases:
         rows = kernel_wavefront_scan(kern, spec)
         ref = _direct_scan(kern, spec)
@@ -253,21 +267,42 @@ def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
             assert r.sign_content_plus == pytest.approx(plus, abs=1e-14)
             assert r.sign_content_minus == pytest.approx(minus, abs=1e-14)
             assert r.cross == pytest.approx(cross, abs=1e-14)
+            # every lag of the window on the zero side of the support, tau = 0 included
+            toward_support = {"retarded": r.t - r.s, "advanced": r.s - r.t}.get(kern.kind)
+            if toward_support is not None and toward_support + spec.length <= 1e-9:
+                assert (r.sign_content_plus, r.sign_content_minus, r.cross) == (0.0, 0.0, 0.0)
+                zero_windows += 1
+    # per kind: one window of SCAN, one of the even grid, three of the edge grid
+    assert zero_windows == 2 * (1 + 1 + 3)
 
 
-def test_scan_evaluates_trace_once_on_lags(zoo, monkeypatch):
-    kern = zoo["lambda_plus"]
-    sizes = []
-    trace_series = LineSpectrum.trace_series
+def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
+    """Kernels whose support factor is fixed on every window never form the
+    trace or a 2-D transform; the Feynman scan reads the trace once, on the
+    2T - 1 lags, and transforms only its three offsets whose lags straddle
+    tau = 0."""
+    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
+    sizes, ffts = [], []
+    trace_series, fft2 = LineSpectrum.trace_series, np.fft.fft2
 
-    def counting(self, tau):
+    def counting_trace(self, tau):
         sizes.append(np.size(tau))
         return trace_series(self, tau)
 
-    monkeypatch.setattr(LineSpectrum, "trace_series", counting)
-    rows = kernel_wavefront_scan(kern, SCAN)
-    assert len(rows) == 9
+    def counting_fft2(x, *args, **kwargs):
+        ffts.append(np.shape(x))
+        return fft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(LineSpectrum, "trace_series", counting_trace)
+    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+    for kern in (zoo["lambda_plus"], zoo["lambda_plus"].mutated(0.01), pair.lp_b):
+        assert len(kernel_wavefront_scan(kern, SCAN)) == 9
+    assert sizes == [] and ffts == []
+    kern = zoo["feynman"]
+    rows = kernel_wavefront_scan(kern, WindowSpec(length=5.0, n_centers=4))
+    assert len(rows) == 16
     assert sizes == [2 * kern.T - 1]
+    assert ffts == [(201, 201)] * 3
 
 
 def test_feynman_scan_flips_across_diagonal(zoo):
