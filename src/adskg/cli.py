@@ -14,7 +14,10 @@ model or eigenbasis that cannot be built).
 The verify report is deterministic by construction: fixed check order, a
 seeded generator for every randomized probe, shortest round-trip float
 serialization, and no timestamps or environment capture.  Re-running with
-the same config and seed must produce byte-identical output.
+the same config, seed and thread count must produce byte-identical output;
+some BLAS products round differently at another thread count, so the count
+defaults to one BLAS thread when neither --threads nor ADSKG_THREADS is
+given.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "N
 
 
 def _export_threads(argv: list[str]) -> None:
-    """Export thread-count env vars before numpy is imported anywhere."""
-    n = os.environ.get("ADSKG_THREADS")
+    """Export thread-count env vars before numpy is imported anywhere: the
+    count of --threads, else ADSKG_THREADS, else 1.  A BLAS variable already
+    set in the environment is kept."""
+    n = os.environ.get("ADSKG_THREADS", "1")
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             n = argv[i + 1]
         elif a.startswith("--threads="):
             n = a.split("=", 1)[1]
-    if n is None:
-        return
     if not n.isdigit() or int(n) < 1:
         raise SystemExit(f"--threads expects a positive integer, got {n!r}")
     for var in _THREAD_VARS:

@@ -243,7 +243,7 @@ def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None
     plus = kernel.kind == "lambda_plus"
     a, b = (c2, zero) if plus else (zero, c2)
     return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.omega, a, b, "all", +1 if plus else -1,
-                        float(np.min(kernel.omega)), m=kernel.m)
+                        float(np.min(kernel.omega)), m=kernel.m, branch=kernel.branch)
 
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:

@@ -362,7 +362,7 @@ def _trace_masses(kernel: LineSpectrum, taper: np.ndarray, offsets: list[int]) -
     q_pp = (sgn_t > 0) & (sgn_s > 0)
     q_mm = (sgn_t < 0) & (sgn_s < 0)
     q_x = ((sgn_t > 0) & (sgn_s < 0)) | ((sgn_t < 0) & (sgn_s > 0))
-    lag_trace = kernel.trace_series(kernel.lags())
+    lag_trace = kernel.lag_trace()
     # index of lag a - b, lag 0 sitting at T - 1
     lag_index = (kernel.T - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
     out = []
@@ -481,8 +481,9 @@ class StatePair:
         """lp_b - lp_a (= lm_b - lm_a): sum_k n_k cos(omega_k tau) / omega_k,
         real and even in tau, with no spatial factor."""
         n = self.occupation
-        return LineSpectrum(kind="difference", t_grid=self.lp_a.t_grid, omega=self.lp_a.omega, a=n, b=n,
-                            support="all", frequency_sign=0, omega_floor=float(np.min(self.lp_a.omega)))
+        lp = self.lp_a
+        return LineSpectrum(kind="difference", t_grid=lp.t_grid, omega=lp.omega, a=n, b=n, support="all",
+                            frequency_sign=0, omega_floor=float(np.min(lp.omega)), m=lp.m, branch=lp.branch)
 
 
 def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
@@ -548,10 +549,9 @@ def smoothness_decay_order(kernel: LineSpectrum) -> float:
     strongest bin (below that, the leakage skirt of the dominant line
     swamps any genuine content and would flatten the fitted slope).
     """
-    tau = kernel.lags()
-    taper = slepian_taper(tau.size, 4.0)
-    spec = np.fft.fft(kernel.trace_series(tau) * taper)
-    om = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=kernel.dt)
+    trace = kernel.lag_trace()
+    spec = np.fft.fft(trace * slepian_taper(trace.size, 4.0))
+    om = 2.0 * math.pi * np.fft.fftfreq(trace.size, d=kernel.dt)
     pos = om > 0
     om, mag = om[pos], np.abs(spec)[pos]
 

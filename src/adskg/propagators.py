@@ -24,12 +24,17 @@ The normalization is pinned by the pair of identities
 
 which the verification ops measure per mode on every lag of the time
 grid, as they do Hermiticity, the adjoint pairing and the supports: all
-kinds share the spatial factor.  These ops return measurements (defects,
-residuals with their data-dependent scale, Gram eigenvalues, mass
-fractions); tolerances and verdicts belong to the caller, the check table
-of ``cli.run_verify``.  "tilde" weighting is the conjugated frame the
-eigensolve lives in; "physical" weighting multiplies by x^(n/2-1)
-beta^(-1/2) on the left slot and x^(-n/2-1) beta^(-1/2) on the right slot.
+kinds share the spatial factor.  Gains on the grid's lags come from one
+phase table exp(i omega_k tau) per branch and time grid
+(``SpectralBranch.lag_phases``), which every kernel on that branch and
+grid reads, derived kernels included; ``mode_gain`` at other lags applies
+the same line formula to its own exponential.  These ops return
+measurements (defects, residuals with their data-dependent scale, Gram
+eigenvalues, mass fractions); tolerances and verdicts belong to the
+caller, the check table of ``cli.run_verify``.  "tilde" weighting is the
+conjugated frame the eigensolve lives in; "physical" weighting multiplies
+by x^(n/2-1) beta^(-1/2) on the left slot and x^(-n/2-1) beta^(-1/2) on
+the right slot.
 The weights conjugate the spatial factor and leave the gains alone, so the
 per-mode checks state each identity in the weighted pairing.
 
@@ -46,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spectral import SpectralModel
+from .spectral import SpectralBranch, SpectralModel, lag_phase_table
 
 __all__ = [
     "LineSpectrum",
@@ -95,7 +100,9 @@ class LineSpectrum:
     ``omega_floor`` is the lowest frequency a scan taper must separate from
     zero.  ``spectral``, ``weighting`` and ``m`` give the spatial factor
     phi_k phi_k^T of branch m in that weighting; ``spectral`` is None for
-    kernels without one (boundary lines, state differences).
+    kernels without one (boundary lines, state differences).  ``branch`` is
+    the branch whose frequencies the lines sit on: gains on the grid's lags
+    read its phase table for the grid while omega and m are the branch's.
     """
 
     kind: str
@@ -109,6 +116,7 @@ class LineSpectrum:
     spectral: SpectralModel | None = None
     weighting: str = "tilde"
     m: int = 0
+    branch: SpectralBranch | None = None
 
     @property
     def dt(self) -> float:
@@ -133,22 +141,51 @@ class LineSpectrum:
         the lag axis maps tau to -tau exactly."""
         return self.dt * np.arange(1 - self.T, self.T)
 
-    def mode_gain(self, tau: np.ndarray) -> np.ndarray:
-        """Per-mode temporal factor, shape (K, len(tau))."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        w = self.omega[:, None]
-        e = np.exp(1j * (w * (np.abs(tau) if self.support == "abs" else tau)[None, :]))
-        g = (self.a[:, None] * e + self.b[:, None] * e.conj()) * (0.5 / w)
-        if self.support == "future":
-            return np.where(tau > 0.0, g, 0.0)
-        if self.support == "past":
-            return np.where(tau < 0.0, g, 0.0)
+    def _gains(self, e: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """h (a e + b conj(e)) S(tau) from the phases e = exp(i omega tau),
+        taken at |tau| for the "abs" support."""
+        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x len(tau) temporaries
+        g = self.a[:, None] * e
+        lower = e.conj()
+        g += np.multiply(self.b[:, None], lower, out=lower)
+        g *= 0.5 / self.omega[:, None]
+        if self.support in ("future", "past"):
+            g[:, ~(tau > 0.0 if self.support == "future" else tau < 0.0)] = 0.0
         return g
+
+    def mode_gain(self, tau: np.ndarray) -> np.ndarray:
+        """Per-mode temporal factor at arbitrary lags, shape (K, len(tau))."""
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        e = np.exp(1j * (self.omega[:, None] * (np.abs(tau) if self.support == "abs" else tau)[None, :]))
+        return self._gains(e, tau)
 
     def trace_series(self, tau: np.ndarray) -> np.ndarray:
         """Mode-summed temporal signal sum_k g_k(tau) (the kernel's trace in
         the assembled inner product)."""
         return self.mode_gain(tau).sum(axis=0)
+
+    def _lag_phases(self) -> np.ndarray:
+        """exp(i omega tau) on the 2T-1 lags: the branch's shared table when
+        this kernel's m and frequencies are the branch's, else its own."""
+        br = self.branch
+        if br is not None and br.m == self.m and np.array_equal(br.omega, self.omega):
+            return br.lag_phases(self.dt, self.T)
+        return lag_phase_table(self.omega, self.dt, self.T)
+
+    def lag_gains(self, n: int | None = None) -> np.ndarray:
+        """``mode_gain`` on the 2n+1 centred lags dt (-n .. n) of the grid
+        (default n = T-1, all of ``lags()``), read from the lag phase table."""
+        n = self.T - 1 if n is None else n
+        if not 0 <= n < self.T:
+            raise ValueError(f"lag half-width {n} outside [0, T-1 = {self.T - 1}]")
+        e = self._lag_phases()[:, self.T - 1 - n : self.T + n]
+        if self.support == "abs":
+            e = np.concatenate([e[:, :n:-1], e[:, n:]], axis=1)  # |tau|: mirror the lags tau >= 0
+        return self._gains(e, self.dt * np.arange(-n, n + 1))
+
+    def lag_trace(self, n: int | None = None) -> np.ndarray:
+        """``trace_series`` on the centred lags of ``lag_gains(n)``."""
+        return self.lag_gains(n).sum(axis=0)
 
     def flip(self, modes) -> "LineSpectrum":
         """Copy with the two lines swapped on the given modes, which fakes a
@@ -208,7 +245,7 @@ def make_propagator(
     a, b, support = _LINES[kind]
     return LineSpectrum(kind, t_grid, omega, np.full(omega.size, a), np.full(omega.size, b), support,
                         frequency_sign={"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0),
-                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting, m=m)
+                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting, m=m, branch=sm.branch(m))
 
 
 def _trap_weights(T: int) -> np.ndarray:
@@ -287,15 +324,14 @@ def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
 def _lag_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
     """Per-mode gains on the 2T-1 lags of kernels that share one grid,
     weighting and spatial factor: identities between such kernels are
-    identities between these arrays."""
+    identities between these arrays, all read from one lag phase table."""
     first = kernels[0]
     for k in kernels[1:]:
         if k.spectral is not first.spectral or (k.m, k.weighting) != (first.m, first.weighting):
             raise ValueError("kernels must share one spectral model, transverse mode and weighting")
         if not np.array_equal(k.t_grid, first.t_grid):
             raise ValueError("kernels must share one time grid")
-    tau = first.lags()
-    return [k.mode_gain(tau) for k in kernels]
+    return [k.lag_gains() for k in kernels]
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -345,9 +381,9 @@ def support_check(kernel: LineSpectrum) -> float:
     factor; returned so tests can assert it."""
     if kernel.kind not in ("retarded", "advanced"):
         raise ValueError("support check applies to retarded/advanced kernels")
-    tau = kernel.lags()
-    forbidden = tau[tau <= 0.0] if kernel.kind == "retarded" else tau[tau >= 0.0]
-    return _max_abs(np.abs(kernel.mode_gain(forbidden)).sum(axis=0))
+    gains = kernel.lag_gains()
+    forbidden = gains[:, : kernel.T] if kernel.kind == "retarded" else gains[:, kernel.T - 1 :]
+    return _max_abs(np.abs(forbidden).sum(axis=0))
 
 
 def adjoint_check(ret: LineSpectrum, adv: LineSpectrum) -> float:
@@ -398,6 +434,8 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     span = float(kernel.t_grid[-1] - kernel.t_grid[0])
     if T_w is None:
         T_w = 2.0 * span
+    elif not (math.isfinite(T_w) and T_w > 0.0):
+        raise ValueError(f"window length T_w must be finite and positive, got T_w={T_w!r}")
     half = min(T_w / 2.0, span)
     n_half = int(math.floor(half / dt))
     tau = dt * np.arange(-n_half, n_half + 1)
@@ -411,7 +449,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     if nw < 2.5:
         raise ValueError("window too short for a concentrated taper; enlarge T_w")
     window = slepian_taper(tau.size, nw)
-    sig = kernel.trace_series(tau) * window
+    sig = kernel.lag_trace(n_half) * window
     spec = np.fft.fft(sig)
     freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)
     power = np.abs(spec) ** 2

@@ -44,6 +44,7 @@ __all__ = [
     "SpectralBranch",
     "SpectralModel",
     "build_spectral",
+    "lag_phase_table",
     "bessel_collocation_eigs",
 ]
 
@@ -69,6 +70,21 @@ def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals[:, j] = poly(r)
         ders[:, j] = poly.deriv()(r)
     return vals, ders
+
+
+def _gauss_tables() -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre abscissae and weights on the reference element [0, 1]
+    and the shape values and derivatives there, read-only: every grid shares
+    them."""
+    gq, gw = np.polynomial.legendre.leggauss(_N_GAUSS)
+    rg = 0.5 * (gq + 1.0)
+    tables = (rg, 0.5 * gw, *_reference_shapes(rg))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+_GAUSS_R, _GAUSS_W, _SHAPE_G, _DSHAPE_G = _gauss_tables()
 
 
 @dataclass
@@ -124,12 +140,8 @@ def make_grid(L: float, n_elements: int, gamma: float = 2.0) -> Grid1D:
     # node ids are 3e + local; dofs drop the two Dirichlet endpoints
     elem_dofs = 3 * np.arange(n_elements)[:, None] + np.arange(4)[None, :]
     dof_x = nodes[1:-1]
-    gq, gw = np.polynomial.legendre.leggauss(_N_GAUSS)
-    rg = 0.5 * (gq + 1.0)
-    wg = 0.5 * gw
-    shape_g, dshape_g = _reference_shapes(rg)
-    gauss_x = edges[:-1, None] + h[:, None] * rg[None, :]
-    gauss_w = h[:, None] * wg[None, :]
+    gauss_x = edges[:-1, None] + h[:, None] * _GAUSS_R[None, :]
+    gauss_w = h[:, None] * _GAUSS_W[None, :]
     return Grid1D(
         L=L,
         n_elements=n_elements,
@@ -140,8 +152,8 @@ def make_grid(L: float, n_elements: int, gamma: float = 2.0) -> Grid1D:
         elem_dofs=elem_dofs,
         gauss_x=gauss_x,
         gauss_w=gauss_w,
-        shape_g=shape_g,
-        dshape_g=dshape_g,
+        shape_g=_SHAPE_G,
+        dshape_g=_DSHAPE_G,
     )
 
 
@@ -164,19 +176,40 @@ def _assemble(grid: Grid1D, pot_g: np.ndarray, meas_g: np.ndarray, mass_g: np.nd
     return K[1:-1, 1:-1].tocsc(), M[1:-1, 1:-1].tocsc()
 
 
+def lag_phase_table(omega: np.ndarray, dt: float, T: int) -> np.ndarray:
+    """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of a
+    uniform grid, shape (K, 2T-1)."""
+    return np.exp(1j * (omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
+
+
 @dataclass
 class SpectralBranch:
-    """Eigendata of one transverse Fourier mode."""
+    """Eigendata of one transverse Fourier mode.
+
+    Also holds the lag phase table of each uniform time grid a kernel on
+    this branch has asked for, built on first use and freed with the model.
+    """
 
     m: int
     mu: float
     omega2: np.ndarray
     phi: np.ndarray  # (ndof, n_modes), orthonormal in the assembled mass matrix
     K: sp.csc_matrix = field(repr=False)
+    _lag_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def omega(self) -> np.ndarray:
         return np.sqrt(self.omega2)
+
+    def lag_phases(self, dt: float, T: int) -> np.ndarray:
+        """``lag_phase_table`` of this branch's frequencies on the grid (dt, T),
+        read-only and shared by every kernel that asks for that grid."""
+        key = (float(dt), int(T))
+        if key not in self._lag_phases:
+            table = lag_phase_table(self.omega, dt, T)
+            table.setflags(write=False)
+            self._lag_phases[key] = table
+        return self._lag_phases[key]
 
 
 @dataclass

@@ -47,6 +47,18 @@ def test_export_threads_sets_defaults(monkeypatch):
             os.environ.pop(var, None)
 
 
+def test_export_threads_defaults_to_one(monkeypatch):
+    for var in (*_THREAD_VARS, "ADSKG_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    try:
+        _export_threads(["verify"])
+        for var in _THREAD_VARS:
+            assert os.environ[var] == "1"
+    finally:
+        for var in _THREAD_VARS:
+            os.environ.pop(var, None)
+
+
 def test_export_threads_keeps_existing(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     monkeypatch.setenv("ADSKG_THREADS", "2")

@@ -283,17 +283,23 @@ def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
     tau = 0."""
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
     sizes, ffts = [], []
-    trace_series, fft2 = LineSpectrum.trace_series, np.fft.fft2
+    trace_series, lag_trace, fft2 = LineSpectrum.trace_series, LineSpectrum.lag_trace, np.fft.fft2
 
     def counting_trace(self, tau):
         sizes.append(np.size(tau))
         return trace_series(self, tau)
+
+    def counting_lag_trace(self, n=None):
+        out = lag_trace(self, n)
+        sizes.append(out.size)
+        return out
 
     def counting_fft2(x, *args, **kwargs):
         ffts.append(np.shape(x))
         return fft2(x, *args, **kwargs)
 
     monkeypatch.setattr(LineSpectrum, "trace_series", counting_trace)
+    monkeypatch.setattr(LineSpectrum, "lag_trace", counting_lag_trace)
     monkeypatch.setattr(np.fft, "fft2", counting_fft2)
     for kern in (zoo["lambda_plus"], zoo["lambda_plus"].mutated(0.01), pair.lp_b):
         assert len(kernel_wavefront_scan(kern, SCAN)) == 9

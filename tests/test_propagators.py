@@ -10,7 +10,8 @@ import pytest
 from scipy.signal.windows import dpss
 
 import adskg
-from adskg.cli import _default_tolerances
+from adskg import propagators, spectral
+from adskg.cli import RunConfig, _default_tolerances, run_verify
 from adskg.holography import boundary_fits, boundary_two_point
 from adskg.microlocal import make_perturbed_state
 from adskg.propagators import (
@@ -27,6 +28,7 @@ from adskg.propagators import (
     time_slice_check,
     verify_two_point,
 )
+from adskg.spectral import build_spectral, lag_phase_table
 
 TOL = _default_tolerances()
 
@@ -93,6 +95,83 @@ def test_every_kernel_is_one_line_spectrum(zoo, sm192, ads2, tgrid):
     for method in ("mode_gain", "trace_series"):
         assert [c for c in classes if method in vars(c)] == [LineSpectrum], method
     assert [c for c in classes if issubclass(c, LineSpectrum)] == [LineSpectrum]
+
+
+def _direct_lag_gains(kern):
+    """The gains on the 2T-1 lags written out with their own np.exp."""
+    tau = kern.lags()
+    w = kern.omega[:, None]
+    e = np.exp(1j * (w * (np.abs(tau) if kern.support == "abs" else tau)[None, :]))
+    g = (kern.a[:, None] * e + kern.b[:, None] * e.conj()) * (0.5 / w)
+    support = {"future": tau > 0.0, "past": tau < 0.0}.get(kern.support)
+    return g if support is None else np.where(support, g, 0.0)
+
+
+def test_lag_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
+    lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
+    pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    derived = {
+        "mutated": lp.mutated(0.05),
+        "lp_b": pair.lp_b,
+        "lm_b": pair.lm_b,
+        "difference": pair.difference(),
+        "boundary_two_point": boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, "physical"), ads2),
+    }
+    table = sm192.branch(0).lag_phases(lp.dt, lp.T)
+    T = lp.T
+    for name, kern in {**zoo, **derived}.items():
+        want = _direct_lag_gains(kern)
+        assert kern._lag_phases() is table, name
+        assert np.array_equal(kern.lag_gains(), want), name
+        assert np.array_equal(kern.mode_gain(kern.lags()), want), name
+        assert np.array_equal(kern.lag_trace(), want.sum(axis=0)), name
+        assert np.array_equal(kern.trace_series(kern.lags()), want.sum(axis=0)), name
+        for n in (0, 100, T - 2):
+            assert np.array_equal(kern.lag_gains(n), want[:, T - 1 - n : T + n]), (name, n)
+    assert {kern.support for kern in zoo.values()} == {"all", "future", "past", "abs"}
+    assert not table.flags.writeable
+    for n in (-1, T):
+        with pytest.raises(ValueError, match="half-width"):
+            lp.lag_gains(n)
+
+
+def test_replaced_kernel_builds_its_own_table(zoo, sm192, tgrid):
+    lp = zoo["lambda_plus"]
+    table = lp._lag_phases()
+    others = {
+        "t_grid": replace(lp, t_grid=0.5 * tgrid),
+        "shorter t_grid": replace(lp, t_grid=tgrid[:400]),
+        "omega": replace(lp, omega=1.01 * lp.omega),
+        "m": replace(lp, m=1),
+    }
+    for name, kern in others.items():
+        assert kern._lag_phases() is not table, name
+        assert np.array_equal(kern.lag_gains(), _direct_lag_gains(kern)), name
+    assert lp._lag_phases() is table
+
+
+def test_spectral_models_never_share_a_table(ads2, tgrid):
+    kernels = [make_propagator(build_spectral(ads2, N=64, n_modes=8), "lambda_plus", tgrid) for _ in range(2)]
+    first, second = (k._lag_phases() for k in kernels)
+    assert first is not second
+    assert np.array_equal(first, second)
+
+
+def test_verify_builds_one_table_per_branch_and_grid(monkeypatch, tmp_path):
+    builds = []
+
+    def counting(omega, dt, T):
+        builds.append((omega.size, dt, T))
+        return lag_phase_table(omega, dt, T)
+
+    def refused(omega, dt, T):
+        raise AssertionError("a default verify kernel built a table of its own")
+
+    monkeypatch.setattr(spectral, "lag_phase_table", counting)
+    monkeypatch.setattr(propagators, "lag_phase_table", refused)
+    code, report = run_verify(RunConfig(out_dir=str(tmp_path)))
+    assert code == 0
+    assert builds == [(32, report["config"]["dt"], report["config"]["T"])]
 
 
 def test_apply_needs_a_spatial_factor(zoo, sm192, ads2, tgrid):
@@ -226,6 +305,9 @@ def test_frequency_sign_mutation_detected(zoo, sm192):
 def test_frequency_sign_window_validation(zoo, sm192):
     with pytest.raises(ValueError, match="window too short"):
         frequency_sign_test(zoo["lambda_plus"], sm192.m_floor_sqrt, T_w=1.0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="T_w"):
+            frequency_sign_test(zoo["lambda_plus"], sm192.m_floor_sqrt, T_w=bad)
 
 
 def test_time_slice_identity(zoo, sm192):
