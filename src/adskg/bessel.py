@@ -71,17 +71,19 @@ def toy_boundary_amplitudes(model: MetricModel, count: int) -> np.ndarray:
     x^{-(nu+1/2)} phi_k -> c_k = sqrt(2)/(L |J_{nu+1}(j_k)|) (omega_k/2)^nu
     / Gamma(nu+1), with omega_k = j_k / L.
     """
+    return _amplitudes(model, bessel_zeros(model.nu, count))
+
+
+def _amplitudes(model: MetricModel, j: np.ndarray) -> np.ndarray:
+    """``toy_boundary_amplitudes`` at the zeros j of J_nu."""
     if not model.is_toy:
         raise ValueError("closed-form amplitudes exist only for the toy models")
     nu, L = model.nu, model.L
-    j = bessel_zeros(nu, count)
-    omega = j / L
     norm = math.sqrt(2.0) / (L * np.abs(jv(nu + 1.0, j)))
-    return norm * (omega / 2.0) ** nu / _gamma(nu + 1.0)
+    return norm * (j / L / 2.0) ** nu / _gamma(nu + 1.0)
 
 
 def toy_line_weights(model: MetricModel, count: int) -> np.ndarray:
     """Spectral-line weights c_k^2 / (2 omega_k) of the toy boundary kernel."""
-    c = toy_boundary_amplitudes(model, count)
-    omega = bessel_zeros(model.nu, count) / model.L
-    return c**2 / (2.0 * omega)
+    j = bessel_zeros(model.nu, count)
+    return _amplitudes(model, j) ** 2 / (2.0 * (j / model.L))

@@ -248,10 +248,12 @@ def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:
     """Gram matrix k(t_i - t_j) of a boundary kernel on ``_GRAM_TIMES``
-    subsampled times of its grid."""
+    subsampled times of its grid: one ``trace_series`` product on the
+    distinct lags, gathered back to the (i, j) entries."""
     idx = np.linspace(0, kernel.T - 1, _GRAM_TIMES).round().astype(int)
     times = kernel.t_grid[idx]
-    return kernel.trace_series((times[:, None] - times[None, :]).ravel()).reshape(_GRAM_TIMES, _GRAM_TIMES)
+    lags, where = np.unique(times[:, None] - times[None, :], return_inverse=True)
+    return kernel.trace_series(lags)[where].reshape(_GRAM_TIMES, _GRAM_TIMES)  # numpy < 2 returns a flat inverse
 
 
 def mellin_exponent_probe(

@@ -304,16 +304,18 @@ def _gram_matrix(kernel: LineSpectrum) -> np.ndarray:
     and _GRAM_VECS seeded random mode-space vectors.  The pairing is the
     mode-space one, which is the weighted pairing in either weighting (the
     weights conjugate the spatial factor), so no measure density enters.
+    Each distinct lag t_i - t_j is evaluated once, and the contraction over
+    modes is one product of the vector pairs conj(c_ak) c_bk with the gains.
     """
     idx = np.linspace(0, kernel.T - 1, _GRAM_TIMES).round().astype(int)
     times = kernel.t_grid[idx]
     coeffs = np.random.default_rng(1234).standard_normal((_GRAM_VECS, kernel.omega.size))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)  # (a, K)
-    tau = times[:, None] - times[None, :]
-    gains = kernel.mode_gain(tau.ravel()).reshape(-1, _GRAM_TIMES, _GRAM_TIMES)  # (K, i, j)
-    gram = np.einsum("ak,kij,bk->iajb", coeffs.conj(), gains, coeffs)
+    lags, where = np.unique(times[:, None] - times[None, :], return_inverse=True)
+    pairs = (coeffs.conj()[:, None, :] * coeffs[None, :, :]).reshape(-1, kernel.omega.size)  # ((a, b), K)
+    gram = (pairs @ kernel.mode_gain(lags))[:, where.ravel()]  # ((a, b), (i, j))
     n = _GRAM_TIMES * _GRAM_VECS
-    return gram.reshape(n, n)
+    return gram.reshape(_GRAM_VECS, _GRAM_VECS, _GRAM_TIMES, _GRAM_TIMES).transpose(2, 0, 3, 1).reshape(n, n)
 
 
 def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:

@@ -383,9 +383,12 @@ def bessel_collocation_eigs(
     basis psi_j(x) = sqrt(x) J_nu(z_j x / L), where z_j runs over zeros of
     J_nu, and solves the dense generalized eigenproblem.  Independent of the
     element discretization; intended as a sanity path for 0 < nu < 1 where
-    the boundary condition is the delicate part.
+    the boundary condition is the delicate part.  With u = z_j x / L,
+    J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u) (DLMF 10.6.2) gives
+    psi_j' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x): two Bessel
+    evaluations on the grid, and no cancellation as u -> 0.
     """
-    from scipy.special import jv, jvp
+    from scipy.special import jv
 
     from .bessel import bessel_zeros
 
@@ -396,12 +399,11 @@ def bessel_collocation_eigs(
     panels = make_grid(L, n_panels, gamma=2.0)
     x = panels.gauss_x.ravel()
     wq = panels.gauss_w.ravel()
-    sq = np.sqrt(x)
-    scale = zeros[None, :] / L
-    arg = x[:, None] * scale
+    sq = np.sqrt(x)[:, None]
+    arg = x[:, None] * (zeros[None, :] / L)
     j = jv(nu, arg)
-    psi = sq[:, None] * j
-    dpsi = 0.5 / sq[:, None] * j + sq[:, None] * scale * jvp(nu, arg)
+    psi = sq * j
+    dpsi = ((nu + 0.5) * j - arg * jv(nu + 1.0, arg)) / sq
     pot = (model.nu**2 - 0.25) / x**2 + model.transverse_mu(m) / model.k(x)
     wbeta = 1.0 / model.beta(x)
     if model.n >= 3:

@@ -14,7 +14,7 @@ from adskg.holography import (
     indicial_polynomial,
     mellin_exponent_probe,
 )
-from adskg.propagators import frequency_sign_test, make_propagator
+from adskg.propagators import LineSpectrum, frequency_sign_test, make_propagator
 
 FREQ_MASS = _default_tolerances()["freq_mass"]
 
@@ -171,6 +171,20 @@ def test_boundary_kernel_structure(sm192, ads2, tgrid):
     assert evals[0] >= -1e-10 * float(np.abs(evals).max())
     rep = frequency_sign_test(bk, sm192.m_floor_sqrt)
     assert rep["forbidden_fraction"] <= FREQ_MASS
+
+
+def test_boundary_gram_reads_distinct_lags(sm192, ads2, tgrid, monkeypatch):
+    """One trace_series call on fewer than 48^2 lags gives the dense Gram
+    matrix bit for bit."""
+    bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, weighting="physical"), ads2)
+    times = bk.t_grid[np.linspace(0, bk.T - 1, 48).round().astype(int)]
+    dense = bk.trace_series((times[:, None] - times[None, :]).ravel()).reshape(48, 48)
+    sizes = []
+    trace_series = LineSpectrum.trace_series
+    monkeypatch.setattr(LineSpectrum, "trace_series",
+                        lambda self, tau: sizes.append(np.size(tau)) or trace_series(self, tau))
+    assert np.array_equal(boundary_gram(bk), dense)
+    assert len(sizes) == 1 and sizes[0] < 48**2
 
 
 def test_minus_kernel_mirrors(sm192, ads2, tgrid):

@@ -215,6 +215,39 @@ def test_two_point_algebra_physical_weighting(sm192, tgrid):
     assert _psd_ok(rep["gram_plus"]) and _psd_ok(rep["gram_minus"])
 
 
+def _gram_by_einsum(kernel, dtype=float):
+    """The Gram matrix as one dense einsum over all (i, j) lags, summed in
+    ``dtype`` (np.longdouble makes it a reference for both float forms)."""
+    n_t, n_v = propagators._GRAM_TIMES, propagators._GRAM_VECS
+    times = kernel.t_grid[np.linspace(0, kernel.T - 1, n_t).round().astype(int)]
+    coeffs = np.random.default_rng(1234).standard_normal((n_v, kernel.omega.size))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    gains = kernel.mode_gain((times[:, None] - times[None, :]).ravel()).reshape(-1, n_t, n_t)
+    c = coeffs.astype(dtype)
+    gram = [np.einsum("ak,kij,bk->iajb", c, part.astype(dtype), c) for part in (gains.real, gains.imag)]
+    return (gram[0] + 1j * gram[1]).reshape(n_t * n_v, n_t * n_v)
+
+
+def test_gram_matrix_is_one_product_on_distinct_lags(zoo, sm192, tgrid, monkeypatch):
+    """The Gram matrix evaluates each distinct lag once. It agrees with the
+    dense einsum to two rounding units of its largest entry, and it is no
+    farther than the einsum from the long-double sum."""
+    lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
+    thermal = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt}).lp_b
+    physical = [make_propagator(sm192, kind, tgrid, weighting="physical") for kind in ("lambda_plus", "lambda_minus")]
+    kernels = (lp, lm, thermal, *physical)
+    wants = [(_gram_by_einsum(k), _gram_by_einsum(k, np.longdouble)) for k in kernels]
+    sizes = []
+    mode_gain = LineSpectrum.mode_gain
+    monkeypatch.setattr(LineSpectrum, "mode_gain", lambda self, tau: sizes.append(np.size(tau)) or mode_gain(self, tau))
+    for kernel, (want, exact) in zip(kernels, wants):
+        got = propagators._gram_matrix(kernel)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * scale, kernel.kind
+        assert np.max(np.abs(got - exact)) <= np.max(np.abs(want - exact)), kernel.kind
+    assert len(sizes) == len(kernels) and all(n < propagators._GRAM_TIMES**2 for n in sizes)
+
+
 def test_two_point_algebra_catches_sign_fault(zoo):
     bad = zoo["lambda_plus"].mutated(0.05)
     rep = verify_two_point(bad, zoo["lambda_minus"], zoo["causal"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from scipy.sparse.linalg import eigsh, spsolve
 from oracles import (
     J1_FIRST_ZERO,
@@ -9,7 +10,8 @@ from oracles import (
 
 from dataclasses import replace
 
-from adskg.bessel import bessel_zeros
+from adskg import bessel
+from adskg.bessel import bessel_zeros, toy_boundary_amplitudes, toy_line_weights
 from adskg.geometry import load_model, make_toy_model
 from adskg.spectral import (
     _solve_branch,
@@ -136,6 +138,75 @@ def test_collocation_crosscheck_small_nu():
     vals = bessel_collocation_eigs(m, n_basis=12, n_modes=5)
     want = toy_frequencies_mp(0.7, 1.0, 5) ** 2
     assert vals == pytest.approx(want, rel=1e-8)
+
+
+def _collocation_grid(nu: float, n_basis: int = 24):
+    """The quadrature points and Bessel arguments u = z_j x / L of
+    ``bessel_collocation_eigs`` at its defaults (L = 1)."""
+    x = make_grid(1.0, 96, gamma=2.0).gauss_x.ravel()
+    return x, x[:, None] * bessel_zeros(nu, n_basis)[None, :]
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 2.5, 4.0])
+def test_collocation_derivative_recurrence(nu):
+    """psi' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x) (DLMF 10.6.2)
+    agrees with the product rule on scipy's jvp on every basis function."""
+    x, u = _collocation_grid(nu)
+    sq = np.sqrt(x)[:, None]
+    j = scipy.special.jv(nu, u)
+    by_jvp = 0.5 / sq * j + sq * (u / x[:, None]) * scipy.special.jvp(nu, u)
+    by_recurrence = ((nu + 0.5) * j - u * scipy.special.jv(nu + 1.0, u)) / sq
+    err = np.max(np.abs(by_recurrence - by_jvp), axis=0) / np.max(np.abs(by_jvp), axis=0)
+    assert np.max(err) <= 1e-13
+
+
+def test_collocation_takes_two_bessel_passes(monkeypatch):
+    """The basis and its derivative cost two jv evaluations on the
+    (points x basis) grid, and jvp is never called."""
+    shapes = []
+    jv = scipy.special.jv
+
+    def counting_jv(order, u):
+        shapes.append(np.shape(u))
+        return jv(order, u)
+
+    def no_jvp(*args):
+        raise AssertionError("jvp called")
+
+    monkeypatch.setattr(scipy.special, "jv", counting_jv)
+    monkeypatch.setattr(scipy.special, "jvp", no_jvp)
+    m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
+    bessel_collocation_eigs(m, n_basis=24, n_modes=4)
+    assert shapes.count(_collocation_grid(1.0)[1].shape) == 2
+
+
+def _collocation_error(nu: float) -> float:
+    """The ``collocation_oracle`` value: worst relative error of the first
+    four frequencies against mpmath."""
+    m = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    want = toy_frequencies_mp(nu, 1.0, 4)
+    return float(np.max(np.abs(np.sqrt(bessel_collocation_eigs(m, n_basis=24, n_modes=4)) - want) / want))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.5, 4.0])
+def test_collocation_oracle_at_round_off(nu):
+    assert _collocation_error(nu) <= 1e-13
+
+
+@pytest.mark.parametrize("nu, known", [(0.3, 5.56e-5), (0.7, 1.416e-9)])
+def test_collocation_quadrature_limits_stay(nu, known):
+    """Below nu = 1 the error is Gauss-Legendre quadrature error on the
+    x^(2 nu - 1) integrands, not the basis: its known values do not move."""
+    assert _collocation_error(nu) == pytest.approx(known, rel=1e-3)
+
+
+def test_toy_line_weights_find_zeros_once(monkeypatch):
+    m = make_toy_model("ads2_strip", nu=1.5, L=2.0)
+    want = toy_boundary_amplitudes(m, 32) ** 2 / (2.0 * (bessel_zeros(1.5, 32) / 2.0))
+    calls = []
+    monkeypatch.setattr(bessel, "bessel_zeros", lambda nu, count: calls.append(count) or bessel_zeros(nu, count))
+    assert np.array_equal(toy_line_weights(m, 32), want)
+    assert calls == [32]
 
 
 def test_blob_roundtrip(tmp_path, sm192):
