@@ -461,8 +461,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def difference_traces():
-        taus = dt * np.arange(0, T, 7)
-        return pair().lp_b.trace_series(taus) - pair().lp_a.trace_series(taus), pair().difference().trace_series(taus)
+        lags = np.arange(0, T, 7)
+        return pair().lp_b.trace(lags) - pair().lp_a.trace(lags), pair().difference().trace(lags)
 
     def forbidden(k) -> float:
         return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]

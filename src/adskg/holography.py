@@ -6,7 +6,10 @@ terms two orders down for the exactly even warped models.  Solutions with
 Dirichlet data follow the x^{nu_plus} branch; dividing it out and reading
 the constant term at the boundary is the weighted restriction that turns
 bulk kernels into boundary two-point kernels: line spectra with the lines
-(c_k^2, 0) or (0, c_k^2) and no spatial factor.
+(c_k^2, 0) or (0, c_k^2) on the bulk kernel's branch and time grid and no
+spatial factor.  Their gains read the branch's phase table like every
+kernel's, and their Gram matrix is the two-point Gram of the all-ones mode
+vector, whose pairing with the kernel is its trace.
 
 Frames: the eigensolve lives in the conjugated ("tilde") frame where modes
 behave like x^(nu + 1/2); physical-frame quantities carry the extra
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MetricModel
-from .propagators import LineSpectrum
+from .propagators import LineSpectrum, _gram_matrix
 
 __all__ = [
     "IndicialSeries",
@@ -242,18 +245,16 @@ def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None
     c2, zero = amps**2, np.zeros_like(amps)
     plus = kernel.kind == "lambda_plus"
     a, b = (c2, zero) if plus else (zero, c2)
-    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.omega, a, b, "all", +1 if plus else -1,
-                        float(np.min(kernel.omega)), m=kernel.m, branch=kernel.branch)
+    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b, "all", +1 if plus else -1,
+                        float(np.min(kernel.omega)))
 
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:
     """Gram matrix k(t_i - t_j) of a boundary kernel on ``_GRAM_TIMES``
-    subsampled times of its grid: one ``trace_series`` product on the
-    distinct lags, gathered back to the (i, j) entries."""
-    idx = np.linspace(0, kernel.T - 1, _GRAM_TIMES).round().astype(int)
-    times = kernel.t_grid[idx]
-    lags, where = np.unique(times[:, None] - times[None, :], return_inverse=True)
-    return kernel.trace_series(lags)[where].reshape(_GRAM_TIMES, _GRAM_TIMES)  # numpy < 2 returns a flat inverse
+    subsampled times of its grid.  The trace k is the kernel's pairing with
+    the all-ones mode vector, so this is ``propagators._gram_matrix`` of
+    that one vector."""
+    return _gram_matrix(kernel, _GRAM_TIMES, np.ones((1, kernel.omega.size)))
 
 
 def mellin_exponent_probe(

@@ -28,7 +28,8 @@ factor does not jump on a window's lags, the window is a sum of separable
 line terms, and its masses are Hermitian forms in the line coefficients
 over Gram matrices of the tapered lines' spectra; only windows whose lags
 straddle a jump (tau = 0 for the retarded, advanced and time-ordered
-kinds) are read from the trace on the 2T-1 lags and transformed in 2-D.
+kinds) are read from the trace on the 2T-1 lags and transformed in 2-D;
+the trace and the line phases both come from the branch's phase table.
 Spatial localization is exercised only through the wavepacket tests;
 there is no spatial microlocalization in the scans.
 """
@@ -181,7 +182,9 @@ class TrackResult:
 
 
 def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) -> TrackResult:
-    """Evolve by e^{-+ i t A^(1/2)} and track the energy-density centroid.
+    """Evolve by e^{-+ i t A^(1/2)} over the times 0, dt, .. <= t_max and track
+    the energy-density centroid; dt must be finite and positive, t_max
+    finite and nonnegative.
 
     The tilde-frame energy density |u_t|^2 + |u_x|^2 is integrated on the
     quadrature points restricted to x >= 2 sigma (the boundary weight would
@@ -198,6 +201,8 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     every time in the block; centroid = m1/m0 and
     spread = sqrt(max(m2/m0 - centroid^2, 0)).
     """
+    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"tracking needs a finite dt > 0 and a finite t_max >= 0, got dt={dt!r}, t_max={t_max!r}")
     br = sm.branch(w.m)
     if float(br.omega[-1]) * dt >= math.pi:
         raise ValueError("dt undersamples the largest retained frequency")
@@ -326,15 +331,17 @@ def _line_masses(kernel: LineSpectrum, swapped: bool, taper: np.ndarray, offsets
     t-slot transform is U_j = fft(u_j) and its s-slot transform is U_j read
     at -q, conjugated.  The power summed over a pair of bin sets is then the
     Hermitian form of gamma with the elementwise product of the two slots'
-    J x J Gram matrices of U over those sets.
+    J x J Gram matrices of U over those sets.  The phases e^{i nu_j dt k}
+    are read from the branch's phase table, nu = (omega, -omega).
     """
     a, b = (kernel.b, kernel.a) if swapped else (kernel.a, kernel.b)
     h = 0.5 / kernel.omega
-    nu = np.concatenate([kernel.omega, -kernel.omega])
     c = np.concatenate([h * a, h * b])
-    nu, c = nu[c != 0], c[c != 0]
+    keep = c != 0
     n_w = taper.size
-    u = np.fft.fft(taper * np.exp(1j * np.outer(nu, kernel.dt * np.arange(n_w))), axis=1)
+    e = np.take(kernel.branch.lag_phases(kernel.dt, kernel.T), kernel.T - 1 + np.r_[0:n_w, offsets], axis=1)
+    e = np.concatenate([e, e.conj()])[keep]  # e^{i nu_j dt k} on the lags 0 .. n_w-1, then the offsets
+    u = np.fft.fft(taper * e[:, :n_w], axis=1)
     sgn_t = np.sign(np.fft.fftfreq(n_w))
     # primed s-slot sign of the bin that reads U at p; it differs from sgn_t
     # only at the Nyquist bin of an even n_w
@@ -347,7 +354,7 @@ def _line_masses(kernel: LineSpectrum, swapped: bool, taper: np.ndarray, offsets
     tp, tm, every = (gram(sel) for sel in (sgn_t > 0, sgn_t < 0, slice(None)))
     sp, sm = (tp, tm) if n_w % 2 else (gram(sgn_s > 0), gram(sgn_s < 0))
     forms = (tp * sp.conj(), tm * sm.conj(), tp * sm.conj() + tm * sp.conj(), every * every.conj())
-    gamma = c * np.exp(1j * np.outer(kernel.dt * np.asarray(offsets), nu))
+    gamma = c[keep] * e[:, n_w:].T
     plus, minus, cross, total = (((gamma @ f) * gamma.conj()).sum(axis=1).real for f in forms)
     total = total + 1e-300
     return list(zip(plus / total, minus / total, cross / total))
@@ -362,12 +369,12 @@ def _trace_masses(kernel: LineSpectrum, taper: np.ndarray, offsets: list[int]) -
     q_pp = (sgn_t > 0) & (sgn_s > 0)
     q_mm = (sgn_t < 0) & (sgn_s < 0)
     q_x = ((sgn_t > 0) & (sgn_s < 0)) | ((sgn_t < 0) & (sgn_s > 0))
-    lag_trace = kernel.lag_trace()
+    trace = kernel.trace()
     # index of lag a - b, lag 0 sitting at T - 1
     lag_index = (kernel.T - 1) + np.subtract.outer(np.arange(n_w), np.arange(n_w))
     out = []
     for offset in offsets:
-        windowed = taper[:, None] * lag_trace[lag_index + offset] * taper[None, :]
+        windowed = taper[:, None] * trace[lag_index + offset] * taper[None, :]
         power = np.abs(np.fft.fft2(windowed)) ** 2
         total = float(power.sum()) + 1e-300
         out.append(tuple(float(power[q].sum()) / total for q in (q_pp, q_mm, q_x)))
@@ -482,8 +489,8 @@ class StatePair:
         real and even in tau, with no spatial factor."""
         n = self.occupation
         lp = self.lp_a
-        return LineSpectrum(kind="difference", t_grid=lp.t_grid, omega=lp.omega, a=n, b=n, support="all",
-                            frequency_sign=0, omega_floor=float(np.min(lp.omega)), m=lp.m, branch=lp.branch)
+        return LineSpectrum(kind="difference", t_grid=lp.t_grid, branch=lp.branch, a=n, b=n, support="all",
+                            frequency_sign=0, omega_floor=float(np.min(lp.omega)))
 
 
 def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
@@ -549,7 +556,7 @@ def smoothness_decay_order(kernel: LineSpectrum) -> float:
     strongest bin (below that, the leakage skirt of the dominant line
     swamps any genuine content and would flatten the fitted slope).
     """
-    trace = kernel.lag_trace()
+    trace = kernel.trace()
     spec = np.fft.fft(trace * slepian_taper(trace.size, 4.0))
     om = 2.0 * math.pi * np.fft.fftfreq(trace.size, d=kernel.dt)
     pos = om > 0

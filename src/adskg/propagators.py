@@ -24,11 +24,11 @@ The normalization is pinned by the pair of identities
 
 which the verification ops measure per mode on every lag of the time
 grid, as they do Hermiticity, the adjoint pairing and the supports: all
-kinds share the spatial factor.  Gains on the grid's lags come from one
-phase table exp(i omega_k tau) per branch and time grid
+kinds share the spatial factor.  A kernel's gains exist only on the
+integer lags tau = dt k of its grid: ``gains`` and ``trace`` read them from
+the one phase table exp(i omega_k tau) of its branch and grid
 (``SpectralBranch.lag_phases``), which every kernel on that branch and
-grid reads, derived kernels included; ``mode_gain`` at other lags applies
-the same line formula to its own exponential.  These ops return
+grid shares, derived kernels included.  These ops return
 measurements (defects, residuals with their data-dependent scale, Gram
 eigenvalues, mass fractions); tolerances and verdicts belong to the
 caller, the check table of ``cli.run_verify``.  "tilde" weighting is the
@@ -40,7 +40,7 @@ per-mode checks state each identity in the weighted pairing.
 
 Kernel applications use trapezoid quadrature in s and batched FFT
 convolution over the uniform time grid (every kernel above is a Toeplitz
-matrix in time).
+matrix in time, whose entries are the gains on the 2T-1 lags).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spectral import SpectralBranch, SpectralModel, lag_phase_table
+from .spectral import SpectralBranch, SpectralModel
 
 __all__ = [
     "LineSpectrum",
@@ -94,20 +94,19 @@ class LineSpectrum:
     """Stationary kernel with per-mode gain h_k [a_k e^{+i omega_k tau} +
     b_k e^{-i omega_k tau}] S(tau), h_k = 1/(2 omega_k), on a uniform grid.
 
-    The support S is "all" (1), "future" (theta(tau), theta(0) = 0), "past"
-    (theta(-tau)) or "abs" (both exponentials taken at |tau|).
+    The lines sit on the frequencies omega of ``branch``, whose transverse
+    mode is m.  The support S is "all" (1), "future" (theta(tau), theta(0) =
+    0), "past" (theta(-tau)) or "abs" (both exponentials taken at |tau|).
     ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0, and
     ``omega_floor`` is the lowest frequency a scan taper must separate from
-    zero.  ``spectral``, ``weighting`` and ``m`` give the spatial factor
-    phi_k phi_k^T of branch m in that weighting; ``spectral`` is None for
-    kernels without one (boundary lines, state differences).  ``branch`` is
-    the branch whose frequencies the lines sit on: gains on the grid's lags
-    read its phase table for the grid while omega and m are the branch's.
+    zero.  ``spectral`` and ``weighting`` give the spatial factor
+    phi_k phi_k^T of the branch in that weighting; ``spectral`` is None for
+    kernels without one (boundary lines, state differences).
     """
 
     kind: str
     t_grid: np.ndarray
-    omega: np.ndarray
+    branch: SpectralBranch
     a: np.ndarray
     b: np.ndarray
     support: str
@@ -115,8 +114,14 @@ class LineSpectrum:
     omega_floor: float
     spectral: SpectralModel | None = None
     weighting: str = "tilde"
-    m: int = 0
-    branch: SpectralBranch | None = None
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.branch.omega
+
+    @property
+    def m(self) -> int:
+        return self.branch.m
 
     @property
     def dt(self) -> float:
@@ -136,56 +141,29 @@ class LineSpectrum:
         """Mask of the modes whose dominant line sits on the forbidden side."""
         return self.frequency_sign * (np.abs(self.a) - np.abs(self.b)) < 0.0
 
-    def lags(self) -> np.ndarray:
-        """The 2T-1 lags t_i - t_j of the grid in increasing order; reversing
-        the lag axis maps tau to -tau exactly."""
-        return self.dt * np.arange(1 - self.T, self.T)
-
-    def _gains(self, e: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """h (a e + b conj(e)) S(tau) from the phases e = exp(i omega tau),
-        taken at |tau| for the "abs" support."""
-        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x len(tau) temporaries
+    def gains(self, lags: np.ndarray | None = None) -> np.ndarray:
+        """Per-mode gains at the integer lags k (tau = dt k), shape (K, len(lags));
+        the default is all 2T-1 lags 1-T .. T-1 in increasing order, so
+        reversing that lag axis maps tau to -tau exactly."""
+        k = np.arange(1 - self.T, self.T) if lags is None else np.asarray(lags)
+        if k.size and int(np.abs(k).max()) >= self.T:
+            raise ValueError(f"lags must lie in [1-T, T-1] = [{1 - self.T}, {self.T - 1}]")
+        table = self.branch.lag_phases(self.dt, self.T)
+        # np.take returns the phases row-major (table[:, idx] would not), which fixes the rounding of mode sums
+        e = np.take(table, self.T - 1 + (np.abs(k) if self.support == "abs" else k), axis=1)
+        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x len(lags) temporaries
         g = self.a[:, None] * e
         lower = e.conj()
         g += np.multiply(self.b[:, None], lower, out=lower)
         g *= 0.5 / self.omega[:, None]
         if self.support in ("future", "past"):
-            g[:, ~(tau > 0.0 if self.support == "future" else tau < 0.0)] = 0.0
+            g[:, ~(k > 0 if self.support == "future" else k < 0)] = 0.0
         return g
 
-    def mode_gain(self, tau: np.ndarray) -> np.ndarray:
-        """Per-mode temporal factor at arbitrary lags, shape (K, len(tau))."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        e = np.exp(1j * (self.omega[:, None] * (np.abs(tau) if self.support == "abs" else tau)[None, :]))
-        return self._gains(e, tau)
-
-    def trace_series(self, tau: np.ndarray) -> np.ndarray:
-        """Mode-summed temporal signal sum_k g_k(tau) (the kernel's trace in
-        the assembled inner product)."""
-        return self.mode_gain(tau).sum(axis=0)
-
-    def _lag_phases(self) -> np.ndarray:
-        """exp(i omega tau) on the 2T-1 lags: the branch's shared table when
-        this kernel's m and frequencies are the branch's, else its own."""
-        br = self.branch
-        if br is not None and br.m == self.m and np.array_equal(br.omega, self.omega):
-            return br.lag_phases(self.dt, self.T)
-        return lag_phase_table(self.omega, self.dt, self.T)
-
-    def lag_gains(self, n: int | None = None) -> np.ndarray:
-        """``mode_gain`` on the 2n+1 centred lags dt (-n .. n) of the grid
-        (default n = T-1, all of ``lags()``), read from the lag phase table."""
-        n = self.T - 1 if n is None else n
-        if not 0 <= n < self.T:
-            raise ValueError(f"lag half-width {n} outside [0, T-1 = {self.T - 1}]")
-        e = self._lag_phases()[:, self.T - 1 - n : self.T + n]
-        if self.support == "abs":
-            e = np.concatenate([e[:, :n:-1], e[:, n:]], axis=1)  # |tau|: mirror the lags tau >= 0
-        return self._gains(e, self.dt * np.arange(-n, n + 1))
-
-    def lag_trace(self, n: int | None = None) -> np.ndarray:
-        """``trace_series`` on the centred lags of ``lag_gains(n)``."""
-        return self.lag_gains(n).sum(axis=0)
+    def trace(self, lags: np.ndarray | None = None) -> np.ndarray:
+        """Mode-summed gains sum_k g_k at the lags of ``gains`` (the kernel's
+        trace in the assembled inner product)."""
+        return self.gains(lags).sum(axis=0)
 
     def flip(self, modes) -> "LineSpectrum":
         """Copy with the two lines swapped on the given modes, which fakes a
@@ -220,7 +198,7 @@ def make_propagator(
     weighting: str = "tilde",
     m: int = 0,
 ) -> LineSpectrum:
-    """Build a mode-sum kernel on a uniform time grid.
+    """Build a mode-sum kernel on a strictly increasing uniform time grid.
 
     Rejects grids that undersample the largest retained frequency
     (omega_max * dt must stay below pi).
@@ -233,9 +211,12 @@ def make_propagator(
     if t_grid.size < 32:
         raise ValueError("time grid too coarse: need T >= 32")
     steps = np.diff(t_grid)
+    if not steps[0] > 0.0:
+        raise ValueError(f"time grid must be strictly increasing, got step dt = {steps[0]!r}")
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         raise ValueError("time grid must be uniform")
-    omega = sm.branch(m).omega
+    br = sm.branch(m)
+    omega = br.omega
     dt = float(t_grid[1] - t_grid[0])
     if float(omega[-1]) * dt >= math.pi:
         raise ValueError(
@@ -243,9 +224,9 @@ def make_propagator(
             "refine dt or retain fewer modes"
         )
     a, b, support = _LINES[kind]
-    return LineSpectrum(kind, t_grid, omega, np.full(omega.size, a), np.full(omega.size, b), support,
+    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), support,
                         frequency_sign={"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0),
-                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting, m=m, branch=sm.branch(m))
+                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting)
 
 
 def _trap_weights(T: int) -> np.ndarray:
@@ -258,8 +239,9 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     """Apply the kernel to space-time data f of shape (T, ndof).
 
     Trapezoid quadrature in s; the stationary mode sums make this a batched
-    Toeplitz product, done by FFT per mode.  Physical weighting conjugates
-    by the stored weight vectors.
+    Toeplitz product, done by FFT per mode on a circular buffer of the
+    kernel's ``gains`` on its 2T-1 lags.  Physical weighting conjugates by
+    the stored weight vectors.
     """
     if kernel.spectral is None:
         raise ValueError(f"{kernel.kind} kernel has no spatial factor to apply")
@@ -275,9 +257,7 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
     # pocketfft's slow path); lag -m sits at L-m with zeros in the middle
     L = 1 << (2 * T - 2).bit_length()
-    gains = np.zeros((kernel.omega.size, L), dtype=complex)
-    gains[:, :T] = kernel.mode_gain(kernel.t_grid - kernel.t_grid[0])
-    gains[:, L - T + 1 :] = kernel.mode_gain(kernel.t_grid[:-1] - kernel.t_grid[-1])
+    gains = np.roll(np.pad(kernel.gains(), ((0, 0), (0, L + 1 - 2 * T))), 1 - T, axis=1)
     A_hat = np.fft.fft(a.T, n=L, axis=1)
     G_hat = np.fft.fft(gains, axis=1)
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
@@ -297,25 +277,28 @@ def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float, m: int = 0)
     return dtt + sm.apply_A(f[1:-1], m=m)
 
 
-def _gram_matrix(kernel: LineSpectrum) -> np.ndarray:
+def _gram_matrix(kernel: LineSpectrum, n_times: int = _GRAM_TIMES, coeffs: np.ndarray | None = None) -> np.ndarray:
     """Hermitian space-time Gram of the kernel on a test family.
 
-    Entries <(t_i, f_a), K (t_j, f_b)> over _GRAM_TIMES subsampled times
-    and _GRAM_VECS seeded random mode-space vectors.  The pairing is the
-    mode-space one, which is the weighted pairing in either weighting (the
-    weights conjugate the spatial factor), so no measure density enters.
-    Each distinct lag t_i - t_j is evaluated once, and the contraction over
-    modes is one product of the vector pairs conj(c_ak) c_bk with the gains.
+    Entries <(t_i, c_a), K (t_j, c_b)> over n_times subsampled grid times
+    t_i and the mode-space vectors c_a, the rows of ``coeffs`` (default:
+    _GRAM_VECS seeded random unit vectors).  The pairing is the mode-space
+    one, which is the weighted pairing in either weighting (the weights
+    conjugate the spatial factor), so no measure density enters.  The gains
+    are read once per distinct integer lag idx_i - idx_j, and the
+    contraction over modes is one product of the vector pairs
+    conj(c_ak) c_bk with them.
     """
-    idx = np.linspace(0, kernel.T - 1, _GRAM_TIMES).round().astype(int)
-    times = kernel.t_grid[idx]
-    coeffs = np.random.default_rng(1234).standard_normal((_GRAM_VECS, kernel.omega.size))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)  # (a, K)
-    lags, where = np.unique(times[:, None] - times[None, :], return_inverse=True)
-    pairs = (coeffs.conj()[:, None, :] * coeffs[None, :, :]).reshape(-1, kernel.omega.size)  # ((a, b), K)
-    gram = (pairs @ kernel.mode_gain(lags))[:, where.ravel()]  # ((a, b), (i, j))
-    n = _GRAM_TIMES * _GRAM_VECS
-    return gram.reshape(_GRAM_VECS, _GRAM_VECS, _GRAM_TIMES, _GRAM_TIMES).transpose(2, 0, 3, 1).reshape(n, n)
+    if coeffs is None:
+        coeffs = np.random.default_rng(1234).standard_normal((_GRAM_VECS, kernel.omega.size))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    n_v, n_k = coeffs.shape
+    idx = np.linspace(0, kernel.T - 1, n_times).round().astype(int)
+    lags, where = np.unique(idx[:, None] - idx[None, :], return_inverse=True)
+    pairs = (coeffs.conj()[:, None, :] * coeffs[None, :, :]).reshape(-1, n_k)  # ((a, b), K)
+    gram = (pairs @ kernel.gains(lags))[:, where.ravel()]  # ((a, b), (i, j))
+    n = n_times * n_v
+    return gram.reshape(n_v, n_v, n_times, n_times).transpose(2, 0, 3, 1).reshape(n, n)
 
 
 def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -323,7 +306,7 @@ def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
 
 
-def _lag_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
+def _grid_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
     """Per-mode gains on the 2T-1 lags of kernels that share one grid,
     weighting and spatial factor: identities between such kernels are
     identities between these arrays, all read from one lag phase table."""
@@ -333,7 +316,7 @@ def _lag_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
             raise ValueError("kernels must share one spectral model, transverse mode and weighting")
         if not np.array_equal(k.t_grid, first.t_grid):
             raise ValueError("kernels must share one time grid")
-    return [k.lag_gains() for k in kernels]
+    return [k.gains() for k in kernels]
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -353,7 +336,7 @@ def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dic
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus" or g.kind != "causal":
         raise ValueError("expected (lambda_plus, lambda_minus, causal) kernels")
-    gp, gm, gg = _lag_gains(lp, lm, g)
+    gp, gm, gg = _grid_gains(lp, lm, g)
 
     # wave-operator residual on the lags tau >= 0, exact in space, O(dt^2)
     # from the time stencil
@@ -383,7 +366,7 @@ def support_check(kernel: LineSpectrum) -> float:
     factor; returned so tests can assert it."""
     if kernel.kind not in ("retarded", "advanced"):
         raise ValueError("support check applies to retarded/advanced kernels")
-    gains = kernel.lag_gains()
+    gains = kernel.gains()
     forbidden = gains[:, : kernel.T] if kernel.kind == "retarded" else gains[:, kernel.T - 1 :]
     return _max_abs(np.abs(forbidden).sum(axis=0))
 
@@ -392,7 +375,7 @@ def adjoint_check(ret: LineSpectrum, adv: LineSpectrum) -> float:
     """Largest per-mode |retarded(s,t)^T - advanced(t,s)| over every lag."""
     if ret.kind != "retarded" or adv.kind != "advanced":
         raise ValueError("expected (retarded, advanced)")
-    g_ret, g_adv = _lag_gains(ret, adv)
+    g_ret, g_adv = _grid_gains(ret, adv)
     return _max_abs(g_ret[:, ::-1] - g_adv)
 
 
@@ -451,7 +434,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     if nw < 2.5:
         raise ValueError("window too short for a concentrated taper; enlarge T_w")
     window = slepian_taper(tau.size, nw)
-    sig = kernel.lag_trace(n_half) * window
+    sig = kernel.trace(np.arange(-n_half, n_half + 1)) * window
     spec = np.fft.fft(sig)
     freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)
     power = np.abs(spec) ** 2
@@ -480,7 +463,7 @@ def feynman_consistency(lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, a
     """Largest per-mode magnitude of (1/i)Lambda_plus + advanced -
     (1/i)Lambda_minus - retarded over every lag, which vanishes iff the
     commutator identity holds."""
-    gp, gm, g_ret, g_adv = _lag_gains(lp, lm, ret, adv)
+    gp, gm, g_ret, g_adv = _grid_gains(lp, lm, ret, adv)
     return _max_abs(-1j * gp + g_adv - (-1j * gm + g_ret))
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "SpectralBranch",
     "SpectralModel",
     "build_spectral",
-    "lag_phase_table",
     "bessel_collocation_eigs",
 ]
 
@@ -176,12 +175,6 @@ def _assemble(grid: Grid1D, pot_g: np.ndarray, meas_g: np.ndarray, mass_g: np.nd
     return K[1:-1, 1:-1].tocsc(), M[1:-1, 1:-1].tocsc()
 
 
-def lag_phase_table(omega: np.ndarray, dt: float, T: int) -> np.ndarray:
-    """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of a
-    uniform grid, shape (K, 2T-1)."""
-    return np.exp(1j * (omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
-
-
 @dataclass
 class SpectralBranch:
     """Eigendata of one transverse Fourier mode.
@@ -202,11 +195,12 @@ class SpectralBranch:
         return np.sqrt(self.omega2)
 
     def lag_phases(self, dt: float, T: int) -> np.ndarray:
-        """``lag_phase_table`` of this branch's frequencies on the grid (dt, T),
-        read-only and shared by every kernel that asks for that grid."""
+        """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of
+        the uniform grid (dt, T), shape (K, 2T-1): read-only and shared by
+        every kernel that asks for that grid."""
         key = (float(dt), int(T))
         if key not in self._lag_phases:
-            table = lag_phase_table(self.omega, dt, T)
+            table = np.exp(1j * (self.omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
             table.setflags(write=False)
             self._lag_phases[key] = table
         return self._lag_phases[key]

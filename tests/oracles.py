@@ -2,7 +2,9 @@
 
 Everything here is computed with mpmath at 30 digits and never touches the
 package's own Bessel helpers or solvers, so a test comparing against these
-numbers is a genuine cross-check, not a tautology.
+numbers is a genuine cross-check, not a tautology.  The one numpy oracle,
+``line_gains``, writes the line-spectrum gain out with its own exponential
+at arbitrary lags, where the package reads a phase table on grid lags.
 """
 
 from __future__ import annotations
@@ -58,3 +60,14 @@ def thermal_occupation_mp(beta: float, omega: np.ndarray) -> np.ndarray:
 # two textbook spot values guarding the oracle itself
 J1_FIRST_ZERO = 3.8317059702075123156
 HALF_ORDER_ZERO = math.pi  # J_{1/2}(z) proportional to sin(z)/sqrt(z)
+
+
+def line_gains(kernel, tau: np.ndarray) -> np.ndarray:
+    """Per-mode gains h_k [a_k e^{+i omega_k tau} + b_k e^{-i omega_k tau}] S(tau)
+    of a line spectrum at arbitrary lags tau, shape (K, len(tau))."""
+    tau = np.asarray(tau, dtype=float)
+    w = kernel.omega[:, None]
+    e = np.exp(1j * (w * (np.abs(tau) if kernel.support == "abs" else tau)[None, :]))
+    g = (kernel.a[:, None] * e + kernel.b[:, None] * e.conj()) * (0.5 / w)
+    support = {"future": tau > 0.0, "past": tau < 0.0}.get(kernel.support)
+    return g if support is None else np.where(support, g, 0.0)

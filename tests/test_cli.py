@@ -237,6 +237,39 @@ def test_kernels_refuses_a_branch_the_blob_lacks(small_blobs, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def packet_blob(tmp_path_factory):
+    """A model blob with enough modes to hold the test wavepacket."""
+    blob = tmp_path_factory.mktemp("packet") / "model.bin"
+    assert main(["build-spectral", "--N", "192", "--n-modes", "32", "--out", str(blob)]) == 0
+    return blob
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("kernels", ["--kind", "lambda_plus", "--dt", "0"], "strictly increasing"),
+        ("kernels", ["--kind", "lambda_plus", "--dt", "-0.01"], "strictly increasing"),
+        ("boundary-2pt", ["--dt", "0"], "strictly increasing"),
+        ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "0.3", "--dt", "0"], "dt > 0"),
+        ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "0.3", "--dt", "-0.005"], "dt > 0"),
+        ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "-1"], "t_max >= 0"),
+    ],
+    ids=["kernels-dt0", "kernels-dt-neg", "boundary-2pt-dt0", "wavepacket-dt0", "wavepacket-dt-neg",
+         "wavepacket-tmax-neg"],
+)
+def test_non_positive_time_steps_exit_2(small_blobs, packet_blob, tmp_path, capsys, command, flags, named):
+    """A time grid that is constant or runs backward is a bad flag: exit 2
+    with one error line, and no output file."""
+    capsys.readouterr()
+    out = tmp_path / "out.bin"
+    blob = packet_blob if command == "wavepacket" else small_blobs[0]
+    assert main([command, "--model-bin", str(blob), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_boundary_2pt_weights_match_closed_form(tmp_path, capsys):
     blob = tmp_path / "model.bin"
     main(["build-spectral", "--nu", "1.0", "--N", "96", "--n-modes", "8",

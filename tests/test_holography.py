@@ -162,9 +162,9 @@ def test_boundary_kernel_structure(sm192, ads2, tgrid):
     bk = boundary_two_point(lp, ads2)
     assert bk.frequency_sign == +1
     assert bk.weights == pytest.approx(boundary_fits(lp, ads2)[0] ** 2 / (2.0 * bk.omega), rel=1e-15)
-    tau = np.array([0.3, 1.1])
-    vals = bk.trace_series(tau)
-    flipped = bk.trace_series(-tau)
+    lags = np.array([12, 44])  # tau = 0.3, 1.1
+    vals = bk.trace(lags)
+    flipped = bk.trace(-lags)
     assert vals == pytest.approx(np.conj(flipped), rel=1e-14)
     gram = boundary_gram(bk)
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
@@ -174,16 +174,20 @@ def test_boundary_kernel_structure(sm192, ads2, tgrid):
 
 
 def test_boundary_gram_reads_distinct_lags(sm192, ads2, tgrid, monkeypatch):
-    """One trace_series call on fewer than 48^2 lags gives the dense Gram
-    matrix bit for bit."""
+    """One gains call on fewer than 48^2 lags gives the dense Gram matrix of
+    traces to two rounding units of its largest entry, and no farther from
+    the long-double mode sum than the trace is."""
     bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, weighting="physical"), ads2)
-    times = bk.t_grid[np.linspace(0, bk.T - 1, 48).round().astype(int)]
-    dense = bk.trace_series((times[:, None] - times[None, :]).ravel()).reshape(48, 48)
+    idx = np.linspace(0, bk.T - 1, 48).round().astype(int)
+    gains = bk.gains((idx[:, None] - idx[None, :]).ravel())
+    dense = gains.sum(axis=0).reshape(48, 48)
+    exact = sum(part.astype(np.longdouble).sum(axis=0) * unit for part, unit in ((gains.real, 1), (gains.imag, 1j)))
     sizes = []
-    trace_series = LineSpectrum.trace_series
-    monkeypatch.setattr(LineSpectrum, "trace_series",
-                        lambda self, tau: sizes.append(np.size(tau)) or trace_series(self, tau))
-    assert np.array_equal(boundary_gram(bk), dense)
+    gains_at = LineSpectrum.gains
+    monkeypatch.setattr(LineSpectrum, "gains", lambda self, lags: sizes.append(np.size(lags)) or gains_at(self, lags))
+    got = boundary_gram(bk)
+    assert np.max(np.abs(got - dense)) <= 2.0 * np.finfo(float).eps * np.max(np.abs(dense))
+    assert np.max(np.abs(got - exact.reshape(48, 48))) <= np.max(np.abs(dense - exact.reshape(48, 48)))
     assert len(sizes) == 1 and sizes[0] < 48**2
 
 

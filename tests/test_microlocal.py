@@ -18,7 +18,7 @@ from adskg.microlocal import (
 )
 from adskg.propagators import LineSpectrum, make_propagator, slepian_taper
 from adskg.spectral import build_spectral
-from oracles import thermal_occupation_mp
+from oracles import line_gains, thermal_occupation_mp
 
 SCAN = WindowSpec(length=6.5, n_centers=3)
 
@@ -216,7 +216,7 @@ def _direct_scan(kernel, spec):
             tt, ss = t[i0 : i0 + n_w], t[j0 : j0 + n_w]
             # the trace at every t_i - t_j, evaluated once per distinct value
             tau, inverse = np.unique(tt[:, None] - ss[None, :], return_inverse=True)
-            vals = kernel.trace_series(tau)[inverse].reshape(n_w, n_w)
+            vals = line_gains(kernel, tau).sum(axis=0)[inverse].reshape(n_w, n_w)
             power = np.abs(np.fft.fft2(taper[:, None] * vals * taper[None, :])) ** 2
             total = power.sum() or 1.0  # a zero window has zero masses
             out.append(
@@ -283,14 +283,10 @@ def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
     tau = 0."""
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
     sizes, ffts = [], []
-    trace_series, lag_trace, fft2 = LineSpectrum.trace_series, LineSpectrum.lag_trace, np.fft.fft2
+    trace, fft2 = LineSpectrum.trace, np.fft.fft2
 
-    def counting_trace(self, tau):
-        sizes.append(np.size(tau))
-        return trace_series(self, tau)
-
-    def counting_lag_trace(self, n=None):
-        out = lag_trace(self, n)
+    def counting_trace(self, lags=None):
+        out = trace(self, lags)
         sizes.append(out.size)
         return out
 
@@ -298,8 +294,7 @@ def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
         ffts.append(np.shape(x))
         return fft2(x, *args, **kwargs)
 
-    monkeypatch.setattr(LineSpectrum, "trace_series", counting_trace)
-    monkeypatch.setattr(LineSpectrum, "lag_trace", counting_lag_trace)
+    monkeypatch.setattr(LineSpectrum, "trace", counting_trace)
     monkeypatch.setattr(np.fft, "fft2", counting_fft2)
     for kern in (zoo["lambda_plus"], zoo["lambda_plus"].mutated(0.01), pair.lp_b):
         assert len(kernel_wavefront_scan(kern, SCAN)) == 9
@@ -338,9 +333,9 @@ def test_gbb_reference_cylinder_branch(m):
 
 def test_bogoliubov_reduces_to_vacuum(zoo):
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [])
-    tau = np.array([-1.3, 0.0, 0.4])
+    lags = np.array([-52, 0, 16])  # tau = -1.3, 0, 0.4
     for bk, vac in ((pair.lp_b, zoo["lambda_plus"]), (pair.lm_b, zoo["lambda_minus"])):
-        assert bk.mode_gain(tau) == pytest.approx(vac.mode_gain(tau), abs=1e-15)
+        assert bk.gains(lags) == pytest.approx(vac.gains(lags), abs=1e-15)
 
 
 def test_perturbed_state_thermal_occupations(zoo, sm192):
@@ -355,21 +350,21 @@ def test_perturbed_state_commutator_preserved(zoo, sm192):
     pair = make_perturbed_state(
         zoo["lambda_plus"], zoo["lambda_minus"], [(0, 0.8), (3, 0.4)]
     )
-    tau = np.array([-2.0, 0.7, 5.0])
-    comm_a = zoo["lambda_plus"].mode_gain(tau) - zoo["lambda_minus"].mode_gain(tau)
-    comm_b = pair.lp_b.mode_gain(tau) - pair.lm_b.mode_gain(tau)
+    lags = np.array([-80, 28, 200])  # tau = -2, 0.7, 5
+    comm_a = zoo["lambda_plus"].gains(lags) - zoo["lambda_minus"].gains(lags)
+    comm_b = pair.lp_b.gains(lags) - pair.lm_b.gains(lags)
     assert comm_b == pytest.approx(comm_a, abs=1e-15)
 
 
 def test_perturbed_state_difference_is_exact(zoo, sm192):
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [(2, 0.6)])
     d = pair.difference()
-    tau = np.linspace(-4.0, 4.0, 33)
-    direct = pair.lp_b.trace_series(tau) - pair.lp_a.trace_series(tau)
-    assert d.trace_series(tau) == pytest.approx(direct, abs=1e-14)
+    lags = np.arange(-160, 161, 10)  # tau = dt k on [-4, 4], 33 lags
+    direct = pair.lp_b.trace(lags) - pair.lp_a.trace(lags)
+    assert d.trace(lags) == pytest.approx(direct, abs=1e-14)
     n2 = np.sinh(0.6) ** 2
     w2 = zoo["lambda_plus"].omega[2]
-    assert d.trace_series(np.array([0.0]))[0] == pytest.approx(n2 / w2, rel=1e-12)
+    assert d.trace(np.array([0]))[0] == pytest.approx(n2 / w2, rel=1e-12)
 
 
 def test_rotating_a_rotated_pair_adds_its_occupations(zoo, sm192):
@@ -377,11 +372,11 @@ def test_rotating_a_rotated_pair_adds_its_occupations(zoo, sm192):
     # the newly injected mode sum, the old occupations are kept
     p1 = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
     p2 = make_perturbed_state(p1.lp_b, p1.lm_b, [(3, 0.4)])
-    tau = np.linspace(-4.0, 4.0, 33)
-    d = p2.difference().trace_series(tau)
+    lags = np.arange(-160, 161, 10)  # tau = dt k on [-4, 4], 33 lags
+    d = p2.difference().trace(lags)
     scale = float(np.abs(d).max())
     for new, old in ((p2.lp_b, p1.lp_b), (p2.lm_b, p1.lm_b)):
-        direct = new.trace_series(tau) - old.trace_series(tau)
+        direct = new.trace(lags) - old.trace(lags)
         assert float(np.abs(d - direct).max()) <= 1e-14 * scale
     n = p1.occupation + p2.occupation
     assert p2.lp_b.a == pytest.approx(1.0 + n, rel=1e-15) and p2.lp_b.b == pytest.approx(n, rel=1e-15)

@@ -2,16 +2,18 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import line_gains
 from scipy.signal.windows import dpss
 
 import adskg
-from adskg import propagators, spectral
+from adskg import propagators
 from adskg.cli import RunConfig, _default_tolerances, run_verify
+from adskg.geometry import make_toy_model
 from adskg.holography import boundary_fits, boundary_two_point
 from adskg.microlocal import make_perturbed_state
 from adskg.propagators import (
@@ -28,7 +30,7 @@ from adskg.propagators import (
     time_slice_check,
     verify_two_point,
 )
-from adskg.spectral import build_spectral, lag_phase_table
+from adskg.spectral import SpectralBranch, build_spectral
 
 TOL = _default_tolerances()
 
@@ -38,11 +40,12 @@ def _psd_ok(evals: np.ndarray) -> bool:
     return bool(evals[0] >= -TOL["psd"] * np.abs(evals).max())
 
 
-def test_mode_gain_closed_forms(zoo, sm192, ads2):
-    # every gain on the full grid of 2T-1 lags against its closed form
-    tau = zoo["causal"].lags()
-    assert tau.size == 2 * zoo["causal"].T - 1
-    w = zoo["causal"].omega[:, None]
+def test_gains_closed_forms(zoo, sm192, ads2):
+    # every gain on the 2T-1 integer lags k of the grid, tau = dt k, against its closed form
+    g = zoo["causal"]
+    k = np.arange(1 - g.T, g.T)
+    tau = g.dt * k
+    w = g.omega[:, None]
     ph = w * tau[None, :]
     plus, minus = np.exp(1j * ph) / (2 * w), np.exp(-1j * ph) / (2 * w)
     beta = 5.0 / sm192.m_floor_sqrt
@@ -62,15 +65,17 @@ def test_mode_gain_closed_forms(zoo, sm192, ads2):
         "thermal lambda_minus": (pair.lm_b, n * plus + (1 + n) * minus),
         "difference": (pair.difference(), n * np.cos(ph) / w),
     }
+    some = k[::-7]  # an explicit lag list, decreasing, both signs
     for name, (kern, want) in checks.items():
-        assert kern.mode_gain(tau) == pytest.approx(want, abs=1e-15), name
+        assert kern.gains() == pytest.approx(want, abs=1e-15), name
+        assert kern.gains(some) == pytest.approx(want[:, kern.T - 1 + some], abs=1e-15), name
     # boundary lines weight_k e^{+-i omega_k tau}; weights reach 4e3, so
     # compare per unit weight
     for kind, sign in (("lambda_plus", 1), ("lambda_minus", -1)):
         bulk = make_propagator(sm192, kind, zoo[kind].t_grid, weighting="physical")
         bk = boundary_two_point(bulk, ads2)
         weights = boundary_fits(bulk, ads2)[0][:, None] ** 2 / (2 * w)
-        got = bk.mode_gain(tau) / weights
+        got = bk.gains() / weights
         assert got == pytest.approx(np.exp(sign * 1j * ph), abs=1e-15), kind
 
 
@@ -92,22 +97,23 @@ def test_every_kernel_is_one_line_spectrum(zoo, sm192, ads2, tgrid):
         assert type(kern) is LineSpectrum, name
     classes = {c for sub in adskg._SUBMODULES for c in vars(getattr(adskg, sub)).values()
                if isinstance(c, type) and c.__module__.startswith("adskg.")}
-    for method in ("mode_gain", "trace_series"):
+    for method in ("gains", "trace"):
         assert [c for c in classes if method in vars(c)] == [LineSpectrum], method
+    for method in ("mode_gain", "trace_series", "lag_gains", "lag_trace"):
+        assert [c for c in classes if method in vars(c)] == [], method
     assert [c for c in classes if issubclass(c, LineSpectrum)] == [LineSpectrum]
+    # omega and m are the branch's, read through it, never stored on a kernel
+    assert {"omega", "m"}.isdisjoint(f.name for f in fields(LineSpectrum))
+    for name, kern in built.items():
+        assert kern.branch is sm192.branch(0) and kern.m == 0, name
 
 
 def _direct_lag_gains(kern):
     """The gains on the 2T-1 lags written out with their own np.exp."""
-    tau = kern.lags()
-    w = kern.omega[:, None]
-    e = np.exp(1j * (w * (np.abs(tau) if kern.support == "abs" else tau)[None, :]))
-    g = (kern.a[:, None] * e + kern.b[:, None] * e.conj()) * (0.5 / w)
-    support = {"future": tau > 0.0, "past": tau < 0.0}.get(kern.support)
-    return g if support is None else np.where(support, g, 0.0)
+    return line_gains(kern, kern.dt * np.arange(1 - kern.T, kern.T))
 
 
-def test_lag_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
+def test_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
     lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
     pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
     derived = {
@@ -121,57 +127,66 @@ def test_lag_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
     T = lp.T
     for name, kern in {**zoo, **derived}.items():
         want = _direct_lag_gains(kern)
-        assert kern._lag_phases() is table, name
-        assert np.array_equal(kern.lag_gains(), want), name
-        assert np.array_equal(kern.mode_gain(kern.lags()), want), name
-        assert np.array_equal(kern.lag_trace(), want.sum(axis=0)), name
-        assert np.array_equal(kern.trace_series(kern.lags()), want.sum(axis=0)), name
+        assert kern.branch.lag_phases(kern.dt, kern.T) is table, name
+        assert np.array_equal(kern.gains(), want), name
+        assert np.array_equal(kern.trace(), want.sum(axis=0)), name
         for n in (0, 100, T - 2):
-            assert np.array_equal(kern.lag_gains(n), want[:, T - 1 - n : T + n]), (name, n)
+            centred = np.arange(-n, n + 1)
+            assert np.array_equal(kern.gains(centred), want[:, T - 1 - n : T + n]), (name, n)
+            assert np.array_equal(kern.trace(centred), kern.gains(centred).sum(axis=0)), (name, n)
     assert {kern.support for kern in zoo.values()} == {"all", "future", "past", "abs"}
     assert not table.flags.writeable
-    for n in (-1, T):
-        with pytest.raises(ValueError, match="half-width"):
-            lp.lag_gains(n)
+    for bad in ([T], [-T], [0, T + 5]):
+        with pytest.raises(ValueError, match="lags must lie"):
+            lp.gains(bad)
 
 
 def test_replaced_kernel_builds_its_own_table(zoo, sm192, tgrid):
+    """A kernel reads the table of its own branch and grid: another grid or
+    another branch gets another table, with the gains of its own lags."""
     lp = zoo["lambda_plus"]
-    table = lp._lag_phases()
+    br = lp.branch
+    table = br.lag_phases(lp.dt, lp.T)
+    stiffer = replace(br, omega2=1.0201 * br.omega2)
     others = {
         "t_grid": replace(lp, t_grid=0.5 * tgrid),
         "shorter t_grid": replace(lp, t_grid=tgrid[:400]),
-        "omega": replace(lp, omega=1.01 * lp.omega),
-        "m": replace(lp, m=1),
+        "branch": replace(lp, branch=stiffer),
     }
     for name, kern in others.items():
-        assert kern._lag_phases() is not table, name
-        assert np.array_equal(kern.lag_gains(), _direct_lag_gains(kern)), name
-    assert lp._lag_phases() is table
+        assert kern.branch.lag_phases(kern.dt, kern.T) is not table, name
+        assert np.array_equal(kern.gains(), _direct_lag_gains(kern)), name
+    assert np.array_equal(others["branch"].omega, stiffer.omega)
+    assert others["branch"].omega == pytest.approx(1.01 * lp.omega, rel=1e-15)
+    assert br.lag_phases(lp.dt, lp.T) is table
 
 
 def test_spectral_models_never_share_a_table(ads2, tgrid):
     kernels = [make_propagator(build_spectral(ads2, N=64, n_modes=8), "lambda_plus", tgrid) for _ in range(2)]
-    first, second = (k._lag_phases() for k in kernels)
+    first, second = (k.branch.lag_phases(k.dt, k.T) for k in kernels)
     assert first is not second
     assert np.array_equal(first, second)
 
 
 def test_verify_builds_one_table_per_branch_and_grid(monkeypatch, tmp_path):
-    builds = []
+    """A default verify reads one phase table for the kernel grid and one for
+    each of the three time-slice grids (steps 4h, 2h, h, h = L/1000, span
+    0.256 L), and every read of a grid gets the same table."""
+    reads = {}
+    lag_phases = SpectralBranch.lag_phases
 
-    def counting(omega, dt, T):
-        builds.append((omega.size, dt, T))
-        return lag_phase_table(omega, dt, T)
+    def recording(self, dt, T):
+        table = lag_phases(self, dt, T)
+        reads.setdefault((self.m, dt, T), []).append(table)
+        return table
 
-    def refused(omega, dt, T):
-        raise AssertionError("a default verify kernel built a table of its own")
-
-    monkeypatch.setattr(spectral, "lag_phase_table", counting)
-    monkeypatch.setattr(propagators, "lag_phase_table", refused)
+    monkeypatch.setattr(SpectralBranch, "lag_phases", recording)
     code, report = run_verify(RunConfig(out_dir=str(tmp_path)))
     assert code == 0
-    assert builds == [(32, report["config"]["dt"], report["config"]["T"])]
+    slice_grids = [(0, 1e-3 * level, int(round(0.256 / (1e-3 * level))) + 1) for level in (4, 2, 1)]
+    assert sorted(reads) == sorted([(0, report["config"]["dt"], report["config"]["T"]), *slice_grids])
+    for key, tables in reads.items():
+        assert all(t is tables[0] for t in tables), key
 
 
 def test_apply_needs_a_spatial_factor(zoo, sm192, ads2, tgrid):
@@ -219,10 +234,10 @@ def _gram_by_einsum(kernel, dtype=float):
     """The Gram matrix as one dense einsum over all (i, j) lags, summed in
     ``dtype`` (np.longdouble makes it a reference for both float forms)."""
     n_t, n_v = propagators._GRAM_TIMES, propagators._GRAM_VECS
-    times = kernel.t_grid[np.linspace(0, kernel.T - 1, n_t).round().astype(int)]
+    idx = np.linspace(0, kernel.T - 1, n_t).round().astype(int)
     coeffs = np.random.default_rng(1234).standard_normal((n_v, kernel.omega.size))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    gains = kernel.mode_gain((times[:, None] - times[None, :]).ravel()).reshape(-1, n_t, n_t)
+    gains = kernel.gains((idx[:, None] - idx[None, :]).ravel()).reshape(-1, n_t, n_t)
     c = coeffs.astype(dtype)
     gram = [np.einsum("ak,kij,bk->iajb", c, part.astype(dtype), c) for part in (gains.real, gains.imag)]
     return (gram[0] + 1j * gram[1]).reshape(n_t * n_v, n_t * n_v)
@@ -238,8 +253,8 @@ def test_gram_matrix_is_one_product_on_distinct_lags(zoo, sm192, tgrid, monkeypa
     kernels = (lp, lm, thermal, *physical)
     wants = [(_gram_by_einsum(k), _gram_by_einsum(k, np.longdouble)) for k in kernels]
     sizes = []
-    mode_gain = LineSpectrum.mode_gain
-    monkeypatch.setattr(LineSpectrum, "mode_gain", lambda self, tau: sizes.append(np.size(tau)) or mode_gain(self, tau))
+    gains = LineSpectrum.gains
+    monkeypatch.setattr(LineSpectrum, "gains", lambda self, lags: sizes.append(np.size(lags)) or gains(self, lags))
     for kernel, (want, exact) in zip(kernels, wants):
         got = propagators._gram_matrix(kernel)
         scale = np.max(np.abs(want))
@@ -286,9 +301,11 @@ def test_support_check_memory(zoo):
     assert peak < 16 * 2**20
 
 
-def test_identities_need_one_spatial_factor(sm192, tgrid):
-    ret = make_propagator(sm192, "retarded", tgrid)
-    other = replace(make_propagator(sm192, "advanced", tgrid), m=1)
+def test_identities_need_one_spatial_factor(tgrid):
+    cyl = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, m_max=1, n_modes=8)
+    ret = make_propagator(cyl, "retarded", tgrid)
+    other = make_propagator(cyl, "advanced", tgrid, m=1)
+    assert (ret.m, other.m) == (0, 1) and other.branch is cyl.branch(1)
     with pytest.raises(ValueError, match="share one spectral model"):
         adjoint_check(ret, other)
 
