@@ -94,6 +94,11 @@ class RunConfig:
     inject_sign_flip: bool = False
 
     def validate(self) -> None:
+        for name, kind in (("N", int), ("n_modes", int), ("m_max", int), ("seed", int),
+                           ("inject_sign_flip", bool), ("model", dict), ("tolerances", dict)):
+            val = getattr(self, name)
+            if type(val) is not kind:  # exact type: a bool is no integer here
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {val!r}")
         for name, val in self.tolerances.items():
             if not (isinstance(val, (int, float)) and val > 0.0):
                 raise ValueError(f"tolerance {name!r} must be positive, got {val!r}")
@@ -106,14 +111,14 @@ class RunConfig:
         if path is not None:
             with open(path) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"a config file holds one JSON object, got {type(raw).__name__}")
             known = {f for f in cls.__dataclass_fields__}
             unknown = set(raw) - known
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            if "tolerances" in raw:
-                tols = _default_tolerances()
-                tols.update(raw.pop("tolerances"))
-                raw["tolerances"] = tols
+            if isinstance(raw.get("tolerances"), dict):
+                raw["tolerances"] = {**_default_tolerances(), **raw["tolerances"]}
             cfg = replace(cfg, **raw)
         for name in ("N", "n_modes", "m_max", "seed"):
             val = getattr(args, name, None)
@@ -229,7 +234,8 @@ def _cmd_wavepacket(args) -> int:
     sm = load_spectral(args.model_bin)
     w = make_wavepacket(sm, x0=args.x0, xi0=args.xi0, sigma=args.sigma, sign=args.sign)
     track = evolve_and_track(sm, w, t_max=args.tmax, dt=args.dt)
-    gx = gbb_reference(sm.model, args.x0, args.xi0, track.times, clip=track.window_floor)
+    # a sign -1 packet is the conjugate of the sign +1 launch with -xi0, so it follows that ray
+    gx = gbb_reference(sm.model, args.x0, args.sign * args.xi0, track.times, clip=track.window_floor)
     dev = np.abs(track.centroid - gx)
     rows = list(zip(track.times, track.centroid, track.spread, gx, dev))
     binio.write_csv(args.out, ["t", "centroid", "spread", "gbb_x", "deviation"], rows)
@@ -273,8 +279,8 @@ def _cmd_boundary_2pt(args) -> int:
     if (args.fit_lo is None) != (args.fit_hi is None):
         raise ValueError("--fit-lo and --fit-hi must be given together")
     sm = load_spectral(args.model_bin)
-    t_grid = (args.dt if args.dt is not None else _time_step(sm)[0]) * np.arange(args.T)
-    lp = make_propagator(sm, "lambda_plus", t_grid, weighting="physical")
+    # the fits read the mode shapes and the lines the frequencies; neither depends on the time grid
+    lp = make_propagator(sm, "lambda_plus", _time_step(sm)[0] * np.arange(256), weighting="physical")
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
     bk = boundary_two_point(lp, sm.model, fit_window=window)
     amps, quals = boundary_fits(lp, sm.model, fit_window=window)
@@ -763,8 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary-2pt", help="boundary two-point lines from a model blob")
     p.add_argument("--model-bin", required=True)
-    p.add_argument("--T", type=int, default=256)
-    p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi")
     p.add_argument("--fit-lo", dest="fit_lo", type=float, default=None)
     p.add_argument("--fit-hi", dest="fit_hi", type=float, default=None)
     p.add_argument("--out", required=True)

@@ -290,6 +290,11 @@ def load_model(source) -> MetricModel:
     else:
         cfg = dict(source)
     kind = cfg.get("kind")
+    if kind not in (*TOY_KINDS, "custom"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    missing = [key for key in ("nu", "L", "n")[: 3 if kind == "custom" else 2] if key not in cfg]
+    if missing:
+        raise ValueError(f"{kind} model config lacks the keys {missing}")
     if kind in TOY_KINDS:
         return make_toy_model(
             kind,
@@ -297,8 +302,6 @@ def load_model(source) -> MetricModel:
             L=float(cfg["L"]),
             ell=float(cfg.get("ell", 2.0 * math.pi)),
         )
-    if kind != "custom":
-        raise ValueError(f"unknown model kind {kind!r}")
     tables = {}
     for name in ("beta", "k"):
         src = cfg.get(f"{name}_table")

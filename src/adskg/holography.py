@@ -245,8 +245,7 @@ def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None
     c2, zero = amps**2, np.zeros_like(amps)
     plus = kernel.kind == "lambda_plus"
     a, b = (c2, zero) if plus else (zero, c2)
-    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b, "all", +1 if plus else -1,
-                        float(np.min(kernel.omega)))
+    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b, "all", +1 if plus else -1)
 
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:

@@ -90,12 +90,12 @@ class Wavepacket:
     width: float
     energy_sign: int
     coefficients: np.ndarray
-    m: int = 0
-    x_mean: float = math.nan
-    x_var: float = math.nan
-    xi_mean: float = math.nan
-    xi_var: float = math.nan
-    tail: float = math.nan
+    m: int
+    x_mean: float
+    x_var: float
+    xi_mean: float
+    xi_var: float
+    tail: float
 
 
 def make_wavepacket(
@@ -131,19 +131,10 @@ def make_wavepacket(
         )
     c = c / math.sqrt(captured)
 
-    w = Wavepacket(
-        spectral=sm,
-        x0=x0,
-        xi0=xi0,
-        width=sigma,
-        energy_sign=int(sign),
-        coefficients=c,
-        m=m,
-        tail=max(tail, 0.0),
-    )
-    w.x_mean, w.x_var = _position_moments(sm, c, m)
-    w.xi_mean, w.xi_var = _momentum_moments(sm, c, m, x0, sigma)
-    return w
+    x_mean, x_var = _position_moments(sm, c, m)
+    xi_mean, xi_var = _momentum_moments(sm, c, m, x0, sigma)
+    return Wavepacket(spectral=sm, x0=x0, xi0=xi0, width=sigma, energy_sign=int(sign), coefficients=c, m=m,
+                      x_mean=x_mean, x_var=x_var, xi_mean=xi_mean, xi_var=xi_var, tail=max(tail, 0.0))
 
 
 def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float]:
@@ -487,10 +478,8 @@ class StatePair:
     def difference(self) -> LineSpectrum:
         """lp_b - lp_a (= lm_b - lm_a): sum_k n_k cos(omega_k tau) / omega_k,
         real and even in tau, with no spatial factor."""
-        n = self.occupation
-        lp = self.lp_a
-        return LineSpectrum(kind="difference", t_grid=lp.t_grid, branch=lp.branch, a=n, b=n, support="all",
-                            frequency_sign=0, omega_floor=float(np.min(lp.omega)))
+        n, lp = self.occupation, self.lp_a
+        return LineSpectrum("difference", lp.t_grid, lp.branch, n, n, "all", frequency_sign=0)
 
 
 def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:

@@ -97,11 +97,10 @@ class LineSpectrum:
     The lines sit on the frequencies omega of ``branch``, whose transverse
     mode is m.  The support S is "all" (1), "future" (theta(tau), theta(0) =
     0), "past" (theta(-tau)) or "abs" (both exponentials taken at |tau|).
-    ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0, and
-    ``omega_floor`` is the lowest frequency a scan taper must separate from
-    zero.  ``spectral`` and ``weighting`` give the spatial factor
-    phi_k phi_k^T of the branch in that weighting; ``spectral`` is None for
-    kernels without one (boundary lines, state differences).
+    ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0.
+    ``spectral`` and ``weighting`` give the spatial factor phi_k phi_k^T of
+    the branch in that weighting; ``spectral`` is None for kernels without
+    one (boundary lines, state differences).
     """
 
     kind: str
@@ -111,7 +110,6 @@ class LineSpectrum:
     b: np.ndarray
     support: str
     frequency_sign: int
-    omega_floor: float
     spectral: SpectralModel | None = None
     weighting: str = "tilde"
 
@@ -122,6 +120,12 @@ class LineSpectrum:
     @property
     def m(self) -> int:
         return self.branch.m
+
+    @property
+    def omega_floor(self) -> float:
+        """Lowest frequency a scan taper must separate from zero: the model's
+        certified floor with a spatial factor, else the branch's least omega."""
+        return self.spectral.m_floor_sqrt if self.spectral is not None else float(np.min(self.omega))
 
     @property
     def dt(self) -> float:
@@ -225,14 +229,7 @@ def make_propagator(
         )
     a, b, support = _LINES[kind]
     return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), support,
-                        frequency_sign={"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0),
-                        omega_floor=sm.m_floor_sqrt, spectral=sm, weighting=weighting)
-
-
-def _trap_weights(T: int) -> np.ndarray:
-    w = np.ones(T)
-    w[0] = w[-1] = 0.5
-    return w
+                        {"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0), sm, weighting)
 
 
 def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
@@ -251,8 +248,8 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
         raise ValueError(f"data shape {f.shape} does not match (T={T}, ndof={kernel.spectral.grid.ndof})")
     sm = kernel.spectral
     g = f * sm.weight_right[None, :] if kernel.weighting == "physical" else f
-    a = sm.project(g, m=kernel.m)  # (T, K)
-    a = a * (_trap_weights(T) * kernel.dt)[:, None]
+    a = sm.project(g, m=kernel.m) * kernel.dt  # (T, K) with the trapezoid weights in s
+    a[[0, -1]] *= 0.5
 
     # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
     # pocketfft's slow path); lag -m sits at L-m with zeros in the middle

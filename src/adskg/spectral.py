@@ -15,11 +15,16 @@ Discretization: cubic Lagrange elements on a boundary-graded mesh with
 element edges at L (i/N)^gamma (gamma = 2 by default), assembled by
 Gauss-Legendre quadrature.  On the first element every retained shape
 function vanishes linearly at x = 0, so the singular potential integrand is
-a polynomial there and the quadrature is exact.  Eigenpairs come from a
-shift-invert Lanczos solve of K w = omega^2 M w with a fixed starting
-vector, so rebuilds are deterministic; the shift-invert operator is the
-banded Cholesky factor of K (half-bandwidth 3: an element couples its four
-dofs), and M^-1 in ``apply_A`` uses the same factorization of M.
+a polynomial there and the quadrature is exact.  The mass matrix is
+assembled once per model; eigenpairs come from a shift-invert Lanczos solve
+of K w = omega^2 M w per branch with a fixed starting vector, so rebuilds
+are deterministic; the shift-invert operator is the banded Cholesky factor
+of K (half-bandwidth 3: an element couples its four dofs), and M^-1 in
+``apply_A`` uses the same factorization of M.
+
+``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
+``SpectralModel`` its weight vectors, mode count and certified floor m2_floor
+(the least eigenvalue over the branches, deflated by ``_FLOOR_DEFLATION``).
 
 For models with nonconstant beta the eigenvectors are stored in the "form
 frame" w = beta^(1/2) u, where the discrete inner product is the assembled
@@ -51,6 +56,7 @@ _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
 _FLOOR_DEFLATION = 1e-6  # relative margin of the certified spectral floor below the least eigenvalue
 _FLOOR_FAILS = "the spectral floor assumption fails for this model/discretization"
+_CSC_PARTS = ("data", "indices", "indptr")  # a blob's arrays of one sparse matrix
 
 
 def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,23 +94,36 @@ _GAUSS_R, _GAUSS_W, _SHAPE_G, _DSHAPE_G = _gauss_tables()
 
 @dataclass
 class Grid1D:
-    """Boundary-graded cubic-element mesh on (0, L)."""
+    """Boundary-graded cubic-element mesh on (0, L) with element edges at
+    L (i/N)^gamma, N = n_elements; nodes and Gauss points follow from them."""
 
     L: float
     n_elements: int
-    gamma: float
-    edges: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
-    dof_x: np.ndarray = field(repr=False)
-    elem_dofs: np.ndarray = field(repr=False)
-    gauss_x: np.ndarray = field(repr=False)
-    gauss_w: np.ndarray = field(repr=False)
-    shape_g: np.ndarray = field(repr=False)
-    dshape_g: np.ndarray = field(repr=False)
+    gamma: float = 2.0
+    edges: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    elem_dofs: np.ndarray = field(init=False, repr=False)
+    gauss_x: np.ndarray = field(init=False, repr=False)
+    gauss_w: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n_elements
+        self.edges = self.L * (np.arange(n + 1) / n) ** self.gamma
+        h = np.diff(self.edges)
+        # each element contributes its first three nodes; node ids are 3e + local
+        self.nodes = np.append((self.edges[:-1, None] + h[:, None] * _REF_NODES[None, :3]).ravel(), self.L)
+        self.elem_dofs = 3 * np.arange(n)[:, None] + np.arange(4)[None, :]
+        self.gauss_x = self.edges[:-1, None] + h[:, None] * _GAUSS_R[None, :]
+        self.gauss_w = h[:, None] * _GAUSS_W[None, :]
+
+    @property
+    def dof_x(self) -> np.ndarray:
+        """Positions of the dofs: the nodes without the two Dirichlet endpoints."""
+        return self.nodes[1:-1]
 
     @property
     def ndof(self) -> int:
-        return self.dof_x.size
+        return self.nodes.size - 2
 
     def gather(self, vec: np.ndarray) -> np.ndarray:
         """Per-element coefficient table (E, 4) with Dirichlet zeros added."""
@@ -116,8 +135,8 @@ class Grid1D:
         """Values and x-derivatives of a dof vector at the quadrature points."""
         coef = self.gather(vec)
         h = np.diff(self.edges)
-        vals = np.einsum("gi,...ei->...eg", self.shape_g, coef)
-        ders = np.einsum("gi,...ei->...eg", self.dshape_g, coef) / h[:, None]
+        vals = np.einsum("gi,...ei->...eg", _SHAPE_G, coef)
+        ders = np.einsum("gi,...ei->...eg", _DSHAPE_G, coef) / h[:, None]
         return vals, ders
 
     def evaluate(self, vec: np.ndarray, xq: np.ndarray) -> np.ndarray:
@@ -131,48 +150,18 @@ class Grid1D:
         return np.einsum("qi,...qi->...q", shp, coef[..., e, :])
 
 
-def make_grid(L: float, n_elements: int, gamma: float = 2.0) -> Grid1D:
-    edges = L * (np.arange(n_elements + 1) / n_elements) ** gamma
-    h = np.diff(edges)
-    nodes = (edges[:-1, None] + h[:, None] * _REF_NODES[None, :]).ravel()
-    nodes = np.append(nodes[np.arange(nodes.size) % 4 != 3][: 3 * n_elements], L)
-    # node ids are 3e + local; dofs drop the two Dirichlet endpoints
-    elem_dofs = 3 * np.arange(n_elements)[:, None] + np.arange(4)[None, :]
-    dof_x = nodes[1:-1]
-    gauss_x = edges[:-1, None] + h[:, None] * _GAUSS_R[None, :]
-    gauss_w = h[:, None] * _GAUSS_W[None, :]
-    return Grid1D(
-        L=L,
-        n_elements=n_elements,
-        gamma=gamma,
-        edges=edges,
-        nodes=nodes,
-        dof_x=dof_x,
-        elem_dofs=elem_dofs,
-        gauss_x=gauss_x,
-        gauss_w=gauss_w,
-        shape_g=_SHAPE_G,
-        dshape_g=_DSHAPE_G,
-    )
+def _element_matrices(wq: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """Element matrices sum_g wq[e, g] shapes[g, i] shapes[g, j], shape (E, 4, 4),
+    from the (E, G) quadrature-weighted samples wq."""
+    return np.einsum("eg,gi,gj->eij", wq, shapes, shapes)
 
 
-def _assemble(grid: Grid1D, pot_g: np.ndarray, meas_g: np.ndarray, mass_g: np.ndarray):
-    """Assemble stiffness-plus-potential and mass matrices.
-
-    pot_g, meas_g, mass_g are (E, G) samples at the quadrature points of the
-    potential, the common measure weight, and the extra mass weight.
-    """
-    h = np.diff(grid.edges)
-    wm = grid.gauss_w * meas_g
-    grad = np.einsum("eg,gi,gj->eij", wm / h[:, None] ** 2, grid.dshape_g, grid.dshape_g)
-    potl = np.einsum("eg,gi,gj->eij", wm * pot_g, grid.shape_g, grid.shape_g)
-    mass = np.einsum("eg,gi,gj->eij", wm * mass_g, grid.shape_g, grid.shape_g)
+def _assemble(grid: Grid1D, elem: np.ndarray) -> sp.csc_matrix:
+    """Global matrix on the dofs (Dirichlet endpoints dropped) of the element matrices elem."""
     rows = np.repeat(grid.elem_dofs, 4, axis=1).ravel()
     cols = np.tile(grid.elem_dofs, (1, 4)).ravel()
     nn = grid.nodes.size
-    K = sp.coo_matrix(((grad + potl).ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    M = sp.coo_matrix((mass.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    return K[1:-1, 1:-1].tocsc(), M[1:-1, 1:-1].tocsc()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()[1:-1, 1:-1].tocsc()
 
 
 @dataclass
@@ -208,25 +197,34 @@ class SpectralBranch:
 
 @dataclass
 class SpectralModel:
-    """Grid, eigendata, and weight vectors for one metric model."""
+    """Grid, eigendata and mass matrix for one metric model; the weight
+    vectors, the retained mode count and the spectral floor follow from them."""
 
     model: MetricModel
     grid: Grid1D
     branches: dict[int, SpectralBranch]
     M: sp.csc_matrix = field(repr=False)
-    n_modes: int = 0
-    m2_floor: float = 0.0
-    weight_left: np.ndarray = field(default=None, repr=False)
-    weight_right: np.ndarray = field(default=None, repr=False)
-    _M_solve: object = field(default=None, repr=False)
+    weight_left: np.ndarray = field(init=False, repr=False)
+    weight_right: np.ndarray = field(init=False, repr=False)
+    _M_solve: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.weight_left is None:
-            x = self.grid.dof_x
-            b = self.model.beta(x)
-            n = self.model.n
-            self.weight_left = x ** (0.5 * n - 1.0) / np.sqrt(b)
-            self.weight_right = x ** (-0.5 * n - 1.0) / np.sqrt(b)
+        x = self.grid.dof_x
+        b = self.model.beta(x)
+        n = self.model.n
+        self.weight_left = x ** (0.5 * n - 1.0) / np.sqrt(b)
+        self.weight_right = x ** (-0.5 * n - 1.0) / np.sqrt(b)
+
+    @property
+    def n_modes(self) -> int:
+        """Retained eigenpairs per branch."""
+        return next(iter(self.branches.values())).phi.shape[1]
+
+    @property
+    def m2_floor(self) -> float:
+        """Certified spectral floor: the least eigenvalue over the branches,
+        deflated by the relative margin ``_FLOOR_DEFLATION``."""
+        return min(float(b.omega2[0]) for b in self.branches.values()) * (1.0 - _FLOOR_DEFLATION)
 
     @property
     def m_floor_sqrt(self) -> float:
@@ -324,8 +322,7 @@ def build_spectral(
     gamma : float
         Mesh grading exponent; edges sit at L (i/N)^gamma.
 
-    The certified spectral floor m2_floor is the smallest computed
-    eigenvalue deflated by the relative margin ``_FLOOR_DEFLATION``.
+    The mass matrix is assembled once and shared by every branch.
     """
     if N < 64:
         raise ValueError(f"N={N} too small; need at least 64 elements")
@@ -338,30 +335,25 @@ def build_spectral(
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"mesh grading gamma must be finite and > 0, got gamma={gamma}")
 
-    grid = make_grid(model.L, N, gamma)
+    grid = Grid1D(model.L, N, gamma)
     xg = grid.gauss_x
-    beta_g = model.beta(xg)
     k_g = model.k(xg)
-    meas_g = k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else np.ones_like(xg)
+    # quadrature weights times the measure k^((n-2)/2)
+    wm = grid.gauss_w * k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else grid.gauss_w
+    grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
     base_pot = (model.nu**2 - 0.25) / xg**2
-    mass_g = 1.0 / beta_g
+    M = _assemble(grid, _element_matrices(wm * (1.0 / model.beta(xg)), _SHAPE_G))
 
     branches: dict[int, SpectralBranch] = {}
-    M = None
     for m in range(m_max + 1):
         mu = model.transverse_mu(m)
-        K_m, M_m = _assemble(grid, base_pot + mu / k_g, meas_g, mass_g)
-        if M is None:
-            M = M_m
+        # gradient and potential are summed per element, before assembly
+        K_m = _assemble(grid, grad + _element_matrices(wm * (base_pot + mu / k_g), _SHAPE_G))
         vals, vecs = _solve_branch(K_m, M, n_modes)
         if vals[0] <= 0.0:
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
         branches[m] = SpectralBranch(m=m, mu=mu, omega2=vals, phi=vecs, K=K_m)
-
-    floor = min(float(b.omega2[0]) for b in branches.values()) * (1.0 - _FLOOR_DEFLATION)
-    return SpectralModel(
-        model=model, grid=grid, branches=branches, M=M, n_modes=n_modes, m2_floor=floor
-    )
+    return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
 def bessel_collocation_eigs(
@@ -390,7 +382,7 @@ def bessel_collocation_eigs(
         raise ValueError("n_modes cannot exceed n_basis")
     nu, L = model.nu, model.L
     zeros = bessel_zeros(nu, n_basis)
-    panels = make_grid(L, n_panels, gamma=2.0)
+    panels = Grid1D(L, n_panels)
     x = panels.gauss_x.ravel()
     wq = panels.gauss_w.ravel()
     sq = np.sqrt(x)[:, None]
@@ -425,21 +417,12 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
         "model": {"kind": sm.model.kind, "n": sm.model.n, "nu": sm.model.nu, "L": sm.model.L, "ell": sm.model.ell},
         "N": sm.grid.n_elements,
         "gamma": sm.grid.gamma,
-        "n_modes": sm.n_modes,
         "m_list": sorted(sm.branches),
-        "m2_floor": sm.m2_floor,
     }
-    arrays: dict[str, np.ndarray] = {
-        "M_data": sm.M.data,
-        "M_indices": sm.M.indices,
-        "M_indptr": sm.M.indptr,
-    }
+    arrays = {f"M_{part}": getattr(sm.M, part) for part in _CSC_PARTS}
     for m, br in sorted(sm.branches.items()):
-        arrays[f"omega2_{m}"] = br.omega2
-        arrays[f"phi_{m}"] = br.phi
-        arrays[f"K_data_{m}"] = br.K.data
-        arrays[f"K_indices_{m}"] = br.K.indices
-        arrays[f"K_indptr_{m}"] = br.K.indptr
+        arrays.update({f"omega2_{m}": br.omega2, f"phi_{m}": br.phi})
+        arrays.update({f"K_{part}_{m}": getattr(br.K, part) for part in _CSC_PARTS})
     if sm.model.kind == "custom":
         tables = sm.model.tables or {}
         for name, (tx, tv) in tables.items():
@@ -458,23 +441,14 @@ def load_spectral(path: str) -> SpectralModel:
         raise ValueError(f"{path}: blob does not hold a spectral model")
     tables = {name: (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"]) for name in meta.get("tables", ())}
     model = MetricModel(**meta["model"], tables=tables if meta["model"]["kind"] == "custom" else None)
-    grid = make_grid(model.L, int(meta["N"]), float(meta["gamma"]))
-    ndof = grid.ndof
-    M = sp.csc_matrix((arrays["M_data"], arrays["M_indices"], arrays["M_indptr"]), shape=(ndof, ndof))
-    branches = {}
-    for m in meta["m_list"]:
-        m = int(m)
-        K = sp.csc_matrix(
-            (arrays[f"K_data_{m}"], arrays[f"K_indices_{m}"], arrays[f"K_indptr_{m}"]), shape=(ndof, ndof)
-        )
-        branches[m] = SpectralBranch(
-            m=m, mu=model.transverse_mu(m), omega2=arrays[f"omega2_{m}"], phi=arrays[f"phi_{m}"], K=K
-        )
-    return SpectralModel(
-        model=model,
-        grid=grid,
-        branches=branches,
-        M=M,
-        n_modes=int(meta["n_modes"]),
-        m2_floor=float(meta["m2_floor"]),
-    )
+    grid = Grid1D(model.L, int(meta["N"]), float(meta["gamma"]))
+
+    def csc(name: str, suffix: str = "") -> sp.csc_matrix:
+        return sp.csc_matrix(tuple(arrays[f"{name}_{part}{suffix}"] for part in _CSC_PARTS), shape=(grid.ndof,) * 2)
+
+    branches = {
+        m: SpectralBranch(m=m, mu=model.transverse_mu(m), omega2=arrays[f"omega2_{m}"], phi=arrays[f"phi_{m}"],
+                          K=csc("K", f"_{m}"))
+        for m in map(int, meta["m_list"])
+    }
+    return SpectralModel(model=model, grid=grid, branches=branches, M=csc("M"))

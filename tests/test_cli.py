@@ -250,13 +250,11 @@ def packet_blob(tmp_path_factory):
     [
         ("kernels", ["--kind", "lambda_plus", "--dt", "0"], "strictly increasing"),
         ("kernels", ["--kind", "lambda_plus", "--dt", "-0.01"], "strictly increasing"),
-        ("boundary-2pt", ["--dt", "0"], "strictly increasing"),
         ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "0.3", "--dt", "0"], "dt > 0"),
         ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "0.3", "--dt", "-0.005"], "dt > 0"),
         ("wavepacket", ["--x0", "0.5", "--xi0", "-40", "--sigma", "0.1", "--tmax", "-1"], "t_max >= 0"),
     ],
-    ids=["kernels-dt0", "kernels-dt-neg", "boundary-2pt-dt0", "wavepacket-dt0", "wavepacket-dt-neg",
-         "wavepacket-tmax-neg"],
+    ids=["kernels-dt0", "kernels-dt-neg", "wavepacket-dt0", "wavepacket-dt-neg", "wavepacket-tmax-neg"],
 )
 def test_non_positive_time_steps_exit_2(small_blobs, packet_blob, tmp_path, capsys, command, flags, named):
     """A time grid that is constant or runs backward is a bad flag: exit 2
@@ -306,8 +304,9 @@ def test_kernel_blob_keeps_flipped_modes(small_blobs, tmp_path):
 
 
 def test_kernel_grid_defaults_follow_the_blob(tmp_path, capsys):
-    """Without --dt, kernels and boundary-2pt take the step verify works out
-    from L and the spectrum, so a short wall needs no hand-tuned step."""
+    """Without --dt, kernels takes the step verify works out from L and the
+    spectrum, so a short wall needs no hand-tuned step; boundary-2pt always
+    uses that step."""
     blob = tmp_path / "model.bin"
     assert main(["build-spectral", "--L", "0.5", "--N", "192", "--n-modes", "32", "--out", str(blob)]) == 0
     capsys.readouterr()
@@ -401,6 +400,57 @@ def test_wavepacket_csv(tmp_path, capsys):
     assert status["max_deviation"] <= 0.1
     rows = _read_csv(out)
     assert rows[0] == ["t", "centroid", "spread", "gbb_x", "deviation"]
+
+
+def test_wavepacket_negative_sign_follows_its_ray(packet_blob, tmp_path, capsys):
+    """A sign -1 packet launched with xi0 moves like the sign +1 packet
+    launched with -xi0, and is compared with that ray."""
+    capsys.readouterr()
+    out = tmp_path / "packet.csv"
+    code = main(["wavepacket", "--model-bin", str(packet_blob), "--x0", "0.5", "--xi0", "-40", "--sigma", "0.1",
+                 "--sign", "-1", "--tmax", "1.3", "--out", str(out)])
+    assert code == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["status"] == "ok" and status["max_deviation"] < status["width"]
+
+
+def test_boundary_2pt_has_no_time_grid_flags(small_blobs, tmp_path, capsys):
+    """The boundary lines do not depend on a time grid, so the command takes none."""
+    out = tmp_path / "b2p.csv"
+    for flag in (["--T", "64"], ["--dt", "0.001"]):
+        assert main(["boundary-2pt", "--model-bin", str(small_blobs[0]), *flag, "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"seed": 1.5}, "seed must be of type int"),
+        ({"N": "192"}, "N must be of type int"),
+        ({"n_modes": 32.0}, "n_modes must be of type int"),
+        ({"m_max": True}, "m_max must be of type int"),
+        ({"inject_sign_flip": "no"}, "inject_sign_flip must be of type bool"),
+        ({"model": "ads2_strip"}, "model must be of type dict"),
+        ({"tolerances": 5}, "tolerances must be of type dict"),
+        (["N", "seed"], "one JSON object"),
+        ({"model": {"kind": "ads2_strip", "L": 1.0}}, "lacks the keys ['nu']"),
+        ({"model": {"kind": "ads3_cylinder"}}, "lacks the keys ['nu', 'L']"),
+        ({"model": {"kind": "custom", "nu": 1.0, "L": 1.0}}, "lacks the keys ['n']"),
+    ],
+    ids=["seed-float", "N-str", "n_modes-float", "m_max-bool", "flip-str", "model-str", "tolerances-int", "list",
+         "no-nu", "no-nu-L", "custom-no-n"],
+)
+def test_verify_refuses_mistyped_config(tmp_path, capsys, raw, named):
+    """A config value of the wrong type or a model without a required key is
+    a config error: exit 2 with one message and no report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_report_structure(verify_run):

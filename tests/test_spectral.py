@@ -8,17 +8,22 @@ from oracles import (
     toy_frequencies_mp,
 )
 
+import dataclasses
 from dataclasses import replace
 
-from adskg import bessel
+from adskg import bessel, spectral
 from adskg.bessel import bessel_zeros, toy_boundary_amplitudes, toy_line_weights
 from adskg.geometry import load_model, make_toy_model
 from adskg.spectral import (
+    _GAUSS_R,
+    _GAUSS_W,
+    _REF_NODES,
+    Grid1D,
+    SpectralModel,
     _solve_branch,
     bessel_collocation_eigs,
     build_spectral,
     load_spectral,
-    make_grid,
     save_spectral,
 )
 
@@ -36,7 +41,7 @@ def test_bessel_zeros_match_mpmath(nu):
 
 
 def test_grid_grading_and_quadrature():
-    g = make_grid(1.0, 24, gamma=2.0)
+    g = Grid1D(1.0, 24, gamma=2.0)
     assert g.edges == pytest.approx((np.arange(25) / 24.0) ** 2, rel=1e-15)
     assert g.ndof == 3 * 24 - 1
     # ten-point Gauss is exact far beyond cubic polynomials
@@ -45,8 +50,49 @@ def test_grid_grading_and_quadrature():
         assert integral == pytest.approx(1.0 / (p + 1), rel=1e-14)
 
 
+@pytest.mark.parametrize("L, n, gamma", [(1.0, 24, 2.0), (2.5, 7, 1.5), (0.5, 64, 1.0)])
+def test_grid_is_its_closed_form(L, n, gamma):
+    """Edges L (i/N)^gamma; element e holds the nodes at its edge plus h/3
+    and 2h/3, the last node is L, and the Gauss points and weights are the
+    reference rule scaled to each element."""
+    g = Grid1D(L, n, gamma)
+    edges = L * (np.arange(n + 1) / n) ** gamma
+    h = np.diff(edges)
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.nodes[:-1].reshape(n, 3), edges[:-1, None] + h[:, None] * _REF_NODES[None, :3])
+    assert g.nodes[-1] == L and np.array_equal(g.dof_x, g.nodes[1:-1]) and g.ndof == 3 * n - 1
+    assert np.array_equal(g.nodes[g.elem_dofs[:, [0, 3]]], np.stack([edges[:-1], edges[1:]], axis=1))
+    assert np.array_equal(g.gauss_x, edges[:-1, None] + h[:, None] * _GAUSS_R[None, :])
+    assert np.array_equal(g.gauss_w, h[:, None] * _GAUSS_W[None, :])
+
+
+def test_value_types_take_only_their_inputs():
+    from adskg.propagators import LineSpectrum
+
+    def inputs(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert inputs(Grid1D) == ["L", "n_elements", "gamma"]
+    assert inputs(SpectralModel) == ["model", "grid", "branches", "M"]
+    assert inputs(LineSpectrum) == ["kind", "t_grid", "branch", "a", "b", "support", "frequency_sign", "spectral",
+                                    "weighting"]
+
+
+def test_mass_matrix_is_assembled_once(monkeypatch):
+    """Every branch shares one mass matrix: a three-branch build assembles
+    it once, and each branch's stiffness once."""
+    calls = []
+    assemble = spectral._assemble
+    monkeypatch.setattr(spectral, "_assemble", lambda grid, elem: calls.append(elem) or assemble(grid, elem))
+    sm = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, n_modes=4, m_max=2)
+    assert len(calls) == 1 + 3
+    for m, elem in enumerate(calls[1:]):
+        assert sm.branch(m).K.nnz == assemble(sm.grid, elem).nnz
+    assert np.array_equal(assemble(sm.grid, calls[0]).toarray(), sm.M.toarray())
+
+
 def test_grid_interpolation_matches_gauss_evaluation():
-    g = make_grid(1.0, 16, gamma=2.0)
+    g = Grid1D(1.0, 16, gamma=2.0)
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(g.ndof)
     vals, _ = g.eval_gauss(vec)
@@ -143,7 +189,7 @@ def test_collocation_crosscheck_small_nu():
 def _collocation_grid(nu: float, n_basis: int = 24):
     """The quadrature points and Bessel arguments u = z_j x / L of
     ``bessel_collocation_eigs`` at its defaults (L = 1)."""
-    x = make_grid(1.0, 96, gamma=2.0).gauss_x.ravel()
+    x = Grid1D(1.0, 96, gamma=2.0).gauss_x.ravel()
     return x, x[:, None] * bessel_zeros(nu, n_basis)[None, :]
 
 
@@ -218,6 +264,22 @@ def test_blob_roundtrip(tmp_path, sm192):
     assert np.array_equal(back.branch(0).phi, sm192.branch(0).phi)
     assert np.array_equal(back.M.toarray(), sm192.M.toarray())
     assert np.array_equal(back.grid.dof_x, sm192.grid.dof_x)
+
+
+def test_blob_derives_mode_count_and_floor(tmp_path):
+    """A blob stores neither the mode count nor the floor: both come back,
+    bit for bit, from the saved eigenvalues."""
+    from adskg import binio
+
+    sm = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, n_modes=5, m_max=2)
+    path = str(tmp_path / "cyl.bin")
+    save_spectral(sm, path)
+    meta, _ = binio.read_blob(path)
+    assert not {"n_modes", "m2_floor"} & set(meta)
+    back = load_spectral(path)
+    assert back.n_modes == sm.n_modes == 5
+    assert back.m2_floor == sm.m2_floor
+    assert sm.m2_floor == min(float(sm.branch(m).omega2[0]) for m in range(3)) * (1.0 - spectral._FLOOR_DEFLATION)
 
 
 def test_blob_roundtrip_custom_model(tmp_path):
