@@ -57,7 +57,6 @@ __all__ = [
     "flow_segment",
     "reflect",
     "trace_gbb",
-    "GlancingRayError",
 ]
 
 _X_TOL = 1e-13
@@ -66,10 +65,6 @@ _FP_TOL = 1e-14
 _FP_MAXIT = 60
 _SYMBOL_TOL = 1e-8
 _MAX_REFLECTIONS = 64
-
-
-class GlancingRayError(RuntimeError):
-    """Raised when a ray meets a wall tangentially; not handled here."""
 
 
 def _gl_tableau(s: int = 4) -> tuple[list[float], list[list[float]]]:
@@ -133,11 +128,9 @@ class Segment:
 @dataclass
 class ReflectionEvent:
     s: float
-    t: float
     wall: str  # "boundary" (x = 0) or "wall" (x = L, artificial)
     xi_in: float
-    xi_out: float
-    point: PhasePointB
+    point: PhasePointB  # the reflected point: its t and xi are the event's time and outgoing xi
 
 
 @dataclass
@@ -428,9 +421,9 @@ def trace_gbb(
             point = end
             continue
         if abs(end.xi) < _GLANCE_TOL * max(abs(p0.tau), 1.0):
-            raise GlancingRayError(f"glancing contact at {seg.hit} (|xi| = {abs(end.xi):.3e}); aborting")
+            raise RuntimeError(f"glancing contact at {seg.hit} (|xi| = {abs(end.xi):.3e}); aborting")
         out = reflect(end, L=model.L if seg.hit == "wall" else None)
-        reflections.append(ReflectionEvent(s=s_now, t=end.t, wall=seg.hit, xi_in=end.xi, xi_out=out.xi, point=out))
+        reflections.append(ReflectionEvent(s=s_now, wall=seg.hit, xi_in=end.xi, point=out))
         if len(reflections) > _MAX_REFLECTIONS:
             raise RuntimeError(f"exceeded {_MAX_REFLECTIONS} reflections")
         point = out

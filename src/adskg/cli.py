@@ -99,8 +99,11 @@ class RunConfig:
             val = getattr(self, name)
             if type(val) is not kind:  # exact type: a bool is no integer here
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {val!r}")
+        unknown = set(self.tolerances) - set(_default_tolerances())
+        if unknown:
+            raise ValueError(f"unknown tolerances: {sorted(unknown)}")
         for name, val in self.tolerances.items():
-            if not (isinstance(val, (int, float)) and val > 0.0):
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0.0):
                 raise ValueError(f"tolerance {name!r} must be positive, got {val!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -255,10 +258,10 @@ def _cmd_wavepacket(args) -> int:
 
 def _cmd_wf_scan(args) -> int:
     from . import binio
-    from .microlocal import WindowSpec, kernel_wavefront_scan
+    from .microlocal import kernel_wavefront_scan
 
     kernel = _load_kernel(args.kernel_bin)
-    rows = kernel_wavefront_scan(kernel, WindowSpec(length=args.window, n_centers=args.centers))
+    rows = kernel_wavefront_scan(kernel, args.window, args.centers)
     binio.write_csv(
         args.out,
         ["t", "s", "sign_content_plus", "sign_content_minus", "cross"],
@@ -383,7 +386,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     from .holography import boundary_gram, boundary_two_point, build_series, extract_boundary, indicial_polynomial
     from .holography import mellin_exponent_probe
     from .microlocal import (
-        WindowSpec,
         evolve_and_track,
         gbb_reference,
         kernel_wavefront_scan,
@@ -474,7 +476,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]
 
     def scan_off(k, ref=None, length: float = 6.5 * L, n_centers: int = 3, band: float | None = None) -> float:
-        rows = kernel_wavefront_scan(k, WindowSpec(length=length, n_centers=n_centers))
+        rows = kernel_wavefront_scan(k, length, n_centers)
         return off_pattern(rows, k if ref is None else ref, band=band)
 
     def rel_err(got, want) -> float:
@@ -531,7 +533,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          lambda: gbb().symbol_drift, lambda: tol["symbol_drift"] * 4.0, le),
         ("gbb_reflections", "maximal GBBs reflect at the walls", lambda: len(gbb().reflections), lambda: 1.0, ge),
         ("gbb_reflection_law", "xi -> -xi, tangential data fixed",
-         lambda: max((abs(ev.xi_out + ev.xi_in) for ev in gbb().reflections), default=math.inf), lambda: 0.0, le),
+         lambda: max((abs(ev.point.xi + ev.xi_in) for ev in gbb().reflections), default=math.inf), lambda: 0.0, le),
         ("gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection",
          lambda: _tangential_jump(gbb()), lambda: 0.0, le),
         # spectral

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -282,7 +283,7 @@ def load_model(source) -> MetricModel:
     Recognized keys: kind ("ads2_strip" | "ads3_cylinder" | "custom"),
     nu, L, ell, and for custom models n plus beta_table / k_table, each a
     path to a two-column (x, value) CSV file or the inline columns
-    [xs, values].
+    [xs, values]; nu, L, ell are numbers and n an integer (not booleans).
     """
     if isinstance(source, str):
         with open(source) as fh:
@@ -295,6 +296,10 @@ def load_model(source) -> MetricModel:
     missing = [key for key in ("nu", "L", "n")[: 3 if kind == "custom" else 2] if key not in cfg]
     if missing:
         raise ValueError(f"{kind} model config lacks the keys {missing}")
+    for key in ("nu", "L", "ell", "n")[: 4 if kind == "custom" else 3]:
+        val, integer = cfg.get(key, 0), key == "n"
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral if integer else numbers.Real):
+            raise ValueError(f"model key {key!r} must be {'an integer' if integer else 'a number'}, got {val!r}")
     if kind in TOY_KINDS:
         return make_toy_model(
             kind,

@@ -59,42 +59,19 @@ def indicial_polynomial(model: MetricModel, alpha: float) -> float:
 @dataclass
 class IndicialSeries:
     """Truncated boundary series u_K = x^alpha sum_k x^k w_k for a
-    time-harmonic boundary datum e^{i sigma t} (transverse mode m)."""
+    time-harmonic boundary datum, and the log-log slope of its residual
+    P u_K near the boundary."""
 
-    model: MetricModel
     alpha: float
     coeffs: np.ndarray
-    K: int
-    sigma: float
-    mu: float
-    residual_slope: float = math.nan
+    residual_slope: float
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         acc = np.zeros_like(x)
-        for k in range(self.K, -1, -1):
-            acc = acc * x + self.coeffs[k]
+        for w in self.coeffs[::-1]:
+            acc = acc * x + w
         return x**self.alpha * acc
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """P u_K with the interior cancellations performed in closed form.
-
-        Applying the operator to each monomial gives c_{alpha+k} w_k at
-        order k plus (mu - sigma^2) w_k two orders up; the recursion makes
-        every interior pair cancel exactly, so only the last two orders
-        survive.  Summing the cancelling pairs in floating point instead
-        would bury the genuine x^{alpha+K+1} tail under roundoff from the
-        much larger x^{alpha+2} terms, which is why the cancellation is
-        done here analytically rather than numerically.
-        """
-        x = np.asarray(x, dtype=float)
-        shift = self.mu - self.sigma**2
-        out = np.zeros_like(x)
-        for k in (self.K - 1, self.K):
-            if k < 0 or self.coeffs[k] == 0.0:
-                continue
-            out = out + shift * self.coeffs[k] * x ** (self.alpha + k + 2)
-        return out
 
 
 def build_series(
@@ -110,6 +87,15 @@ def build_series(
     (odd orders vanish for the even models).  Refuses the resonant case
     2 nu in {1..K}, where c_{nu_plus + k} hits the other indicial root and
     the true expansion needs logarithms.
+
+    ``residual_slope`` is the log-log slope of |P u_K| on 1e-4 L .. 5e-2 L
+    (inf where it vanishes).  Applying the operator to each monomial gives
+    c_{alpha+k} w_k at order k plus (mu - sigma^2) w_k two orders up; the
+    recursion makes every interior pair cancel exactly, so only the last
+    two orders survive.  Summing the cancelling pairs in floating point
+    instead would bury the genuine x^{alpha+K+1} tail under roundoff from
+    the much larger x^{alpha+2} terms, which is why the cancellation is
+    done here analytically rather than numerically.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -127,16 +113,16 @@ def build_series(
     w[0] = w0
     for k in range(2, K + 1, 2):
         w[k] = -shift * w[k - 2] / indicial_polynomial(model, alpha + k)
-    series = IndicialSeries(model=model, alpha=alpha, coeffs=w, K=K, sigma=sigma, mu=mu)
 
     xs = np.geomspace(1e-4 * model.L, 5e-2 * model.L, 24)
-    res = np.abs(series.residual(xs))
-    if np.max(res) < 1e-300 * max(abs(w0), 1.0):
-        series.residual_slope = math.inf
-    else:
-        slope, _ = np.polyfit(np.log(xs), np.log(res + 1e-320), 1)
-        series.residual_slope = float(slope)
-    return series
+    res = np.zeros_like(xs)
+    for k in (K - 1, K):
+        if k >= 0 and w[k] != 0.0:
+            res = res + shift * w[k] * xs ** (alpha + k + 2)
+    res = np.abs(res)
+    vanishes = np.max(res) < 1e-300 * max(abs(w0), 1.0)
+    slope = math.inf if vanishes else float(np.polyfit(np.log(xs), np.log(res + 1e-320), 1)[0])
+    return IndicialSeries(alpha=alpha, coeffs=w, residual_slope=slope)
 
 
 @dataclass
@@ -245,7 +231,7 @@ def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None
     c2, zero = amps**2, np.zeros_like(amps)
     plus = kernel.kind == "lambda_plus"
     a, b = (c2, zero) if plus else (zero, c2)
-    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b, "all", +1 if plus else -1)
+    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b)
 
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:

@@ -8,11 +8,12 @@ Three instruments, all built on the mode decomposition:
   paths including boundary reflection.  Tracking tabulates the mode values and
   x-derivatives on the quadrature points once and takes the times in blocks,
   each reduced to its density moments by one product;
-* windowed two-slot Fourier scans of kernel traces, reporting the spectral
-  mass in the four frequency-sign quadrants under the primed pairing
-  (sign of Omega_t, sign of -Omega_s), which puts a vacuum positive kernel
-  entirely in the (+,+) quadrant and makes the Feynman kernel flip pattern
-  across t = s;
+* windowed two-slot Fourier scans of kernel traces (a window length and a
+  count of window starts per slot), reporting the spectral mass in the four
+  frequency-sign quadrants under the primed pairing (sign of Omega_t, sign
+  of -Omega_s), which puts a vacuum positive kernel entirely in the (+,+)
+  quadrant and makes the Feynman kernel flip pattern across t = s; the
+  pattern a kernel must show follows from its kind;
 * Bogoliubov-perturbed states: a second pair of two-point kernels, the
   first pair with occupations n_k added to both lines of every mode, whose
   difference from the first is an explicit smooth (superpolynomially
@@ -50,7 +51,6 @@ from .spectral import SpectralModel
 __all__ = [
     "Wavepacket",
     "TrackResult",
-    "WindowSpec",
     "ScanRow",
     "StatePair",
     "make_wavepacket",
@@ -79,14 +79,10 @@ _TRACK_BLOCK = 32  # times per table product in evolve_and_track; peak memory gr
 @dataclass
 class Wavepacket:
     """Normalized coherent packet in the eigenbasis of one transverse mode,
-    launched at x0 with momentum xi0.  energy_sign +1 evolves every
-    coefficient with e^{-i omega t} (positive frequency), -1 with the
-    conjugate.
+    with its launch width and its moments.  energy_sign +1 evolves every
+    coefficient with e^{-i omega t} (positive frequency), -1 the conjugate.
     """
 
-    spectral: SpectralModel
-    x0: float
-    xi0: float
     width: float
     energy_sign: int
     coefficients: np.ndarray
@@ -133,8 +129,8 @@ def make_wavepacket(
 
     x_mean, x_var = _position_moments(sm, c, m)
     xi_mean, xi_var = _momentum_moments(sm, c, m, x0, sigma)
-    return Wavepacket(spectral=sm, x0=x0, xi0=xi0, width=sigma, energy_sign=int(sign), coefficients=c, m=m,
-                      x_mean=x_mean, x_var=x_var, xi_mean=xi_mean, xi_var=xi_var, tail=max(tail, 0.0))
+    return Wavepacket(width=sigma, energy_sign=int(sign), coefficients=c, m=m, x_mean=x_mean, x_var=x_var,
+                      xi_mean=xi_mean, xi_var=xi_var, tail=max(tail, 0.0))
 
 
 def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float]:
@@ -262,25 +258,6 @@ def gbb_reference(
 
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """Two-slot scan windows: duration, and an n_centers x n_centers grid of
-    windows whose start indices in each slot are spread evenly from the
-    first grid point to the last start where a full window fits.  The DPSS
-    time-bandwidth product is matched to the lowest retained frequency with
-    a 0.9 safety factor.
-    """
-
-    length: float
-    n_centers: int = 4
-
-    def __post_init__(self):
-        if not self.length > 0.0:
-            raise ValueError(f"WindowSpec.length must be positive; got {self.length}")
-        if self.n_centers < 1:
-            raise ValueError(f"WindowSpec.n_centers must be at least 1; got {self.n_centers}")
-
-
-@dataclass(frozen=True)
 class ScanRow:
     t: float
     s: float
@@ -372,15 +349,20 @@ def _trace_masses(kernel: LineSpectrum, taper: np.ndarray, offsets: list[int]) -
     return out
 
 
-def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRow]:
+def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int) -> list[ScanRow]:
     """Windowed two-slot Fourier quadrant masses of a kernel trace.
 
-    For each pair of windows (one per time slot) the tapered trace k(t - s) is
-    transformed in both slots and the power is binned by the primed signs
-    (sign Omega_t, sign -Omega_s).  A vacuum positive kernel concentrates
-    in (+,+), its conjugate in (-,-), the causal kernel splits across both
+    The n_centers x n_centers windows of duration ``length`` start at
+    indices spread evenly, in each slot, from the first grid point to the
+    last start where a full window fits; their DPSS taper is matched to the
+    kernel's ``omega_floor`` with a 0.9 safety factor.  For each pair of
+    windows (one per time slot) the tapered trace k(t - s) is transformed
+    in both slots and the power is binned by the primed signs (sign
+    Omega_t, sign -Omega_s).  A vacuum positive kernel concentrates in
+    (+,+), its conjugate in (-,-), the causal kernel splits across both
     without mixed mass, and the Feynman kernel switches quadrant across
-    t = s.  The taper is matched to the kernel's ``omega_floor``.
+    t = s.  The expected pattern and the line sets follow from the kernel's
+    kind, through its ``support`` and ``frequency_sign``.
 
     The window starting at grid indices (i0, j0) reads the trace at lag
     dt (i0 - j0 + a - b), so its masses depend on the offset i0 - j0 only
@@ -391,14 +373,16 @@ def kernel_wavefront_scan(kernel: LineSpectrum, spec: WindowSpec) -> list[ScanRo
     retarded, advanced and time-ordered kinds) is read from the trace,
     evaluated once on the 2T-1 lags, and transformed by ``fft2``.
     """
+    if not (length > 0.0 and n_centers >= 1):
+        raise ValueError(f"scan needs window length > 0 and n_centers >= 1; got {length}, {n_centers}")
     t = kernel.t_grid
     dt = kernel.dt
     span = float(t[-1] - t[0])
-    if spec.length > span:
-        raise ValueError(f"window length {spec.length} exceeds the grid span {span}")
-    n_w = int(round(spec.length / dt)) + 1
-    taper = _scan_taper(n_w, spec.length, kernel.omega_floor)
-    starts = np.rint(np.linspace(0, t.size - n_w, spec.n_centers)).astype(int)
+    if length > span:
+        raise ValueError(f"window length {length} exceeds the grid span {span}")
+    n_w = int(round(length / dt)) + 1
+    taper = _scan_taper(n_w, length, kernel.omega_floor)
+    starts = np.rint(np.linspace(0, t.size - n_w, n_centers)).astype(int)
 
     offsets = sorted({int(i0 - j0) for i0, j0 in itertools.product(starts, starts)})
     groups: dict[str | None, list[int]] = {}
@@ -473,16 +457,15 @@ class StatePair:
     lp_b: LineSpectrum
     lm_b: LineSpectrum
     occupation: np.ndarray
-    descriptor: str
 
     def difference(self) -> LineSpectrum:
         """lp_b - lp_a (= lm_b - lm_a): sum_k n_k cos(omega_k tau) / omega_k,
         real and even in tau, with no spatial factor."""
         n, lp = self.occupation, self.lp_a
-        return LineSpectrum("difference", lp.t_grid, lp.branch, n, n, "all", frequency_sign=0)
+        return LineSpectrum("difference", lp.t_grid, lp.branch, n, n)
 
 
-def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
+def _parse_rotation(spec, omega: np.ndarray) -> np.ndarray:
     """Occupations n_k = sinh^2 r_k from a rotation spec.
 
     Accepts {"thermal": beta} (r_k from tanh r_k = e^{-beta omega_k / 2},
@@ -494,8 +477,7 @@ def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
         beta = float(spec["thermal"])
         if not (beta > 0.0 and math.isfinite(beta)):
             raise ValueError("thermal spec needs a positive finite beta")
-        n = 1.0 / np.expm1(beta * omega)
-        return n, f"thermal beta={beta!r}"
+        return 1.0 / np.expm1(beta * omega)
     try:
         pairs = [(int(k), float(r)) for k, r in spec]
     except (TypeError, ValueError) as exc:
@@ -508,7 +490,7 @@ def _parse_rotation(spec, omega: np.ndarray) -> tuple[np.ndarray, str]:
         if not math.isfinite(r):
             raise ValueError(f"rotation parameter for mode {k} is not finite")
         n[k] = math.sinh(r) ** 2
-    return n, f"modes {sorted(k for k, _ in pairs)!r}"
+    return n
 
 
 def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StatePair:
@@ -526,9 +508,9 @@ def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StateP
         raise ValueError("pair members must share grid, weighting and transverse mode")
     if np.any(lp.flipped) or np.any(lm.flipped):
         raise ValueError("cannot rotate a sign-mutated pair")
-    n, desc = _parse_rotation(rotation, lp.omega)
+    n = _parse_rotation(rotation, lp.omega)
     lp_b, lm_b = (replace(k, a=k.a + n, b=k.b + n) for k in (lp, lm))
-    return StatePair(lp_a=lp, lp_b=lp_b, lm_b=lm_b, occupation=n, descriptor=desc)
+    return StatePair(lp_a=lp, lp_b=lp_b, lm_b=lm_b, occupation=n)
 
 
 def smoothness_decay_order(kernel: LineSpectrum) -> float:

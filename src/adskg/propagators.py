@@ -85,6 +85,7 @@ _LINES = {
     "antifeynman": (0.0, 1j, "abs"),
 }
 KINDS = tuple(_LINES)
+_SIGNS = {"lambda_plus": +1, "plus": +1, "lambda_minus": -1, "minus": -1}
 WEIGHTINGS = ("tilde", "physical")
 _GRAM_TIMES, _GRAM_VECS = 16, 6  # Gram test family: subsampled times, random mode vectors
 
@@ -95,12 +96,12 @@ class LineSpectrum:
     b_k e^{-i omega_k tau}] S(tau), h_k = 1/(2 omega_k), on a uniform grid.
 
     The lines sit on the frequencies omega of ``branch``, whose transverse
-    mode is m.  The support S is "all" (1), "future" (theta(tau), theta(0) =
-    0), "past" (theta(-tau)) or "abs" (both exponentials taken at |tau|).
-    ``frequency_sign`` is +1 / -1 for a one-sided claim, else 0.
-    ``spectral`` and ``weighting`` give the spatial factor phi_k phi_k^T of
-    the branch in that weighting; ``spectral`` is None for kernels without
-    one (boundary lines, state differences).
+    mode is m.  The kind fixes the support S, "all" (1; every derived kind),
+    "future" (theta(tau), theta(0) = 0), "past" (theta(-tau)) or "abs" (both
+    exponentials taken at |tau|), and ``frequency_sign``, +1 / -1 for a
+    one-sided claim, else 0.  ``spectral`` and ``weighting`` give the spatial
+    factor phi_k phi_k^T of the branch in that weighting; ``spectral`` is
+    None for kernels without one (boundary lines, state differences).
     """
 
     kind: str
@@ -108,10 +109,16 @@ class LineSpectrum:
     branch: SpectralBranch
     a: np.ndarray
     b: np.ndarray
-    support: str
-    frequency_sign: int
     spectral: SpectralModel | None = None
     weighting: str = "tilde"
+
+    @property
+    def support(self) -> str:
+        return _LINES[self.kind][2] if self.kind in _LINES else "all"
+
+    @property
+    def frequency_sign(self) -> int:
+        return _SIGNS.get(self.kind, 0)
 
     @property
     def omega(self) -> np.ndarray:
@@ -227,9 +234,8 @@ def make_propagator(
             f"time grid too coarse: omega_max*dt = {float(omega[-1]) * dt:.3f} >= pi; "
             "refine dt or retain fewer modes"
         )
-    a, b, support = _LINES[kind]
-    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), support,
-                        {"lambda_plus": +1, "lambda_minus": -1}.get(kind, 0), sm, weighting)
+    a, b, _ = _LINES[kind]
+    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), sm, weighting)
 
 
 def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:

@@ -50,6 +50,8 @@ __all__ = [
     "SpectralModel",
     "build_spectral",
     "bessel_collocation_eigs",
+    "save_spectral",
+    "load_spectral",
 ]
 
 _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])

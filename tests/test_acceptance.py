@@ -21,7 +21,6 @@ from adskg.holography import (
     mellin_exponent_probe,
 )
 from adskg.microlocal import (
-    WindowSpec,
     evolve_and_track,
     gbb_reference,
     kernel_wavefront_scan,
@@ -190,9 +189,8 @@ def test_criterion_08_boundary_kernel(sm192, tgrid):
 def test_criterion_09_state_pair(zoo, sm192):
     beta = 5.0 / sm192.m_floor_sqrt
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": beta})
-    spec = WindowSpec(length=6.5, n_centers=3)
-    off_a = off_pattern(kernel_wavefront_scan(pair.lp_b, spec), pair.lp_b)
-    off_b = off_pattern(kernel_wavefront_scan(pair.lm_b, spec), pair.lm_b)
+    off_a = off_pattern(kernel_wavefront_scan(pair.lp_b, 6.5, 3), pair.lp_b)
+    off_b = off_pattern(kernel_wavefront_scan(pair.lm_b, 6.5, 3), pair.lm_b)
     order = smoothness_decay_order(pair.difference())
     ok = off_a <= 1e-4 and off_b <= 1e-4 and order >= 6.0
     _report(9, ok, f"scan_off_pattern=({off_a:.2e},{off_b:.2e}) (tol 1e-4), "
@@ -202,7 +200,7 @@ def test_criterion_09_state_pair(zoo, sm192):
 def test_criterion_10_feynman_structure(zoo):
     ident = feynman_consistency(zoo["lambda_plus"], zoo["lambda_minus"],
                                 zoo["retarded"], zoo["advanced"])
-    rows = kernel_wavefront_scan(zoo["feynman"], WindowSpec(length=5.0, n_centers=4))
+    rows = kernel_wavefront_scan(zoo["feynman"], 5.0, 4)
     off = off_pattern(rows, zoo["feynman"], band=10.0)
     ok = ident <= 1e-12 and off <= 1e-5
     _report(10, ok, f"consistency={ident:.2e} (tol 1e-12), "

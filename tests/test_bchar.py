@@ -123,11 +123,11 @@ def test_trace_bounces_at_known_times(toy):
     assert path.energy_sign == "plus"
     assert path.symbol_drift == 0.0
     walls = [ev.wall for ev in path.reflections]
-    times = [ev.t for ev in path.reflections]
+    times = [ev.point.t for ev in path.reflections]
     assert walls == ["boundary", "wall", "boundary"]
     assert times == pytest.approx([0.4, 1.4, 2.4], abs=1e-9)
     for ev in path.reflections:
-        assert ev.xi_out == -ev.xi_in
+        assert ev.point.xi == -ev.xi_in
 
 
 def test_trace_sample_matches_closed_form(toy):
@@ -298,7 +298,7 @@ def test_sample_matches_per_time_newton(request, model, tau, t_max, exact):
     p0 = make_null_point(m, x=0.4, tau=tau, zeta=0.0 if model == "toy" else 0.7)
     path = trace_gbb(m, p0, t_max=t_max, step=2e-3)
     knots = _rows(path)[::7, 2]
-    times = np.concatenate([np.linspace(0.0, t_max, 777), knots, [ev.t for ev in path.reflections]])
+    times = np.concatenate([np.linspace(0.0, t_max, 777), knots, [ev.point.t for ev in path.reflections]])
     got, want = path.sample(times), _sample_per_time(path, times)
     if exact:
         assert np.array_equal(got, want)

@@ -437,9 +437,19 @@ def test_boundary_2pt_has_no_time_grid_flags(small_blobs, tmp_path, capsys):
         ({"model": {"kind": "ads2_strip", "L": 1.0}}, "lacks the keys ['nu']"),
         ({"model": {"kind": "ads3_cylinder"}}, "lacks the keys ['nu', 'L']"),
         ({"model": {"kind": "custom", "nu": 1.0, "L": 1.0}}, "lacks the keys ['n']"),
+        ({"model": {"kind": "ads2_strip", "nu": None, "L": 1.0}}, "'nu' must be a number"),
+        ({"model": {"kind": "ads2_strip", "nu": [1], "L": 1.0}}, "'nu' must be a number"),
+        ({"model": {"kind": "ads2_strip", "nu": True, "L": 1.0}}, "'nu' must be a number"),
+        ({"model": {"kind": "ads2_strip", "nu": 1.0, "L": "1"}}, "'L' must be a number"),
+        ({"model": {"kind": "ads3_cylinder", "nu": 1.0, "L": 1.0, "ell": {}}}, "'ell' must be a number"),
+        ({"model": {"kind": "custom", "n": 2.5, "nu": 1.0, "L": 1.0}}, "'n' must be an integer"),
+        ({"model": {"kind": "custom", "n": True, "nu": 1.0, "L": 1.0}}, "'n' must be an integer"),
+        ({"tolerances": {"algebra": True}}, "tolerance 'algebra' must be positive, got True"),
+        ({"tolerances": {"scan_vacum": 1e-3}}, "unknown tolerances: ['scan_vacum']"),
     ],
     ids=["seed-float", "N-str", "n_modes-float", "m_max-bool", "flip-str", "model-str", "tolerances-int", "list",
-         "no-nu", "no-nu-L", "custom-no-n"],
+         "no-nu", "no-nu-L", "custom-no-n", "nu-null", "nu-list", "nu-bool", "L-str", "ell-object", "n-float",
+         "n-bool", "tolerance-bool", "tolerance-unknown"],
 )
 def test_verify_refuses_mistyped_config(tmp_path, capsys, raw, named):
     """A config value of the wrong type or a model without a required key is

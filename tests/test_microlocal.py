@@ -7,7 +7,6 @@ import pytest
 from adskg import microlocal
 from adskg.geometry import load_model, make_toy_model
 from adskg.microlocal import (
-    WindowSpec,
     evolve_and_track,
     gbb_reference,
     kernel_wavefront_scan,
@@ -20,7 +19,7 @@ from adskg.propagators import LineSpectrum, make_propagator, slepian_taper
 from adskg.spectral import build_spectral
 from oracles import line_gains, thermal_occupation_mp
 
-SCAN = WindowSpec(length=6.5, n_centers=3)
+SCAN = (6.5, 3)  # window length, window starts per slot
 
 
 def test_wavepacket_preconditions(sm192):
@@ -160,17 +159,17 @@ def test_gbb_reference_closed_form(ads2):
 
 
 def test_scan_quadrants_vacuum(zoo):
-    rows = kernel_wavefront_scan(zoo["lambda_plus"], SCAN)
+    rows = kernel_wavefront_scan(zoo["lambda_plus"], *SCAN)
     assert len(rows) == 9
     assert off_pattern(rows, zoo["lambda_plus"]) <= 1e-6
-    rows_m = kernel_wavefront_scan(zoo["lambda_minus"], SCAN)
+    rows_m = kernel_wavefront_scan(zoo["lambda_minus"], *SCAN)
     assert off_pattern(rows_m, zoo["lambda_minus"]) <= 1e-6
     for r in rows_m:
         assert r.sign_content_minus > 0.999
 
 
 def test_scan_causal_avoids_mixed_quadrants(zoo):
-    rows = kernel_wavefront_scan(zoo["causal"], SCAN)
+    rows = kernel_wavefront_scan(zoo["causal"], *SCAN)
     assert off_pattern(rows, zoo["causal"]) <= 1e-6
     for r in rows:
         assert r.sign_content_plus == pytest.approx(0.5, abs=0.05)
@@ -179,33 +178,33 @@ def test_scan_causal_avoids_mixed_quadrants(zoo):
 
 def test_scan_detects_mutation(zoo):
     bad = zoo["lambda_plus"].mutated(0.01)
-    rows = kernel_wavefront_scan(bad, SCAN)
+    rows = kernel_wavefront_scan(bad, *SCAN)
     assert off_pattern(rows, bad) >= 0.1
 
 
 def test_scan_window_validation(zoo):
     with pytest.raises(ValueError, match="window too short"):
-        kernel_wavefront_scan(zoo["lambda_plus"], WindowSpec(length=3.0, n_centers=2))
+        kernel_wavefront_scan(zoo["lambda_plus"], 3.0, 2)
     with pytest.raises(ValueError, match="exceeds the grid span"):
-        kernel_wavefront_scan(zoo["lambda_plus"], WindowSpec(length=30.0, n_centers=2))
+        kernel_wavefront_scan(zoo["lambda_plus"], 30.0, 2)
 
 
-def test_window_spec_validation():
+def test_window_spec_validation(zoo):
     with pytest.raises(ValueError, match="n_centers"):
-        WindowSpec(length=6.5, n_centers=0)
+        kernel_wavefront_scan(zoo["lambda_plus"], 6.5, 0)
     with pytest.raises(ValueError, match="n_centers"):
-        WindowSpec(length=6.5, n_centers=-3)
+        kernel_wavefront_scan(zoo["lambda_plus"], 6.5, -3)
     with pytest.raises(ValueError, match="length"):
-        WindowSpec(length=0.0)
+        kernel_wavefront_scan(zoo["lambda_plus"], 0.0, 4)
 
 
-def _direct_scan(kernel, spec):
+def _direct_scan(kernel, length, n_centers):
     """Reference scan: the trace evaluated on t_i - t_j of every window."""
     t, dt = kernel.t_grid, kernel.dt
-    n_w = int(round(spec.length / dt)) + 1
-    taper = slepian_taper(n_w, 0.9 * spec.length * kernel.omega_floor / (2.0 * math.pi))
-    half = 0.5 * spec.length
-    pts = np.linspace(t[0] + half, t[-1] - half, spec.n_centers)
+    n_w = int(round(length / dt)) + 1
+    taper = slepian_taper(n_w, 0.9 * length * kernel.omega_floor / (2.0 * math.pi))
+    half = 0.5 * length
+    pts = np.linspace(t[0] + half, t[-1] - half, n_centers)
     sgn = np.sign(np.fft.fftfreq(n_w, d=dt))
     sgn_t, sgn_s = sgn[:, None], -sgn[None, :]
     out = []
@@ -244,14 +243,14 @@ def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
     lp = make_propagator(sm192, "lambda_plus", grid)
     lm = make_propagator(sm192, "lambda_minus", grid)
     pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
-    edge, even = WindowSpec(length=6.4, n_centers=3), WindowSpec(length=6.475, n_centers=3)
+    edge, even = (6.4, 3), (6.475, 3)
     cases = [
         (lp, SCAN),
         (lp.mutated(0.01), SCAN),
         (pair.lp_b, SCAN),
         (lm, SCAN),
         (make_propagator(sm192, "causal", grid), SCAN),
-        (make_propagator(sm192, "feynman", grid), WindowSpec(length=5.0, n_centers=4)),
+        (make_propagator(sm192, "feynman", grid), (5.0, 4)),
     ]
     cases += [(make_propagator(sm192, kind, grid), spec) for kind in ("retarded", "advanced", "feynman", "antifeynman")
               for spec in (SCAN, even)]
@@ -259,9 +258,9 @@ def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
               for kind in ("lambda_plus", "retarded", "advanced", "feynman", "antifeynman")]
     zero_windows = 0
     for kern, spec in cases:
-        rows = kernel_wavefront_scan(kern, spec)
-        ref = _direct_scan(kern, spec)
-        assert len(rows) == len(ref) == spec.n_centers**2
+        rows = kernel_wavefront_scan(kern, *spec)
+        ref = _direct_scan(kern, *spec)
+        assert len(rows) == len(ref) == spec[1] ** 2
         for r, (t, s, plus, minus, cross) in zip(rows, ref):
             assert (r.t, r.s) == (t, s)
             assert r.sign_content_plus == pytest.approx(plus, abs=1e-14)
@@ -269,7 +268,7 @@ def test_lag_gather_matches_direct_windows(sm192, tgrid, t0):
             assert r.cross == pytest.approx(cross, abs=1e-14)
             # every lag of the window on the zero side of the support, tau = 0 included
             toward_support = {"retarded": r.t - r.s, "advanced": r.s - r.t}.get(kern.kind)
-            if toward_support is not None and toward_support + spec.length <= 1e-9:
+            if toward_support is not None and toward_support + spec[0] <= 1e-9:
                 assert (r.sign_content_plus, r.sign_content_minus, r.cross) == (0.0, 0.0, 0.0)
                 zero_windows += 1
     # per kind: one window of SCAN, one of the even grid, three of the edge grid
@@ -297,18 +296,17 @@ def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
     monkeypatch.setattr(LineSpectrum, "trace", counting_trace)
     monkeypatch.setattr(np.fft, "fft2", counting_fft2)
     for kern in (zoo["lambda_plus"], zoo["lambda_plus"].mutated(0.01), pair.lp_b):
-        assert len(kernel_wavefront_scan(kern, SCAN)) == 9
+        assert len(kernel_wavefront_scan(kern, *SCAN)) == 9
     assert sizes == [] and ffts == []
     kern = zoo["feynman"]
-    rows = kernel_wavefront_scan(kern, WindowSpec(length=5.0, n_centers=4))
+    rows = kernel_wavefront_scan(kern, 5.0, 4)
     assert len(rows) == 16
     assert sizes == [2 * kern.T - 1]
     assert ffts == [(201, 201)] * 3
 
 
 def test_feynman_scan_flips_across_diagonal(zoo):
-    spec = WindowSpec(length=5.0, n_centers=4)
-    rows = kernel_wavefront_scan(zoo["feynman"], spec)
+    rows = kernel_wavefront_scan(zoo["feynman"], 5.0, 4)
     assert off_pattern(rows, zoo["feynman"], band=10.0) <= 1e-5
     future = [r for r in rows if r.t - r.s > 10.0]
     past = [r for r in rows if r.s - r.t > 10.0]
@@ -343,7 +341,6 @@ def test_perturbed_state_thermal_occupations(zoo, sm192):
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": beta})
     want = thermal_occupation_mp(beta, zoo["lambda_plus"].omega)
     assert pair.occupation == pytest.approx(want, rel=1e-12)
-    assert "thermal" in pair.descriptor
 
 
 def test_perturbed_state_commutator_preserved(zoo, sm192):
@@ -401,7 +398,7 @@ def test_thermal_state_passes_scan(zoo, sm192):
     beta = 5.0 / sm192.m_floor_sqrt
     pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": beta})
     for kern in (pair.lp_b, pair.lm_b):
-        assert off_pattern(kernel_wavefront_scan(kern, SCAN), kern) <= 1e-4
+        assert off_pattern(kernel_wavefront_scan(kern, *SCAN), kern) <= 1e-4
 
 
 def test_smoothness_orders(zoo, sm192):

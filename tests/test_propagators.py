@@ -141,6 +141,25 @@ def test_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
             lp.gains(bad)
 
 
+def test_kind_gives_support_and_sign(zoo, sm192, ads2, tgrid):
+    """Support factor and one-sided claim follow from the kind alone, for the
+    seven propagator kinds, the boundary kinds and the state difference, and
+    survive a sign mutation and a Bogoliubov rotation."""
+    want = {
+        "retarded": ("future", 0), "advanced": ("past", 0), "causal": ("all", 0),
+        "lambda_plus": ("all", +1), "lambda_minus": ("all", -1), "feynman": ("abs", 0), "antifeynman": ("abs", 0),
+        "plus": ("all", +1), "minus": ("all", -1), "difference": ("all", 0),
+    }
+    lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
+    pair = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    kernels = [*zoo.values(), lp.mutated(0.05), lm.mutated(0.05), pair.lp_b, pair.lm_b, pair.difference()]
+    kernels += [boundary_two_point(make_propagator(sm192, kind, tgrid, "physical"), ads2)
+                for kind in ("lambda_plus", "lambda_minus")]
+    assert {k.kind for k in kernels} == set(want)
+    for k in kernels:
+        assert (k.support, k.frequency_sign) == want[k.kind], k.kind
+
+
 def test_replaced_kernel_builds_its_own_table(zoo, sm192, tgrid):
     """A kernel reads the table of its own branch and grid: another grid or
     another branch gets another table, with the gains of its own lags."""

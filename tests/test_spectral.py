@@ -67,6 +67,9 @@ def test_grid_is_its_closed_form(L, n, gamma):
 
 
 def test_value_types_take_only_their_inputs():
+    from adskg.bchar import ReflectionEvent
+    from adskg.holography import IndicialSeries
+    from adskg.microlocal import StatePair, Wavepacket
     from adskg.propagators import LineSpectrum
 
     def inputs(cls):
@@ -74,8 +77,29 @@ def test_value_types_take_only_their_inputs():
 
     assert inputs(Grid1D) == ["L", "n_elements", "gamma"]
     assert inputs(SpectralModel) == ["model", "grid", "branches", "M"]
-    assert inputs(LineSpectrum) == ["kind", "t_grid", "branch", "a", "b", "support", "frequency_sign", "spectral",
-                                    "weighting"]
+    assert inputs(LineSpectrum) == ["kind", "t_grid", "branch", "a", "b", "spectral", "weighting"]
+    assert inputs(Wavepacket) == ["width", "energy_sign", "coefficients", "m", "x_mean", "x_var", "xi_mean",
+                                  "xi_var", "tail"]
+    assert inputs(IndicialSeries) == ["alpha", "coeffs", "residual_slope"]
+    assert inputs(ReflectionEvent) == ["s", "wall", "xi_in", "point"]
+    assert inputs(StatePair) == ["lp_a", "lp_b", "lm_b", "occupation"]
+
+
+@pytest.mark.parametrize(
+    "module", ["geometry", "spectral", "bessel", "binio", "bchar", "propagators", "holography", "microlocal"]
+)
+def test_all_lists_the_public_definitions(module):
+    """A layer's ``__all__`` names exactly the public functions and classes
+    it defines (it may name constants besides)."""
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(f"adskg.{module}")
+    defined = {name for name, obj in vars(mod).items() if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == mod.__name__}
+    listed = {name for name in mod.__all__ if inspect.isfunction(getattr(mod, name))
+              or inspect.isclass(getattr(mod, name))}
+    assert listed == defined
 
 
 def test_mass_matrix_is_assembled_once(monkeypatch):
