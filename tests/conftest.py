@@ -7,9 +7,13 @@ frozen values: a mutation or an occupied state is a new kernel.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # the CLI's default BLAS thread count, set before numpy loads
 
 import numpy as np
 import pytest
