@@ -224,16 +224,10 @@ def _symbol_on_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
 
 
 def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
-    x, _, _, xi, zeta, tau = rows.T
-    k = model.k(x)
-    b = model.beta(x)
-    dk = model.dk(x)
-    db = model.dbeta(x)
+    """Right-hand sides of rows on one arc as (n, 6) rows with zero zeta and tau
+    columns; zeta and tau are constant on an arc, so they are read from its first row."""
     out = np.zeros_like(rows)
-    out[:, 0] = 2.0 * xi
-    out[:, 1] = 2.0 * zeta / k
-    out[:, 2] = 2.0 * tau / b
-    out[:, 3] = -(tau**2) * db / b**2 + zeta**2 * dk / k**2
+    out[:, :4] = _stage_rhs(model, rows[:, 0].tolist(), rows[:, 3].tolist(), *rows[0, 4:].tolist())
     return out
 
 

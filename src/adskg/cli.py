@@ -306,35 +306,68 @@ def _time_step(sm, m: int = 0) -> tuple[float, int]:
     return 0.025 * sm.model.L / r, r
 
 
-def _time_slice_suite(sm, seed: int, m: int = 0):
-    """Residuals of G [P, chi] u = u at three time steps (4h, 2h, h), h = L/1000.
+@dataclass(frozen=True)
+class VerifyPlan:
+    """Every value verify picks for itself, in report order; ``_plan`` is the only place that sets them."""
+
+    null_point: tuple  # (x, tau) of the symbol probe
+    gbb: tuple  # launch (x, tau), t_max, step
+    n_cmp: int  # eigenvalues compared with the toy oracle
+    collocation: tuple  # (n_basis, n_modes)
+    half_line: tuple  # (N, K, eigenvalues compared) of the nu = 1/2 line
+    time_slice: tuple  # (base step, span, step multiples)
+    series: tuple  # (nu of the series model, sigma, orders); 2 nu must miss the orders
+    exponent_window: tuple
+    amplitude_window: tuple
+    n_weights: int  # boundary line weights compared with the oracle
+    packet: tuple  # (x0, xi0, sigma)
+    track: tuple  # (t_max, dt)
+    scan: tuple  # (length, starts) of the vacuum and state scans
+    thermal_beta: float
+    difference_stride: int  # lag stride of the state-difference check
+    feynman_scan: tuple  # (length, starts, band)
+
+
+def _plan(config: RunConfig, sm) -> VerifyPlan:
+    L, nu = sm.model.L, sm.model.nu
+    resonant = abs(2.0 * nu - round(2.0 * nu)) <= 1e-9 and 2.0 * nu <= 4
+    return VerifyPlan(
+        null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.4 * L, 2e-3 * L),
+        n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
+        time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(2.5 if resonant else nu, 1.3, (0, 4)),
+        exponent_window=(L / 400.0, L / 20.0), amplitude_window=(L / 400.0, L / 12.0), n_weights=5,
+        packet=(0.5 * L, -40.0 / L, 0.1 * L), track=(1.3 * L, 0.005 * L), scan=(6.5 * L, 3),
+        thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(5.0 * L, 4, 10.0 * L),
+    )
+
+
+def _time_slice_suite(sm, seed: int, base_dt: float, span: float, levels: tuple):
+    """Residuals of G [P, chi] u = u on branch 0 over [0, span] at the steps base_dt * level, levels halving.
 
     Returns (residuals, order, prediction): the convergence order is fitted
-    from the two coarse runs and extrapolated to the finest step, so the
-    finest residual can be judged against an independent prediction.
+    from the first two runs and extrapolated to the last step, so the last
+    residual can be judged against an independent prediction.
     """
     import numpy as np
 
     from .propagators import TimeCutoff, make_propagator, time_slice_check
 
     rng = np.random.default_rng(seed)
-    br = sm.branch(m)
+    br = sm.branch(0)
     n_sel = min(10, br.omega.size)
     sel = np.sort(rng.choice(br.omega.size, size=n_sel, replace=False))
     amp = rng.standard_normal(n_sel)
     amp /= np.linalg.norm(amp)
     phase = rng.uniform(0.0, 2.0 * math.pi, n_sel)
 
-    base_dt = 1e-3 * sm.model.L
-    span = 0.256 * sm.model.L
     res = []
-    for level in (4, 2, 1):
+    for level in levels:
         dt = base_dt * level
         t = dt * np.arange(int(round(span / dt)) + 1)
         coef = np.zeros((t.size, br.omega.size))
         coef[:, sel] = amp[None, :] * np.cos(br.omega[sel][None, :] * t[:, None] + phase[None, :])
-        u = sm.synthesize(coef, m=m)
-        g = make_propagator(sm, "causal", t, weighting="tilde", m=m)
+        u = sm.synthesize(coef)
+        g = make_propagator(sm, "causal", t, weighting="tilde")
         chi = TimeCutoff(t0=0.2 * span, t1=0.4 * span)
         res.append(time_slice_check(g, sm, chi, u))
     order = math.log2(res[0] / res[1]) if res[1] > 0.0 else math.inf
@@ -352,18 +385,6 @@ def _tangential_jump(path) -> float:
     return jump
 
 
-def _resonance_refused(model) -> float:
-    """1.0 when the series builder refuses the resonant case 2 nu = 2 <= K."""
-    from .geometry import make_toy_model
-    from .holography import build_series
-
-    try:
-        build_series(make_toy_model("ads2_strip", nu=1.0, L=model.L), w0=1.0, K=2)
-    except ValueError:
-        return 1.0
-    return 0.0
-
-
 def run_verify(config: RunConfig) -> tuple[int, dict]:
     """Evaluate the ordered check table and assemble the JSON report.
 
@@ -371,10 +392,13 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     tolerance are thunks, evaluated in report order, and passes(value, tol)
     gives the verdict.  Identity texts, tolerances and comparisons live
     only here; the library functions the rows call return measurements.
+    Every other value a row uses comes from the ``VerifyPlan`` that
+    ``_plan`` works out once from the config and the spectrum; nothing else
+    sets it.  Tolerances the config leaves out take their defaults.
     Objects that several rows share are built on first use by caches local
-    to this call.  A ValueError or RuntimeError raised
-    inside a row fails that row alone: its entry has null value and
-    tolerance and the message under "error", and the next row runs.  The
+    to this call.  A ValueError or RuntimeError raised inside a row fails
+    that row alone: its entry has null value and tolerance and the message
+    under "error", and the next row runs.  The config is validated and the
     model and the eigenbasis are built before any row, so their errors
     reach the caller.
     """
@@ -406,16 +430,16 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     )
     from .spectral import bessel_collocation_eigs, build_spectral
 
-    tol = config.tolerances
+    config.validate()
+    tol = {**_default_tolerances(), **config.tolerances}
     model = load_model(config.model)
     sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes)
+    plan = _plan(config, sm)
     L, nu = model.L, model.nu
     # kernel time grid: the span stays 19.2 L
     dt, refine = _time_step(sm)
     T = 768 * refine
     t_grid = dt * np.arange(T)
-    sigma, xi0, x0 = 0.1 * L, -40.0 / L, 0.5 * L
-    n_cmp = min(10, config.n_modes)
     phi1 = sm.branch(0).phi[:, 0]
     le, ge = operator.le, operator.ge
 
@@ -433,11 +457,11 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def gbb():
-        return trace_gbb(model, make_null_point(model, x=0.4 * L, tau=2.0), t_max=2.4 * L, step=2e-3 * L)
+        return trace_gbb(model, make_null_point(model, *plan.gbb[:2]), *plan.gbb[2:])
 
     @cache
     def oracle():
-        return toy_frequencies(model, n_cmp)
+        return toy_frequencies(model, plan.n_cmp)
 
     @cache
     def two_point():
@@ -445,7 +469,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def time_slice():
-        return _time_slice_suite(sm, config.seed)
+        return _time_slice_suite(sm, config.seed, *plan.time_slice)
 
     @cache
     def boundary():
@@ -453,15 +477,15 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def packet():
-        return make_wavepacket(sm, x0=x0, xi0=xi0, sigma=sigma)
+        return make_wavepacket(sm, *plan.packet)
 
     @cache
     def track():
-        return evolve_and_track(sm, packet(), t_max=1.3 * L, dt=0.005 * L)
+        return evolve_and_track(sm, packet(), *plan.track)
 
     @cache
     def pair():
-        return make_perturbed_state(kernel("lambda_plus"), kernel("lambda_minus"), {"thermal": 5.0 / sm.m_floor_sqrt})
+        return make_perturbed_state(kernel("lambda_plus"), kernel("lambda_minus"), {"thermal": plan.thermal_beta})
 
     @cache
     def state_two_point():
@@ -469,43 +493,52 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def difference_traces():
-        lags = np.arange(0, T, 7)
+        lags = np.arange(0, T, plan.difference_stride)
         return pair().lp_b.trace(lags) - pair().lp_a.trace(lags), pair().difference().trace(lags)
 
     def forbidden(k) -> float:
         return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]
 
-    def scan_off(k, ref=None, length: float = 6.5 * L, n_centers: int = 3, band: float | None = None) -> float:
-        rows = kernel_wavefront_scan(k, length, n_centers)
+    def scan_off(k, ref=None, length: float = plan.scan[0], starts: int = plan.scan[1], band=None) -> float:
+        rows = kernel_wavefront_scan(k, length, starts)
         return off_pattern(rows, k if ref is None else ref, band=band)
 
     def rel_err(got, want) -> float:
-        return float(np.max(np.abs(got - want) / want))
+        """Largest relative error on the leading entries the two arrays share."""
+        n = min(len(got), len(want))
+        return float(np.max(np.abs(got[:n] - want[:n]) / want[:n]))
 
     def series_gain() -> float:
-        resonant = abs(2.0 * nu - round(2.0 * nu)) <= 1e-9 and 2.0 * nu <= 4
-        series_model = make_toy_model("ads2_strip", nu=2.5, L=L) if resonant else model
-        slope = {K: build_series(series_model, w0=1.0, K=K, sigma=1.3).residual_slope for K in (0, 4)}
-        return (slope[4] - slope[0]) / 4.0
+        series_nu, sigma, (k0, k1) = plan.series
+        series_model = model if series_nu == nu else make_toy_model("ads2_strip", nu=series_nu, L=L)
+        slope = {K: build_series(series_model, w0=1.0, K=K, sigma=sigma).residual_slope for K in (k0, k1)}
+        return (slope[k1] - slope[k0]) / (k1 - k0)
+
+    def resonance_refused() -> float:
+        """1.0 when the series builder refuses the resonant case 2 nu = 2 <= K."""
+        try:
+            build_series(make_toy_model("ads2_strip", nu=1.0, L=L), w0=1.0, K=2)
+        except ValueError:
+            return 1.0
+        return 0.0
 
     def half_line_error() -> float:
-        sm_half = build_spectral(make_toy_model("ads2_strip", nu=0.5, L=L), N=max(128, config.N), n_modes=8)
-        kpi = (np.arange(1, 5) * math.pi / L) ** 2
-        return rel_err(sm_half.branch(0).omega2[:4], kpi)
+        N_half, K_half, n_half = plan.half_line
+        sm_half = build_spectral(make_toy_model("ads2_strip", nu=0.5, L=L), N=N_half, n_modes=K_half)
+        return rel_err(sm_half.branch(0).omega2, (np.arange(1, n_half + 1) * math.pi / L) ** 2)
 
     def amplitude_error() -> float:
-        window = (L / 400.0, L / 12.0)
-        fit = extract_boundary(sm.weight_left * phi1, model, fit_window=window, x=sm.grid.dof_x, weighting="physical")
+        fit = extract_boundary(sm.weight_left * phi1, model, plan.amplitude_window, sm.grid.dof_x, "physical")
         c_oracle = toy_boundary_amplitudes(model, 1)[0]
-        return abs(abs(float(np.real(fit.value))) - c_oracle) / c_oracle
+        return abs(abs(fit.value) - c_oracle) / c_oracle
 
     def packet_deviation() -> float:
         tr = track()
-        gx = gbb_reference(model, x0, xi0, tr.times, clip=tr.window_floor)
-        return float(np.max(np.abs(tr.centroid - gx))) / sigma
+        gx = gbb_reference(model, *plan.packet[:2], tr.times, clip=tr.window_floor)
+        return float(np.max(np.abs(tr.centroid - gx))) / plan.packet[2]
 
     def reflection_time_error() -> float:
-        tr = track()
+        tr, x0 = track(), plan.packet[0]
         after = tr.times > 1.2 * x0
         t_back = float(tr.times[after][np.argmin(np.abs(tr.centroid[after] - x0))])
         return abs(t_back - 2.0 * x0)
@@ -527,7 +560,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         ("even_warp_slope", "beta' (0) = k'(0) = 0",
          lambda: abs(float(model.dbeta(np.zeros(1))[0])) + abs(float(model.dk(np.zeros(1))[0])), lambda: 1e-12, le),
         ("null_point_symbol", "p(x, xi, zeta, tau) = 0 on the characteristic set",
-         lambda: abs(conformal_symbol(model, make_null_point(model, x=0.5 * L, tau=1.0))), lambda: 1e-13, le),
+         lambda: abs(conformal_symbol(model, make_null_point(model, *plan.null_point))), lambda: 1e-13, le),
         # broken bicharacteristics
         ("gbb_symbol_drift", "p = 0 along Hamilton arcs",
          lambda: gbb().symbol_drift, lambda: tol["symbol_drift"] * 4.0, le),
@@ -539,9 +572,9 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         # spectral
         *([
             ("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",
-             lambda: rel_err(np.sqrt(sm.branch(0).omega2[:n_cmp]), oracle()), lambda: tol["eig_rel"], le),
+             lambda: rel_err(np.sqrt(sm.branch(0).omega2), oracle()), lambda: tol["eig_rel"], le),
             ("collocation_oracle", "independent basis reproduces the line",
-             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, n_basis=24, n_modes=4)), oracle()[:4]),
+             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, *plan.collocation)), oracle()),
              lambda: 1e-8, le),
         ] if model.kind in ("ads2_strip", "ads3_cylinder") else []),
         *([
@@ -585,25 +618,27 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          lambda: 1e-13 * max(1.0, nu**2), le),
         ("series_order_gain", "each series order gains one residual power",
          series_gain, lambda: tol["gain_per_order"], ge),
-        ("series_resonance_refusal", "integer 2 nu <= K must be refused",
-         lambda: _resonance_refused(model), lambda: 1.0, ge),
+        ("series_resonance_refusal", "integer 2 nu <= K must be refused", resonance_refused, lambda: 1.0, ge),
         ("mode_boundary_exponent", "eigenmodes carry the x^(nu + 1/2) branch",
-         lambda: abs(mellin_exponent_probe(phi1, model, x=sm.grid.dof_x)[0] - (nu + 0.5)), lambda: tol["exponent"], le),
+         lambda: abs(mellin_exponent_probe(phi1, sm.grid.dof_x, plan.exponent_window)[0] - (nu + 0.5)),
+         lambda: tol["exponent"], le),
         *([
             ("boundary_amplitude_mode1", "weighted restriction matches the line amplitude",
              amplitude_error, lambda: tol["weights_rel"], le),
             ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
-             lambda: rel_err(boundary().weights[:5], toy_line_weights(model, 5)), lambda: tol["weights_rel"], le),
+             lambda: rel_err(boundary().weights, toy_line_weights(model, plan.n_weights)),
+             lambda: tol["weights_rel"], le),
             psd("boundary_psd", "(f | k_plus f) >= 0", lambda: gram_eigenvalues(boundary_gram(boundary()))),
             ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
         ] if model.kind == "ads2_strip" else []),
         # wavepacket / GBB
         ("packet_moments", "second moments within 2 sigma^2 and 2/sigma^2",
-         lambda: max(packet().x_var / (2.0 * sigma**2), packet().xi_var / (2.0 / sigma**2)), lambda: 1.0, le),
+         lambda: max(packet().x_var / (2.0 * packet().width**2), packet().xi_var / (2.0 / packet().width**2)),
+         lambda: 1.0, le),
         ("packet_follows_gbb", "centroid tracks the reflected ray",
          packet_deviation, lambda: 1.0, lambda v, t: v <= t and track().status == "ok"),
         ("packet_reflection_time", "round trip takes 2 x0 / speed",
-         reflection_time_error, lambda: 2.0 * sigma, le),
+         reflection_time_error, lambda: 2.0 * plan.packet[2], le),
         # state pair / scans
         ("scan_vacuum_plus", "vacuum kernel mass sits in one sign quadrant",
          lambda: scan_off(kernel("lambda_plus")), lambda: tol["scan_vacuum"], le),
@@ -623,7 +658,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         ("difference_smoothness", "difference kernel decays superpolynomially in frequency",
          lambda: smoothness_decay_order(pair().difference()), lambda: tol["smooth_order"], ge),
         ("scan_feynman_flip", "time-ordered pattern flips across t = s",
-         lambda: scan_off(feynman(), length=5.0 * L, n_centers=4, band=10.0 * L), lambda: tol["scan_feynman"], le),
+         lambda: scan_off(feynman(), None, *plan.feynman_scan), lambda: tol["scan_feynman"], le),
     ]
 
     checks = []
@@ -648,7 +683,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             "gamma": sm.grid.gamma,
             "seed": config.seed,
             "inject_sign_flip": config.inject_sign_flip,
-            "tolerances": config.tolerances,
+            "tolerances": tol,
         },
         "n_checks": len(checks),
         "n_failed": n_failed,
@@ -661,21 +696,16 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 def _cmd_verify(args) -> int:
     try:
         config = RunConfig.from_sources(args.config, args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         code, report = run_verify(config)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = json.dumps(report, indent=2)
     out_path = args.out
     if out_path is None:
         os.makedirs(config.out_dir, exist_ok=True)
         out_path = os.path.join(config.out_dir, "report.json")
     with open(out_path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(report, indent=2) + "\n")
     if args.csv is not None:
         from . import binio
 

@@ -188,10 +188,7 @@ def extract_boundary(
             f"complementary-branch contamination {contam:.3e} above {_CONTAM_FAIL}; "
             "the data is not a Dirichlet-branch solution on this window"
         )
-    value = coef[0]
-    if np.iscomplexobj(u) and abs(value.imag) < 1e-12 * abs(value.real):
-        value = value.real
-    return BoundaryFit(value=value, quality=quality, contamination=float(contam))
+    return BoundaryFit(value=float(coef[0]), quality=quality, contamination=float(contam))
 
 
 def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +209,7 @@ def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> 
     for k, w in enumerate(kernel.omega):
         win = fit_window if fit_window is not None else default_fit_window(model, float(w))
         fit = extract_boundary(phys_modes[:, k], model, win, x=x, weighting="physical")
-        amps[k] = abs(float(np.real(fit.value)))
+        amps[k] = abs(fit.value)
         quals[k] = fit.quality
     return amps, quals
 
@@ -242,18 +239,14 @@ def boundary_gram(kernel: LineSpectrum) -> np.ndarray:
     return _gram_matrix(kernel, _GRAM_TIMES, np.ones((1, kernel.omega.size)))
 
 
-def mellin_exponent_probe(
-    u: np.ndarray,
-    model: MetricModel,
-    x: np.ndarray,
-) -> tuple[float, float]:
-    """Leading boundary exponent by log-log regression of |u| on L/400 <= x <= L/20.
+def mellin_exponent_probe(u: np.ndarray, x: np.ndarray, window: tuple[float, float]) -> tuple[float, float]:
+    """Leading boundary exponent by log-log regression of |u| on window[0] <= x <= window[1].
 
     Returns (alpha_hat, r_squared).  Raises on degenerate data (too few
     samples in the window or vanishing values)."""
     x = np.asarray(x, dtype=float)
     mag = np.abs(np.asarray(u))
-    sel = (x >= model.L / 400.0) & (x <= model.L / 20.0)
+    sel = (x >= window[0]) & (x <= window[1])
     if np.count_nonzero(sel) < 8:
         raise ValueError("exponent probe needs at least 8 samples in the window")
     xs, ms = x[sel], mag[sel]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,18 @@ import numpy as np
 import pytest
 
 import adskg
-from adskg.cli import _THREAD_VARS, RunConfig, _default_tolerances, _export_threads, main, run_verify
+from adskg.cli import (
+    _THREAD_VARS,
+    RunConfig,
+    VerifyPlan,
+    _default_tolerances,
+    _export_threads,
+    _plan,
+    main,
+    run_verify,
+)
+from adskg.geometry import make_toy_model
+from adskg.spectral import build_spectral
 from oracles import line_weights_mp
 
 
@@ -23,7 +35,7 @@ def test_public_names_resolve():
 
 
 def test_source_lines_fit_120_columns():
-    files = sorted(Path(adskg.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    files = sorted(Path(adskg.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.rglob("*.py"))
     long = [f"{f.parent.name}/{f.name}:{i}" for f in files
             for i, line in enumerate(f.read_text().splitlines(), 1) if len(line) > 120]
     assert not long, f"lines longer than 120 characters: {long}"
@@ -566,6 +578,63 @@ def test_verify_tolerances_come_from_the_table(verify_run):
     got = {c["check"]: c["tolerance"] for c in report["checks"]}
     assert list(got) == list(base)
     assert [name for name in got if got[name] != base[name]] == CONFIG_TOLERANCE_CHECKS
+
+
+def test_verify_fills_in_missing_tolerances(verify_run):
+    """A config that names some tolerances gets the defaults for the rest:
+    the report lists all 15 and equals the default report byte for byte."""
+    code, report = run_verify(RunConfig(tolerances={"algebra": 1e-12}))
+    assert code == 0
+    assert list(report["config"]["tolerances"]) == list(_default_tolerances())
+    assert (json.dumps(report, indent=2) + "\n").encode() == verify_run[1]
+
+
+def test_verify_refuses_unknown_tolerance_names():
+    with pytest.raises(ValueError, match="unknown tolerances"):
+        run_verify(RunConfig(tolerances={"algebra": 1e-12, "scan_vacum": 1e-3}))
+
+
+def test_default_plan_holds_the_verify_literals(sm192):
+    """The plan of the default run, field by field, at L = 1 and nu = 1:
+    2 nu = 2 is a resonant order of the series, so its model is the toy at nu = 2.5."""
+    plan = _plan(RunConfig(), sm192)
+    want = {
+        "null_point": (0.5, 1.0),
+        "gbb": (0.4, 2.0, 2.4, 2e-3),
+        "n_cmp": 10,
+        "collocation": (24, 4),
+        "half_line": (192, 8, 4),
+        "time_slice": (1e-3, 0.256, (4, 2, 1)),
+        "series": (2.5, 1.3, (0, 4)),
+        "exponent_window": (1.0 / 400.0, 1.0 / 20.0),
+        "amplitude_window": (1.0 / 400.0, 1.0 / 12.0),
+        "n_weights": 5,
+        "packet": (0.5, -40.0, 0.1),
+        "track": (1.3, 0.005),
+        "scan": (6.5, 3),
+        "thermal_beta": 5.0 / sm192.m_floor_sqrt,
+        "difference_stride": 7,
+        "feynman_scan": (5.0, 4, 10.0),
+    }
+    assert list(VerifyPlan.__dataclass_fields__) == list(want)
+    for name, value in want.items():
+        assert getattr(plan, name) == value, name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.n_cmp = 4
+
+
+def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
+    """At L = 2 every length doubles and xi0 halves; 2 nu = 1.4 misses the
+    series orders, so the series keeps the model's nu; counts follow the config."""
+    sm = build_spectral(make_toy_model("ads2_strip", nu=0.7, L=2.0), N=96, n_modes=8)
+    plan = _plan(RunConfig(N=96, n_modes=8), sm)
+    assert plan.series == (0.7, 1.3, (0, 4))
+    assert (plan.n_cmp, plan.half_line) == (8, (128, 8, 4))
+    assert plan.packet == (1.0, -20.0, 0.2)
+    assert plan.gbb == (0.8, 2.0, 4.8, 4e-3)
+    assert plan.time_slice == (2e-3, 0.512, (4, 2, 1))
+    assert (plan.scan, plan.feynman_scan) == ((13.0, 3), (10.0, 4, 20.0))
+    assert (plan.exponent_window, plan.amplitude_window) == ((2.0 / 400.0, 2.0 / 20.0), (2.0 / 400.0, 2.0 / 12.0))
 
 
 @pytest.mark.parametrize("L", [0.5, 2.0])

@@ -133,7 +133,7 @@ def test_default_fit_window_scales_with_frequency():
 
 def test_mode_boundary_exponent(sm192, ads2):
     phi1 = sm192.branch(0).phi[:, 0]
-    slope, r2 = mellin_exponent_probe(np.abs(phi1), ads2, sm192.grid.dof_x)
+    slope, r2 = mellin_exponent_probe(np.abs(phi1), sm192.grid.dof_x, (ads2.L / 400.0, ads2.L / 20.0))
     assert abs(slope - (ads2.nu + 0.5)) <= 1e-2
     assert r2 > 0.999
 
@@ -202,4 +202,4 @@ def test_minus_kernel_mirrors(sm192, ads2, tgrid):
 def test_mellin_probe_validation(ads2):
     x = np.geomspace(1e-4, 0.3, 6)
     with pytest.raises(ValueError, match="at least 8"):
-        mellin_exponent_probe(x**1.5, ads2, x)
+        mellin_exponent_probe(x**1.5, x, (ads2.L / 400.0, ads2.L / 20.0))
