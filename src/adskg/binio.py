@@ -9,8 +9,8 @@ Blob layout (all integers little-endian):
     remainder      raw array payload, concatenated in header order
 
 The JSON header carries a free-form "meta" mapping plus an "arrays" list of
-{name, dtype, shape} records.  Arrays are stored C-contiguous as
-little-endian float64 ("<f8") or complex128 ("<c16").
+{name, dtype, shape} records.  Arrays are real: stored C-contiguous as
+little-endian float64 ("<f8") or int64 ("<i8").
 """
 
 from __future__ import annotations
@@ -24,26 +24,22 @@ import numpy as np
 MAGIC = b"ADSKGBIN" + b"\x00" * 8
 VERSION = 1
 
-_ALLOWED_DTYPES = {"<f8", "<c16", "<i8"}
+_ALLOWED_DTYPES = {"<f8", "<i8"}
 
 __all__ = ["MAGIC", "VERSION", "write_blob", "read_blob", "write_csv", "fmt_float"]
 
 
 def write_blob(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays plus a JSON meta block to a versioned binary file."""
+    """Write named real arrays plus a JSON meta block to a versioned binary
+    file; integer arrays are stored as int64, all others as float64."""
     records = []
     payload = []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         if np.iscomplexobj(arr):
-            arr = arr.astype("<c16")
-            dtype = "<c16"
-        elif np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype("<i8")
-            dtype = "<i8"
-        else:
-            arr = arr.astype("<f8")
-            dtype = "<f8"
+            raise ValueError(f"array {name!r} is complex; blobs store real arrays only")
+        dtype = "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8"
+        arr = arr.astype(dtype)
         records.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
         payload.append(arr.tobytes())
     header = json.dumps({"meta": meta, "arrays": records}, sort_keys=True).encode("utf-8")

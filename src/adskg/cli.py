@@ -38,22 +38,6 @@ EXIT_USAGE = 2
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _export_threads(argv: list[str]) -> None:
-    """Export thread-count env vars before numpy is imported anywhere: the
-    count of --threads, else ADSKG_THREADS, else 1.  A BLAS variable already
-    set in the environment is kept."""
-    n = os.environ.get("ADSKG_THREADS", "1")
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
-    if not n.isdigit() or int(n) < 1:
-        raise SystemExit(f"--threads expects a positive integer, got {n!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, n)
-
-
 def _default_tolerances() -> dict:
     return {
         "algebra": 1e-12,
@@ -144,31 +128,31 @@ class RunConfig:
 
 
 def _save_kernel(kernel, path: str) -> None:
+    """Write a kernel blob: its model's spectral record plus the kernel's
+    kind, weighting, transverse mode and time grid."""
     from . import binio
-    from .spectral import save_spectral
+    from .spectral import _spectral_record
 
-    save_spectral(kernel.spectral, path)
-    meta, arrays = binio.read_blob(path)
+    if kernel.flipped.any():
+        raise ValueError("a kernel blob holds an unmutated kernel; this one has flipped modes")
+    meta, arrays = _spectral_record(kernel.spectral)
     meta["payload"] = "kernel"
     meta["kernel"] = {"kind": kernel.kind, "weighting": kernel.weighting, "m": kernel.m}
     arrays["t_grid"] = kernel.t_grid
-    arrays["signs"] = 1.0 - 2.0 * kernel.flipped
     binio.write_blob(path, meta, arrays)
 
 
 def _load_kernel(path: str):
     from . import binio
     from .propagators import make_propagator
-    from .spectral import load_spectral
+    from .spectral import _spectral_from_record
 
     meta, arrays = binio.read_blob(path)
     if meta.get("payload") != "kernel":
         raise ValueError(f"{path}: blob does not hold a kernel")
     kmeta = meta["kernel"]
-    kernel = make_propagator(
-        load_spectral(path), kmeta["kind"], arrays["t_grid"], weighting=kmeta["weighting"], m=int(kmeta["m"])
-    )
-    return kernel.flip(arrays["signs"] < 0)
+    sm = _spectral_from_record(meta, arrays, path)
+    return make_propagator(sm, kmeta["kind"], arrays["t_grid"], weighting=kmeta["weighting"], m=int(kmeta["m"]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +259,7 @@ def _cmd_boundary_2pt(args) -> int:
     import numpy as np
 
     from . import binio
-    from .holography import boundary_fits, boundary_two_point
+    from .holography import boundary_fits
     from .propagators import make_propagator
     from .spectral import load_spectral
 
@@ -285,14 +269,12 @@ def _cmd_boundary_2pt(args) -> int:
     # the fits read the mode shapes and the lines the frequencies; neither depends on the time grid
     lp = make_propagator(sm, "lambda_plus", _time_step(sm)[0] * np.arange(256), weighting="physical")
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
-    bk = boundary_two_point(lp, sm.model, fit_window=window)
     amps, quals = boundary_fits(lp, sm.model, fit_window=window)
-    rows = [
-        (k + 1, float(bk.omega[k]), float(amps[k]), float(bk.weights[k]), float(quals[k]))
-        for k in range(bk.omega.size)
-    ]
+    # the weights of the boundary lines (c_k^2, 0), as boundary_two_point(lp).weights
+    weights = amps**2 / (2.0 * lp.omega)
+    rows = [(k + 1, float(lp.omega[k]), float(amps[k]), float(weights[k]), float(quals[k])) for k in range(amps.size)]
     binio.write_csv(args.out, ["mode", "omega", "amplitude", "weight", "fit_quality"], rows)
-    print(json.dumps({"out": args.out, "kind": bk.kind, "modes": len(rows)}))
+    print(json.dumps({"out": args.out, "kind": "plus", "modes": len(rows)}))
     return EXIT_PASS
 
 
@@ -528,7 +510,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return rel_err(sm_half.branch(0).omega2, (np.arange(1, n_half + 1) * math.pi / L) ** 2)
 
     def amplitude_error() -> float:
-        fit = extract_boundary(sm.weight_left * phi1, model, plan.amplitude_window, sm.grid.dof_x, "physical")
+        fit = extract_boundary(sm.weight_left * phi1, model, plan.amplitude_window, sm.grid.dof_x)
         c_oracle = toy_boundary_amplitudes(model, 1)[0]
         return abs(abs(fit.value) - c_oracle) / c_oracle
 
@@ -823,18 +805,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _export_threads(argv)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # the thread count of --threads, else ADSKG_THREADS, else 1, exported before a
+    # handler first loads numpy; a BLAS variable already set in the environment is kept
+    n = os.environ.get("ADSKG_THREADS", "1") if args.threads is None else str(args.threads)
+    if not n.isdigit() or int(n) < 1:
+        print(f"the thread count must be a positive integer, got {n!r}", file=sys.stderr)
+        return EXIT_USAGE
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, n)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # KeyError: SpectralModel.branch on a mode not built

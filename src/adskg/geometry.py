@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,12 +45,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricModel:
     """A static warped-product model of an asymptotically AdS metric.
 
-    Instances are frozen; ``dataclasses.replace`` makes a variant, and a
-    variant with new tables gets new splines.
+    Instances are frozen and compare by identity; ``dataclasses.replace``
+    makes a variant, and a variant with new tables gets new splines.
 
     Attributes
     ----------
@@ -77,7 +77,7 @@ class MetricModel:
     nu: float
     L: float
     ell: float = 2.0 * math.pi
-    tables: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
+    tables: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -105,20 +105,6 @@ class MetricModel:
             splines["d" + name] = splines[name].derivative()
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_splines", splines)
-
-    def __eq__(self, other):
-        """Equal parameters and equal warp tables, compared array by array
-        (no table and an empty table dict are the same constant warps).  The
-        generated hash covers the parameters only, so equal models hash
-        equally."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if any(getattr(self, f.name) != getattr(other, f.name) for f in fields(self) if f.compare):
-            return False
-        mine, theirs = self.tables or {}, other.tables or {}
-        return mine.keys() == theirs.keys() and all(
-            np.array_equal(p, q) for name in mine for p, q in zip(mine[name], theirs[name])
-        )
 
     def _warp(self, name: str, x, const: float) -> np.ndarray:
         sp = self._splines.get(name)

@@ -14,10 +14,10 @@ vector, whose pairing with the kernel is its trace.
 Frames: the eigensolve lives in the conjugated ("tilde") frame where modes
 behave like x^(nu + 1/2); physical-frame quantities carry the extra
 x^(n/2-1) beta^(-1/2) factor, so their exponent is nu_plus = (n/2-1) +
-(nu + 1/2).  Both exponents are supported and the identity between them is
-asserted, not assumed.
+(nu + 1/2).  The restriction works in the physical frame; the tilde
+exponent is probed directly on the modes by ``mellin_exponent_probe``.
 
-The restriction is a windowed least-squares fit of x^(-exponent) u against
+The restriction is a windowed least-squares fit of x^(-nu_plus) u against
 1 + a x + b x^2 (even models have pure x^2 corrections; the linear term is
 kept so general backgrounds stay fittable), with an extra x^(-2 nu) column
 used only to detect contamination by the complementary branch.
@@ -141,37 +141,29 @@ def default_fit_window(model: MetricModel, omega: float) -> tuple[float, float]:
     return (x_lo, x_hi)
 
 
-def extract_boundary(
-    u: np.ndarray,
-    model: MetricModel,
-    fit_window: tuple[float, float],
-    x: np.ndarray,
-    weighting: str = "tilde",
-) -> BoundaryFit:
-    """Weighted boundary restriction: the constant term of x^(-e) u.
+def extract_boundary(u: np.ndarray, model: MetricModel, fit_window: tuple[float, float], x: np.ndarray) -> BoundaryFit:
+    """Weighted boundary restriction of physical-frame data: the constant term of x^(-nu_plus) u.
 
-    e is nu + 1/2 in the tilde frame and nu_plus in the physical frame (the
-    two are consistent by construction; asserted).  Fits 1 + a x + b x^2 by
-    least squares on the window and separately scores contamination by the
-    complementary x^(-2 nu) branch.  Returns measurements: the constant
-    term, the R^2 quality of the fit and the contamination score relative
-    to the constant term at the window midpoint.  Data whose score exceeds
-    ``_CONTAM_FAIL`` is not a Dirichlet-branch solution and is refused.
+    Fits 1 + a x + b x^2 by least squares on the window and separately
+    scores contamination by the complementary x^(-2 nu) branch.  Returns
+    measurements: the constant term, the R^2 quality of the fit and the
+    contamination score relative to the constant term at the window
+    midpoint x_mid.  The contamination fit works in r = x / x_mid, with the
+    columns 1, r, r^2 and r^(-2 nu), so its score is the ratio of the last
+    coefficient to the first and no column over- or underflows for large
+    nu.  Data whose score exceeds ``_CONTAM_FAIL`` is not a Dirichlet-branch
+    solution and is refused.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u)
     x_lo, x_hi = fit_window
     if x_hi > model.L / 10.0:
         raise ValueError("fit window must sit inside x <= L/10")
-    expo_tilde = model.nu + 0.5
-    expo_phys = model.nu_plus
-    assert abs(expo_phys - ((model.n / 2.0 - 1.0) + expo_tilde)) < 1e-12
-    expo = {"tilde": expo_tilde, "physical": expo_phys}[weighting]
     sel = (x >= x_lo) & (x <= x_hi)
     if np.count_nonzero(sel) < 8:
         raise ValueError(f"fit window [{x_lo}, {x_hi}] holds fewer than 8 samples")
     xs = x[sel]
-    vals = u[sel] / xs**expo
+    vals = u[sel] / xs**model.nu_plus
     basis = np.stack([np.ones_like(xs), xs, xs**2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(basis, vals, rcond=None)
     fitted = basis @ coef
@@ -179,10 +171,10 @@ def extract_boundary(
     ss_tot = float(np.sum(np.abs(vals - np.mean(vals)) ** 2)) + 1e-300
     quality = 1.0 - ss_res / ss_tot
 
-    basis_c = np.concatenate([basis, (xs ** (-2.0 * model.nu))[:, None]], axis=1)
+    r = xs / math.sqrt(x_lo * x_hi)
+    basis_c = np.stack([np.ones_like(r), r, r**2, r ** (-2.0 * model.nu)], axis=1)
     coef_c, _, _, _ = np.linalg.lstsq(basis_c, vals, rcond=None)
-    x_mid = math.sqrt(x_lo * x_hi)
-    contam = abs(coef_c[3]) * x_mid ** (-2.0 * model.nu) / (abs(coef_c[0]) + 1e-300)
+    contam = abs(coef_c[3]) / (abs(coef_c[0]) + 1e-300)
     if contam > _CONTAM_FAIL:
         raise ValueError(
             f"complementary-branch contamination {contam:.3e} above {_CONTAM_FAIL}; "
@@ -208,7 +200,7 @@ def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> 
     quals = np.empty(kernel.omega.size)
     for k, w in enumerate(kernel.omega):
         win = fit_window if fit_window is not None else default_fit_window(model, float(w))
-        fit = extract_boundary(phys_modes[:, k], model, win, x=x, weighting="physical")
+        fit = extract_boundary(phys_modes[:, k], model, win, x=x)
         amps[k] = abs(fit.value)
         quals[k] = fit.quality
     return amps, quals

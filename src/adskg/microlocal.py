@@ -15,9 +15,10 @@ Three instruments, all built on the mode decomposition:
   quadrant and makes the Feynman kernel flip pattern across t = s; the
   pattern a kernel must show follows from its kind;
 * Bogoliubov-perturbed states: a second pair of two-point kernels, the
-  first pair with occupations n_k added to both lines of every mode, whose
-  difference from the first is an explicit smooth (superpolynomially
-  decaying) mode sum, with the commutator preserved exactly.
+  first pair with the thermal occupations n_k = 1/(e^{beta omega_k} - 1)
+  added to both lines of every mode, whose difference from the first is an
+  explicit smooth (superpolynomially decaying) mode sum, with the
+  commutator preserved exactly.
 
 Time-slot localization uses a single Slepian (DPSS) taper, the leading
 eigenvector of the Slepian tridiagonal matrix, with its half-bandwidth
@@ -466,41 +467,26 @@ class StatePair:
 
 
 def _parse_rotation(spec, omega: np.ndarray) -> np.ndarray:
-    """Occupations n_k = sinh^2 r_k from a rotation spec.
-
-    Accepts {"thermal": beta} (r_k from tanh r_k = e^{-beta omega_k / 2},
-    the occupation is then 1/(e^{beta omega} - 1)) or a finite list of
-    (mode index, r_k) pairs; an empty list injects nothing.
-    """
-    n = np.zeros(omega.size)
-    if isinstance(spec, dict) and set(spec) == {"thermal"}:
-        beta = float(spec["thermal"])
-        if not (beta > 0.0 and math.isfinite(beta)):
-            raise ValueError("thermal spec needs a positive finite beta")
-        return 1.0 / np.expm1(beta * omega)
-    try:
-        pairs = [(int(k), float(r)) for k, r in spec]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            "rotation spec must be {'thermal': beta} or a list of (mode, r) pairs"
-        ) from exc
-    for k, r in pairs:
-        if not 0 <= k < omega.size:
-            raise ValueError(f"mode index {k} outside the retained range")
-        if not math.isfinite(r):
-            raise ValueError(f"rotation parameter for mode {k} is not finite")
-        n[k] = math.sinh(r) ** 2
-    return n
+    """Occupations n_k = sinh^2 r_k of the thermal rotation {"thermal": beta}:
+    tanh r_k = e^{-beta omega_k / 2}, so n_k = 1/(e^{beta omega_k} - 1).
+    Any other spec is refused."""
+    if not (isinstance(spec, dict) and set(spec) == {"thermal"}):
+        raise ValueError(f"rotation spec must be {{'thermal': beta}}, got {spec!r}")
+    beta = float(spec["thermal"])
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError("thermal spec needs a positive finite beta")
+    return 1.0 / np.expm1(beta * omega)
 
 
 def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StatePair:
-    """Bogoliubov-rotate a two-point pair into a second state on the same grid.
+    """Bogoliubov-rotate a two-point pair into a thermal state on the same grid.
 
-    The input may be any unmutated pair, the vacuum or an already rotated
-    one.  The occupations n_k add to both line coefficients of each member,
-    so the rotated kernels keep the wave equation, Hermiticity, positivity
-    and the exact commutator, and the difference from the input pair is the
-    mode sum with exactly the injected occupations.
+    ``rotation`` is {"thermal": beta}.  The input may be any unmutated pair,
+    the vacuum or an already rotated one.  The Bose occupations n_k add to
+    both line coefficients of each member, so the rotated kernels keep the
+    wave equation, Hermiticity, positivity and the exact commutator, and the
+    difference from the input pair is the mode sum with exactly the injected
+    occupations.
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus":
         raise ValueError("expected a (lambda_plus, lambda_minus) pair")

@@ -409,15 +409,17 @@ def slepian_taper(M: int, NW: float) -> np.ndarray:
 def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | None = None) -> dict:
     """Windowed-DFT measurement of the one-sided frequency support.
 
-    Works on any line spectrum; its ``frequency_sign`` sets the claim (+1:
-    support must lie in D_t-frequencies > m/2; -1: mirror; 0: no one-sided
-    claim), and "forbidden_fraction" is the power fraction on the forbidden
-    side of the cut (for 0, the smaller of the two).  Also returned: the
-    window length and taper NW actually used and both half-line masses; the
-    verdict is the caller's.  The window is a single Slepian taper whose
+    Works on any line spectrum with a one-sided claim; its
+    ``frequency_sign`` sets it (+1: support must lie in D_t-frequencies >
+    m/2; -1: mirror), and a kernel without one (sign 0) is refused.
+    "forbidden_fraction" is the power fraction on the forbidden side of the
+    cut; also returned are the window length and taper NW actually used.
+    The verdict is the caller's.  The window is a single Slepian taper whose
     concentration band is matched to the spectral gap, so the minimal
     admissible window T_w = 40/m already resolves fractions near 1e-6.
     """
+    if kernel.frequency_sign == 0:
+        raise ValueError(f"a {kernel.kind!r} kernel makes no one-sided frequency claim")
     dt = kernel.dt
     span = float(kernel.t_grid[-1] - kernel.t_grid[0])
     if T_w is None:
@@ -442,24 +444,8 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)
     power = np.abs(spec) ** 2
     total = float(power.sum())
-    cut = m_floor_sqrt / 2.0
-    mass_low = float(power[freq <= -cut].sum()) / total
-    mass_high = float(power[freq >= cut].sum()) / total
-    mass_below_cut = float(power[freq <= cut].sum()) / total
-    mass_above_negcut = float(power[freq >= -cut].sum()) / total
-    if kernel.frequency_sign > 0:
-        forbidden = mass_below_cut
-    elif kernel.frequency_sign < 0:
-        forbidden = mass_above_negcut
-    else:
-        forbidden = min(mass_below_cut, mass_above_negcut)
-    return {
-        "window": float(T_eff),
-        "nw": float(nw),
-        "forbidden_fraction": forbidden,
-        "mass_negative_half": mass_low,
-        "mass_positive_half": mass_high,
-    }
+    forbidden = float(power[kernel.frequency_sign * freq <= m_floor_sqrt / 2.0].sum()) / total
+    return {"window": float(T_eff), "nw": float(nw), "forbidden_fraction": forbidden}
 
 
 def feynman_consistency(lp: LineSpectrum, lm: LineSpectrum, ret: LineSpectrum, adv: LineSpectrum) -> float:

@@ -404,16 +404,8 @@ def bessel_collocation_eigs(
     return vals[:n_modes]
 
 
-def save_spectral(sm: SpectralModel, path: str) -> None:
-    """Write a spectral model to a versioned binary blob.
-
-    Stores the eigendata and assembled matrices together with the model
-    recipe, so loading reproduces the object without re-solving.  A custom
-    model's recipe includes its warp tables (``model.tables``), its only
-    warp state; the toy models reconstruct from their parameters alone.
-    """
-    from . import binio
-
+def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (meta, arrays) record of a spectral model that a blob stores."""
     meta = {
         "payload": "spectral_model",
         "model": {"kind": sm.model.kind, "n": sm.model.n, "nu": sm.model.nu, "L": sm.model.L, "ell": sm.model.ell},
@@ -431,14 +423,11 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
             arrays[f"table_{name}_x"] = tx
             arrays[f"table_{name}_v"] = tv
         meta["tables"] = sorted(tables)
-    binio.write_blob(path, meta, arrays)
+    return meta, arrays
 
 
-def load_spectral(path: str) -> SpectralModel:
-    """Rebuild a spectral model saved by :func:`save_spectral`."""
-    from . import binio
-
-    meta, arrays = binio.read_blob(path)
+def _spectral_from_record(meta: dict, arrays: dict[str, np.ndarray], path: str) -> SpectralModel:
+    """Rebuild the spectral model of a record read from the blob at ``path``."""
     if meta.get("payload") not in ("spectral_model", "kernel"):
         raise ValueError(f"{path}: blob does not hold a spectral model")
     tables = {name: (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"]) for name in meta.get("tables", ())}
@@ -454,3 +443,24 @@ def load_spectral(path: str) -> SpectralModel:
         for m in map(int, meta["m_list"])
     }
     return SpectralModel(model=model, grid=grid, branches=branches, M=csc("M"))
+
+
+def save_spectral(sm: SpectralModel, path: str) -> None:
+    """Write a spectral model to a versioned binary blob.
+
+    Stores the eigendata and assembled matrices together with the model
+    recipe, so loading reproduces the object without re-solving.  A custom
+    model's recipe includes its warp tables (``model.tables``), its only
+    warp state; the toy models reconstruct from their parameters alone.
+    """
+    from . import binio
+
+    binio.write_blob(path, *_spectral_record(sm))
+
+
+def load_spectral(path: str) -> SpectralModel:
+    """Rebuild a spectral model saved by :func:`save_spectral` (or the model
+    of a kernel blob)."""
+    from . import binio
+
+    return _spectral_from_record(*binio.read_blob(path), path)

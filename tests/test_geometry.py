@@ -95,26 +95,6 @@ def test_replaced_tables_give_the_warps():
         replace(m, L=2.0)
 
 
-def test_equality_compares_tables():
-    """Models with different tables differ; models built from equal tables
-    (lists or arrays, inline or replaced) are equal and hash equally."""
-    xs = np.linspace(0.0, 1.0, 8)
-    spec = {"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0, "beta_table": [list(xs), list(1.0 + xs**2)]}
-    m = load_model(spec)
-    v = replace(m, tables={"beta": (xs, 2.0 + xs**2)})
-    assert v != m and not v == m
-    assert v.beta(0.5) == pytest.approx(2.25) and m.beta(0.5) == pytest.approx(1.25)
-    assert replace(m, tables={"k": (xs, 1.0 + xs**2)}) != m
-    twin = load_model(spec)
-    same = replace(v, tables={"beta": (xs.copy(), 1.0 + xs**2)})
-    for other in (twin, same):
-        assert other == m and hash(other) == hash(m)
-    assert replace(m, nu=2.0) != m
-    assert MetricModel(kind="custom", n=2, nu=1.0, L=1.0) == MetricModel(kind="custom", n=2, nu=1.0, L=1.0, tables={})
-    toy = make_toy_model("ads2_strip", nu=1.0, L=1.0)
-    assert toy == make_toy_model("ads2_strip", nu=1.0, L=1.0) and toy != m and toy != "ads2_strip"
-
-
 def test_transverse_mu():
     m2 = make_toy_model("ads2_strip", nu=1.0, L=1.0)
     assert m2.transverse_mu(0) == 0.0

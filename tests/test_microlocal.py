@@ -329,8 +329,12 @@ def test_gbb_reference_cylinder_branch(m):
     assert gbb_reference(cyl, 0.5, -40.0, t, m=m) == pytest.approx(np.abs(0.5 - speed * t), abs=1e-9)
 
 
-def test_bogoliubov_reduces_to_vacuum(zoo):
-    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [])
+def test_bogoliubov_reduces_to_vacuum(zoo, sm192):
+    # a cold thermal state is the vacuum: beta omega_k >= 40 on every mode, and where
+    # e^{beta omega_k} overflows to inf the occupation is exactly zero
+    with np.errstate(over="ignore"):
+        pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 40.0 / sm192.m_floor_sqrt})
+    assert np.all(pair.occupation <= math.exp(-40.0))
     lags = np.array([-52, 0, 16])  # tau = -1.3, 0, 0.4
     for bk, vac in ((pair.lp_b, zoo["lambda_plus"]), (pair.lm_b, zoo["lambda_minus"])):
         assert bk.gains(lags) == pytest.approx(vac.gains(lags), abs=1e-15)
@@ -344,31 +348,32 @@ def test_perturbed_state_thermal_occupations(zoo, sm192):
 
 
 def test_perturbed_state_commutator_preserved(zoo, sm192):
-    pair = make_perturbed_state(
-        zoo["lambda_plus"], zoo["lambda_minus"], [(0, 0.8), (3, 0.4)]
-    )
+    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 0.5 / sm192.m_floor_sqrt})
     lags = np.array([-80, 28, 200])  # tau = -2, 0.7, 5
     comm_a = zoo["lambda_plus"].gains(lags) - zoo["lambda_minus"].gains(lags)
     comm_b = pair.lp_b.gains(lags) - pair.lm_b.gains(lags)
     assert comm_b == pytest.approx(comm_a, abs=1e-15)
 
 
-def test_perturbed_state_difference_is_exact(zoo, sm192):
-    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [(2, 0.6)])
+def test_perturbed_state_difference_is_exact(zoo, sm192, tgrid):
+    beta = 2.0 / sm192.m_floor_sqrt
+    pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": beta})
     d = pair.difference()
     lags = np.arange(-160, 161, 10)  # tau = dt k on [-4, 4], 33 lags
     direct = pair.lp_b.trace(lags) - pair.lp_a.trace(lags)
     assert d.trace(lags) == pytest.approx(direct, abs=1e-14)
-    n2 = np.sinh(0.6) ** 2
-    w2 = zoo["lambda_plus"].omega[2]
-    assert d.trace(np.array([0]))[0] == pytest.approx(n2 / w2, rel=1e-12)
+    # the Bose mode sum sum_k n_k cos(omega_k tau) / omega_k, with mpmath occupations
+    omega = zoo["lambda_plus"].omega
+    tau = (tgrid[1] - tgrid[0]) * lags
+    want = np.cos(np.outer(tau, omega)) @ (thermal_occupation_mp(beta, omega) / omega)
+    assert d.trace(lags) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_rotating_a_rotated_pair_adds_its_occupations(zoo, sm192):
     # the input pair may itself be rotated: the new difference is exactly
     # the newly injected mode sum, the old occupations are kept
     p1 = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 5.0 / sm192.m_floor_sqrt})
-    p2 = make_perturbed_state(p1.lp_b, p1.lm_b, [(3, 0.4)])
+    p2 = make_perturbed_state(p1.lp_b, p1.lm_b, {"thermal": 2.0 / sm192.m_floor_sqrt})
     lags = np.arange(-160, 161, 10)  # tau = dt k on [-4, 4], 33 lags
     d = p2.difference().trace(lags)
     scale = float(np.abs(d).max())
@@ -388,10 +393,10 @@ def test_perturbed_state_rejections(zoo):
         )
     with pytest.raises(ValueError, match="positive finite beta"):
         make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": -2.0})
-    with pytest.raises(ValueError, match="rotation spec"):
-        make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], "thermal")
-    with pytest.raises(ValueError, match="outside the retained range"):
-        make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [(99, 0.5)])
+    # the rotation is thermal: a string, a list of (mode, r) pairs or a mixed dict is refused
+    for spec in ("thermal", [(0, 0.5)], [], {"thermal": 1.0, "modes": [(0, 0.5)]}):
+        with pytest.raises(ValueError, match="rotation spec"):
+            make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], spec)
 
 
 def test_thermal_state_passes_scan(zoo, sm192):

@@ -210,7 +210,7 @@ def test_verify_builds_one_table_per_branch_and_grid(monkeypatch, tmp_path):
 
 def test_apply_needs_a_spatial_factor(zoo, sm192, ads2, tgrid):
     bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, weighting="physical"), ads2)
-    diff = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], [(1, 0.5)]).difference()
+    diff = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 1.0}).difference()
     f = np.zeros((tgrid.size, sm192.grid.ndof))
     for kern in (bk, diff):
         with pytest.raises(ValueError, match="no spatial factor"):
@@ -357,13 +357,19 @@ def test_make_feynman_is_vacuum_only(zoo, sm192):
 
 
 def test_frequency_sign_one_sided(zoo, sm192):
-    for kind, key in (("lambda_plus", "mass_negative_half"), ("lambda_minus", "mass_positive_half")):
+    for kind in ("lambda_plus", "lambda_minus"):
         rep = frequency_sign_test(zoo[kind], sm192.m_floor_sqrt)
+        assert sorted(rep) == ["forbidden_fraction", "nw", "window"]
         assert rep["forbidden_fraction"] <= TOL["freq_mass"]
-        assert rep[key] <= TOL["freq_mass"]
-    # the causal kernel makes no one-sided claim; both halves carry mass
-    rep = frequency_sign_test(zoo["causal"], sm192.m_floor_sqrt)
-    assert rep["mass_negative_half"] > 0.1 and rep["mass_positive_half"] > 0.1
+    # the mirrored claim of the other member of the pair fails on each
+    for kind, mirror in (("lambda_plus", "minus"), ("lambda_minus", "plus")):
+        k = zoo[kind]
+        other = LineSpectrum(mirror, k.t_grid, k.branch, k.a, k.b)
+        assert frequency_sign_test(other, sm192.m_floor_sqrt)["forbidden_fraction"] > 0.99
+    # a kernel with no one-sided claim is refused
+    for kind in ("causal", "retarded", "feynman"):
+        with pytest.raises(ValueError, match="no one-sided frequency claim"):
+            frequency_sign_test(zoo[kind], sm192.m_floor_sqrt)
 
 
 def test_frequency_sign_mutation_detected(zoo, sm192):

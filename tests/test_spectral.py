@@ -306,6 +306,27 @@ def test_blob_derives_mode_count_and_floor(tmp_path):
     assert sm.m2_floor == min(float(sm.branch(m).omega2[0]) for m in range(3)) * (1.0 - spectral._FLOOR_DEFLATION)
 
 
+def test_blob_arrays_are_real(tmp_path):
+    """write_blob refuses a complex array (a cast would drop its imaginary
+    part) and writes nothing; read_blob refuses a complex dtype."""
+    import json
+    import struct
+
+    from adskg import binio
+
+    path = tmp_path / "complex.bin"
+    with pytest.raises(ValueError, match="complex"):
+        binio.write_blob(str(path), {}, {"re": np.ones(3), "z": np.ones(3) * (1.0 + 2.0j)})
+    assert not path.exists()
+    header = json.dumps({"meta": {}, "arrays": [{"name": "z", "dtype": "<c16", "shape": [1]}]}).encode()
+    path.write_bytes(binio.MAGIC + struct.pack("<II", binio.VERSION, len(header)) + header + bytes(16))
+    with pytest.raises(ValueError, match="disallowed dtype"):
+        binio.read_blob(str(path))
+    binio.write_blob(str(path), {"k": 1}, {"i": np.arange(3), "x": np.linspace(0.0, 1.0, 3)})
+    meta, arrays = binio.read_blob(str(path))
+    assert meta == {"k": 1} and arrays["i"].dtype == np.int64 and arrays["x"].dtype == np.float64
+
+
 def test_blob_roundtrip_custom_model(tmp_path):
     xs = np.linspace(0.0, 1.0, 161)
     m = load_model(
