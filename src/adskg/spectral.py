@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import MetricModel
@@ -358,50 +358,50 @@ def build_spectral(
     return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
-def bessel_collocation_eigs(
-    model: MetricModel,
-    n_basis: int,
-    n_modes: int,
-    m: int = 0,
-    n_panels: int = 96,
-) -> np.ndarray:
-    """Cross-check eigenvalues from a sqrt(x) J_nu basis recombination.
+def _jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w of the n-point Gauss rule for the weight y^b on
+    (0, 1), b > -1, from the eigenpairs of its Jacobi matrix (Golub-Welsch;
+    scipy's ``roots_jacobi`` loses up to ~1e-11 near b = -1)."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
+    y, vec = eigh_tridiagonal(0.5 + 0.5 * diag, k * (k + b) / (s * np.sqrt(s * s - 1.0)))
+    return y, vec[0] ** 2 / (b + 1.0)
 
-    Builds the Rayleigh-Ritz problem for the same quadratic form in the
-    basis psi_j(x) = sqrt(x) J_nu(z_j x / L), where z_j runs over zeros of
-    J_nu, and solves the dense generalized eigenproblem.  Independent of the
-    element discretization; intended as a sanity path for 0 < nu < 1 where
-    the boundary condition is the delicate part.  With u = z_j x / L,
-    J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u) (DLMF 10.6.2) gives
-    psi_j' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x): two Bessel
-    evaluations on the grid, and no cancellation as u -> 0.
+
+def bessel_collocation_eigs(model: MetricModel, n_basis: int, n_modes: int, m: int = 0) -> np.ndarray:
+    """Cross-check eigenvalues of a toy model from a sqrt(x) J_nu basis.
+
+    Rayleigh-Ritz for the same quadratic form in the basis
+    psi_j(x) = sqrt(x) J_nu(z_j x / L), z_j the zeros of J_nu: independent of
+    the element discretization, a sanity path for 0 < nu < 1 where the
+    boundary condition is the delicate part.  With u = z_j x / L, DLMF 10.6.2
+    gives psi_j' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x): two Bessel
+    evaluations, and no cancellation as u -> 0.  On the toys (beta = k = 1)
+    every integrand is x^(2 nu - 1) times an entire function, so one
+    Gauss-Jacobi rule with that weight and 2 n_basis + 16 nodes integrates it
+    to round-off at every nu > 0.  Other models raise ``ValueError``.
     """
     from scipy.special import jv
 
     from .bessel import bessel_zeros
 
+    if not model.is_toy:
+        raise ValueError(f"the collocation rule is exact only on the toy models, not {model.kind!r}")
     if n_modes > n_basis:
         raise ValueError("n_modes cannot exceed n_basis")
     nu, L = model.nu, model.L
-    zeros = bessel_zeros(nu, n_basis)
-    panels = Grid1D(L, n_panels)
-    x = panels.gauss_x.ravel()
-    wq = panels.gauss_w.ravel()
+    y, w = _jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)
+    x, wq = L * y, L * w / y ** (2.0 * nu - 1.0)  # sum wq f(x) ~ int_0^L f dx
     sq = np.sqrt(x)[:, None]
-    arg = x[:, None] * (zeros[None, :] / L)
+    arg = x[:, None] * (bessel_zeros(nu, n_basis)[None, :] / L)
     j = jv(nu, arg)
     psi = sq * j
     dpsi = ((nu + 0.5) * j - arg * jv(nu + 1.0, arg)) / sq
-    pot = (model.nu**2 - 0.25) / x**2 + model.transverse_mu(m) / model.k(x)
-    wbeta = 1.0 / model.beta(x)
-    if model.n >= 3:
-        wq = wq * model.k(x) ** (0.5 * (model.n - 2))
+    pot = (nu**2 - 0.25) / x**2 + model.transverse_mu(m)
     S = dpsi.T @ (dpsi * wq[:, None]) + psi.T @ (psi * (wq * pot)[:, None])
-    G = psi.T @ (psi * (wq * wbeta)[:, None])
-    from scipy.linalg import eigh
-
-    vals = eigh(S, G, eigvals_only=True)
-    return vals[:n_modes]
+    G = psi.T @ (psi * wq[:, None])
+    return eigh(S, G, eigvals_only=True)[:n_modes]
 
 
 def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:

@@ -693,7 +693,7 @@ _SHORT_WINDOW = "window too short for the spectral gap"
     [
         (["--nu", "0.5"], {"scan_feynman_flip": _SHORT_WINDOW}),
         (["--nu", "0.7"], {"scan_feynman_flip": _SHORT_WINDOW}),
-        (["--nu", "0.3"], {"collocation_oracle": None, "scan_vacuum_plus": None, "scan_feynman_flip": _SHORT_WINDOW}),
+        (["--nu", "0.3"], {"scan_vacuum_plus": None, "scan_feynman_flip": _SHORT_WINDOW}),
     ],
     ids=["nu0.5", "nu0.7", "nu0.3"],
 )

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,18 @@ def test_replaced_tables_give_the_warps():
     assert v.dk(xq) == pytest.approx(2.0 * xq, rel=1e-3)
     with pytest.raises(ValueError, match="must cover"):
         replace(m, L=2.0)
+
+
+def test_odd_warp_table_warns():
+    """A table whose slope at x = 0 is nonzero warns, naming the factor; an
+    even table is silent."""
+    xs = np.linspace(0.0, 1.0, 8)
+    cfg = {"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0}
+    with pytest.warns(UserWarning, match=r"^k has a nonzero odd part at x=0 \(slope 5\.000e-01\)"):
+        load_model(dict(cfg, k_table=[list(xs), list(1.0 + 0.5 * xs)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_model(dict(cfg, beta_table=[list(xs), list(1.0 + xs**2)]))
 
 
 def test_transverse_mu():

@@ -211,9 +211,9 @@ def test_collocation_crosscheck_small_nu():
 
 
 def _collocation_grid(nu: float, n_basis: int = 24):
-    """The quadrature points and Bessel arguments u = z_j x / L of
-    ``bessel_collocation_eigs`` at its defaults (L = 1)."""
-    x = Grid1D(1.0, 96, gamma=2.0).gauss_x.ravel()
+    """The nodes and Bessel arguments u = z_j x / L of
+    ``bessel_collocation_eigs`` (L = 1): 2 n_basis + 16 Gauss-Jacobi nodes."""
+    x = spectral._jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)[0]
     return x, x[:, None] * bessel_zeros(nu, n_basis)[None, :]
 
 
@@ -232,7 +232,7 @@ def test_collocation_derivative_recurrence(nu):
 
 def test_collocation_takes_two_bessel_passes(monkeypatch):
     """The basis and its derivative cost two jv evaluations on the
-    (points x basis) grid, and jvp is never called."""
+    (nodes x basis) grid, and jvp is never called."""
     shapes = []
     jv = scipy.special.jv
 
@@ -247,27 +247,61 @@ def test_collocation_takes_two_bessel_passes(monkeypatch):
     monkeypatch.setattr(scipy.special, "jvp", no_jvp)
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
     bessel_collocation_eigs(m, n_basis=24, n_modes=4)
-    assert shapes.count(_collocation_grid(1.0)[1].shape) == 2
+    assert shapes.count((64, 24)) == 2
 
 
-def _collocation_error(nu: float) -> float:
+def _collocation_error(nu: float, L: float = 1.0, kind: str = "ads2_strip", m: int = 0) -> float:
     """The ``collocation_oracle`` value: worst relative error of the first
     four frequencies against mpmath."""
-    m = make_toy_model("ads2_strip", nu=nu, L=1.0)
-    want = toy_frequencies_mp(nu, 1.0, 4)
-    return float(np.max(np.abs(np.sqrt(bessel_collocation_eigs(m, n_basis=24, n_modes=4)) - want) / want))
+    model = make_toy_model(kind, nu=nu, L=L)
+    want = toy_frequencies_mp(nu, L, 4, model.transverse_mu(m))
+    return float(np.max(np.abs(np.sqrt(bessel_collocation_eigs(model, n_basis=24, n_modes=4, m=m)) - want) / want))
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.5, 4.0])
+@pytest.mark.parametrize("nu", [0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 4.0, 8.0])
 def test_collocation_oracle_at_round_off(nu):
-    assert _collocation_error(nu) <= 1e-13
+    """One Gauss-Jacobi rule integrates the x^(2 nu - 1) (entire) integrands
+    exactly, so the oracle sits at round-off on both sides of nu = 1."""
+    assert max(_collocation_error(nu, L) for L in (0.5, 1.0, 2.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("nu, known", [(0.3, 5.56e-5), (0.7, 1.416e-9)])
-def test_collocation_quadrature_limits_stay(nu, known):
-    """Below nu = 1 the error is Gauss-Legendre quadrature error on the
-    x^(2 nu - 1) integrands, not the basis: its known values do not move."""
-    assert _collocation_error(nu) == pytest.approx(known, rel=1e-3)
+@pytest.mark.parametrize("m", [1, 2])
+def test_collocation_cylinder_branches(m):
+    assert _collocation_error(1.0, kind="ads3_cylinder", m=m) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 4.0])
+def test_collocation_converged_at_its_node_count(monkeypatch, nu):
+    """Doubling the rule's 64 nodes (at 24 basis functions) moves no
+    eigenvalue beyond round-off."""
+    model = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    rule, counts = spectral._jacobi_rule, []
+    monkeypatch.setattr(spectral, "_jacobi_rule", lambda n, b: counts.append(n) or rule(n, b))
+    vals = bessel_collocation_eigs(model, n_basis=24, n_modes=4)
+    monkeypatch.setattr(spectral, "_jacobi_rule", lambda n, b: counts.append(2 * n) or rule(2 * n, b))
+    doubled = bessel_collocation_eigs(model, n_basis=24, n_modes=4)
+    assert counts == [64, 128]
+    assert np.max(np.abs(doubled - vals) / vals) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("b", [-0.8, -0.4, 0.0, 1.0, 15.0])
+def test_jacobi_rule_is_exact_on_polynomials(n, b):
+    """The n-point rule integrates y^k against y^b on (0, 1) exactly for
+    k <= 2n - 1: sum w y^k = 1 / (b + k + 1)."""
+    y, w = spectral._jacobi_rule(n, b)
+    assert y.shape == w.shape == (n,) and 0.0 < y[0] and y[-1] < 1.0
+    k = np.arange(2 * n)[:, None]
+    assert np.max(np.abs((w * y**k).sum(axis=1) * (b + k[:, 0] + 1.0) - 1.0)) <= 1e-13
+
+
+def test_collocation_refuses_custom_models():
+    """The rule is exact only for constant beta and k: a custom table is
+    refused, not integrated inaccurately."""
+    xs = np.linspace(0.0, 1.0, 8)
+    model = load_model({"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0, "beta_table": [list(xs), list(1.0 + xs**2)]})
+    with pytest.raises(ValueError, match="toy models"):
+        bessel_collocation_eigs(model, n_basis=24, n_modes=4)
 
 
 def test_toy_line_weights_find_zeros_once(monkeypatch):
