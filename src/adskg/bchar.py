@@ -87,7 +87,8 @@ class PhasePointB:
     uncompressed xi; the compressed momentum is the property xi_bar = x*xi,
     so it vanishes over the boundary x = 0.
 
-    Invariants: x >= 0; the momenta (tau, xi, zeta) do not all vanish.
+    Invariants: every coordinate is finite; x >= 0; the momenta (tau, xi,
+    zeta) do not all vanish.
     """
 
     x: float
@@ -98,6 +99,9 @@ class PhasePointB:
     zeta: float = 0.0
 
     def __post_init__(self):
+        for name in ("x", "t", "tau", "xi", "y", "zeta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.x < 0.0:
             raise ValueError("x must be >= 0")
         if self.tau == 0.0 and self.xi == 0.0 and self.zeta == 0.0:

@@ -105,10 +105,14 @@ def make_wavepacket(
 ) -> Wavepacket:
     """Gaussian envelope times plane phase, projected onto the retained modes.
 
-    Preconditions: the packet must sit clear of both boundaries
-    (x0 in (3 sigma, L - 3 sigma)) and be oscillatory (|xi0| sigma >= 4);
-    the retained modes must capture all but 1e-6 of its norm.
+    Preconditions: x0, xi0 and sigma are finite; the packet must sit clear
+    of both boundaries (x0 in (3 sigma, L - 3 sigma)) and be oscillatory
+    (|xi0| sigma >= 4); the retained modes must capture all but 1e-6 of its
+    norm.
     """
+    for name, value in (("x0", x0), ("xi0", xi0), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
     L = sm.grid.L
     if not (3.0 * sigma < x0 < L - 3.0 * sigma):
         raise ValueError(f"packet at x0={x0} with width {sigma} touches a boundary of (0, {L})")

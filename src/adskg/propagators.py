@@ -209,7 +209,7 @@ def make_propagator(
     weighting: str = "tilde",
     m: int = 0,
 ) -> LineSpectrum:
-    """Build a mode-sum kernel on a strictly increasing uniform time grid.
+    """Build a mode-sum kernel on a finite, strictly increasing uniform time grid.
 
     Rejects grids that undersample the largest retained frequency
     (omega_max * dt must stay below pi).
@@ -221,6 +221,8 @@ def make_propagator(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 32:
         raise ValueError("time grid too coarse: need T >= 32")
+    if not np.isfinite(t_grid).all():
+        raise ValueError(f"time grid must be finite, got t = {float(t_grid[~np.isfinite(t_grid)][0])!r}")
     steps = np.diff(t_grid)
     if not steps[0] > 0.0:
         raise ValueError(f"time grid must be strictly increasing, got step dt = {steps[0]!r}")

@@ -17,10 +17,13 @@ Gauss-Legendre quadrature.  On the first element every retained shape
 function vanishes linearly at x = 0, so the singular potential integrand is
 a polynomial there and the quadrature is exact.  The mass matrix is
 assembled once per model; eigenpairs come from a shift-invert Lanczos solve
-of K w = omega^2 M w per branch with a fixed starting vector, so rebuilds
-are deterministic; the shift-invert operator is the banded Cholesky factor
-of K (half-bandwidth 3: an element couples its four dofs), and M^-1 in
-``apply_A`` uses the same factorization of M.
+of K w = omega^2 M w with a fixed starting vector, so rebuilds are
+deterministic; the shift-invert operator is the banded Cholesky factor of K
+(half-bandwidth 3: an element couples its four dofs), and M^-1 in
+``apply_A`` uses the same factorization of M.  One solve serves every
+branch when k = beta (the toy cylinder): then mu_m / k times beta is the
+constant mu_m, so A_m = A_0 + mu_m exactly, and branch m >= 1 reuses branch
+0's modes with omega^2 shifted by mu_m.  Otherwise each branch is solved.
 
 ``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
 ``SpectralModel`` its weight vectors, mode count and certified floor m2_floor
@@ -324,7 +327,11 @@ def build_spectral(
     gamma : float
         Mesh grading exponent; edges sit at L (i/N)^gamma.
 
-    The mass matrix is assembled once and shared by every branch.
+    The mass matrix is assembled once and shared by every branch, and each
+    branch assembles its own stiffness K_m.  When k = beta at every Gauss
+    point the transverse term mu_m / k is mu_m times the mass density
+    1 / beta, so K_m = K_0 + mu_m M and the branches m >= 1 take branch 0's
+    modes with omega^2 + mu_m instead of a solve of their own.
     """
     if N < 64:
         raise ValueError(f"N={N} too small; need at least 64 elements")
@@ -344,14 +351,19 @@ def build_spectral(
     wm = grid.gauss_w * k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else grid.gauss_w
     grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
     base_pot = (model.nu**2 - 0.25) / xg**2
-    M = _assemble(grid, _element_matrices(wm * (1.0 / model.beta(xg)), _SHAPE_G))
+    beta_g = model.beta(xg)
+    M = _assemble(grid, _element_matrices(wm * (1.0 / beta_g), _SHAPE_G))
+    separable = np.array_equal(k_g, beta_g)
 
     branches: dict[int, SpectralBranch] = {}
     for m in range(m_max + 1):
         mu = model.transverse_mu(m)
         # gradient and potential are summed per element, before assembly
         K_m = _assemble(grid, grad + _element_matrices(wm * (base_pot + mu / k_g), _SHAPE_G))
-        vals, vecs = _solve_branch(K_m, M, n_modes)
+        if separable and m > 0:
+            vals, vecs = branches[0].omega2 + mu, branches[0].phi
+        else:
+            vals, vecs = _solve_branch(K_m, M, n_modes)
         if vals[0] <= 0.0:
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
         branches[m] = SpectralBranch(m=m, mu=mu, omega2=vals, phi=vecs, K=K_m)

@@ -391,6 +391,42 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+_RAY = {"--x0": "0.4", "--xi0": "-2", "--tau": "2", "--tmax": "1"}
+_PACKET = {"--x0": "0.5", "--xi0": "-40", "--sigma": "0.1", "--tmax": "0.3"}
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("trace-gbb", {**_RAY, "--t0": "nan"}, "t must be finite, got t=nan"),
+        ("trace-gbb", {**_RAY, "--tau": "nan"}, "tau must be finite, got tau=nan"),
+        ("trace-gbb", {**_RAY, "--tau": "inf"}, "tau must be finite, got tau=inf"),
+        ("trace-gbb", {**_RAY, "--y0": "nan"}, "y must be finite, got y=nan"),
+        ("trace-gbb", {**_RAY, "--xi0": "nan"}, "xi must be finite, got xi=nan"),
+        ("wavepacket", {**_PACKET, "--xi0": "nan"}, "xi0 must be finite, got xi0=nan"),
+        ("wavepacket", {**_PACKET, "--xi0": "inf"}, "xi0 must be finite, got xi0=inf"),
+        ("wavepacket", {**_PACKET, "--x0": "nan"}, "x0 must be finite, got x0=nan"),
+        ("wavepacket", {**_PACKET, "--sigma": "nan"}, "sigma must be finite, got sigma=nan"),
+        ("kernels", {"--kind": "lambda_plus", "--t0": "nan"}, "time grid must be finite, got t = nan"),
+        ("kernels", {"--kind": "lambda_plus", "--t0": "inf"}, "time grid must be finite, got t = inf"),
+    ],
+    ids=["ray-t0-nan", "ray-tau-nan", "ray-tau-inf", "ray-y0-nan", "ray-xi0-nan", "packet-xi0-nan",
+         "packet-xi0-inf", "packet-x0-nan", "packet-sigma-nan", "kernels-t0-nan", "kernels-t0-inf"],
+)
+def test_non_finite_launch_data_exit_2(small_blobs, packet_blob, tmp_path, capsys, command, flags, named):
+    """A NaN or infinite launch coordinate, packet parameter or grid start is
+    a bad flag that the error names: exit 2 with one error line, and no
+    output file."""
+    capsys.readouterr()
+    out = tmp_path / "out.bin"
+    blob = {"wavepacket": ["--model-bin", str(packet_blob)], "kernels": ["--model-bin", str(small_blobs[0])]}
+    argv = [command, *blob.get(command, []), *(item for flag in flags.items() for item in flag), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+    assert not out.exists()
+
+
 def test_infinite_wall_exits_2(tmp_path):
     """--L inf is refused when the model is built; it used to give every arc
     an infinite budget, so the ray never advanced.  Run as a subprocess with

@@ -176,7 +176,9 @@ def test_apply_A_matches_sparse_solve(sm192):
 @pytest.mark.parametrize("kind, m_max", [("ads2_strip", 0), ("ads3_cylinder", 2)])
 def test_eigensolve_matches_superlu_shift_invert(kind, m_max, nu):
     """The banded Cholesky shift-invert path against SciPy's default (SuperLU)
-    shift-invert at the stress size, where K is worst conditioned at small nu."""
+    shift-invert at the stress size, where K is worst conditioned at small nu;
+    on the cylinder this checks the branches m >= 1 that are branch 0 shifted
+    by mu_m against a solve of their own K_m."""
     sm = build_spectral(make_toy_model(kind, nu=nu, L=1.0), N=2000, n_modes=32, m_max=m_max)
     M = sm.M
     for m, br in sm.branches.items():
@@ -197,10 +199,53 @@ def test_transverse_branches_shift_in_quadrature():
     assert sorted(sm.branches) == [0, 1, 2]
     base = sm.branch(0).omega2
     for mm in (1, 2):
-        want = base + m.transverse_mu(mm)
-        assert sm.branch(mm).omega2 == pytest.approx(want, rel=2e-4)
+        assert np.array_equal(sm.branch(mm).omega2, base + m.transverse_mu(mm))
     with pytest.raises(KeyError):
         sm.branch(3)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = spectral._solve_branch
+    monkeypatch.setattr(spectral, "_solve_branch", lambda K, M, n: calls.append(K) or solve(K, M, n))
+    return calls
+
+
+def _residuals(sm: SpectralModel, m: int) -> np.ndarray:
+    """|K_m phi_k - omega_k^2 M phi_k| / omega_k^2 per mode of branch m."""
+    br = sm.branch(m)
+    return np.linalg.norm(br.K @ br.phi - (sm.M @ br.phi) * br.omega2, axis=0) / br.omega2
+
+
+def test_separable_branches_share_one_solve(monkeypatch):
+    """With k = beta (the toy cylinder) A_m = A_0 + mu_m: one solve, and the
+    branches m >= 1 carry branch 0's modes, shifted exactly by mu_m, which
+    are eigenpairs of their own assembled K_m."""
+    calls = _count_solves(monkeypatch)
+    model = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+    sm = build_spectral(model, N=64, n_modes=4, m_max=2)
+    assert len(calls) == 1
+    base = sm.branch(0)
+    for m in (1, 2):
+        br = sm.branch(m)
+        assert np.array_equal(br.omega2, base.omega2 + model.transverse_mu(m))
+        assert np.array_equal(br.phi, base.phi)
+        assert _residuals(sm, m).max() <= 1e-9
+
+
+def test_non_separable_branches_solve_each(monkeypatch):
+    """With k != beta the transverse term is not a multiple of the mass
+    density, so every branch runs its own solve."""
+    calls = _count_solves(monkeypatch)
+    xs = np.linspace(0.0, 1.0, 41)
+    model = load_model({"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0,
+                        "beta_table": (xs, 2.0 + xs**2), "k_table": (xs, 1.0 + 0.2 * xs**2)})
+    sm = build_spectral(model, N=64, n_modes=4, m_max=2)
+    assert len(calls) == 3
+    for m in (0, 1, 2):
+        assert calls[m] is sm.branch(m).K
+        assert _residuals(sm, m).max() <= 1e-9
+        assert np.abs(sm.gram(m) - np.eye(4)).max() <= 1e-12
 
 
 def test_collocation_crosscheck_small_nu():
