@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -24,9 +26,9 @@ import numpy as np
 MAGIC = b"ADSKGBIN" + b"\x00" * 8
 VERSION = 1
 
-_ALLOWED_DTYPES = {"<f8", "<i8"}
+_ALLOWED_DTYPES = ("<f8", "<i8")  # a tuple: an unhashable dtype entry is refused, not a TypeError
 
-__all__ = ["MAGIC", "VERSION", "write_blob", "read_blob", "write_csv", "fmt_float"]
+__all__ = ["MAGIC", "VERSION", "write_blob", "read_blob", "malformed", "write_csv", "fmt_float"]
 
 
 def write_blob(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -52,26 +54,48 @@ def write_blob(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_blob(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a blob written by :func:`write_blob`; returns (meta, arrays)."""
+    """Read a blob written by :func:`write_blob`; returns (meta, arrays).  A
+    malformed file raises ``ValueError`` naming the path and the bad part."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(16)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}; not an adskg blob")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        sizes = fh.read(8)
+        if len(sizes) != 8:
+            raise ValueError(f"{path}: truncated before the version and header length")
+        version, hlen = struct.unpack("<II", sizes)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported blob version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        if hlen > size - fh.tell():  # checked before the read, which would allocate hlen bytes
+            raise ValueError(f"{path}: truncated header of {hlen} bytes")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ValueError(f"{path}: header is not JSON: {exc}") from None
+        if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+                and isinstance(header.get("arrays"), list)):
+            raise ValueError(f"{path}: header is not an object with a 'meta' object and an 'arrays' list")
         arrays = {}
-        for rec in header["arrays"]:
-            if rec["dtype"] not in _ALLOWED_DTYPES:
-                raise ValueError(f"{path}: disallowed dtype {rec['dtype']!r}")
-            count = int(np.prod(rec["shape"])) if rec["shape"] else 1
+        for i, rec in enumerate(header["arrays"]):
+            if not (isinstance(rec, dict) and isinstance(rec.get("name"), str) and isinstance(rec.get("shape"), list)
+                    and all(type(n) is int and n >= 0 for n in rec["shape"])):
+                raise ValueError(f"{path}: array record {i} needs a string name and a shape of nonnegative integers")
+            if rec.get("dtype") not in _ALLOWED_DTYPES:
+                raise ValueError(f"{path}: disallowed dtype {rec.get('dtype')!r}")
             dt = np.dtype(rec["dtype"])
-            buf = fh.read(count * dt.itemsize)
-            if len(buf) != count * dt.itemsize:
+            nbytes = math.prod(rec["shape"]) * dt.itemsize
+            if nbytes > size - fh.tell():
                 raise ValueError(f"{path}: truncated payload for array {rec['name']!r}")
-            arrays[rec["name"]] = np.frombuffer(buf, dtype=dt).reshape(rec["shape"]).copy()
+            arrays[rec["name"]] = np.frombuffer(fh.read(nbytes), dtype=dt).reshape(rec["shape"]).copy()
     return header["meta"], arrays
+
+
+def malformed(path: str, exc: KeyError | TypeError) -> ValueError:
+    """The error for a blob whose record lacks a key (``KeyError``) or holds a
+    value of the wrong type (``TypeError``), naming the blob."""
+    what = f"lacks {exc.args[0]!r}" if isinstance(exc, KeyError) else f"is malformed ({exc})"
+    return ValueError(f"{path}: the blob's record {what}")
 
 
 def fmt_float(value) -> str:

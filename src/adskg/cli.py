@@ -104,8 +104,6 @@ class RunConfig:
             unknown = set(raw) - known
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            if isinstance(raw.get("tolerances"), dict):
-                raw["tolerances"] = {**_default_tolerances(), **raw["tolerances"]}
             cfg = replace(cfg, **raw)
         for name in ("N", "n_modes", "m_max", "seed"):
             val = getattr(args, name, None)
@@ -150,9 +148,13 @@ def _load_kernel(path: str):
     meta, arrays = binio.read_blob(path)
     if meta.get("payload") != "kernel":
         raise ValueError(f"{path}: blob does not hold a kernel")
-    kmeta = meta["kernel"]
     sm = _spectral_from_record(meta, arrays, path)
-    return make_propagator(sm, kmeta["kind"], arrays["t_grid"], weighting=kmeta["weighting"], m=int(kmeta["m"]))
+    try:
+        kmeta, t_grid = meta["kernel"], arrays["t_grid"]
+        kind, weighting, m = kmeta["kind"], kmeta["weighting"], int(kmeta["m"])
+    except (KeyError, TypeError) as exc:
+        raise binio.malformed(path, exc) from None
+    return make_propagator(sm, kind, t_grid, weighting=weighting, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ deterministic; the shift-invert operator is the banded Cholesky factor of K
 branch when k = beta (the toy cylinder): then mu_m / k times beta is the
 constant mu_m, so A_m = A_0 + mu_m exactly, and branch m >= 1 reuses branch
 0's modes with omega^2 shifted by mu_m.  Otherwise each branch is solved.
+A blob keeps the model recipe, each omega^2 and each distinct eigenbasis;
+loading assembles M and every K_m again with the build's own code.
 
 ``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
 ``SpectralModel`` its weight vectors, mode count and certified floor m2_floor
@@ -61,7 +63,6 @@ _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
 _FLOOR_DEFLATION = 1e-6  # relative margin of the certified spectral floor below the least eigenvalue
 _FLOOR_FAILS = "the spectral floor assumption fails for this model/discretization"
-_CSC_PARTS = ("data", "indices", "indptr")  # a blob's arrays of one sparse matrix
 
 
 def _reference_shapes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +179,6 @@ class SpectralBranch:
     """
 
     m: int
-    mu: float
     omega2: np.ndarray
     phi: np.ndarray  # (ndof, n_modes), orthonormal in the assembled mass matrix
     K: sp.csc_matrix = field(repr=False)
@@ -305,6 +305,23 @@ def _solve_branch(K: sp.csc_matrix, M: sp.csc_matrix, n_modes: int) -> tuple[np.
     return vals, vecs * signs
 
 
+def _assemble_operators(model: MetricModel, grid: Grid1D, m_max: int) -> tuple[sp.csc_matrix, dict, bool]:
+    """The mass matrix, the stiffness K_m of each branch m = 0..m_max, and
+    whether k = beta at every Gauss point (then the branches separate)."""
+    xg = grid.gauss_x
+    k_g = model.k(xg)
+    # quadrature weights times the measure k^((n-2)/2)
+    wm = grid.gauss_w * k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else grid.gauss_w
+    grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
+    base_pot = (model.nu**2 - 0.25) / xg**2
+    beta_g = model.beta(xg)
+    M = _assemble(grid, _element_matrices(wm * (1.0 / beta_g), _SHAPE_G))
+    # gradient and potential are summed per element, before assembly
+    K = {m: _assemble(grid, grad + _element_matrices(wm * (base_pot + model.transverse_mu(m) / k_g), _SHAPE_G))
+         for m in range(m_max + 1)}
+    return M, K, np.array_equal(k_g, beta_g)
+
+
 def build_spectral(
     model: MetricModel,
     N: int,
@@ -345,28 +362,16 @@ def build_spectral(
         raise ValueError(f"mesh grading gamma must be finite and > 0, got gamma={gamma}")
 
     grid = Grid1D(model.L, N, gamma)
-    xg = grid.gauss_x
-    k_g = model.k(xg)
-    # quadrature weights times the measure k^((n-2)/2)
-    wm = grid.gauss_w * k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else grid.gauss_w
-    grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
-    base_pot = (model.nu**2 - 0.25) / xg**2
-    beta_g = model.beta(xg)
-    M = _assemble(grid, _element_matrices(wm * (1.0 / beta_g), _SHAPE_G))
-    separable = np.array_equal(k_g, beta_g)
-
+    M, K, separable = _assemble_operators(model, grid, m_max)
     branches: dict[int, SpectralBranch] = {}
     for m in range(m_max + 1):
-        mu = model.transverse_mu(m)
-        # gradient and potential are summed per element, before assembly
-        K_m = _assemble(grid, grad + _element_matrices(wm * (base_pot + mu / k_g), _SHAPE_G))
         if separable and m > 0:
-            vals, vecs = branches[0].omega2 + mu, branches[0].phi
+            vals, vecs = branches[0].omega2 + model.transverse_mu(m), branches[0].phi
         else:
-            vals, vecs = _solve_branch(K_m, M, n_modes)
+            vals, vecs = _solve_branch(K[m], M, n_modes)
         if vals[0] <= 0.0:
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
-        branches[m] = SpectralBranch(m=m, mu=mu, omega2=vals, phi=vecs, K=K_m)
+        branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs, K=K[m])
     return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
@@ -425,10 +430,12 @@ def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:
         "gamma": sm.grid.gamma,
         "m_list": sorted(sm.branches),
     }
-    arrays = {f"M_{part}": getattr(sm.M, part) for part in _CSC_PARTS}
+    phi0 = sm.branch(0).phi
+    arrays = {"phi_0": phi0}
     for m, br in sorted(sm.branches.items()):
-        arrays.update({f"omega2_{m}": br.omega2, f"phi_{m}": br.phi})
-        arrays.update({f"K_{part}_{m}": getattr(br.K, part) for part in _CSC_PARTS})
+        arrays[f"omega2_{m}"] = br.omega2
+        if br.phi is not phi0:
+            arrays[f"phi_{m}"] = br.phi
     if sm.model.kind == "custom":
         tables = sm.model.tables or {}
         for name, (tx, tv) in tables.items():
@@ -439,31 +446,39 @@ def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _spectral_from_record(meta: dict, arrays: dict[str, np.ndarray], path: str) -> SpectralModel:
-    """Rebuild the spectral model of a record read from the blob at ``path``."""
+    """Rebuild the spectral model of a record read from the blob at ``path``:
+    M and K_m are assembled again from the recipe, and a branch without its
+    own eigenbasis takes branch 0's."""
+    from .binio import malformed
+
     if meta.get("payload") not in ("spectral_model", "kernel"):
         raise ValueError(f"{path}: blob does not hold a spectral model")
-    tables = {name: (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"]) for name in meta.get("tables", ())}
-    model = MetricModel(**meta["model"], tables=tables if meta["model"]["kind"] == "custom" else None)
-    grid = Grid1D(model.L, int(meta["N"]), float(meta["gamma"]))
-
-    def csc(name: str, suffix: str = "") -> sp.csc_matrix:
-        return sp.csc_matrix(tuple(arrays[f"{name}_{part}{suffix}"] for part in _CSC_PARTS), shape=(grid.ndof,) * 2)
-
-    branches = {
-        m: SpectralBranch(m=m, mu=model.transverse_mu(m), omega2=arrays[f"omega2_{m}"], phi=arrays[f"phi_{m}"],
-                          K=csc("K", f"_{m}"))
-        for m in map(int, meta["m_list"])
-    }
-    return SpectralModel(model=model, grid=grid, branches=branches, M=csc("M"))
+    try:
+        recipe = meta["model"]
+        tables = {name: (arrays[f"table_{name}_x"], arrays[f"table_{name}_v"]) for name in meta.get("tables", ())}
+        model = MetricModel(**recipe, tables=tables if recipe["kind"] == "custom" else None)
+        grid = Grid1D(model.L, int(meta["N"]), float(meta["gamma"]))
+        omega2 = {m: arrays[f"omega2_{m}"] for m in map(int, meta["m_list"])}
+        phi = {m: arrays.get(f"phi_{m}", arrays["phi_0"]) for m in omega2}
+    except (KeyError, TypeError) as exc:
+        raise malformed(path, exc) from None
+    if not omega2 or any(w2.ndim != 1 or phi[m].shape != (grid.ndof, w2.size) for m, w2 in omega2.items()):
+        raise ValueError(f"{path}: the blob's eigendata does not fit its grid of {grid.ndof} dofs")
+    M, K, _ = _assemble_operators(model, grid, max(omega2))
+    branches = {m: SpectralBranch(m=m, omega2=w2, phi=phi[m], K=K[m]) for m, w2 in omega2.items()}
+    return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
 def save_spectral(sm: SpectralModel, path: str) -> None:
     """Write a spectral model to a versioned binary blob.
 
-    Stores the eigendata and assembled matrices together with the model
-    recipe, so loading reproduces the object without re-solving.  A custom
-    model's recipe includes its warp tables (``model.tables``), its only
-    warp state; the toy models reconstruct from their parameters alone.
+    Stores the model recipe, every branch's omega^2 and each distinct
+    eigenbasis once: a branch that shares branch 0's modes (a separable
+    model) stores no phi of its own.  Loading assembles M and every K_m again
+    with the build's own code, so it reproduces the object bit for bit
+    without re-solving.  A custom model's recipe includes its warp tables
+    (``model.tables``), its only warp state; the toy models reconstruct from
+    their parameters alone.
     """
     from . import binio
 

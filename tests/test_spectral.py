@@ -369,6 +369,74 @@ def test_blob_roundtrip(tmp_path, sm192):
     assert np.array_equal(back.grid.dof_x, sm192.grid.dof_x)
 
 
+def _same_csc(a, b) -> bool:
+    return all(np.array_equal(getattr(a, part), getattr(b, part)) for part in ("data", "indices", "indptr"))
+
+
+def _assert_same_operators(back, sm):
+    """The loaded model's M, K_m, omega^2 and phi equal the built one's, bit for bit."""
+    assert _same_csc(back.M, sm.M)
+    assert sorted(back.branches) == sorted(sm.branches)
+    for m, br in sm.branches.items():
+        assert _same_csc(back.branch(m).K, br.K), m
+        assert np.array_equal(back.branch(m).omega2, br.omega2) and np.array_equal(back.branch(m).phi, br.phi), m
+
+
+@pytest.fixture(scope="module")
+def cyl96():
+    return build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=96, n_modes=8, m_max=2)
+
+
+def test_separable_blob_stores_one_eigenbasis(tmp_path, cyl96):
+    """The toy cylinder's branches share branch 0's modes: the blob holds
+    each omega^2 and one phi, and the reload shares that phi again; M and
+    K_m are assembled on load to the built matrices."""
+    from adskg import binio
+
+    path = str(tmp_path / "cyl.bin")
+    save_spectral(cyl96, path)
+    _, arrays = binio.read_blob(path)
+    assert sorted(arrays) == ["omega2_0", "omega2_1", "omega2_2", "phi_0"]
+    back = load_spectral(path)
+    assert all(back.branch(m).phi is back.branch(0).phi for m in (1, 2))
+    _assert_same_operators(back, cyl96)
+
+
+def test_non_separable_blob_keeps_each_eigenbasis(tmp_path):
+    """With k != beta each branch has its own modes, so the blob keeps each
+    phi; the matrices still come back from the recipe and its tables."""
+    from adskg import binio
+
+    xs = np.linspace(0.0, 1.0, 41)
+    model = load_model({"kind": "custom", "n": 3, "nu": 1.0, "L": 1.0,
+                        "beta_table": (xs, 2.0 + xs**2), "k_table": (xs, 1.0 + 0.2 * xs**2)})
+    sm = build_spectral(model, N=64, n_modes=4, m_max=1)
+    path = str(tmp_path / "custom3.bin")
+    save_spectral(sm, path)
+    _, arrays = binio.read_blob(path)
+    names = sorted(name for name in arrays if not name.startswith("table_"))
+    assert names == ["omega2_0", "omega2_1", "phi_0", "phi_1"]
+    back = load_spectral(path)
+    assert back.branch(1).phi is not back.branch(0).phi
+    _assert_same_operators(back, sm)
+
+
+def test_parent_format_blob_still_loads(tmp_path, cyl96):
+    """A blob of the older layout (M and K_m as CSC parts, a phi copy per
+    branch, a per-mode signs array) loads to the same model."""
+    from adskg import binio
+
+    meta, _ = spectral._spectral_record(cyl96)
+    arrays = {f"M_{part}": getattr(cyl96.M, part) for part in ("data", "indices", "indptr")}
+    for m, br in cyl96.branches.items():
+        arrays.update({f"omega2_{m}": br.omega2, f"phi_{m}": br.phi.copy()})
+        arrays.update({f"K_{part}_{m}": getattr(br.K, part) for part in ("data", "indices", "indptr")})
+    arrays["signs"] = np.ones(cyl96.n_modes)
+    path = str(tmp_path / "old.bin")
+    binio.write_blob(path, meta, arrays)
+    _assert_same_operators(load_spectral(path), cyl96)
+
+
 def test_blob_derives_mode_count_and_floor(tmp_path):
     """A blob stores neither the mode count nor the floor: both come back,
     bit for bit, from the saved eigenvalues."""
