@@ -476,15 +476,19 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return verify_two_point(pair().lp_b, pair().lm_b, kernel("causal"))
 
     @cache
+    def difference():
+        return pair().difference()
+
+    @cache
     def difference_traces():
         lags = np.arange(0, T, plan.difference_stride)
-        return pair().lp_b.trace(lags) - pair().lp_a.trace(lags), pair().difference().trace(lags)
+        return pair().lp_b.trace(lags) - pair().lp_a.trace(lags), difference().trace(lags)
 
     def forbidden(k) -> float:
         return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]
 
     def scan_off(k, ref=None, length: float = plan.scan[0], starts: int = plan.scan[1], band=None) -> float:
-        rows = kernel_wavefront_scan(k, length, starts)
+        rows = kernel_wavefront_scan(k, length, starts, band)
         return off_pattern(rows, k if ref is None else ref, band=band)
 
     def rel_err(got, want) -> float:
@@ -640,7 +644,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          lambda: float(np.max(np.abs(np.subtract(*difference_traces())))),
          lambda: 1e-13 * (float(np.max(np.abs(difference_traces()[1]))) + 1.0), le),
         ("difference_smoothness", "difference kernel decays superpolynomially in frequency",
-         lambda: smoothness_decay_order(pair().difference()), lambda: tol["smooth_order"], ge),
+         lambda: smoothness_decay_order(difference()), lambda: tol["smooth_order"], ge),
         ("scan_feynman_flip", "time-ordered pattern flips across t = s",
          lambda: scan_off(feynman(), None, *plan.feynman_scan), lambda: tol["scan_feynman"], le),
     ]

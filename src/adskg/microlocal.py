@@ -31,7 +31,9 @@ line terms, and its masses are Hermitian forms in the line coefficients
 over Gram matrices of the tapered lines' spectra; only windows whose lags
 straddle a jump (tau = 0 for the retarded, advanced and time-ordered
 kinds) are read from the trace on the 2T-1 lags and transformed in 2-D;
-the trace and the line phases both come from the branch's phase table.
+the trace and the line phases both come from the branch's phase table, and
+the taper is eigensolved once per branch.  A scan given the diagonal band
+of a time-ordered pattern forms no window inside it.
 Spatial localization is exercised only through the wavepacket tests;
 there is no spatial microlocalization in the scans.
 """
@@ -46,7 +48,7 @@ import numpy as np
 
 from .bchar import PhasePointB, trace_gbb
 from .geometry import MetricModel
-from .propagators import LineSpectrum, slepian_taper
+from .propagators import LineSpectrum
 from .spectral import SpectralModel
 
 __all__ = [
@@ -271,16 +273,6 @@ class ScanRow:
     cross: float  # mass fraction in the two mixed quadrants
 
 
-def _scan_taper(n_w: int, length: float, omega_floor: float) -> np.ndarray:
-    nw = 0.9 * length * omega_floor / (2.0 * math.pi)
-    if nw < _MIN_NW:
-        raise ValueError(
-            f"window too short for the spectral gap: time-bandwidth {nw:.2f} < {_MIN_NW}; "
-            "lengthen the window"
-        )
-    return slepian_taper(n_w, nw)
-
-
 def _line_set(support: str, lo: int, hi: int) -> str | None:
     """Which lines the kernel has on the lags lo..hi (grid units): "direct"
     (a on e^{+i omega tau}, b on e^{-i omega tau}), "swapped" (b, a: "abs"
@@ -354,7 +346,8 @@ def _trace_masses(kernel: LineSpectrum, taper: np.ndarray, offsets: list[int]) -
     return out
 
 
-def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int) -> list[ScanRow]:
+def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int,
+                          band: float | None = None) -> list[ScanRow]:
     """Windowed two-slot Fourier quadrant masses of a kernel trace.
 
     The n_centers x n_centers windows of duration ``length`` start at
@@ -367,7 +360,9 @@ def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int) -
     (+,+), its conjugate in (-,-), the causal kernel splits across both
     without mixed mass, and the Feynman kernel switches quadrant across
     t = s.  The expected pattern and the line sets follow from the kernel's
-    kind, through its ``support`` and ``frequency_sign``.
+    kind, through its ``support`` and ``frequency_sign``.  With ``band``
+    set, a window whose row times have |t - s| <= band (the test
+    ``off_pattern`` skips it by) is neither formed nor returned.
 
     The window starting at grid indices (i0, j0) reads the trace at lag
     dt (i0 - j0 + a - b), so its masses depend on the offset i0 - j0 only
@@ -386,10 +381,19 @@ def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int) -
     if length > span:
         raise ValueError(f"window length {length} exceeds the grid span {span}")
     n_w = int(round(length / dt)) + 1
-    taper = _scan_taper(n_w, length, kernel.omega_floor)
+    nw = 0.9 * length * kernel.omega_floor / (2.0 * math.pi)
+    if nw < _MIN_NW:
+        raise ValueError(
+            f"window too short for the spectral gap: time-bandwidth {nw:.2f} < {_MIN_NW}; "
+            "lengthen the window"
+        )
+    taper = kernel.taper(n_w, nw)
     starts = np.rint(np.linspace(0, t.size - n_w, n_centers)).astype(int)
+    centers = {int(i0): float(np.mean(t[i0 : i0 + n_w])) for i0 in starts}
+    windows = [(int(i0), int(j0)) for i0, j0 in itertools.product(starts, starts)
+               if band is None or not abs(centers[i0] - centers[j0]) <= band]
 
-    offsets = sorted({int(i0 - j0) for i0, j0 in itertools.product(starts, starts)})
+    offsets = sorted({i0 - j0 for i0, j0 in windows})
     groups: dict[str | None, list[int]] = {}
     for offset in offsets:
         groups.setdefault(_line_set(kernel.support, offset - (n_w - 1), offset + (n_w - 1)), []).append(offset)
@@ -400,19 +404,7 @@ def kernel_wavefront_scan(kernel: LineSpectrum, length: float, n_centers: int) -
     if straddling:
         masses.update(zip(straddling, _trace_masses(kernel, taper, straddling)))
 
-    rows = []
-    for i0, j0 in itertools.product(starts, starts):
-        plus, minus, cross = masses[int(i0 - j0)]
-        rows.append(
-            ScanRow(
-                t=float(np.mean(t[i0 : i0 + n_w])),
-                s=float(np.mean(t[j0 : j0 + n_w])),
-                sign_content_plus=float(plus),
-                sign_content_minus=float(minus),
-                cross=float(cross),
-            )
-        )
-    return rows
+    return [ScanRow(centers[i0], centers[j0], *map(float, masses[i0 - j0])) for i0, j0 in windows]
 
 
 def off_pattern(rows: list[ScanRow], kernel: LineSpectrum, band: float | None = None) -> float:
@@ -518,7 +510,7 @@ def smoothness_decay_order(kernel: LineSpectrum) -> float:
     swamps any genuine content and would flatten the fitted slope).
     """
     trace = kernel.trace()
-    spec = np.fft.fft(trace * slepian_taper(trace.size, 4.0))
+    spec = np.fft.fft(trace * kernel.taper(trace.size, 4.0))
     om = 2.0 * math.pi * np.fft.fftfreq(trace.size, d=kernel.dt)
     pos = om > 0
     om, mag = om[pos], np.abs(spec)[pos]

@@ -28,7 +28,8 @@ kinds share the spatial factor.  A kernel's gains exist only on the
 integer lags tau = dt k of its grid: ``gains`` and ``trace`` read them from
 the one phase table exp(i omega_k tau) of its branch and grid
 (``SpectralBranch.lag_phases``), which every kernel on that branch and
-grid shares, derived kernels included.  These ops return
+grid shares, derived kernels included; a kernel builds its gains on the
+2T-1 lags once and reads every other lag set from them.  These ops return
 measurements (defects, residuals with their data-dependent scale, Gram
 eigenvalues, mass fractions); tolerances and verdicts belong to the
 caller, the check table of ``cli.run_verify``.  "tilde" weighting is the
@@ -46,7 +47,7 @@ matrix in time, whose entries are the gains on the 2T-1 lags).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -102,6 +103,8 @@ class LineSpectrum:
     one-sided claim, else 0.  ``spectral`` and ``weighting`` give the spatial
     factor phi_k phi_k^T of the branch in that weighting; ``spectral`` is
     None for kernels without one (boundary lines, state differences).
+    A kernel is a frozen value: ``replace``, ``flip`` and ``mutated`` make a
+    new one, which builds its own gains.
     """
 
     kind: str
@@ -111,6 +114,7 @@ class LineSpectrum:
     b: np.ndarray
     spectral: SpectralModel | None = None
     weighting: str = "tilde"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def support(self) -> str:
@@ -155,26 +159,40 @@ class LineSpectrum:
     def gains(self, lags: np.ndarray | None = None) -> np.ndarray:
         """Per-mode gains at the integer lags k (tau = dt k), shape (K, len(lags));
         the default is all 2T-1 lags 1-T .. T-1 in increasing order, so
-        reversing that lag axis maps tau to -tau exactly."""
-        k = np.arange(1 - self.T, self.T) if lags is None else np.asarray(lags)
-        if k.size and int(np.abs(k).max()) >= self.T:
+        reversing that lag axis maps tau to -tau exactly.  That array is built
+        once per kernel and returned read-only; other lags are its columns."""
+        k = None if lags is None else np.asarray(lags)
+        if k is not None and k.size and int(np.abs(k).max()) >= self.T:
             raise ValueError(f"lags must lie in [1-T, T-1] = [{1 - self.T}, {self.T - 1}]")
-        table = self.branch.lag_phases(self.dt, self.T)
-        # np.take returns the phases row-major (table[:, idx] would not), which fixes the rounding of mode sums
-        e = np.take(table, self.T - 1 + (np.abs(k) if self.support == "abs" else k), axis=1)
-        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x len(lags) temporaries
+        if "all" not in self._memo:
+            self._memo["all"] = self._lag_gains()
+        # np.take returns the columns row-major (g[:, idx] would not), which fixes the rounding of mode sums
+        return self._memo["all"] if k is None else np.take(self._memo["all"], self.T - 1 + k, axis=1)
+
+    def _lag_gains(self) -> np.ndarray:
+        k = np.arange(1 - self.T, self.T)
+        e = self.branch.lag_phases(self.dt, self.T)
+        if self.support == "abs":
+            e = np.take(e, self.T - 1 + np.abs(k), axis=1)
+        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x (2T-1) temporaries
         g = self.a[:, None] * e
         lower = e.conj()
         g += np.multiply(self.b[:, None], lower, out=lower)
         g *= 0.5 / self.omega[:, None]
         if self.support in ("future", "past"):
             g[:, ~(k > 0 if self.support == "future" else k < 0)] = 0.0
+        g.setflags(write=False)
         return g
 
     def trace(self, lags: np.ndarray | None = None) -> np.ndarray:
         """Mode-summed gains sum_k g_k at the lags of ``gains`` (the kernel's
         trace in the assembled inner product)."""
         return self.gains(lags).sum(axis=0)
+
+    def taper(self, n: int, nw: float) -> np.ndarray:
+        """``slepian_taper(n, nw)``, eigensolved once per branch and shared
+        read-only with every kernel on it."""
+        return self.branch.table(("taper", int(n), float(nw)), lambda: slepian_taper(n, nw))
 
     def flip(self, modes) -> "LineSpectrum":
         """Copy with the two lines swapped on the given modes, which fakes a
@@ -440,7 +458,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     nw = 0.95 * T_eff * m_floor_sqrt / (4.0 * math.pi)
     if nw < 2.5:
         raise ValueError("window too short for a concentrated taper; enlarge T_w")
-    window = slepian_taper(tau.size, nw)
+    window = kernel.taper(tau.size, nw)
     sig = kernel.trace(np.arange(-n_half, n_half + 1)) * window
     spec = np.fft.fft(sig)
     freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)

@@ -174,30 +174,36 @@ def _assemble(grid: Grid1D, elem: np.ndarray) -> sp.csc_matrix:
 class SpectralBranch:
     """Eigendata of one transverse Fourier mode.
 
-    Also holds the lag phase table of each uniform time grid a kernel on
-    this branch has asked for, built on first use and freed with the model.
+    Also holds the read-only tables that kernels on this branch derive from
+    it (the lag phases of each uniform time grid, each DPSS taper a scan or
+    sign test reads), built on first use and freed with the model.
     """
 
     m: int
     omega2: np.ndarray
     phi: np.ndarray  # (ndof, n_modes), orthonormal in the assembled mass matrix
     K: sp.csc_matrix = field(repr=False)
-    _lag_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def omega(self) -> np.ndarray:
         return np.sqrt(self.omega2)
 
+    def table(self, key: tuple, build) -> np.ndarray:
+        """The array ``build()``, built on the first request for ``key`` and
+        shared, read-only, by every later one."""
+        if key not in self._tables:
+            table = build()
+            table.setflags(write=False)
+            self._tables[key] = table
+        return self._tables[key]
+
     def lag_phases(self, dt: float, T: int) -> np.ndarray:
         """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of
-        the uniform grid (dt, T), shape (K, 2T-1): read-only and shared by
-        every kernel that asks for that grid."""
-        key = (float(dt), int(T))
-        if key not in self._lag_phases:
-            table = np.exp(1j * (self.omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
-            table.setflags(write=False)
-            self._lag_phases[key] = table
-        return self._lag_phases[key]
+        the uniform grid (dt, T), shape (K, 2T-1), shared by every kernel that
+        asks for that grid."""
+        return self.table(("lag_phases", float(dt), int(T)),
+                          lambda: np.exp(1j * (self.omega[:, None] * (dt * np.arange(1 - T, T))[None, :])))
 
 
 @dataclass
@@ -251,10 +257,6 @@ class SpectralModel:
     def synthesize(self, a: np.ndarray, m: int = 0) -> np.ndarray:
         """Grid data sum_k a_k phi_k from coefficients with shape (..., K)."""
         return np.asarray(a) @ self.branch(m).phi.T
-
-    def gram(self, m: int = 0) -> np.ndarray:
-        phi = self.branch(m).phi
-        return phi.T @ (self.M @ phi)
 
     def apply_A(self, f: np.ndarray, m: int = 0) -> np.ndarray:
         """Apply the assembled operator M^-1 K to data with shape (..., ndof)."""
@@ -401,7 +403,7 @@ def bessel_collocation_eigs(model: MetricModel, n_basis: int, n_modes: int, m: i
     """
     from scipy.special import jv
 
-    from .bessel import bessel_zeros
+    from .bessel import model_zeros
 
     if not model.is_toy:
         raise ValueError(f"the collocation rule is exact only on the toy models, not {model.kind!r}")
@@ -411,7 +413,7 @@ def bessel_collocation_eigs(model: MetricModel, n_basis: int, n_modes: int, m: i
     y, w = _jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)
     x, wq = L * y, L * w / y ** (2.0 * nu - 1.0)  # sum wq f(x) ~ int_0^L f dx
     sq = np.sqrt(x)[:, None]
-    arg = x[:, None] * (bessel_zeros(nu, n_basis)[None, :] / L)
+    arg = x[:, None] * (model_zeros(model, n_basis)[None, :] / L)
     j = jv(nu, arg)
     psi = sq * j
     dpsi = ((nu + 0.5) * j - arg * jv(nu + 1.0, arg)) / sq

@@ -827,3 +827,63 @@ def test_verify_boundary_rows_pass_at_large_nu(nu):
     for name in _BOUNDARY_ROWS:
         row = rows[name]
         assert "error" not in row and row["pass"] and math.isfinite(row["value"]), name
+
+
+def test_verify_band_over_every_feynman_window(tmp_path, capsys, monkeypatch):
+    """With 15 L Feynman windows every window of the 4 x 4 grid lies inside
+    the 10 L band: the scan forms none, and scan_feynman_flip fails alone on
+    the text ``off_pattern`` gives when no window is left.  The report is
+    still written and the exit code is 1."""
+    from adskg import cli
+
+    plan = cli._plan
+
+    def long_windows(config, sm):
+        p = plan(config, sm)
+        _, starts, band = p.feynman_scan
+        return dataclasses.replace(p, feynman_scan=(15.0 * sm.model.L, starts, band))
+
+    monkeypatch.setattr(cli, "_plan", long_windows)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "FAIL scan_feynman_flip: error: no scan window lies outside the diagonal band" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["n_checks"] == len(DEFAULT_CHECKS) and report["n_failed"] == 1
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["check"] for c in failed] == ["scan_feynman_flip"]
+    assert failed[0]["error"] == "no scan window lies outside the diagonal band"
+
+
+def test_verify_forms_each_shared_table_once(monkeypatch):
+    """One in-process run_verify forms no fft2: the 10 L band holds every
+    Feynman offset whose lags straddle tau = 0, which a scan without the band
+    transforms (3 of them).  It builds each kernel's all-lag gains, each
+    distinct (n, NW) taper and each zero of J_nu once.  A second run repeats
+    the counts, so no reuse is carried from one run to the next."""
+    from collections import Counter
+
+    from adskg import bessel, propagators
+    from adskg.propagators import LineSpectrum
+
+    ffts, gains, tapers, bisected = [], [], [], []
+    fft2, lag_gains, slepian, bisect = np.fft.fft2, LineSpectrum._lag_gains, propagators.slepian_taper, bessel._bisect
+    monkeypatch.setattr(np.fft, "fft2", lambda x, *a, **kw: ffts.append(np.shape(x)) or fft2(x, *a, **kw))
+    monkeypatch.setattr(LineSpectrum, "_lag_gains", lambda self: gains.append(self) or lag_gains(self))
+    monkeypatch.setattr(propagators, "slepian_taper", lambda n, nw: tapers.append((n, nw)) or slepian(n, nw))
+    monkeypatch.setattr(bessel, "_bisect", lambda nu, starts: bisected.append((nu, starts.size)) or bisect(nu, starts))
+
+    counts = []
+    for _ in range(2):
+        for log in (ffts, gains, tapers, bisected):
+            log.clear()
+        code, _ = run_verify(RunConfig())
+        assert code == 0
+        assert ffts == []
+        # the log holds every kernel, so no id is reused within a run
+        all_lag = Counter(map(id, gains))
+        assert set(all_lag.values()) == {1}
+        assert set(Counter(tapers).values()) == {1}
+        # the eigenvalue oracle's 10 zeros, then the 14 more of the 24-term collocation basis
+        assert bisected == [(1.0, 10), (1.0, 14)]
+        counts.append((sorted(all_lag.values()), sorted(tapers), list(bisected)))
+    assert counts[0] == counts[1]

@@ -305,6 +305,33 @@ def test_scan_takes_masses_from_lines(zoo, sm192, monkeypatch):
     assert ffts == [(201, 201)] * 3
 
 
+def test_scan_forms_no_window_inside_the_band(zoo, monkeypatch):
+    """Given the diagonal band, the Feynman scan keeps only the windows that
+    ``off_pattern`` would read, at the full scan's row times and masses.  The
+    10 L band holds every offset whose lags straddle tau = 0, so that scan
+    forms neither the trace nor a 2-D transform; a 3 L band leaves the two
+    offsets +-189 to transform.  The masses agree to round-off, not bit for
+    bit: the Hermitian forms of the offsets of one line set share one
+    product."""
+    kern = zoo["feynman"]
+    full = kernel_wavefront_scan(kern, 5.0, 4)
+    calls = []
+    trace, fft2 = LineSpectrum.trace, np.fft.fft2
+    monkeypatch.setattr(LineSpectrum, "trace", lambda self, lags=None: calls.append("trace") or trace(self, lags))
+    monkeypatch.setattr(np.fft, "fft2", lambda x, *a, **kw: calls.append("fft2") or fft2(x, *a, **kw))
+    for band, n_rows, formed in ((10.0, 2, []), (3.0, 12, ["trace", "fft2", "fft2"])):
+        calls.clear()
+        rows = kernel_wavefront_scan(kern, 5.0, 4, band=band)
+        assert calls == formed, band
+        want = [r for r in full if abs(r.t - r.s) > band]
+        assert len(rows) == n_rows and [(r.t, r.s) for r in rows] == [(r.t, r.s) for r in want], band
+        for r, w in zip(rows, want):
+            got = (r.sign_content_plus, r.sign_content_minus, r.cross)
+            assert got == pytest.approx((w.sign_content_plus, w.sign_content_minus, w.cross), rel=0.0, abs=1e-15)
+    with pytest.raises(ValueError, match="outside the diagonal band"):
+        off_pattern(kernel_wavefront_scan(kern, 5.0, 4, band=15.0), kern, band=15.0)
+
+
 def test_feynman_scan_flips_across_diagonal(zoo):
     rows = kernel_wavefront_scan(zoo["feynman"], 5.0, 4)
     assert off_pattern(rows, zoo["feynman"], band=10.0) <= 1e-5

@@ -141,6 +141,40 @@ def test_gains_read_one_shared_table(zoo, sm192, ads2, tgrid):
             lp.gains(bad)
 
 
+def test_all_lag_gains_are_kept_read_only_per_kernel(sm192, tgrid):
+    """A kernel builds its all-lag gains once and returns that array
+    read-only. A mutant, a flip and a replaced kernel each build their own,
+    and the original's stay as they were. A read at explicit lags, also the
+    first read, gives the bits of the stored array's columns."""
+    lp = make_propagator(sm192, "lambda_plus", tgrid)
+    T = lp.T
+    lags = np.random.default_rng(7).integers(1 - T, T, 300)
+    first = lp.gains(lags)
+    g = lp.gains()
+    assert lp.gains() is g and not g.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 0.0
+    kept = g.copy()
+    derived = {"mutated": lp.mutated(0.05), "flip": lp.flip([3]), "replace": replace(lp, a=2.0 * lp.a)}
+    for name, kern in derived.items():
+        assert kern.gains() is not g and not np.array_equal(kern.gains(), g), name
+        assert np.array_equal(kern.gains(), _direct_lag_gains(kern)), name
+    assert lp.gains() is g and np.array_equal(g, kept)
+    assert np.array_equal(first, g[:, T - 1 + lags]) and np.array_equal(lp.gains(lags), first)
+    assert np.array_equal(g, _direct_lag_gains(lp))
+    assert lp.gains(lags).flags.writeable
+
+
+def test_kernels_on_one_branch_share_a_taper(zoo, sm192):
+    """A taper is eigensolved once per branch and (length, NW), read-only;
+    it has the bits of ``slepian_taper``."""
+    lp, lm = zoo["lambda_plus"], zoo["lambda_minus"]
+    taper = lp.taper(201, 3.0)
+    assert lm.taper(201, 3.0) is taper and not taper.flags.writeable
+    assert np.array_equal(taper, slepian_taper(201, 3.0))
+    assert lp.taper(201, 3.5) is not taper and lp.taper(202, 3.0) is not taper
+
+
 def test_kind_gives_support_and_sign(zoo, sm192, ads2, tgrid):
     """Support factor and one-sided claim follow from the kind alone, for the
     seven propagator kinds, the boundary kinds and the state difference, and

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import replace
 
 from adskg import bessel, spectral
-from adskg.bessel import bessel_zeros, toy_boundary_amplitudes, toy_line_weights
+from adskg.bessel import bessel_zeros, model_zeros, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
 from adskg.geometry import load_model, make_toy_model
 from adskg.spectral import (
     _GAUSS_R,
@@ -139,7 +139,8 @@ def test_half_order_is_sine_series():
 
 
 def test_modes_mass_orthonormal(sm192):
-    gram = sm192.gram(0)
+    phi = sm192.branch(0).phi
+    gram = phi.T @ (sm192.M @ phi)
     assert gram == pytest.approx(np.eye(gram.shape[0]), abs=1e-10)
 
 
@@ -185,7 +186,7 @@ def test_eigensolve_matches_superlu_shift_invert(kind, m_max, nu):
         v0 = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
         want = np.sort(eigsh(br.K, k=32, M=M, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
         assert np.abs(br.omega2 / want - 1.0).max() <= 1e-10, m
-        assert np.abs(sm.gram(m) - np.eye(32)).max() <= 1e-12, m
+        assert np.abs(br.phi.T @ (M @ br.phi) - np.eye(32)).max() <= 1e-12, m
 
 
 def test_negative_stiffness_fails_the_spectral_floor(sm192):
@@ -245,7 +246,8 @@ def test_non_separable_branches_solve_each(monkeypatch):
     for m in (0, 1, 2):
         assert calls[m] is sm.branch(m).K
         assert _residuals(sm, m).max() <= 1e-9
-        assert np.abs(sm.gram(m) - np.eye(4)).max() <= 1e-12
+        phi = sm.branch(m).phi
+        assert np.abs(phi.T @ (sm.M @ phi) - np.eye(4)).max() <= 1e-12
 
 
 def test_collocation_crosscheck_small_nu():
@@ -350,12 +352,33 @@ def test_collocation_refuses_custom_models():
 
 
 def test_toy_line_weights_find_zeros_once(monkeypatch):
+    """The toy oracles of one model share its one zero scan: each zero is
+    bisected once, a shorter request is a slice of it, and a longer one
+    bisects only the zeros it adds."""
+    zeros = bessel_zeros(1.5, 40)
+    want = toy_boundary_amplitudes(make_toy_model("ads2_strip", nu=1.5, L=2.0), 32) ** 2 / (2.0 * (zeros[:32] / 2.0))
     m = make_toy_model("ads2_strip", nu=1.5, L=2.0)
-    want = toy_boundary_amplitudes(m, 32) ** 2 / (2.0 * (bessel_zeros(1.5, 32) / 2.0))
-    calls = []
-    monkeypatch.setattr(bessel, "bessel_zeros", lambda nu, count: calls.append(count) or bessel_zeros(nu, count))
+    bisected = []
+    bisect = bessel._bisect
+    monkeypatch.setattr(bessel, "_bisect", lambda nu, starts: bisected.append(starts.size) or bisect(nu, starts))
     assert np.array_equal(toy_line_weights(m, 32), want)
-    assert calls == [32]
+    assert bisected == [32]
+    assert np.array_equal(toy_frequencies(m, 5), zeros[:5] / 2.0)
+    assert bisected == [32]
+    assert np.array_equal(model_zeros(m, 40), zeros)
+    assert bisected == [32, 8]
+    with pytest.raises(ValueError, match="read-only"):
+        model_zeros(m, 3)[0] = 0.0
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 2.5, 8.0])
+def test_zero_scan_extends_with_the_bits_of_one_scan(nu):
+    """A model's scan extended request by request gives the bits of one
+    standalone scan of the longest count."""
+    m = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    whole = bessel_zeros(nu, 64)
+    for count in (1, 10, 5, 24, 64, 33):
+        assert np.array_equal(model_zeros(m, count), whole[:count]), count
 
 
 def test_blob_roundtrip(tmp_path, sm192):
