@@ -21,7 +21,7 @@ from scipy.special import jv
 
 from .geometry import MetricModel
 
-__all__ = ["bessel_zeros", "model_zeros", "toy_frequencies", "toy_boundary_amplitudes", "toy_line_weights"]
+__all__ = ["model_zeros", "toy_frequencies", "toy_boundary_amplitudes", "toy_line_weights"]
 
 _SCAN_STEP = 0.5
 
@@ -73,11 +73,6 @@ def _bisect(nu: float, starts: np.ndarray) -> np.ndarray:
         b, fb = np.where(right, b, mid), np.where(right, fb, fm)
         mid = 0.5 * (a + b)
     return np.where(np.abs(fa) <= np.abs(fb), a, b)
-
-
-def bessel_zeros(nu: float, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_nu, nu >= 0, from a scan of their own."""
-    return _ZeroScan(nu).first(count)
 
 
 def model_zeros(model: MetricModel, count: int) -> np.ndarray:

@@ -127,7 +127,7 @@ class RunConfig:
 
 def _save_kernel(kernel, path: str) -> None:
     """Write a kernel blob: its model's spectral record plus the kernel's
-    kind, weighting, transverse mode and time grid."""
+    kind, transverse mode and time grid."""
     from . import binio
     from .spectral import _spectral_record
 
@@ -135,7 +135,7 @@ def _save_kernel(kernel, path: str) -> None:
         raise ValueError("a kernel blob holds an unmutated kernel; this one has flipped modes")
     meta, arrays = _spectral_record(kernel.spectral)
     meta["payload"] = "kernel"
-    meta["kernel"] = {"kind": kernel.kind, "weighting": kernel.weighting, "m": kernel.m}
+    meta["kernel"] = {"kind": kernel.kind, "m": kernel.m}
     arrays["t_grid"] = kernel.t_grid
     binio.write_blob(path, meta, arrays)
 
@@ -151,10 +151,10 @@ def _load_kernel(path: str):
     sm = _spectral_from_record(meta, arrays, path)
     try:
         kmeta, t_grid = meta["kernel"], arrays["t_grid"]
-        kind, weighting, m = kmeta["kind"], kmeta["weighting"], int(kmeta["m"])
+        kind, m = kmeta["kind"], int(kmeta["m"])  # a "weighting" key of older blobs is ignored
     except (KeyError, TypeError) as exc:
         raise binio.malformed(path, exc) from None
-    return make_propagator(sm, kind, t_grid, weighting=weighting, m=m)
+    return make_propagator(sm, kind, t_grid, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _cmd_kernels(args) -> int:
 
     sm = load_spectral(args.model_bin)
     t_grid = args.t0 + (args.dt if args.dt is not None else _time_step(sm, args.m)[0]) * np.arange(args.T)
-    kernel = make_propagator(sm, args.kind, t_grid, weighting=args.weighting, m=args.m)
+    kernel = make_propagator(sm, args.kind, t_grid, m=args.m)
     _save_kernel(kernel, args.out)
     print(json.dumps({"out": args.out, **kernel.describe()}))
     return EXIT_PASS
@@ -269,7 +269,7 @@ def _cmd_boundary_2pt(args) -> int:
         raise ValueError("--fit-lo and --fit-hi must be given together")
     sm = load_spectral(args.model_bin)
     # the fits read the mode shapes and the lines the frequencies; neither depends on the time grid
-    lp = make_propagator(sm, "lambda_plus", _time_step(sm)[0] * np.arange(256), weighting="physical")
+    lp = make_propagator(sm, "lambda_plus", _time_step(sm)[0] * np.arange(256))
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
     amps, quals = boundary_fits(lp, sm.model, fit_window=window)
     # the weights of the boundary lines (c_k^2, 0), as boundary_two_point(lp).weights
@@ -315,13 +315,15 @@ class VerifyPlan:
 def _plan(config: RunConfig, sm) -> VerifyPlan:
     L, nu = sm.model.L, sm.model.nu
     resonant = abs(2.0 * nu - round(2.0 * nu)) <= 1e-9 and 2.0 * nu <= 4
+    # scan windows keep time-bandwidth 0.9 l omega_1 / 2 pi >= 3.5 and 2.7; 6.5 L and 5 L do only at nu >= 1
+    gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
     return VerifyPlan(
         null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.4 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
         time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(2.5 if resonant else nu, 1.3, (0, 4)),
         exponent_window=(L / 400.0, L / 20.0), amplitude_window=(L / 400.0, L / 12.0), n_weights=5,
-        packet=(0.5 * L, -40.0 / L, 0.1 * L), track=(1.3 * L, 0.005 * L), scan=(6.5 * L, 3),
-        thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(5.0 * L, 4, 10.0 * L),
+        packet=(0.5 * L, -40.0 / L, 0.1 * L), track=(1.3 * L, 0.005 * L), scan=(max(6.5 * L, 3.5 * gap), 3),
+        thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
 
 
@@ -351,7 +353,7 @@ def _time_slice_suite(sm, seed: int, base_dt: float, span: float, levels: tuple)
         coef = np.zeros((t.size, br.omega.size))
         coef[:, sel] = amp[None, :] * np.cos(br.omega[sel][None, :] * t[:, None] + phase[None, :])
         u = sm.synthesize(coef)
-        g = make_propagator(sm, "causal", t, weighting="tilde")
+        g = make_propagator(sm, "causal", t)
         chi = TimeCutoff(t0=0.2 * span, t1=0.4 * span)
         res.append(time_slice_check(g, sm, chi, u))
     order = math.log2(res[0] / res[1]) if res[1] > 0.0 else math.inf
@@ -428,8 +430,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     le, ge = operator.le, operator.ge
 
     @cache
-    def kernel(kind: str, weighting: str = "tilde"):
-        return make_propagator(sm, kind, t_grid, weighting=weighting)
+    def kernel(kind: str):
+        return make_propagator(sm, kind, t_grid)
 
     @cache
     def mutant():
@@ -457,7 +459,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def boundary():
-        return boundary_two_point(kernel("lambda_plus", "physical"), model)
+        return boundary_two_point(kernel("lambda_plus"), model)
 
     @cache
     def packet():
@@ -764,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=256)
     p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi")
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--weighting", default="tilde", help="kernel weighting (propagators.WEIGHTINGS)")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kernels)

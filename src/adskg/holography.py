@@ -11,11 +11,11 @@ spatial factor.  Their gains read the branch's phase table like every
 kernel's, and their Gram matrix is the two-point Gram of the all-ones mode
 vector, whose pairing with the kernel is its trace.
 
-Frames: the eigensolve lives in the conjugated ("tilde") frame where modes
-behave like x^(nu + 1/2); physical-frame quantities carry the extra
-x^(n/2-1) beta^(-1/2) factor, so their exponent is nu_plus = (n/2-1) +
-(nu + 1/2).  The restriction works in the physical frame; the tilde
-exponent is probed directly on the modes by ``mellin_exponent_probe``.
+Frames: every bulk kernel lives in the conjugated frame of the eigensolve,
+where modes behave like x^(nu + 1/2).  The restriction alone applies the
+physical weight x^(n/2-1) beta^(-1/2) (``SpectralModel.weight_left``), so the
+exponent it reads is nu_plus = (n/2-1) + (nu + 1/2); the conjugated exponent
+is probed directly on the modes by ``mellin_exponent_probe``.
 
 The restriction is a windowed least-squares fit of x^(-nu_plus) u against
 1 + a x + b x^2 (even models have pure x^2 corrections; the linear term is
@@ -185,14 +185,13 @@ def extract_boundary(u: np.ndarray, model: MetricModel, fit_window: tuple[float,
 
 def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> tuple[np.ndarray, np.ndarray]:
     """Boundary coefficient |c_k| and fit quality of every retained mode of a
-    bulk lambda kernel (physical weighting, so the exponent is nu_plus).
+    bulk lambda kernel: the weighted restriction of the mode times the
+    physical weight, whose exponent is nu_plus.
 
     Each mode is fitted on ``fit_window``, or on its ``default_fit_window``.
     """
     if kernel.kind not in ("lambda_plus", "lambda_minus"):
         raise ValueError("boundary kernels are built from the lambda kernels")
-    if kernel.weighting != "physical":
-        raise ValueError("boundary restriction needs the physical weighting")
     sm = kernel.spectral
     x = sm.grid.dof_x
     phys_modes = sm.branch(kernel.m).phi * sm.weight_left[:, None]

@@ -486,8 +486,8 @@ def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StateP
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus":
         raise ValueError("expected a (lambda_plus, lambda_minus) pair")
-    if not np.array_equal(lp.t_grid, lm.t_grid) or lp.weighting != lm.weighting or lp.m != lm.m:
-        raise ValueError("pair members must share grid, weighting and transverse mode")
+    if not np.array_equal(lp.t_grid, lm.t_grid) or lp.m != lm.m:
+        raise ValueError("pair members must share grid and transverse mode")
     if np.any(lp.flipped) or np.any(lm.flipped):
         raise ValueError("cannot rotate a sign-mutated pair")
     n = _parse_rotation(rotation, lp.omega)

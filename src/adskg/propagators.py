@@ -32,12 +32,10 @@ grid shares, derived kernels included; a kernel builds its gains on the
 2T-1 lags once and reads every other lag set from them.  These ops return
 measurements (defects, residuals with their data-dependent scale, Gram
 eigenvalues, mass fractions); tolerances and verdicts belong to the
-caller, the check table of ``cli.run_verify``.  "tilde" weighting is the
-conjugated frame the eigensolve lives in; "physical" weighting multiplies
-by x^(n/2-1) beta^(-1/2) on the left slot and x^(-n/2-1) beta^(-1/2) on
-the right slot.
-The weights conjugate the spatial factor and leave the gains alone, so the
-per-mode checks state each identity in the weighted pairing.
+caller, the check table of ``cli.run_verify``.  Every kernel lives in
+the conjugated frame of the eigensolve; the physical weight
+x^(n/2-1) beta^(-1/2) enters only at the boundary restriction
+(``holography.boundary_fits``).
 
 Kernel applications use trapezoid quadrature in s and batched FFT
 convolution over the uniform time grid (every kernel above is a Toeplitz
@@ -57,7 +55,6 @@ from .spectral import SpectralBranch, SpectralModel
 __all__ = [
     "LineSpectrum",
     "KINDS",
-    "WEIGHTINGS",
     "make_propagator",
     "apply",
     "apply_wave_operator",
@@ -87,7 +84,6 @@ _LINES = {
 }
 KINDS = tuple(_LINES)
 _SIGNS = {"lambda_plus": +1, "plus": +1, "lambda_minus": -1, "minus": -1}
-WEIGHTINGS = ("tilde", "physical")
 _GRAM_TIMES, _GRAM_VECS = 16, 6  # Gram test family: subsampled times, random mode vectors
 
 
@@ -100,9 +96,9 @@ class LineSpectrum:
     mode is m.  The kind fixes the support S, "all" (1; every derived kind),
     "future" (theta(tau), theta(0) = 0), "past" (theta(-tau)) or "abs" (both
     exponentials taken at |tau|), and ``frequency_sign``, +1 / -1 for a
-    one-sided claim, else 0.  ``spectral`` and ``weighting`` give the spatial
-    factor phi_k phi_k^T of the branch in that weighting; ``spectral`` is
-    None for kernels without one (boundary lines, state differences).
+    one-sided claim, else 0.  ``spectral`` gives the spatial factor
+    phi_k phi_k^T of the branch; it is None for kernels without one
+    (boundary lines, state differences).
     A kernel is a frozen value: ``replace``, ``flip`` and ``mutated`` make a
     new one, which builds its own gains.
     """
@@ -113,7 +109,6 @@ class LineSpectrum:
     a: np.ndarray
     b: np.ndarray
     spectral: SpectralModel | None = None
-    weighting: str = "tilde"
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -211,7 +206,6 @@ class LineSpectrum:
     def describe(self) -> dict:
         return {
             "kind": self.kind,
-            "weighting": self.weighting,
             "m": self.m,
             "T": self.T,
             "t0": float(self.t_grid[0]),
@@ -230,12 +224,14 @@ def make_propagator(
     """Build a mode-sum kernel on a finite, strictly increasing uniform time grid.
 
     Rejects grids that undersample the largest retained frequency
-    (omega_max * dt must stay below pi).
+    (omega_max * dt must stay below pi).  ``weighting`` ("tilde" or
+    "physical") changes nothing, as every kernel lives in one frame; only
+    the benchmark passes it, until the ROADMAP's benchmark upkeep.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    if weighting not in ("tilde", "physical"):
+        raise ValueError(f"unknown weighting {weighting!r}; expected 'tilde' or 'physical'")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 32:
         raise ValueError("time grid too coarse: need T >= 32")
@@ -255,7 +251,7 @@ def make_propagator(
             "refine dt or retain fewer modes"
         )
     a, b, _ = _LINES[kind]
-    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), sm, weighting)
+    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), sm)
 
 
 def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
@@ -263,8 +259,7 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
 
     Trapezoid quadrature in s; the stationary mode sums make this a batched
     Toeplitz product, done by FFT per mode on a circular buffer of the
-    kernel's ``gains`` on its 2T-1 lags.  Physical weighting conjugates by
-    the stored weight vectors.
+    kernel's ``gains`` on its 2T-1 lags.
     """
     if kernel.spectral is None:
         raise ValueError(f"{kernel.kind} kernel has no spatial factor to apply")
@@ -273,8 +268,7 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     if f.shape != (T, kernel.spectral.grid.ndof):
         raise ValueError(f"data shape {f.shape} does not match (T={T}, ndof={kernel.spectral.grid.ndof})")
     sm = kernel.spectral
-    g = f * sm.weight_right[None, :] if kernel.weighting == "physical" else f
-    a = sm.project(g, m=kernel.m) * kernel.dt  # (T, K) with the trapezoid weights in s
+    a = sm.project(f, m=kernel.m) * kernel.dt  # (T, K) with the trapezoid weights in s
     a[[0, -1]] *= 0.5
 
     # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
@@ -286,10 +280,7 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
     if not np.iscomplexobj(f) and np.array_equal(kernel.b, np.conj(kernel.a)):
         conv = conv.real  # conjugate lines make a real kernel
-    out = sm.synthesize(conv.T, m=kernel.m)
-    if kernel.weighting == "physical":
-        out = out * sm.weight_left[None, :]
-    return out
+    return sm.synthesize(conv.T, m=kernel.m)
 
 
 def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
@@ -306,8 +297,8 @@ def _gram_matrix(kernel: LineSpectrum, n_times: int = _GRAM_TIMES, coeffs: np.nd
     Entries <(t_i, c_a), K (t_j, c_b)> over n_times subsampled grid times
     t_i and the mode-space vectors c_a, the rows of ``coeffs`` (default:
     _GRAM_VECS seeded random unit vectors).  The pairing is the mode-space
-    one, which is the weighted pairing in either weighting (the weights
-    conjugate the spatial factor), so no measure density enters.  The gains
+    one, which is the weighted pairing of the conjugated frame, so no
+    measure density enters.  The gains
     are read once per distinct integer lag idx_i - idx_j, and the
     contraction over modes is one product of the vector pairs
     conj(c_ak) c_bk with them.
@@ -330,13 +321,13 @@ def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
 
 
 def _grid_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
-    """Per-mode gains on the 2T-1 lags of kernels that share one grid,
-    weighting and spatial factor: identities between such kernels are
+    """Per-mode gains on the 2T-1 lags of kernels that share one grid and
+    spatial factor: identities between such kernels are
     identities between these arrays, all read from one lag phase table."""
     first = kernels[0]
     for k in kernels[1:]:
-        if k.spectral is not first.spectral or (k.m, k.weighting) != (first.m, first.weighting):
-            raise ValueError("kernels must share one spectral model, transverse mode and weighting")
+        if k.spectral is not first.spectral or k.m != first.m:
+            raise ValueError("kernels must share one spectral model and transverse mode")
         if not np.array_equal(k.t_grid, first.t_grid):
             raise ValueError("kernels must share one time grid")
     return [k.gains() for k in kernels]
@@ -426,7 +417,7 @@ def slepian_taper(M: int, NW: float) -> np.ndarray:
     return taper
 
 
-def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | None = None) -> dict:
+def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float) -> dict:
     """Windowed-DFT measurement of the one-sided frequency support.
 
     Works on any line spectrum with a one-sided claim; its
@@ -434,20 +425,15 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
     m/2; -1: mirror), and a kernel without one (sign 0) is refused.
     "forbidden_fraction" is the power fraction on the forbidden side of the
     cut; also returned are the window length and taper NW actually used.
-    The verdict is the caller's.  The window is a single Slepian taper whose
-    concentration band is matched to the spectral gap, so the minimal
-    admissible window T_w = 40/m already resolves fractions near 1e-6.
+    The verdict is the caller's.  The window covers every lag of the
+    kernel's grid, and is a single Slepian taper whose concentration band
+    is matched to the spectral gap, so a grid spanning 20/m (a window of
+    40/m) already resolves fractions near 1e-6.
     """
     if kernel.frequency_sign == 0:
         raise ValueError(f"a {kernel.kind!r} kernel makes no one-sided frequency claim")
     dt = kernel.dt
-    span = float(kernel.t_grid[-1] - kernel.t_grid[0])
-    if T_w is None:
-        T_w = 2.0 * span
-    elif not (math.isfinite(T_w) and T_w > 0.0):
-        raise ValueError(f"window length T_w must be finite and positive, got T_w={T_w!r}")
-    half = min(T_w / 2.0, span)
-    n_half = int(math.floor(half / dt))
+    n_half = int(math.floor(float(kernel.t_grid[-1] - kernel.t_grid[0]) / dt))
     tau = dt * np.arange(-n_half, n_half + 1)
     T_eff = tau[-1] - tau[0]
     if 2.0 * math.pi / T_eff >= m_floor_sqrt / 4.0:
@@ -457,7 +443,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float, T_w: float | 
         )
     nw = 0.95 * T_eff * m_floor_sqrt / (4.0 * math.pi)
     if nw < 2.5:
-        raise ValueError("window too short for a concentrated taper; enlarge T_w")
+        raise ValueError("window too short for a concentrated taper; lengthen the time grid")
     window = kernel.taper(tau.size, nw)
     sig = kernel.trace(np.arange(-n_half, n_half + 1)) * window
     spec = np.fft.fft(sig)
@@ -495,7 +481,7 @@ def make_feynman(
     resid = feynman_consistency(lp, lm, ret, adv)
     if resid > 1e-12:
         raise ValueError(f"feynman consistency identity violated: {resid:.3e} > 1e-12")
-    f, fbar = (make_propagator(lp.spectral, kind, lp.t_grid, lp.weighting, lp.m) for kind in ("feynman", "antifeynman"))
+    f, fbar = (make_propagator(lp.spectral, kind, lp.t_grid, m=lp.m) for kind in ("feynman", "antifeynman"))
     return f, fbar
 
 

@@ -28,7 +28,7 @@ A blob keeps the model recipe, each omega^2 and each distinct eigenbasis;
 loading assembles M and every K_m again with the build's own code.
 
 ``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
-``SpectralModel`` its weight vectors, mode count and certified floor m2_floor
+``SpectralModel`` its boundary weight, mode count and certified floor m2_floor
 (the least eigenvalue over the branches, deflated by ``_FLOOR_DEFLATION``).
 
 For models with nonconstant beta the eigenvectors are stored in the "form
@@ -208,15 +208,14 @@ class SpectralBranch:
 
 @dataclass
 class SpectralModel:
-    """Grid, eigendata and mass matrix for one metric model; the weight
-    vectors, the retained mode count and the spectral floor follow from them."""
+    """Grid, eigendata and mass matrix for one metric model; the boundary
+    weight, the retained mode count and the spectral floor follow from them."""
 
     model: MetricModel
     grid: Grid1D
     branches: dict[int, SpectralBranch]
     M: sp.csc_matrix = field(repr=False)
     weight_left: np.ndarray = field(init=False, repr=False)
-    weight_right: np.ndarray = field(init=False, repr=False)
     _M_solve: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -224,7 +223,6 @@ class SpectralModel:
         b = self.model.beta(x)
         n = self.model.n
         self.weight_left = x ** (0.5 * n - 1.0) / np.sqrt(b)
-        self.weight_right = x ** (-0.5 * n - 1.0) / np.sqrt(b)
 
     @property
     def n_modes(self) -> int:

@@ -42,7 +42,7 @@ def tgrid():
 
 @pytest.fixture(scope="session")
 def zoo(sm192, tgrid):
-    """All seven kernel kinds on the shared grid, tilde weighting."""
+    """All seven kernel kinds on the shared grid."""
     lp = make_propagator(sm192, "lambda_plus", tgrid)
     lm = make_propagator(sm192, "lambda_minus", tgrid)
     g = make_propagator(sm192, "causal", tgrid)

@@ -111,13 +111,15 @@ def test_criterion_03_stencil_convergence(ads2):
                    f"inverse-identity orders={[f'{o:.2f}' for o in inv_orders]} (floor 1.9)")
 
 
-def test_criterion_04_frequency_sign(zoo, sm192):
-    t_w = 40.0 / sm192.m_floor_sqrt
+def test_criterion_04_frequency_sign(sm192):
+    # the window is the grid's lag range: 209 samples at dt = 0.025 give the minimal window 40/m
+    grid = 0.025 * np.arange(209)
+    kernels = {kind: make_propagator(sm192, kind, grid) for kind in ("lambda_plus", "lambda_minus")}
     worst = 0.0
-    for kind in ("lambda_plus", "lambda_minus"):
-        res = frequency_sign_test(zoo[kind], sm192.m_floor_sqrt, T_w=t_w)
+    for kernel in kernels.values():
+        res = frequency_sign_test(kernel, sm192.m_floor_sqrt)
         worst = max(worst, res["forbidden_fraction"])
-    bad = frequency_sign_test(zoo["lambda_plus"].mutated(0.01), sm192.m_floor_sqrt, T_w=t_w)
+    bad = frequency_sign_test(kernels["lambda_plus"].mutated(0.01), sm192.m_floor_sqrt)
     ratio = bad["forbidden_fraction"] / 1e-6
     ok = worst <= 1e-6 and ratio >= 1e3
     _report(4, ok, f"forbidden_mass={worst:.2e} (tol 1e-6), "
@@ -175,7 +177,7 @@ def test_criterion_07_wavepacket_vs_gbb(sm192):
 
 
 def test_criterion_08_boundary_kernel(sm192, tgrid):
-    lp = make_propagator(sm192, "lambda_plus", tgrid, weighting="physical")
+    lp = make_propagator(sm192, "lambda_plus", tgrid)
     bk = boundary_two_point(lp, sm192.model)
     want = np.array(line_weights_mp(1.0, 1.0, 5))
     rel = float(np.max(np.abs(bk.weights[:5] - want) / want))

@@ -221,15 +221,33 @@ def test_kernels_refuses_unknown_kind(small_blobs, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_kernels_refuses_unknown_weighting(small_blobs, tmp_path, capsys):
+def test_kernels_rejects_the_weighting_flag(small_blobs, tmp_path, capsys):
+    """Kernels have one frame, so ``kernels`` takes no --weighting."""
     capsys.readouterr()
     out = tmp_path / "k.bin"
     code = main(["kernels", "--model-bin", str(small_blobs[0]), "--kind", "lambda_plus",
-                 "--weighting", "bogus", "--out", str(out)])
+                 "--weighting", "tilde", "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "bogus" in err and "physical" in err
+    assert "unrecognized arguments: --weighting" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kernel_blob_with_a_weighting_field_loads(small_blobs, tmp_path, capsys):
+    """A kernel blob written with the old "weighting" field in its meta loads,
+    the field is ignored, and its wf-scan CSV is the fresh blob's byte for byte."""
+    from adskg import binio
+
+    meta, arrays = binio.read_blob(str(small_blobs[1]))
+    assert "weighting" not in meta["kernel"]
+    meta["kernel"]["weighting"] = "physical"
+    old = tmp_path / "old.bin"
+    binio.write_blob(str(old), meta, arrays)
+    csvs = []
+    for blob in (small_blobs[1], old):
+        out = tmp_path / f"{blob.stem}.csv"
+        assert main(["wf-scan", "--kernel-bin", str(blob), "--window", "5.0", "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_kernels_refuses_a_branch_the_blob_lacks(small_blobs, tmp_path, capsys):
@@ -357,14 +375,14 @@ _LIST_DTYPE = {"meta": {}, "arrays": [{"name": "x", "dtype": ["<f8"], "shape": [
         ("boundary-2pt", lambda blobs: _blob_bytes({"meta": {}}), "and an 'arrays' list"),
         ("boundary-2pt", lambda blobs: _blob_bytes(_NO_MODEL), "the blob's record lacks 'model'"),
         ("boundary-2pt", lambda blobs: _blob_bytes(b'{"meta": {}'), "header is not JSON"),
-        ("wf-scan", _rewritten(1, lambda meta, arrays: meta["kernel"].pop("weighting")),
-         "the blob's record lacks 'weighting'"),
+        ("wf-scan", _rewritten(1, lambda meta, arrays: meta["kernel"].pop("kind")),
+         "the blob's record lacks 'kind'"),
         ("boundary-2pt", _rewritten(0, lambda meta, arrays: arrays.update(phi_0=arrays["phi_0"][1:])),
          "the blob's eigendata does not fit its grid of 287 dofs"),
         ("boundary-2pt", _rewritten(0, lambda meta, arrays: meta.update(m_list=[])), "does not fit its grid"),
     ],
     ids=["short-sizes", "short-header", "list-header", "string-shape", "huge-shape", "list-dtype", "no-arrays",
-         "no-model", "cut-json", "no-weighting", "short-phi", "no-branch"],
+         "no-model", "cut-json", "no-kind", "short-phi", "no-branch"],
 )
 def test_malformed_blobs_exit_2(small_blobs, tmp_path, capsys, command, data, named):
     """A malformed blob exits 2 with one line that names the file and the bad
@@ -724,8 +742,10 @@ def test_default_plan_holds_the_verify_literals(sm192):
 
 
 def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
-    """At L = 2 every length doubles and xi0 halves; 2 nu = 1.4 misses the
-    series orders, so the series keeps the model's nu; counts follow the config."""
+    """At L = 2 every length doubles and xi0 halves, except the scan windows:
+    at nu = 0.7 they follow the spectral gap, since 6.5 L and 5 L would give
+    time-bandwidths below 3.5 and 2.7.  2 nu = 1.4 misses the series orders,
+    so the series keeps the model's nu; counts follow the config."""
     sm = build_spectral(make_toy_model("ads2_strip", nu=0.7, L=2.0), N=96, n_modes=8)
     plan = _plan(RunConfig(N=96, n_modes=8), sm)
     assert plan.series == (0.7, 1.3, (0, 4))
@@ -733,7 +753,9 @@ def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
     assert plan.packet == (1.0, -20.0, 0.2)
     assert plan.gbb == (0.8, 2.0, 4.8, 4e-3)
     assert plan.time_slice == (2e-3, 0.512, (4, 2, 1))
-    assert (plan.scan, plan.feynman_scan) == ((13.0, 3), (10.0, 4, 20.0))
+    gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
+    assert (plan.scan, plan.feynman_scan) == ((3.5 * gap, 3), (2.7 * gap, 4, 20.0))
+    assert (plan.scan[0], plan.feynman_scan[0]) == (pytest.approx(14.281, abs=1e-3), pytest.approx(11.017, abs=1e-3))
     assert (plan.exponent_window, plan.amplitude_window) == ((2.0 / 400.0, 2.0 / 20.0), (2.0 / 400.0, 2.0 / 12.0))
 
 
@@ -776,25 +798,40 @@ def test_constant_tables_reproduce_the_toy(verify_run):
         assert (c["value"], c["tolerance"], c["pass"]) == (want["value"], want["tolerance"], want["pass"]), c["check"]
 
 
-_SHORT_WINDOW = "window too short for the spectral gap"
+_REFUSED = "injected precondition failure"
 
 
 @pytest.mark.parametrize(
-    "flags, failing",
+    "nu, tolerances, failing",
     [
-        (["--nu", "0.5"], {"scan_feynman_flip": _SHORT_WINDOW}),
-        (["--nu", "0.7"], {"scan_feynman_flip": _SHORT_WINDOW}),
-        (["--nu", "0.3"], {"scan_vacuum_plus": None, "scan_feynman_flip": _SHORT_WINDOW}),
+        ("0.5", {}, {"scan_feynman_flip": _REFUSED}),
+        ("0.7", {}, {"scan_feynman_flip": _REFUSED}),
+        ("0.3", {"scan_vacuum": 1e-12}, {"scan_vacuum_plus": None, "scan_feynman_flip": _REFUSED}),
     ],
     ids=["nu0.5", "nu0.7", "nu0.3"],
 )
-def test_verify_records_failed_preconditions(tmp_path, capsys, flags, failing):
+def test_verify_records_failed_preconditions(tmp_path, capsys, monkeypatch, nu, tolerances, failing):
     """A precondition that fails inside a check fails that check alone; the
-    other checks still run and the report is written (exit 1, not 2).
-    ``failing`` maps each failing check to its error text, or None when the
-    check failed on its value."""
+    other checks still run and the report is written (exit 1, not 2).  The
+    Feynman scan is made to raise a ValueError, and at nu = 0.3 a tight
+    tolerance fails the vacuum scan on its value; every other row passes at
+    these nu, whose scan windows follow the spectral gap.  ``failing`` maps
+    each failing check to its error text, or None when the check failed on
+    its value."""
+    from adskg import microlocal
+
+    scan = microlocal.kernel_wavefront_scan
+
+    def refusing(kernel, *args):
+        if kernel.kind == "feynman":
+            raise ValueError(_REFUSED)
+        return scan(kernel, *args)
+
+    monkeypatch.setattr(microlocal, "kernel_wavefront_scan", refusing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": tolerances}))
     out, table = tmp_path / "report.json", tmp_path / "checks.csv"
-    assert main(["verify", *flags, "--out", str(out), "--csv", str(table)]) == 1
+    assert main(["verify", "--nu", nu, "--config", str(config), "--out", str(out), "--csv", str(table)]) == 1
     assert "FAIL" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert report["n_checks"] == len(DEFAULT_CHECKS)

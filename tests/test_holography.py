@@ -148,7 +148,7 @@ def test_mode_boundary_exponent(sm192, ads2):
 
 
 def test_boundary_two_point_matches_oracle(sm192, ads2, tgrid):
-    lp = make_propagator(sm192, "lambda_plus", tgrid, weighting="physical")
+    lp = make_propagator(sm192, "lambda_plus", tgrid)
     bk = boundary_two_point(lp, ads2)
     fitted, quality = boundary_fits(lp, ads2)
     amps = boundary_amplitudes_mp(1.0, 1.0, 5)
@@ -158,16 +158,13 @@ def test_boundary_two_point_matches_oracle(sm192, ads2, tgrid):
     assert quality[:5].min() > 0.999
 
 
-def test_boundary_two_point_validation(sm192, ads2, tgrid, zoo):
-    with pytest.raises(ValueError, match="physical weighting"):
-        boundary_two_point(zoo["lambda_plus"], ads2)
-    ret = make_propagator(sm192, "retarded", tgrid, weighting="physical")
+def test_boundary_two_point_validation(ads2, zoo):
     with pytest.raises(ValueError, match="lambda"):
-        boundary_two_point(ret, ads2)
+        boundary_two_point(zoo["retarded"], ads2)
 
 
 def test_boundary_kernel_structure(sm192, ads2, tgrid):
-    lp = make_propagator(sm192, "lambda_plus", tgrid, weighting="physical")
+    lp = make_propagator(sm192, "lambda_plus", tgrid)
     bk = boundary_two_point(lp, ads2)
     assert bk.frequency_sign == +1
     assert bk.weights == pytest.approx(boundary_fits(lp, ads2)[0] ** 2 / (2.0 * bk.omega), rel=1e-15)
@@ -186,7 +183,7 @@ def test_boundary_gram_reads_distinct_lags(sm192, ads2, tgrid, monkeypatch):
     """One gains call on fewer than 48^2 lags gives the dense Gram matrix of
     traces to two rounding units of its largest entry, and no farther from
     the long-double mode sum than the trace is."""
-    bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid, weighting="physical"), ads2)
+    bk = boundary_two_point(make_propagator(sm192, "lambda_plus", tgrid), ads2)
     idx = np.linspace(0, bk.T - 1, 48).round().astype(int)
     gains = bk.gains((idx[:, None] - idx[None, :]).ravel())
     dense = gains.sum(axis=0).reshape(48, 48)
@@ -201,7 +198,7 @@ def test_boundary_gram_reads_distinct_lags(sm192, ads2, tgrid, monkeypatch):
 
 
 def test_minus_kernel_mirrors(sm192, ads2, tgrid):
-    lm = make_propagator(sm192, "lambda_minus", tgrid, weighting="physical")
+    lm = make_propagator(sm192, "lambda_minus", tgrid)
     bk = boundary_two_point(lm, ads2)
     assert bk.kind == "minus" and bk.frequency_sign == -1
     rep = frequency_sign_test(bk, sm192.m_floor_sqrt)

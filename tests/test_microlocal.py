@@ -440,7 +440,7 @@ def test_smoothness_orders(zoo, sm192):
     assert smoothness_decay_order(zoo["lambda_plus"]) < 2.0
 
 
-def test_omega_floor_follows_the_spatial_factor(zoo, sm192, tgrid, ads2):
+def test_omega_floor_follows_the_spatial_factor(zoo, sm192, ads2):
     """A kernel with a spatial factor takes its model's certified floor; the
     boundary and difference lines, without one, the least omega of their branch."""
     from adskg.holography import boundary_two_point
@@ -449,6 +449,5 @@ def test_omega_floor_follows_the_spatial_factor(zoo, sm192, tgrid, ads2):
     pair = make_perturbed_state(lp, lm, {"thermal": 2.0})
     with_factor = [*zoo.values(), lp.mutated(0.1), lm.mutated(0.1), pair.lp_b, pair.lm_b]
     assert all(k.omega_floor == sm192.m_floor_sqrt for k in with_factor)
-    lp_phys = make_propagator(sm192, "lambda_plus", tgrid, weighting="physical")
-    for k in (boundary_two_point(lp_phys, ads2), pair.difference()):
+    for k in (boundary_two_point(lp, ads2), pair.difference()):
         assert k.spectral is None and k.omega_floor == float(np.min(sm192.branch(0).omega))
