@@ -353,7 +353,7 @@ def flow_segment(
                 if abs(land[0] - wall_x) <= _X_TOL:
                     break
             state = (wall_x,) + land[1:]
-            s_now += 0.5 * (lo + hi)
+            s_now += hi  # land is the step of length hi
         s_hist.append(s_now)
         hist.append(state)
         if hit is not None:

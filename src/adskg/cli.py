@@ -258,23 +258,19 @@ def _cmd_wf_scan(args) -> int:
 
 
 def _cmd_boundary_2pt(args) -> int:
-    import numpy as np
-
     from . import binio
     from .holography import boundary_fits
-    from .propagators import make_propagator
     from .spectral import load_spectral
 
     if (args.fit_lo is None) != (args.fit_hi is None):
         raise ValueError("--fit-lo and --fit-hi must be given together")
     sm = load_spectral(args.model_bin)
-    # the fits read the mode shapes and the lines the frequencies; neither depends on the time grid
-    lp = make_propagator(sm, "lambda_plus", _time_step(sm)[0] * np.arange(256))
     window = (args.fit_lo, args.fit_hi) if args.fit_lo is not None else None
-    amps, quals = boundary_fits(lp, sm.model, fit_window=window)
-    # the weights of the boundary lines (c_k^2, 0), as boundary_two_point(lp).weights
-    weights = amps**2 / (2.0 * lp.omega)
-    rows = [(k + 1, float(lp.omega[k]), float(amps[k]), float(weights[k]), float(quals[k])) for k in range(amps.size)]
+    amps, quals = boundary_fits(sm, fit_window=window)
+    omega = sm.branch(0).omega
+    # the weights c_k^2 / (2 omega_k) of the boundary lines (c_k^2, 0)
+    weights = amps**2 / (2.0 * omega)
+    rows = [(k + 1, float(omega[k]), float(amps[k]), float(weights[k]), float(quals[k])) for k in range(amps.size)]
     binio.write_csv(args.out, ["mode", "omega", "amplitude", "weight", "fit_quality"], rows)
     print(json.dumps({"out": args.out, "kind": "plus", "modes": len(rows)}))
     return EXIT_PASS
@@ -302,7 +298,6 @@ class VerifyPlan:
     time_slice: tuple  # (base step, span, step multiples)
     series: tuple  # (nu of the series model, sigma, orders); 2 nu must miss the orders
     exponent_window: tuple
-    amplitude_window: tuple
     n_weights: int  # boundary line weights compared with the oracle
     packet: tuple  # (x0, xi0, sigma)
     track: tuple  # (t_max, dt)
@@ -321,7 +316,7 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
         null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.4 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
         time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(2.5 if resonant else nu, 1.3, (0, 4)),
-        exponent_window=(L / 400.0, L / 20.0), amplitude_window=(L / 400.0, L / 12.0), n_weights=5,
+        exponent_window=(L / 400.0, L / 20.0), n_weights=5,
         packet=(0.5 * L, -40.0 / L, 0.1 * L), track=(1.3 * L, 0.005 * L), scan=(max(6.5 * L, 3.5 * gap), 3),
         thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
@@ -393,7 +388,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     from .bchar import make_null_point, trace_gbb
     from .bessel import toy_boundary_amplitudes, toy_frequencies, toy_line_weights
     from .geometry import conformal_symbol, load_model, make_toy_model
-    from .holography import boundary_gram, boundary_two_point, build_series, extract_boundary, indicial_polynomial
+    from .holography import boundary_fits, boundary_gram, boundary_two_point, build_series, indicial_polynomial
     from .holography import mellin_exponent_probe
     from .microlocal import (
         evolve_and_track,
@@ -518,9 +513,9 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return rel_err(sm_half.branch(0).omega2, (np.arange(1, n_half + 1) * math.pi / L) ** 2)
 
     def amplitude_error() -> float:
-        fit = extract_boundary(sm.weight_left * phi1, model, plan.amplitude_window, sm.grid.dof_x)
+        """Mode 1 of the fits the boundary kernel reads, against its toy amplitude."""
         c_oracle = toy_boundary_amplitudes(model, 1)[0]
-        return abs(abs(fit.value) - c_oracle) / c_oracle
+        return abs(boundary_fits(sm)[0][0] - c_oracle) / c_oracle
 
     def packet_deviation() -> float:
         tr = track()

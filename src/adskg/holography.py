@@ -13,9 +13,9 @@ vector, whose pairing with the kernel is its trace.
 
 Frames: every bulk kernel lives in the conjugated frame of the eigensolve,
 where modes behave like x^(nu + 1/2).  The restriction alone applies the
-physical weight x^(n/2-1) beta^(-1/2) (``SpectralModel.weight_left``), so the
-exponent it reads is nu_plus = (n/2-1) + (nu + 1/2); the conjugated exponent
-is probed directly on the modes by ``mellin_exponent_probe``.
+physical weight x^(n/2-1) beta^(-1/2), to a branch's modes in ``boundary_fits``,
+so the exponent it reads is nu_plus = (n/2-1) + (nu + 1/2); the conjugated
+exponent is probed directly on the modes by ``mellin_exponent_probe``.
 
 The restriction is a windowed least-squares fit of x^(-nu_plus) u against
 1 + a x + b x^2 (even models have pure x^2 corrections; the linear term is
@@ -32,6 +32,7 @@ import numpy as np
 
 from .geometry import MetricModel
 from .propagators import LineSpectrum, _gram_matrix
+from .spectral import SpectralModel
 
 __all__ = [
     "IndicialSeries",
@@ -183,39 +184,44 @@ def extract_boundary(u: np.ndarray, model: MetricModel, fit_window: tuple[float,
     return BoundaryFit(value=float(coef[0]), quality=quality, contamination=float(contam))
 
 
-def boundary_fits(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary coefficient |c_k| and fit quality of every retained mode of a
-    bulk lambda kernel: the weighted restriction of the mode times the
-    physical weight, whose exponent is nu_plus.
+def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary coefficient |c_k| and fit quality of every retained mode of
+    branch m: the weighted restriction of the mode times the physical weight
+    x^(n/2-1) beta^(-1/2), whose exponent is nu_plus.
 
     Each mode is fitted on ``fit_window``, or on its ``default_fit_window``.
+    The fits of a (branch, window) pair are made once and kept, read-only,
+    in the branch's tables.
     """
-    if kernel.kind not in ("lambda_plus", "lambda_minus"):
-        raise ValueError("boundary kernels are built from the lambda kernels")
-    sm = kernel.spectral
-    x = sm.grid.dof_x
-    phys_modes = sm.branch(kernel.m).phi * sm.weight_left[:, None]
-    amps = np.empty(kernel.omega.size)
-    quals = np.empty(kernel.omega.size)
-    for k, w in enumerate(kernel.omega):
-        win = fit_window if fit_window is not None else default_fit_window(model, float(w))
-        fit = extract_boundary(phys_modes[:, k], model, win, x=x)
-        amps[k] = abs(fit.value)
-        quals[k] = fit.quality
-    return amps, quals
+    br, model, x = sm.branch(m), sm.model, sm.grid.dof_x
+
+    def fit() -> np.ndarray:
+        modes = br.phi * (x ** (0.5 * model.n - 1.0) / np.sqrt(model.beta(x)))[:, None]
+        out = np.empty((2, br.omega.size))
+        for k, w in enumerate(br.omega):
+            f = extract_boundary(modes[:, k], model, fit_window or default_fit_window(model, float(w)), x=x)
+            out[:, k] = abs(f.value), f.quality
+        return out
+
+    return tuple(br.table(("boundary_fits", fit_window), fit))
 
 
-def boundary_two_point(kernel: LineSpectrum, model: MetricModel, fit_window=None) -> LineSpectrum:
-    """Boundary restriction of a bulk two-point kernel in both slots.
+def boundary_two_point(kernel: LineSpectrum, model: MetricModel) -> LineSpectrum:
+    """Boundary restriction of a bulk lambda kernel in both slots.
 
     The induced kernel is k(t,s) = sum_k weight_k e^{+-i omega_k (t-s)},
     weight_k = c_k^2 / (2 omega_k): the lines (c_k^2, 0) of kind "plus" or
     (0, c_k^2) of kind "minus", with the ``boundary_fits`` coefficients c_k
-    and no spatial factor.  The mode sum diagonalizes the restriction, so
-    applying the fit per mode is exact, not an approximation to a double
+    of the kernel's branch and no spatial factor; ``model`` must be
+    ``kernel.spectral.model``.  The mode sum diagonalizes the restriction,
+    so applying the fit per mode is exact, not an approximation to a double
     integral.
     """
-    amps, _ = boundary_fits(kernel, model, fit_window)
+    if kernel.kind not in ("lambda_plus", "lambda_minus"):
+        raise ValueError("boundary kernels are built from the lambda kernels")
+    if kernel.spectral is None or model is not kernel.spectral.model:
+        raise ValueError("the model must be the kernel's own, kernel.spectral.model")
+    amps, _ = boundary_fits(kernel.spectral, kernel.m)
     c2, zero = amps**2, np.zeros_like(amps)
     plus = kernel.kind == "lambda_plus"
     a, b = (c2, zero) if plus else (zero, c2)

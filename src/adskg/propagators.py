@@ -135,7 +135,8 @@ class LineSpectrum:
 
     @property
     def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
+        # from the span: far from t = 0 a single step rounds at the ulp of |t|
+        return float(self.t_grid[-1] - self.t_grid[0]) / (self.T - 1)
 
     @property
     def T(self) -> int:
@@ -240,11 +241,12 @@ def make_propagator(
     steps = np.diff(t_grid)
     if not steps[0] > 0.0:
         raise ValueError(f"time grid must be strictly increasing, got step dt = {steps[0]!r}")
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+    dt = float(t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
+    # each grid time is rounded at the ulp of max |t|, so its steps scatter by a few of them
+    if np.max(np.abs(steps - dt)) > 4.0 * np.spacing(np.max(np.abs(t_grid))):
         raise ValueError("time grid must be uniform")
     br = sm.branch(m)
     omega = br.omega
-    dt = float(t_grid[1] - t_grid[0])
     if float(omega[-1]) * dt >= math.pi:
         raise ValueError(
             f"time grid too coarse: omega_max*dt = {float(omega[-1]) * dt:.3f} >= pi; "
@@ -432,8 +434,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float) -> dict:
     """
     if kernel.frequency_sign == 0:
         raise ValueError(f"a {kernel.kind!r} kernel makes no one-sided frequency claim")
-    dt = kernel.dt
-    n_half = int(math.floor(float(kernel.t_grid[-1] - kernel.t_grid[0]) / dt))
+    dt, n_half = kernel.dt, kernel.T - 1
     tau = dt * np.arange(-n_half, n_half + 1)
     T_eff = tau[-1] - tau[0]
     if 2.0 * math.pi / T_eff >= m_floor_sqrt / 4.0:

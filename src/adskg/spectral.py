@@ -28,8 +28,8 @@ A blob keeps the model recipe, each omega^2 and each distinct eigenbasis;
 loading assembles M and every K_m again with the build's own code.
 
 ``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
-``SpectralModel`` its boundary weight, mode count and certified floor m2_floor
-(the least eigenvalue over the branches, deflated by ``_FLOOR_DEFLATION``).
+``SpectralModel`` its mode count and certified floor m2_floor (the least
+eigenvalue over the branches, deflated by ``_FLOOR_DEFLATION``).
 
 For models with nonconstant beta the eigenvectors are stored in the "form
 frame" w = beta^(1/2) u, where the discrete inner product is the assembled
@@ -174,9 +174,10 @@ def _assemble(grid: Grid1D, elem: np.ndarray) -> sp.csc_matrix:
 class SpectralBranch:
     """Eigendata of one transverse Fourier mode.
 
-    Also holds the read-only tables that kernels on this branch derive from
-    it (the lag phases of each uniform time grid, each DPSS taper a scan or
-    sign test reads), built on first use and freed with the model.
+    Also holds the read-only tables derived from it (the lag phases of each
+    uniform time grid, each DPSS taper a scan or sign test reads, the
+    boundary fits of each fit window), built on first use and freed with the
+    model.
     """
 
     m: int
@@ -208,21 +209,14 @@ class SpectralBranch:
 
 @dataclass
 class SpectralModel:
-    """Grid, eigendata and mass matrix for one metric model; the boundary
-    weight, the retained mode count and the spectral floor follow from them."""
+    """Grid, eigendata and mass matrix for one metric model; the retained
+    mode count and the spectral floor follow from them."""
 
     model: MetricModel
     grid: Grid1D
     branches: dict[int, SpectralBranch]
     M: sp.csc_matrix = field(repr=False)
-    weight_left: np.ndarray = field(init=False, repr=False)
     _M_solve: object = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        x = self.grid.dof_x
-        b = self.model.beta(x)
-        n = self.model.n
-        self.weight_left = x ** (0.5 * n - 1.0) / np.sqrt(b)
 
     @property
     def n_modes(self) -> int:

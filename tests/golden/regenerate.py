@@ -17,7 +17,8 @@ repository root
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-and list every moved value, before -> after, with the change.
+It prints every moved report entry, exit code and CSV hash as
+``before -> after`` before it rewrites; list them with the change.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ.setdefault(_var, "1")  # the CLI's default, before numpy loads
 _BLAS_THREADS = os.environ["OPENBLAS_NUM_THREADS"]  # read once: BLAS fixes its count when numpy loads
 
+REL = 1e-3  # relative value bound of a comparison across stacks
 _KNOTS = [i / 7.0 for i in range(8)]
 
 # report name -> (extra verify flags, config file contents or None)
@@ -128,6 +130,50 @@ def generate(workdir: Path) -> tuple[dict[str, int], dict[str, bytes], dict[str,
     return codes, reports, csvs
 
 
+def moved_in_report(name: str, want: dict, got: dict, exact: bool) -> list[str]:
+    """One line per moved entry of a report: 'name check field: before -> after'.
+    Without ``exact``, values and tolerances move only beyond ``REL`` times the
+    larger of the golden value and tolerance."""
+    moved = [f"{name} {key}: {want[key]!r} -> {got[key]!r}"
+             for key in ("config", "n_checks", "n_failed", "pass") if want[key] != got[key]]
+    order = [[c["check"] for c in report["checks"]] for report in (want, got)]
+    if order[0] != order[1]:
+        return moved + [f"{name} checks: {order[0]} -> {order[1]}"]
+    for w, g in zip(want["checks"], got["checks"]):
+        for key in sorted(set(w) | set(g)):
+            a, b = w.get(key), g.get(key)
+            if not exact and key in ("value", "tolerance") and None not in (a, b):
+                same = abs(a - b) <= REL * max(abs(w["value"]), abs(w["tolerance"]))
+            else:
+                same = a == b
+            if not same:
+                moved.append(f"{name} {w['check']} {key}: {a!r} -> {b!r}")
+    return moved
+
+
+def moved_outputs(codes: dict[str, int], reports: dict[str, bytes], csvs: dict[str, bytes], exact: bool) -> list[str]:
+    """One 'what: before -> after' line per golden output that ``generate``'s
+    outputs move: exit codes, report entries, CSV row counts and, with
+    ``exact``, CSV hashes."""
+    golden = json.loads((GOLDEN / "manifest.json").read_text())
+    moved = [f"exit code {key}: {golden['exit_codes'].get(key)} -> {codes.get(key)}"
+             for key in sorted(golden["exit_codes"].keys() | codes.keys())
+             if golden["exit_codes"].get(key) != codes.get(key)]
+    for name, data in reports.items():
+        want = (GOLDEN / name).read_bytes()
+        if exact and data == want:
+            continue
+        lines = moved_in_report(name, json.loads(want), json.loads(data), exact)
+        moved += lines or ([f"{name}: same values, different bytes"] if exact else [])
+    for name, data in csvs.items():
+        rec, sha, rows = golden["csv"].get(name, {}), hashlib.sha256(data).hexdigest(), data.count(b"\n")
+        if rows != rec.get("rows"):
+            moved.append(f"{name} rows: {rec.get('rows')} -> {rows}")
+        if exact and sha != rec.get("sha256"):
+            moved.append(f"{name} sha256: {rec.get('sha256')} -> {sha}")
+    return moved
+
+
 def manifest(codes: dict[str, int], csvs: dict[str, bytes]) -> dict:
     return {
         "stack": stack(),
@@ -144,6 +190,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         codes, reports, csvs = generate(Path(tmp))
+    for line in moved_outputs(codes, reports, csvs, exact=True):
+        print(line)
     for name, data in reports.items():
         (GOLDEN / name).write_bytes(data)
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest(codes, csvs), indent=2) + "\n")

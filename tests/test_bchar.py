@@ -130,6 +130,17 @@ def test_trace_bounces_at_known_times(toy):
         assert ev.point.xi == -ev.xi_in
 
 
+@pytest.mark.parametrize("step", [1e-3, 2e-3, 5e-3])
+@pytest.mark.parametrize("tau", [1.0, 2.0, 3.3])
+def test_flow_parameter_holds_at_wall_landings(toy, tau, step):
+    """On the toy t = 2 tau s on every row, reflections included: a wall
+    landing advances s by the step that landed, also when a full step ends
+    exactly on the wall and the bracket stops after one halving."""
+    for x0 in (0.123, 0.3, 0.4, 0.5, 0.77):
+        rows = np.array([r[:2] for r in trace_gbb(toy, make_null_point(toy, x0, tau), 3.0, step).to_rows()])
+        assert np.max(np.abs(rows[:, 1] - 2.0 * tau * rows[:, 0])) <= 1e-12, x0
+
+
 def test_trace_sample_matches_closed_form(toy):
     p0 = make_null_point(toy, x=0.4, tau=2.0)
     path = trace_gbb(toy, p0, t_max=2.4, step=2e-3)

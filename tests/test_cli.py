@@ -380,9 +380,16 @@ _LIST_DTYPE = {"meta": {}, "arrays": [{"name": "x", "dtype": ["<f8"], "shape": [
         ("boundary-2pt", _rewritten(0, lambda meta, arrays: arrays.update(phi_0=arrays["phi_0"][1:])),
          "the blob's eigendata does not fit its grid of 287 dofs"),
         ("boundary-2pt", _rewritten(0, lambda meta, arrays: meta.update(m_list=[])), "does not fit its grid"),
+        ("boundary-2pt", lambda blobs: b"NOT-AN-ADSKG-BLOB" + bytes(32), "bad magic"),
+        ("boundary-2pt", lambda blobs: _blob_bytes({})[:16] + struct.pack("<II", 2, 2) + b"{}",
+         "unsupported blob version 2"),
+        ("wf-scan", lambda blobs: blobs[0].read_bytes(), "blob does not hold a kernel"),
+        ("boundary-2pt", _rewritten(0, lambda meta, arrays: meta.update(payload="table")),
+         "blob does not hold a spectral model"),
     ],
     ids=["short-sizes", "short-header", "list-header", "string-shape", "huge-shape", "list-dtype", "no-arrays",
-         "no-model", "cut-json", "no-kind", "short-phi", "no-branch"],
+         "no-model", "cut-json", "no-kind", "short-phi", "no-branch", "bad-magic", "version-2", "model-as-kernel",
+         "neither-payload"],
 )
 def test_malformed_blobs_exit_2(small_blobs, tmp_path, capsys, command, data, named):
     """A malformed blob exits 2 with one line that names the file and the bad
@@ -395,6 +402,28 @@ def test_malformed_blobs_exit_2(small_blobs, tmp_path, capsys, command, data, na
     assert err.startswith(f"error: {blob}: ") and err.count("\n") == 1, err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--N", "32"], "N=32 too small"),
+        (["--n-modes", "0"], "n_modes=0 outside [1, N/4=48]"),
+        (["--N", "96", "--n-modes", "25"], "n_modes=25 outside [1, N/4=24]"),
+        (["--m-max", "-1"], "m_max must be >= 0"),
+        (["--m-max", "1"], "ads2_strip has no transverse modes"),
+    ],
+    ids=["N-32", "no-modes", "too-many-modes", "m-max-neg", "strip-m-max"],
+)
+def test_build_spectral_refusals_exit_2(tmp_path, capsys, flags, named):
+    """A mesh, mode count or transverse range build_spectral refuses is a bad
+    flag: exit 2 with one error line, and no blob."""
+    capsys.readouterr()
+    out = tmp_path / "model.bin"
+    assert main(["build-spectral", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_kernel_grid_defaults_follow_the_blob(tmp_path, capsys):
@@ -725,7 +754,6 @@ def test_default_plan_holds_the_verify_literals(sm192):
         "time_slice": (1e-3, 0.256, (4, 2, 1)),
         "series": (2.5, 1.3, (0, 4)),
         "exponent_window": (1.0 / 400.0, 1.0 / 20.0),
-        "amplitude_window": (1.0 / 400.0, 1.0 / 12.0),
         "n_weights": 5,
         "packet": (0.5, -40.0, 0.1),
         "track": (1.3, 0.005),
@@ -739,6 +767,18 @@ def test_default_plan_holds_the_verify_literals(sm192):
         assert getattr(plan, name) == value, name
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.n_cmp = 4
+
+
+def test_verify_fits_each_boundary_mode_once(monkeypatch):
+    """boundary_amplitude_mode1 reads mode 1 of the fits the boundary kernel
+    reads, so a default run fits each of its 32 modes once."""
+    from adskg import holography
+
+    calls = []
+    fit = holography.extract_boundary
+    monkeypatch.setattr(holography, "extract_boundary", lambda *a, **kw: calls.append(1) or fit(*a, **kw))
+    code, _ = run_verify(RunConfig())
+    assert code == 0 and len(calls) == 32
 
 
 def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
@@ -756,16 +796,20 @@ def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
     gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
     assert (plan.scan, plan.feynman_scan) == ((3.5 * gap, 3), (2.7 * gap, 4, 20.0))
     assert (plan.scan[0], plan.feynman_scan[0]) == (pytest.approx(14.281, abs=1e-3), pytest.approx(11.017, abs=1e-3))
-    assert (plan.exponent_window, plan.amplitude_window) == ((2.0 / 400.0, 2.0 / 20.0), (2.0 / 400.0, 2.0 / 12.0))
+    assert plan.exponent_window == (2.0 / 400.0, 2.0 / 20.0)
 
 
 @pytest.mark.parametrize("L", [0.5, 2.0])
-def test_verify_is_the_same_at_every_wall_length(verify_run, L):
-    """Every check is dimensionless, so a run at another L, with the grid
-    worked out by verify, passes and reproduces the L = 1 values.  The
-    boundary Gram's least eigenvalue sits at round-off and is left out."""
-    code, report = run_verify(RunConfig(model={"kind": "ads2_strip", "nu": 1.0, "L": L}))
+def test_verify_is_the_same_at_every_wall_length(verify_run, tmp_path, L):
+    """Every check is dimensionless, so a run of ``verify --L`` at another L,
+    with the grid worked out by verify, passes, records that L in its config
+    block and reproduces the L = 1 values.  The boundary Gram's least
+    eigenvalue sits at round-off and is left out."""
+    out = tmp_path / "report.json"
+    code = main(["verify", "--L", f"{L:g}", "--out", str(out)])
+    report = json.loads(out.read_text())
     assert code == 0
+    assert report["config"]["model"] == {"kind": "ads2_strip", "nu": 1.0, "L": L}
     assert report["config"]["dt"] == pytest.approx(0.025 * L, rel=1e-15)
     assert report["config"]["T"] == 768
     base = {c["check"]: c["value"] for c in json.loads(verify_run[1])["checks"]}

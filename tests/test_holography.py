@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import boundary_amplitudes_mp, line_weights_mp
 
+from adskg.bessel import toy_boundary_amplitudes
 from adskg.cli import _default_tolerances
 from adskg.geometry import make_toy_model
 from adskg.holography import (
@@ -17,6 +18,7 @@ from adskg.holography import (
     mellin_exponent_probe,
 )
 from adskg.propagators import LineSpectrum, frequency_sign_test, make_propagator
+from adskg.spectral import build_spectral
 
 FREQ_MASS = _default_tolerances()["freq_mass"]
 
@@ -150,7 +152,7 @@ def test_mode_boundary_exponent(sm192, ads2):
 def test_boundary_two_point_matches_oracle(sm192, ads2, tgrid):
     lp = make_propagator(sm192, "lambda_plus", tgrid)
     bk = boundary_two_point(lp, ads2)
-    fitted, quality = boundary_fits(lp, ads2)
+    fitted, quality = boundary_fits(sm192)
     amps = boundary_amplitudes_mp(1.0, 1.0, 5)
     weights = line_weights_mp(1.0, 1.0, 5)
     assert np.abs(fitted[:5] / amps - 1.0).max() <= 1e-2
@@ -159,15 +161,34 @@ def test_boundary_two_point_matches_oracle(sm192, ads2, tgrid):
 
 
 def test_boundary_two_point_validation(ads2, zoo):
+    """Only a lambda kernel restricts, and only with its own model: a model
+    with the same parameters that is not ``kernel.spectral.model`` is refused."""
     with pytest.raises(ValueError, match="lambda"):
         boundary_two_point(zoo["retarded"], ads2)
+    with pytest.raises(ValueError, match="kernel's own"):
+        boundary_two_point(zoo["lambda_plus"], make_toy_model("ads2_strip", nu=1.0, L=1.0))
+
+
+def test_boundary_fits_on_every_cylinder_branch():
+    """The toy cylinder's branches m >= 1 share branch 0's modes, so every
+    branch, fitted on its own default windows, gives the toy amplitudes.
+    Each (branch, window) pair is fitted once and kept read-only."""
+    model = make_toy_model("ads3_cylinder", nu=1.0, L=1.0)
+    sm = build_spectral(model, N=192, m_max=2, n_modes=32)
+    want = toy_boundary_amplitudes(model, 5)
+    for m in range(3):
+        amps, quals = boundary_fits(sm, m)
+        assert np.abs(amps[:5] / want - 1.0).max() <= 1e-2, m
+        assert quals[:5].min() > 0.999, m
+        assert boundary_fits(sm, m)[0].base is amps.base and not amps.flags.writeable, m
+    assert boundary_fits(sm, 0, (1e-3, 0.05))[0].base is not boundary_fits(sm, 0)[0].base
 
 
 def test_boundary_kernel_structure(sm192, ads2, tgrid):
     lp = make_propagator(sm192, "lambda_plus", tgrid)
     bk = boundary_two_point(lp, ads2)
     assert bk.frequency_sign == +1
-    assert bk.weights == pytest.approx(boundary_fits(lp, ads2)[0] ** 2 / (2.0 * bk.omega), rel=1e-15)
+    assert bk.weights == pytest.approx(boundary_fits(sm192)[0] ** 2 / (2.0 * bk.omega), rel=1e-15)
     lags = np.array([12, 44])  # tau = 0.3, 1.1
     vals = bk.trace(lags)
     flipped = bk.trace(-lags)

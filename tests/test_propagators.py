@@ -15,7 +15,7 @@ from adskg import propagators
 from adskg.cli import RunConfig, _default_tolerances, run_verify
 from adskg.geometry import make_toy_model
 from adskg.holography import boundary_fits, boundary_two_point
-from adskg.microlocal import make_perturbed_state
+from adskg.microlocal import kernel_wavefront_scan, make_perturbed_state
 from adskg.propagators import (
     LineSpectrum,
     TimeCutoff,
@@ -74,7 +74,7 @@ def test_gains_closed_forms(zoo, sm192, ads2):
     for kind, sign in (("lambda_plus", 1), ("lambda_minus", -1)):
         bulk = zoo[kind]
         bk = boundary_two_point(bulk, ads2)
-        weights = boundary_fits(bulk, ads2)[0][:, None] ** 2 / (2 * w)
+        weights = boundary_fits(sm192)[0][:, None] ** 2 / (2 * w)
         got = bk.gains() / weights
         assert got == pytest.approx(np.exp(sign * 1j * ph), abs=1e-15), kind
 
@@ -262,6 +262,22 @@ def test_kernel_grid_validation(sm192):
         make_propagator(sm192, "schwinger", 0.025 * np.arange(64))
     with pytest.raises(ValueError, match="unknown weighting"):
         make_propagator(sm192, "causal", 0.025 * np.arange(64), weighting="conformal")
+
+
+@pytest.mark.parametrize("t0", [0.0, 100.0, 1000.0, 1e4])
+def test_kernels_on_shifted_time_grids(sm192, t0):
+    """Far from t = 0 each grid time rounds at the ulp of |t|: the grid is
+    still uniform, its step comes from its span, the quadrant scan masses
+    are those of the grid at t0 = 0, and the sign test windows all 2T - 1
+    lags."""
+    base = make_propagator(sm192, "lambda_plus", 0.025 * np.arange(768))
+    kern = make_propagator(sm192, "lambda_plus", t0 + 0.025 * np.arange(768))
+    assert kern.dt == pytest.approx(0.025, rel=1e-13)
+    got, want = ([(r.sign_content_plus, r.sign_content_minus, r.cross) for r in kernel_wavefront_scan(k, 5.0, 4)]
+                 for k in (kern, base))
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+    window = frequency_sign_test(kern, sm192.m_floor_sqrt)["window"]
+    assert round(window / kern.dt) + 1 == 2 * kern.T - 1
 
 
 def test_two_point_algebra(zoo):
