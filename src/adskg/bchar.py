@@ -35,8 +35,8 @@ the toys, one call of each of the model's splines on custom tables.  zeta
 and tau are constants of motion and pass through unchanged.  Each arc's flow-parameter
 budget is capped so that it carries t at most 2L past t_max, which bounds
 the work of a trace by t_max even for nearly tangential rays.
-``GBBPath.sample`` runs one Newton iteration on the cubic Hermite
-interpolant for all requested times at once.
+``GBBPath.sample`` reads a time off the stored rows by cubic Hermite
+interpolation in t, whose slopes are the flow divided by dt/ds.
 """
 
 from __future__ import annotations
@@ -152,53 +152,33 @@ class GBBPath:
             worst = max(worst, float(np.max(np.abs(vals - vals[0]))))
         return worst
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s_all = np.concatenate([seg.s for seg in self.segments])
-        rows = np.vstack([seg.data for seg in self.segments])
-        derivs = np.vstack([_rhs_rows(self.model, seg.data) for seg in self.segments])
-        return s_all, rows, derivs
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Rows (x, y, t, xi, zeta, tau) at the requested coordinate times.
 
-        t is strictly monotone along the path, so each time selects a unique
-        point; within a stored step the state is cubic-Hermite interpolated
-        (exact on the toys, where arcs are straight lines).
+        t is strictly monotone along the path, so it is the ray's coordinate:
+        within a stored step each column is the cubic Hermite interpolant in t
+        of the step's end rows, with slopes dy/dt = (dy/ds) / (dt/ds) read from
+        the flow (exact on the toys, where arcs are straight lines).  A stored
+        knot time returns its stored row, the outgoing one at a reflection.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        s_all, rows, derivs = self._flat()
+        rows = np.vstack([seg.data for seg in self.segments])
+        slopes = np.vstack([_rhs_rows(self.model, seg.data) for seg in self.segments])
+        slopes /= slopes[:, 2:3]
         t_hist = rows[:, 2]
         sign = 1.0 if t_hist[-1] >= t_hist[0] else -1.0
-        th = sign * t_hist
-        tq = sign * times
+        th, tq = sign * t_hist, sign * times
         if np.any(tq < th[0] - 1e-12) or np.any(tq > th[-1] + 1e-12):
             raise ValueError("requested time outside the traced range")
         j = np.clip(np.searchsorted(th, tq, side="right") - 1, 0, len(th) - 2)
-        ds = (s_all[j + 1] - s_all[j])[:, None]
-        y0, y1, d0, d1 = rows[j], rows[j + 1], derivs[j] * ds, derivs[j + 1] * ds
-        t0, t1 = y0[:, 2], y1[:, 2]
-        denom = t1 - t0
+        h = (t_hist[j + 1] - t_hist[j])[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            sig = np.clip(np.where(denom == 0.0, 0.5, (times - t0) / denom), 0.0, 1.0)
-            # Newton on t(sig) = t_want, all times at once; a time stops at a
-            # flat t(sig) or once its step is below 1e-15
-            active = ds[:, 0] != 0.0
-            for _ in range(30):
-                if not active.any():
-                    break
-                h00, h10, h01, h11 = _hermite_basis(sig)
-                t_sig = h00 * t0 + h10 * d0[:, 2] + h01 * t1 + h11 * d1[:, 2]
-                sig2 = np.float_power(sig, 2)
-                dt_dsig = (
-                    d0[:, 2] * (1 - 4 * sig + 3 * sig2) + d1[:, 2] * (3 * sig2 - 2 * sig) + 6 * sig * (1 - sig) * denom
-                )
-                step = (t_sig - times) / dt_dsig
-                active &= dt_dsig != 0.0
-                sig = np.where(active, sig - step, sig)
-                active &= ~(np.abs(step) < 1e-15)
-        h00, h10, h01, h11 = (h[:, None] for h in _hermite_basis(np.clip(sig, 0.0, 1.0)))
-        out = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        return np.where(ds == 0.0, y0, out)
+            sig = np.clip((times[:, None] - t_hist[j, None]) / h, 0.0, 1.0)
+        one = 1.0 - sig
+        out = ((1 + 2 * sig) * one**2 * rows[j] + sig * one**2 * h * slopes[j]
+               + sig**2 * (3 - 2 * sig) * rows[j + 1] + sig**2 * (sig - 1) * h * slopes[j + 1])
+        # a step of zero length in t, as at a reflection, returns its first row
+        return np.where(h == 0.0, rows[j], out)
 
     def to_rows(self) -> list[list]:
         """CSV rows (s, t, x, y, xi_bar, xi, zeta, tau, segment_id, event)."""
@@ -212,14 +192,6 @@ class GBBPath:
                     event = f"reflect_{seg.hit}"
                 rows.append([seg.s[i], t, x, y, x * xi, xi, zeta, tau, sid, event])
         return rows
-
-
-def _hermite_basis(sig: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cubic Hermite basis (h00, h10, h01, h11) at sig; squares go through
-    pow, as a float64 scalar's ** does."""
-    sig2 = np.float_power(sig, 2)
-    one2 = np.float_power(1 - sig, 2)
-    return (1 + 2 * sig) * one2, sig * one2, sig2 * (3 - 2 * sig), sig2 * (sig - 1)
 
 
 def _symbol_on_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
@@ -280,19 +252,17 @@ def make_null_point(
     x: float,
     tau: float,
     zeta: float = 0.0,
-    t: float = 0.0,
-    y: float = 0.0,
     direction: int = -1,
 ) -> PhasePointB:
-    """Interior null phase point with xi solved from the symbol; direction < 0
-    points toward the conformal boundary."""
+    """Interior null phase point at t = y = 0 with xi solved from the symbol;
+    direction < 0 points toward the conformal boundary."""
     if not 0.0 < x < model.L:
         raise ValueError("starting point must be strictly inside (0, L)")
     xi2 = tau**2 / float(model.beta(x)) - zeta**2 / float(model.k(x))
     if xi2 <= 0.0:
         raise ValueError("no real null xi: need tau^2/beta > zeta^2/k")
     xi = math.copysign(math.sqrt(xi2), float(direction))
-    return PhasePointB(x=x, t=t, tau=tau, xi=xi, y=y, zeta=zeta)
+    return PhasePointB(x=x, t=0.0, tau=tau, xi=xi, zeta=zeta)
 
 
 def flow_segment(

@@ -5,9 +5,9 @@ indicial polynomial c_alpha = (alpha - nu_minus)(nu_plus - alpha), plus
 terms two orders down for the exactly even warped models.  Solutions with
 Dirichlet data follow the x^{nu_plus} branch; dividing it out and reading
 the constant term at the boundary is the weighted restriction that turns
-bulk kernels into boundary two-point kernels: line spectra with the lines
-(c_k^2, 0) or (0, c_k^2) on the bulk kernel's branch and time grid and no
-spatial factor.  Their gains read the branch's phase table like every
+bulk kernels into boundary two-point kernels: line spectra with the bulk
+kernel's lines times c_k^2 on its branch and time grid and no spatial
+factor.  Their gains read the branch's phase table like every
 kernel's, and their Gram matrix is the two-point Gram of the all-ones mode
 vector, whose pairing with the kernel is its trace.
 
@@ -66,13 +66,6 @@ class IndicialSeries:
     alpha: float
     coeffs: np.ndarray
     residual_slope: float
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for w in self.coeffs[::-1]:
-            acc = acc * x + w
-        return x**self.alpha * acc
 
 
 def build_series(
@@ -209,23 +202,23 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
 def boundary_two_point(kernel: LineSpectrum, model: MetricModel) -> LineSpectrum:
     """Boundary restriction of a bulk lambda kernel in both slots.
 
-    The induced kernel is k(t,s) = sum_k weight_k e^{+-i omega_k (t-s)},
-    weight_k = c_k^2 / (2 omega_k): the lines (c_k^2, 0) of kind "plus" or
-    (0, c_k^2) of kind "minus", with the ``boundary_fits`` coefficients c_k
-    of the kernel's branch and no spatial factor; ``model`` must be
-    ``kernel.spectral.model``.  The mode sum diagonalizes the restriction,
-    so applying the fit per mode is exact, not an approximation to a double
-    integral.
+    The induced kernel has the bulk kernel's lines (a_k, b_k) times c_k^2,
+    with the ``boundary_fits`` coefficients c_k of the kernel's branch, and
+    no spatial factor; its kind is "plus" for a lambda_plus kernel and
+    "minus" for a lambda_minus one.  On the vacuum that is the weight
+    c_k^2 / (2 omega_k) on one line; an occupied or sign-mutated kernel
+    keeps its own lines.  ``model`` must be ``kernel.spectral.model``.  The
+    mode sum diagonalizes the restriction, so applying the fit per mode is
+    exact, not an approximation to a double integral.
     """
     if kernel.kind not in ("lambda_plus", "lambda_minus"):
         raise ValueError("boundary kernels are built from the lambda kernels")
     if kernel.spectral is None or model is not kernel.spectral.model:
         raise ValueError("the model must be the kernel's own, kernel.spectral.model")
     amps, _ = boundary_fits(kernel.spectral, kernel.m)
-    c2, zero = amps**2, np.zeros_like(amps)
-    plus = kernel.kind == "lambda_plus"
-    a, b = (c2, zero) if plus else (zero, c2)
-    return LineSpectrum("plus" if plus else "minus", kernel.t_grid, kernel.branch, a, b)
+    c2 = amps**2
+    kind = "plus" if kernel.kind == "lambda_plus" else "minus"
+    return LineSpectrum(kind, kernel.t_grid, kernel.branch, c2 * kernel.a, c2 * kernel.b)
 
 
 def boundary_gram(kernel: LineSpectrum) -> np.ndarray:

@@ -71,7 +71,6 @@ _MIN_NW = 2.5
 _DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
 _DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
 _GBB_STEP = 1e-3  # IRK step of the reference ray
-_MOMENTUM_SAMPLES = 2048  # FFT length of the packet's frequency-side moments
 _TRACK_BLOCK = 32  # times per table product in evolve_and_track; peak memory grows with it
 
 
@@ -105,7 +104,9 @@ def make_wavepacket(
     sign: int = +1,
     m: int = 0,
 ) -> Wavepacket:
-    """Gaussian envelope times plane phase, projected onto the retained modes.
+    """Gaussian envelope times plane phase, projected onto the retained modes;
+    its x and wavenumber moments come from one ``eval_gauss`` call on the
+    projected field.
 
     Preconditions: x0, xi0 and sigma are finite; the packet must sit clear
     of both boundaries (x0 in (3 sigma, L - 3 sigma)) and be oscillatory
@@ -134,36 +135,25 @@ def make_wavepacket(
         )
     c = c / math.sqrt(captured)
 
-    x_mean, x_var = _position_moments(sm, c, m)
-    xi_mean, xi_var = _momentum_moments(sm, c, m, x0, sigma)
+    x_mean, x_var, xi_mean, xi_var = _moments(sm, c, m)
     return Wavepacket(width=sigma, energy_sign=int(sign), coefficients=c, m=m, x_mean=x_mean, x_var=x_var,
                       xi_mean=xi_mean, xi_var=xi_var, tail=max(tail, 0.0))
 
 
-def _position_moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float]:
-    values, _ = sm.grid.eval_gauss(sm.synthesize(c, m=m))
-    dens = np.abs(values) ** 2 * sm.grid.gauss_w
-    xg = sm.grid.gauss_x
+def _moments(sm: SpectralModel, c: np.ndarray, m: int) -> tuple[float, float, float, float]:
+    """Means and variances of x and of the wavenumber -i d/dx under |u|^2,
+    from the values u and x-derivatives u' of one ``eval_gauss`` call on the
+    quadrature weights w: the wavenumber mean is sum w Im(conj(u) u') / sum w |u|^2
+    and its second moment sum w |u'|^2 / sum w |u|^2."""
+    values, derivs = sm.grid.eval_gauss(sm.synthesize(c, m=m))
+    w, xg = sm.grid.gauss_w, sm.grid.gauss_x
+    dens = np.abs(values) ** 2 * w
     tot = float(dens.sum())
-    mean = float((dens * xg).sum() / tot)
-    var = float((dens * (xg - mean) ** 2).sum() / tot)
-    return mean, var
-
-
-def _momentum_moments(sm: SpectralModel, c: np.ndarray, m: int, x0: float, sigma: float) -> tuple[float, float]:
-    """Frequency-side moments from an FFT on a smooth interior window around
-    the packet (the envelope itself provides the decay at the window ends)."""
-    L = sm.grid.L
-    lo, hi = max(x0 - 5.0 * sigma, L * 1e-6), min(x0 + 5.0 * sigma, L * (1.0 - 1e-9))
-    xs = np.linspace(lo, hi, _MOMENTUM_SAMPLES, endpoint=False)
-    fv = sm.grid.evaluate(sm.synthesize(c, m=m), xs)
-    spec = np.fft.fft(fv)
-    xi = 2.0 * math.pi * np.fft.fftfreq(_MOMENTUM_SAMPLES, d=xs[1] - xs[0])
-    p = np.abs(spec) ** 2
-    tot = float(p.sum())
-    mean = float((p * xi).sum() / tot)
-    var = float((p * (xi - mean) ** 2).sum() / tot)
-    return mean, var
+    x_mean = float((dens * xg).sum() / tot)
+    x_var = float((dens * (xg - x_mean) ** 2).sum() / tot)
+    xi_mean = float((w * np.imag(np.conj(values) * derivs)).sum() / tot)
+    xi_var = float((w * np.abs(derivs) ** 2).sum() / tot) - xi_mean**2
+    return x_mean, x_var, xi_mean, xi_var
 
 
 @dataclass

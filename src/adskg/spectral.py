@@ -145,16 +145,6 @@ class Grid1D:
         ders = np.einsum("gi,...ei->...eg", _DSHAPE_G, coef) / h[:, None]
         return vals, ders
 
-    def evaluate(self, vec: np.ndarray, xq: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise-cubic interpolant of a dof vector at xq."""
-        xq = np.asarray(xq, dtype=float)
-        e = np.clip(np.searchsorted(self.edges, xq, side="right") - 1, 0, self.n_elements - 1)
-        h = np.diff(self.edges)
-        r = (xq - self.edges[e]) / h[e]
-        shp, _ = _reference_shapes(np.atleast_1d(r))
-        coef = self.gather(vec)
-        return np.einsum("qi,...qi->...q", shp, coef[..., e, :])
-
 
 def _element_matrices(wq: np.ndarray, shapes: np.ndarray) -> np.ndarray:
     """Element matrices sum_g wq[e, g] shapes[g, i] shapes[g, j], shape (E, 4, 4),

@@ -17,6 +17,7 @@ from adskg.holography import (
     indicial_polynomial,
     mellin_exponent_probe,
 )
+from adskg.microlocal import make_perturbed_state
 from adskg.propagators import LineSpectrum, frequency_sign_test, make_propagator
 from adskg.spectral import build_spectral
 
@@ -49,13 +50,6 @@ def test_series_coefficients_follow_recursion(nu25):
     assert s.coeffs[1] == 0.0 and s.coeffs[3] == 0.0
     assert s.coeffs[2] == pytest.approx(want1, rel=1e-15)
     assert s.coeffs[4] == pytest.approx(want2, rel=1e-15)
-
-
-def test_series_evaluate_is_horner(nu25):
-    s = build_series(nu25, w0=1.0, K=4, sigma=1.3)
-    x = np.array([0.01, 0.05])
-    direct = sum(s.coeffs[k] * x ** (s.alpha + k) for k in range(5))
-    assert s.evaluate(x) == pytest.approx(direct, rel=1e-14)
 
 
 def test_residual_slope_gains(nu25):
@@ -167,6 +161,26 @@ def test_boundary_two_point_validation(ads2, zoo):
         boundary_two_point(zoo["retarded"], ads2)
     with pytest.raises(ValueError, match="kernel's own"):
         boundary_two_point(zoo["lambda_plus"], make_toy_model("ads2_strip", nu=1.0, L=1.0))
+
+
+def test_boundary_kernels_keep_their_lines(tgrid):
+    """The restriction scales the bulk kernel's own lines by c_k^2: a thermal
+    kernel keeps its occupations and a mutated one its flipped modes, so each
+    restricts to its own state, not to the vacuum."""
+    model = make_toy_model("ads2_strip", nu=1.0, L=1.0)
+    sm = build_spectral(model, N=96, n_modes=8)
+    lp, lm = (make_propagator(sm, kind, tgrid) for kind in ("lambda_plus", "lambda_minus"))
+    c2 = boundary_fits(sm)[0] ** 2
+    vacuum = boundary_two_point(lp, model)
+    thermal = boundary_two_point(make_perturbed_state(lp, lm, {"thermal": 1.0}).lp_b, model)
+    assert vacuum.weights[0] == pytest.approx(5.905, abs=1e-3)
+    assert thermal.weights[0] == pytest.approx(6.167, abs=1e-3)
+    mutant = lp.mutated(0.5)
+    bk = boundary_two_point(mutant, model)
+    assert bk.kind == "plus"
+    assert np.array_equal(bk.a, c2 * mutant.a) and np.array_equal(bk.b, c2 * mutant.b)
+    assert np.array_equal(bk.flipped, mutant.flipped) and bk.flipped.sum() == 4
+    assert frequency_sign_test(bk, sm.m_floor_sqrt)["forbidden_fraction"] >= 1e3 * FREQ_MASS
 
 
 def test_boundary_fits_on_every_cylinder_branch():

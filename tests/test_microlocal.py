@@ -16,7 +16,7 @@ from adskg.microlocal import (
     smoothness_decay_order,
 )
 from adskg.propagators import LineSpectrum, make_propagator, slepian_taper
-from adskg.spectral import build_spectral
+from adskg.spectral import Grid1D, build_spectral
 from oracles import line_gains, thermal_occupation_mp
 
 SCAN = (6.5, 3)  # window length, window starts per slot
@@ -33,14 +33,21 @@ def test_wavepacket_preconditions(sm192):
         make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1, sign=2)
 
 
-def test_wavepacket_moments(sm192):
-    w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
+def test_wavepacket_moments(sm192, monkeypatch):
+    """The Gaussian's moments, x ~ (0.5, sigma^2/2) and xi ~ (-40, 1/(2 sigma^2)),
+    all four read off one ``eval_gauss`` call."""
+    calls = []
+    eval_gauss = Grid1D.eval_gauss
+    monkeypatch.setattr(Grid1D, "eval_gauss", lambda self, vec: calls.append(vec.shape) or eval_gauss(self, vec))
+    sigma = 0.1
+    w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=sigma)
+    assert len(calls) == 1
     assert w.tail <= 1e-6
     assert np.sum(np.abs(w.coefficients) ** 2) == pytest.approx(1.0, rel=1e-12)
-    assert w.x_mean == pytest.approx(0.5, abs=0.01)
-    assert w.x_var <= 2.0 * 0.1**2
-    assert w.xi_mean == pytest.approx(-40.0, rel=0.05)
-    assert w.xi_var <= 2.0 / 0.1**2
+    assert w.x_mean == pytest.approx(0.5, rel=1e-5)
+    assert w.x_var == pytest.approx(0.5 * sigma**2, rel=1e-5)
+    assert w.xi_mean == pytest.approx(-40.0, rel=1e-5)
+    assert w.xi_var == pytest.approx(0.5 / sigma**2, rel=1e-5)
 
 
 def test_wavepacket_field_peaks_at_center(sm192):

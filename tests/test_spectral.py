@@ -115,15 +115,6 @@ def test_mass_matrix_is_assembled_once(monkeypatch):
     assert np.array_equal(assemble(sm.grid, calls[0]).toarray(), sm.M.toarray())
 
 
-def test_grid_interpolation_matches_gauss_evaluation():
-    g = Grid1D(1.0, 16, gamma=2.0)
-    rng = np.random.default_rng(7)
-    vec = rng.standard_normal(g.ndof)
-    vals, _ = g.eval_gauss(vec)
-    again = g.evaluate(vec, g.gauss_x.ravel()).reshape(vals.shape)
-    assert again == pytest.approx(vals, abs=1e-12)
-
-
 def test_eigenvalues_match_bessel_oracle(sm192):
     want = toy_frequencies_mp(1.0, 1.0, 10) ** 2
     got = sm192.branch(0).omega2[:10]
