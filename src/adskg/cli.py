@@ -296,8 +296,8 @@ class VerifyPlan:
     collocation: tuple  # (n_basis, n_modes)
     half_line: tuple  # (N, K, eigenvalues compared) of the nu = 1/2 line
     time_slice: tuple  # (base step, span, step multiples)
-    series: tuple  # (nu of the series model, sigma, orders); 2 nu must miss the orders
-    exponent_window: tuple
+    series: tuple  # (sigma, orders)
+    exponent_window: tuple  # starts at the fits' accuracy floor on mode 1
     n_weights: int  # boundary line weights compared with the oracle
     packet: tuple  # (x0, xi0, sigma)
     track: tuple  # (t_max, dt)
@@ -308,16 +308,19 @@ class VerifyPlan:
 
 
 def _plan(config: RunConfig, sm) -> VerifyPlan:
+    from .holography import fit_floor
+
     L, nu = sm.model.L, sm.model.nu
-    resonant = abs(2.0 * nu - round(2.0 * nu)) <= 1e-9 and 2.0 * nu <= 4
     # scan windows keep time-bandwidth 0.9 l omega_1 / 2 pi >= 3.5 and 2.7; 6.5 L and 5 L do only at nu >= 1
     gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
+    floor = float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L))
     return VerifyPlan(
         null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.4 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
-        time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(2.5 if resonant else nu, 1.3, (0, 4)),
-        exponent_window=(L / 400.0, L / 20.0), n_weights=5,
-        packet=(0.5 * L, -40.0 / L, 0.1 * L), track=(1.3 * L, 0.005 * L), scan=(max(6.5 * L, 3.5 * gap), 3),
+        time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
+        # xi0 grows with nu, so the packet stays semiclassical for the ray, which drops (nu^2 - 1/4)/x^2
+        exponent_window=(floor, L / 20.0), n_weights=5, packet=(0.5 * L, -max(40.0, 7.5 * nu) / L, 0.1 * L),
+        track=(1.3 * L, 0.005 * L), scan=(max(6.5 * L, 3.5 * gap), 3),
         thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
 
@@ -494,15 +497,15 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return float(np.max(np.abs(got[:n] - want[:n]) / want[:n]))
 
     def series_gain() -> float:
-        series_nu, sigma, (k0, k1) = plan.series
-        series_model = model if series_nu == nu else make_toy_model("ads2_strip", nu=series_nu, L=L)
-        slope = {K: build_series(series_model, w0=1.0, K=K, sigma=sigma).residual_slope for K in (k0, k1)}
+        sigma, (k0, k1) = plan.series
+        slope = {K: build_series(model, w0=1.0, K=K, sigma=sigma).residual_slope for K in (k0, k1)}
         return (slope[k1] - slope[k0]) / (k1 - k0)
 
     def resonance_refused() -> float:
-        """1.0 when the series builder refuses the resonant case 2 nu = 2 <= K."""
+        """1.0 when the series builder refuses the nu_minus recursion at the resonant order 2 nu = 2 <= K."""
+        toy = make_toy_model("ads2_strip", nu=1.0, L=L)
         try:
-            build_series(make_toy_model("ads2_strip", nu=1.0, L=L), w0=1.0, K=2)
+            build_series(toy, w0=1.0, K=2, alpha=toy.nu_minus)
         except ValueError:
             return 1.0
         return 0.0

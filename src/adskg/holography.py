@@ -2,12 +2,12 @@
 
 Near x = 0 the model operator acts on x^alpha as multiplication by the
 indicial polynomial c_alpha = (alpha - nu_minus)(nu_plus - alpha), plus
-terms two orders down for the exactly even warped models.  Solutions with
-Dirichlet data follow the x^{nu_plus} branch; dividing it out and reading
-the constant term at the boundary is the weighted restriction that turns
-bulk kernels into boundary two-point kernels: line spectra with the bulk
-kernel's lines times c_k^2 on its branch and time grid and no spatial
-factor.  Their gains read the branch's phase table like every
+terms two orders down for the exactly even warped models.  A Dirichlet
+solution of frequency omega is x^{nu_plus} times the indicial series
+S_omega; the constant term of x^{-nu_plus} u is the weighted restriction
+that turns bulk kernels into boundary two-point kernels: line spectra with
+the bulk kernel's lines times c_k^2 on its branch and time grid and no
+spatial factor.  Their gains read the branch's phase table like every
 kernel's, and their Gram matrix is the two-point Gram of the all-ones mode
 vector, whose pairing with the kernel is its trace.
 
@@ -16,11 +16,6 @@ where modes behave like x^(nu + 1/2).  The restriction alone applies the
 physical weight x^(n/2-1) beta^(-1/2), to a branch's modes in ``boundary_fits``,
 so the exponent it reads is nu_plus = (n/2-1) + (nu + 1/2); the conjugated
 exponent is probed directly on the modes by ``mellin_exponent_probe``.
-
-The restriction is a windowed least-squares fit of x^(-nu_plus) u against
-1 + a x + b x^2 (even models have pure x^2 corrections; the linear term is
-kept so general backgrounds stay fittable), with an extra x^(-2 nu) column
-used only to detect contamination by the complementary branch.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ __all__ = [
     "indicial_polynomial",
     "build_series",
     "extract_boundary",
-    "default_fit_window",
+    "fit_floor",
     "boundary_fits",
     "boundary_two_point",
     "boundary_gram",
@@ -57,6 +52,20 @@ def indicial_polynomial(model: MetricModel, alpha: float) -> float:
     return (alpha - model.nu_minus) * (model.nu_plus - alpha)
 
 
+def _recursion(model: MetricModel, alpha: float, K: int, shift: np.ndarray) -> np.ndarray:
+    """Coefficients w_0 = 1, w_k = -shift w_{k-2} / c_{alpha+k} up to order K,
+    one column per entry of ``shift`` = mu - sigma^2; odd orders vanish.
+    Refuses a zero denominator, which needs log terms (out of scope)."""
+    w = np.zeros((K + 1, np.size(shift)))
+    w[0] = 1.0
+    for k in range(2, K + 1, 2):
+        c = indicial_polynomial(model, alpha + k)
+        if abs(c) <= 1e-12 * k * k:
+            raise ValueError(f"resonant order: c_(alpha + {k}) = 0 at alpha = {alpha}, the series needs log terms")
+        w[k] = -shift * w[k - 2] / c
+    return w
+
+
 @dataclass
 class IndicialSeries:
     """Truncated boundary series u_K = x^alpha sum_k x^k w_k for a
@@ -69,51 +78,29 @@ class IndicialSeries:
 
 
 def build_series(
-    model: MetricModel,
-    w0: float,
-    K: int,
-    sigma: float = 0.0,
-    m: int = 0,
+    model: MetricModel, w0: float, K: int, sigma: float = 0.0, m: int = 0, alpha: float | None = None
 ) -> IndicialSeries:
-    """Indicial recursion from the boundary datum w0 at exponent nu_plus.
+    """Indicial recursion from the boundary datum w0 at the root alpha (nu_plus by default).
 
-    Coefficients follow w_k = -(mu - sigma^2) w_{k-2} / c_{nu_plus + k}
-    (odd orders vanish for the even models).  Refuses the resonant case
-    2 nu in {1..K}, where c_{nu_plus + k} hits the other indicial root and
-    the true expansion needs logarithms.
+    Coefficients follow w_k = -(mu - sigma^2) w_{k-2} / c_{alpha + k}
+    (odd orders vanish for the even models).  At nu_plus the denominator
+    c_{nu_plus + k} = -k (2 nu + k) never vanishes.  At nu_minus it is
+    c_{nu_minus + k} = k (2 nu - k), which vanishes at an even k = 2 nu <= K:
+    there the true expansion needs logarithms, and the case is refused.
 
     ``residual_slope`` is the log-log slope of |P u_K| on 1e-4 L .. 5e-2 L
-    (inf where it vanishes).  Applying the operator to each monomial gives
-    c_{alpha+k} w_k at order k plus (mu - sigma^2) w_k two orders up; the
-    recursion makes every interior pair cancel exactly, so only the last
-    two orders survive.  Summing the cancelling pairs in floating point
-    instead would bury the genuine x^{alpha+K+1} tail under roundoff from
-    the much larger x^{alpha+2} terms, which is why the cancellation is
-    done here analytically rather than numerically.
+    (inf where it vanishes).  The recursion cancels every interior order of
+    P u_K exactly, so the residual is summed from the last two orders alone;
+    summing the cancelling pairs in floating point would bury the genuine
+    tail under roundoff.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    two_nu = 2.0 * model.nu
-    for k in range(1, K + 1):
-        if abs(two_nu - k) < 1e-12:
-            raise ValueError(
-                f"resonant order: 2*nu = {two_nu} hits k = {k} <= K, the series "
-                "needs log terms, which are out of scope"
-            )
-    alpha = model.nu_plus
-    mu = model.transverse_mu(m)
-    shift = mu - sigma**2
-    w = np.zeros(K + 1)
-    w[0] = w0
-    for k in range(2, K + 1, 2):
-        w[k] = -shift * w[k - 2] / indicial_polynomial(model, alpha + k)
-
+    alpha = model.nu_plus if alpha is None else alpha
+    shift = model.transverse_mu(m) - sigma**2
+    w = w0 * _recursion(model, alpha, K, shift)[:, 0]
     xs = np.geomspace(1e-4 * model.L, 5e-2 * model.L, 24)
-    res = np.zeros_like(xs)
-    for k in (K - 1, K):
-        if k >= 0 and w[k] != 0.0:
-            res = res + shift * w[k] * xs ** (alpha + k + 2)
-    res = np.abs(res)
+    res = np.abs(sum(shift * w[k] * xs ** (alpha + k + 2) for k in (K - 1, K) if k >= 0))
     vanishes = np.max(res) < 1e-300 * max(abs(w0), 1.0)
     slope = math.inf if vanishes else float(np.polyfit(np.log(xs), np.log(res + 1e-320), 1)[0])
     return IndicialSeries(alpha=alpha, coeffs=w, residual_slope=slope)
@@ -126,55 +113,51 @@ class BoundaryFit:
     contamination: float
 
 
-def default_fit_window(model: MetricModel, omega: float) -> tuple[float, float]:
-    """Fit window for a mode of frequency omega: stay below both L/12 and a
-    fixed phase fraction of the Bessel argument so the x^2 correction model
-    holds; keep the lower end above the first few elements."""
-    x_hi = min(model.L / 12.0, 0.8 / max(omega, 1e-12))
-    x_lo = min(model.L / 400.0, x_hi / 8.0)
-    return (x_lo, x_hi)
-
-
-def extract_boundary(u: np.ndarray, model: MetricModel, fit_window: tuple[float, float], x: np.ndarray) -> BoundaryFit:
+def extract_boundary(
+    u: np.ndarray, model: MetricModel, fit_window: tuple[float, float], x: np.ndarray, series: np.ndarray
+) -> BoundaryFit:
     """Weighted boundary restriction of physical-frame data: the constant term of x^(-nu_plus) u.
 
-    Fits 1 + a x + b x^2 by least squares on the window and separately
-    scores contamination by the complementary x^(-2 nu) branch.  Returns
-    measurements: the constant term, the R^2 quality of the fit and the
-    contamination score relative to the constant term at the window
-    midpoint x_mid.  The contamination fit works in r = x / x_mid, with the
-    columns 1, r, r^2 and r^(-2 nu), so its score is the ratio of the last
-    coefficient to the first and no column over- or underflows for large
-    nu.  Data whose score exceeds ``_CONTAM_FAIL`` is not a Dirichlet-branch
-    solution and is refused.
+    ``series`` is S_omega on ``x``, the nu_plus indicial series of the data's
+    frequency.  Fits S_omega and r^2 S_omega by least squares on the window,
+    in r = x / x_mid with x_mid the window's geometric midpoint, and
+    separately scores contamination by the complementary branch with the
+    extra column r^(-2 nu).  Returns measurements: the coefficient of
+    S_omega, the R^2 quality of the fit and the contamination score, the
+    ratio of the r^(-2 nu) coefficient to the S_omega one at x_mid; in r no
+    column over- or underflows for large nu.  Data whose score exceeds
+    ``_CONTAM_FAIL`` is not a Dirichlet-branch solution and is refused.
     """
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u)
     x_lo, x_hi = fit_window
-    if x_hi > model.L / 10.0:
-        raise ValueError("fit window must sit inside x <= L/10")
+    if x_hi > model.L / 4.0:
+        raise ValueError("fit window must sit inside x <= L/4")
     sel = (x >= x_lo) & (x <= x_hi)
     if np.count_nonzero(sel) < 8:
         raise ValueError(f"fit window [{x_lo}, {x_hi}] holds fewer than 8 samples")
-    xs = x[sel]
-    vals = u[sel] / xs**model.nu_plus
-    basis = np.stack([np.ones_like(xs), xs, xs**2], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(basis, vals, rcond=None)
-    fitted = basis @ coef
-    ss_res = float(np.sum(np.abs(vals - fitted) ** 2))
-    ss_tot = float(np.sum(np.abs(vals - np.mean(vals)) ** 2)) + 1e-300
-    quality = 1.0 - ss_res / ss_tot
-
+    xs, s = x[sel], np.asarray(series)[sel]
+    vals = np.asarray(u)[sel] / xs**model.nu_plus
     r = xs / math.sqrt(x_lo * x_hi)
-    basis_c = np.stack([np.ones_like(r), r, r**2, r ** (-2.0 * model.nu)], axis=1)
-    coef_c, _, _, _ = np.linalg.lstsq(basis_c, vals, rcond=None)
-    contam = abs(coef_c[3]) / (abs(coef_c[0]) + 1e-300)
+    basis = np.stack([s, r**2 * s, r ** (-2.0 * model.nu)], axis=1)
+    coef_c, _, _, _ = np.linalg.lstsq(basis, vals, rcond=None)
+    contam = abs(coef_c[2]) / (abs(coef_c[0]) + 1e-300)
     if contam > _CONTAM_FAIL:
         raise ValueError(
             f"complementary-branch contamination {contam:.3e} above {_CONTAM_FAIL}; "
             "the data is not a Dirichlet-branch solution on this window"
         )
-    return BoundaryFit(value=float(coef[0]), quality=quality, contamination=float(contam))
+    coef, _, _, _ = np.linalg.lstsq(basis[:, :2], vals, rcond=None)
+    ss_res = float(np.sum(np.abs(vals - basis[:, :2] @ coef) ** 2))
+    ss_tot = float(np.sum(np.abs(vals - np.mean(vals)) ** 2)) + 1e-300
+    return BoundaryFit(value=float(coef[0]), quality=1.0 - ss_res / ss_tot, contamination=float(contam))
+
+
+def fit_floor(u: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
+    """Lower end of a boundary window for each column of u: L/400, or the first
+    x where |u| reaches 1e-12 of its maximum if that lies higher.  Below it an
+    eigenvector holds round-off, not its boundary branch."""
+    mag = np.abs(u)
+    return np.maximum(L / 400.0, x[np.argmax(mag >= 1e-12 * mag.max(axis=0), axis=0)])
 
 
 def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +165,10 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
     branch m: the weighted restriction of the mode times the physical weight
     x^(n/2-1) beta^(-1/2), whose exponent is nu_plus.
 
-    Each mode is fitted on ``fit_window``, or on its ``default_fit_window``.
+    Each mode is fitted on ``fit_window``, or on [``fit_floor``, min(L/4, 4/omega)],
+    where its indicial series S_omega needs few orders.  The recursion runs
+    once for every mode of the branch, with enough terms (16 + 1.36 omega x
+    on the widest window) that they decay past rounding.
     The fits of a (branch, window) pair are made once and kept, read-only,
     in the branch's tables.
     """
@@ -190,9 +176,15 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
 
     def fit() -> np.ndarray:
         modes = br.phi * (x ** (0.5 * model.n - 1.0) / np.sqrt(model.beta(x)))[:, None]
+        ends = fit_window or (fit_floor(modes, x, model.L), np.minimum(model.L / 4.0, 4.0 / br.omega))
+        lo, hi, _ = np.broadcast_arrays(*ends, br.omega)
+        near = np.searchsorted(x, hi.max(), side="right")  # the dofs are ascending
+        J = 16 + math.ceil(1.36 * float(np.max(br.omega * hi)))
+        w = _recursion(model, model.nu_plus, 2 * J, model.transverse_mu(m) - br.omega2)
+        series = np.vander(x[:near] ** 2, J + 1, increasing=True) @ w[::2]
         out = np.empty((2, br.omega.size))
-        for k, w in enumerate(br.omega):
-            f = extract_boundary(modes[:, k], model, fit_window or default_fit_window(model, float(w)), x=x)
+        for k in range(br.omega.size):
+            f = extract_boundary(modes[:near, k], model, (lo[k], hi[k]), x[:near], series[:, k])
             out[:, k] = abs(f.value), f.quality
         return out
 

@@ -23,6 +23,7 @@ from adskg.cli import (
     run_verify,
 )
 from adskg.geometry import make_toy_model
+from adskg.holography import fit_floor
 from adskg.spectral import build_spectral
 from oracles import line_weights_mp
 
@@ -742,8 +743,7 @@ def test_verify_refuses_unknown_tolerance_names():
 
 
 def test_default_plan_holds_the_verify_literals(sm192):
-    """The plan of the default run, field by field, at L = 1 and nu = 1:
-    2 nu = 2 is a resonant order of the series, so its model is the toy at nu = 2.5."""
+    """The plan of the default run, field by field, at L = 1 and nu = 1."""
     plan = _plan(RunConfig(), sm192)
     want = {
         "null_point": (0.5, 1.0),
@@ -752,7 +752,7 @@ def test_default_plan_holds_the_verify_literals(sm192):
         "collocation": (24, 4),
         "half_line": (192, 8, 4),
         "time_slice": (1e-3, 0.256, (4, 2, 1)),
-        "series": (2.5, 1.3, (0, 4)),
+        "series": (1.3, (0, 4)),
         "exponent_window": (1.0 / 400.0, 1.0 / 20.0),
         "n_weights": 5,
         "packet": (0.5, -40.0, 0.1),
@@ -781,14 +781,14 @@ def test_verify_fits_each_boundary_mode_once(monkeypatch):
     assert code == 0 and len(calls) == 32
 
 
-def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
+def test_plan_scales_with_L():
     """At L = 2 every length doubles and xi0 halves, except the scan windows:
     at nu = 0.7 they follow the spectral gap, since 6.5 L and 5 L would give
-    time-bandwidths below 3.5 and 2.7.  2 nu = 1.4 misses the series orders,
-    so the series keeps the model's nu; counts follow the config."""
+    time-bandwidths below 3.5 and 2.7.  The series reads the model at every
+    nu; counts follow the config."""
     sm = build_spectral(make_toy_model("ads2_strip", nu=0.7, L=2.0), N=96, n_modes=8)
     plan = _plan(RunConfig(N=96, n_modes=8), sm)
-    assert plan.series == (0.7, 1.3, (0, 4))
+    assert plan.series == (1.3, (0, 4))
     assert (plan.n_cmp, plan.half_line) == (8, (128, 8, 4))
     assert plan.packet == (1.0, -20.0, 0.2)
     assert plan.gbb == (0.8, 2.0, 4.8, 4e-3)
@@ -797,6 +797,20 @@ def test_plan_scales_with_L_and_keeps_a_non_resonant_nu():
     assert (plan.scan, plan.feynman_scan) == ((3.5 * gap, 3), (2.7 * gap, 4, 20.0))
     assert (plan.scan[0], plan.feynman_scan[0]) == (pytest.approx(14.281, abs=1e-3), pytest.approx(11.017, abs=1e-3))
     assert plan.exponent_window == (2.0 / 400.0, 2.0 / 20.0)
+
+
+@pytest.mark.parametrize("nu, xi0", [(1.0, -40.0), (5.0, -40.0), (6.0, -45.0), (8.0, -60.0)])
+def test_plan_launches_the_packet_in_the_semiclassical_regime(nu, xi0):
+    """The ray drops the centrifugal term (nu^2 - 1/4)/x^2, so the packet's
+    frequency grows with nu: xi0 = -max(40, 7.5 nu) / L, the same as before
+    for nu <= 16/3.  Above nu = 4 mode 1 is round-off near x = L/400, so its
+    exponent window starts at the fits' accuracy floor."""
+    L = 2.0
+    sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=L), N=192, n_modes=32)
+    plan = _plan(RunConfig(), sm)
+    assert plan.packet == (0.5 * L, xi0 / L, 0.1 * L)
+    assert plan.exponent_window == (float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L)), L / 20.0)
+    assert (plan.exponent_window[0] > L / 400.0) == (nu > 4.0)
 
 
 @pytest.mark.parametrize("L", [0.5, 2.0])
@@ -908,6 +922,17 @@ def test_verify_boundary_rows_pass_at_large_nu(nu):
     for name in _BOUNDARY_ROWS:
         row = rows[name]
         assert "error" not in row and row["pass"] and math.isfinite(row["value"]), name
+
+
+def test_verify_passes_at_nu_8(tmp_path):
+    """At nu = 8 the fits start above the modes' round-off, the series carries
+    the boundary expansion and the packet is launched at xi0 = -60: every row
+    of ``verify --nu 8`` passes."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--nu", "8", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["check"] for c in report["checks"]] == DEFAULT_CHECKS
+    assert report["n_failed"] == 0 and all(c["pass"] for c in report["checks"])
 
 
 def test_verify_band_over_every_feynman_window(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from adskg.holography import (
     boundary_gram,
     boundary_two_point,
     build_series,
-    default_fit_window,
     extract_boundary,
+    fit_floor,
     indicial_polynomial,
     mellin_exponent_probe,
 )
-from adskg.microlocal import make_perturbed_state
+from adskg.microlocal import make_perturbed_state, smoothness_decay_order
 from adskg.propagators import LineSpectrum, frequency_sign_test, make_propagator
 from adskg.spectral import build_spectral
 
@@ -63,14 +64,27 @@ def test_residual_slope_gains(nu25):
 
 
 def test_resonant_orders_refused():
-    m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
-    with pytest.raises(ValueError, match="resonant"):
-        build_series(m, w0=1.0, K=2, sigma=0.5)
+    """The nu_minus recursion divides by c_{nu_minus + k} = k (2 nu - k),
+    which vanishes at the even order k = 2 nu <= K; below that order it
+    builds.  A half-integer nu only hits odd orders, which vanish in the
+    even recursion, so it is not resonant."""
+    for nu, k in ((1.0, 2), (2.0, 4)):
+        m = make_toy_model("ads2_strip", nu=nu, L=1.0)
+        with pytest.raises(ValueError, match="resonant"):
+            build_series(m, w0=1.0, K=k, sigma=0.5, alpha=m.nu_minus)
+        assert build_series(m, w0=1.0, K=k - 1, sigma=0.5, alpha=m.nu_minus).alpha == m.nu_minus
     mh = make_toy_model("ads2_strip", nu=0.5, L=1.0)
-    with pytest.raises(ValueError, match="resonant"):
-        build_series(mh, w0=1.0, K=1, sigma=0.5)
-    # K = 0 never recurses, so it is allowed even at resonant nu
-    assert build_series(m, w0=1.0, K=0, sigma=0.5).coeffs.tolist() == [1.0]
+    assert np.all(np.isfinite(build_series(mh, w0=1.0, K=4, sigma=0.5, alpha=mh.nu_minus).coeffs))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_nu_plus_series_builds_at_integer_two_nu(nu):
+    """c_{nu_plus + k} = -k (2 nu + k) never vanishes, so the nu_plus series
+    builds at every nu where 2 nu is an integer and gains one residual
+    order per term."""
+    m = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    slopes = [build_series(m, w0=1.0, K=k, sigma=1.3).residual_slope for k in (0, 4)]
+    assert (slopes[1] - slopes[0]) / 4.0 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_trivial_shift_gives_exact_series():
@@ -80,12 +94,19 @@ def test_trivial_shift_gives_exact_series():
     assert s.residual_slope == np.inf
 
 
+def _series_on(model, x, sigma):
+    """S_sigma on x: the nu_plus indicial series of frequency sigma, to 40 orders."""
+    return np.polynomial.polynomial.polyval(x, build_series(model, w0=1.0, K=40, sigma=sigma).coeffs)
+
+
 def test_extract_boundary_recovers_constant():
-    # physical-frame data on the cylinder, where nu_plus = nu + 1 differs from the tilde exponent nu + 1/2
+    # physical-frame data on the cylinder, where nu_plus = nu + 1 differs from the tilde exponent nu + 1/2;
+    # the x^2 correction is a warp's, which the x^2 S_omega column carries
     m = make_toy_model("ads3_cylinder", nu=0.7, L=1.0)
     x = np.geomspace(1e-4, 0.3, 400)
-    u = 3.0 * x**m.nu_plus * (1.0 + 0.3 * x + 0.1 * x**2)
-    fit = extract_boundary(u, m, (1e-3, 0.05), x=x)
+    series = _series_on(m, x, 6.0)
+    u = 3.0 * x**m.nu_plus * series * (1.0 + 0.1 * x**2)
+    fit = extract_boundary(u, m, (1e-3, 0.25), x=x, series=series)
     assert fit.value == pytest.approx(3.0, rel=1e-9)
     assert fit.quality > 0.999
     assert fit.contamination <= 1e-6
@@ -99,41 +120,56 @@ def test_contamination_score_holds_at_large_nu(nu):
     m = make_toy_model("ads2_strip", nu=nu, L=1.0)
     x = np.geomspace(1e-4, 0.3, 400)
     window = (1e-3, 0.05)
+    series = _series_on(m, x, 0.0)  # the static series of the strip is 1
     clean = x**m.nu_plus * (1.0 - 0.2 * x**2)
-    fit = extract_boundary(clean, m, window, x=x)
+    fit = extract_boundary(clean, m, window, x=x, series=series)
     assert fit.value == pytest.approx(1.0, rel=1e-9) and fit.contamination <= 1e-6
     x_mid = math.sqrt(window[0] * window[1])
-    mixed = extract_boundary(clean + 1e-4 * x_mid ** (2.0 * nu) * x**m.nu_minus, m, window, x=x)
+    mixed = extract_boundary(clean + 1e-4 * x_mid ** (2.0 * nu) * x**m.nu_minus, m, window, x=x, series=series)
     assert mixed.contamination == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_contamination_warning_and_failure():
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
     x = np.geomspace(1e-4, 0.3, 400)
+    series = np.ones_like(x)
     clean = x ** (m.nu + 0.5)
-    fit = extract_boundary(clean + 1e-8 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x)
+    fit = extract_boundary(clean + 1e-8 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x, series=series)
     assert fit.contamination > 1e-6
     with pytest.raises(ValueError, match="contamination"):
-        extract_boundary(clean + 1e-3 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x)
+        extract_boundary(clean + 1e-3 * x ** (m.nu + 0.5 - 2.0), m, (1e-3, 0.05), x=x, series=series)
 
 
 def test_extract_boundary_window_validation():
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
     x = np.geomspace(1e-4, 0.3, 50)
-    u = x ** (m.nu + 0.5)
-    with pytest.raises(ValueError, match="L/10"):
-        extract_boundary(u, m, (1e-3, 0.2), x=x)
+    u, series = x ** (m.nu + 0.5), np.ones_like(x)
+    with pytest.raises(ValueError, match="L/4"):
+        extract_boundary(u, m, (1e-3, 0.26), x=x, series=series)
     with pytest.raises(ValueError, match="fewer than 8"):
-        extract_boundary(u, m, (1e-3, 1.2e-3), x=x)
+        extract_boundary(u, m, (1e-3, 1.2e-3), x=x, series=series)
 
 
-def test_default_fit_window_scales_with_frequency():
-    m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
-    lo1, hi1 = default_fit_window(m, 4.0)
-    lo2, hi2 = default_fit_window(m, 40.0)
-    assert 0.0 < lo1 < hi1 <= m.L / 10.0
-    assert hi2 == pytest.approx(0.8 / 40.0, rel=1e-12)
-    assert lo2 < hi2
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_boundary_fits_hold_every_mode(nu):
+    """Each mode is fitted up to min(L/4, 4/omega), where the series is
+    short, so all 32 amplitudes keep to the toy oracle at integer 2 nu too."""
+    model = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    sm = build_spectral(model, N=192, n_modes=32)
+    assert np.abs(boundary_fits(sm)[0] / toy_boundary_amplitudes(model, 32) - 1.0).max() <= 1e-3
+
+
+def test_fit_floor_starts_above_round_off():
+    """At nu = 8 the modes near x = L/400 are round-off, so the windows
+    start where |u| first reaches 1e-12 of its maximum; at nu <= 4 that
+    point lies below L/400 and the floor is L/400."""
+    for nu in (1.0, 4.0, 8.0):
+        sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=8)
+        phi, x = sm.branch(0).phi, sm.grid.dof_x
+        floor = fit_floor(phi, x, 1.0)
+        first = np.argmax(np.abs(phi) >= 1e-12 * np.abs(phi).max(axis=0), axis=0)
+        assert np.array_equal(floor, np.maximum(1.0 / 400.0, x[first])), nu
+        assert np.all(floor == 1.0 / 400.0) == (nu <= 4.0), nu
 
 
 def test_mode_boundary_exponent(sm192, ads2):
@@ -244,3 +280,26 @@ def test_mellin_probe_validation(ads2):
     x = np.geomspace(1e-4, 0.3, 6)
     with pytest.raises(ValueError, match="at least 8"):
         mellin_exponent_probe(x**1.5, x, (ads2.L / 400.0, ads2.L / 20.0))
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 2.5, 4.0, 8.0])
+def test_state_difference_restricts_smoothly(nu, tgrid):
+    """Uniqueness at the boundary: the thermal state differs from the vacuum
+    by a kernel whose restriction to the boundary is smooth.  The restriction
+    scales line k by c_k^2, a power of omega_k, so the difference's decay order
+    is read relative to the vacuum boundary kernel's: at least 6 for the Bose
+    occupations, and below 6 for a fault whose occupations fall only like
+    omega_k^-3."""
+    model = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    sm = build_spectral(model, N=192, n_modes=32)
+    lp, lm = (make_propagator(sm, kind, tgrid) for kind in ("lambda_plus", "lambda_minus"))
+    vacuum = boundary_two_point(lp, model)
+
+    def relative_order(state):
+        bk = boundary_two_point(state, model)
+        diff = LineSpectrum("difference", bk.t_grid, bk.branch, bk.a - vacuum.a, bk.b - vacuum.b)
+        return smoothness_decay_order(diff) - smoothness_decay_order(vacuum)
+
+    assert relative_order(make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt}).lp_b) >= 6.0
+    n = (lp.omega[0] / lp.omega) ** 3
+    assert relative_order(replace(lp, a=lp.a + n, b=lp.b + n)) < 6.0
