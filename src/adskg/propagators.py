@@ -276,7 +276,10 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
     # pocketfft's slow path); lag -m sits at L-m with zeros in the middle
     L = 1 << (2 * T - 2).bit_length()
-    gains = np.roll(np.pad(kernel.gains(), ((0, 0), (0, L + 1 - 2 * T))), 1 - T, axis=1)
+    g = kernel.gains()
+    gains = np.zeros((g.shape[0], L), dtype=g.dtype)
+    gains[:, :T] = g[:, T - 1:]
+    gains[:, L + 1 - T:] = g[:, :T - 1]
     A_hat = np.fft.fft(a.T, n=L, axis=1)
     G_hat = np.fft.fft(gains, axis=1)
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)

@@ -16,11 +16,12 @@ element edges at L (i/N)^gamma (gamma = 2 by default), assembled by
 Gauss-Legendre quadrature.  On the first element every retained shape
 function vanishes linearly at x = 0, so the singular potential integrand is
 a polynomial there and the quadrature is exact.  The mass matrix is
-assembled once per model; eigenpairs come from a shift-invert Lanczos solve
-of K w = omega^2 M w with a fixed starting vector, so rebuilds are
-deterministic; the shift-invert operator is the banded Cholesky factor of K
-(half-bandwidth 3: an element couples its four dofs), and M^-1 in
-``apply_A`` uses the same factorization of M.  One solve serves every
+assembled and Cholesky-factored (M = R^T R, banded with half-bandwidth 3:
+an element couples its four dofs) once per model.  The eigenpairs of
+K w = omega^2 M w come from a Lanczos solve of the standard symmetric
+problem R K^-1 R^T y = y / omega^2, with K^-1 applied through K's own banded
+Cholesky factor and a fixed starting vector, so rebuilds are deterministic;
+M^-1 in ``apply_A`` uses the same factor R.  One solve serves every
 branch when k = beta (the toy cylinder): then mu_m / k times beta is the
 constant mu_m, so A_m = A_0 + mu_m exactly, and branch m >= 1 reuses branch
 0's modes with omega^2 shifted by mu_m.  Otherwise each branch is solved.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +64,8 @@ __all__ = [
 _REF_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _N_GAUSS = 10
 _FLOOR_DEFLATION = 1e-6  # relative margin of the certified spectral floor below the least eigenvalue
+_BAND = _REF_NODES.size - 1  # half-bandwidth of M and K: an element couples its four dofs
+_NCV_EXTRA = 24  # Lanczos vectors beyond the wanted modes: 2K+1 is slower, K+16 and K+24 tie at K = 32
 _FLOOR_FAILS = "the spectral floor assumption fails for this model/discretization"
 
 
@@ -206,7 +210,10 @@ class SpectralModel:
     grid: Grid1D
     branches: dict[int, SpectralBranch]
     M: sp.csc_matrix = field(repr=False)
-    _M_solve: object = field(default=None, init=False, repr=False)
+    M_factor: np.ndarray = field(init=False, repr=False)  # upper banded Cholesky factor R of M = R^T R
+
+    def __post_init__(self):
+        self.M_factor = _banded_cholesky(self.M)
 
     @property
     def n_modes(self) -> int:
@@ -233,8 +240,12 @@ class SpectralModel:
         return np.conj(u) @ (self.M @ v)
 
     def project(self, f: np.ndarray, m: int = 0) -> np.ndarray:
-        """Mode coefficients <phi_k, f> of grid data f with shape (..., ndof)."""
-        return np.asarray(f) @ (self.M @ self.branch(m).phi)
+        """Mode coefficients <phi_k, f> of grid data f with shape (..., ndof).  2-D
+        data takes the thin factor M phi first, ((M phi)^T f^T)^T: the bits of
+        f @ (M phi), ~25% faster in OpenBLAS at (T, ndof) = (4096, 5999)."""
+        f = np.asarray(f)
+        m_phi = self.M @ self.branch(m).phi
+        return (m_phi.T @ f.T).T if f.ndim == 2 else f @ m_phi
 
     def synthesize(self, a: np.ndarray, m: int = 0) -> np.ndarray:
         """Grid data sum_k a_k phi_k from coefficients with shape (..., K)."""
@@ -242,11 +253,9 @@ class SpectralModel:
 
     def apply_A(self, f: np.ndarray, m: int = 0) -> np.ndarray:
         """Apply the assembled operator M^-1 K to data with shape (..., ndof)."""
-        if self._M_solve is None:
-            self._M_solve = _banded_cholesky_solve(self.M)
         g = np.asarray(f)
         kd = self.branch(m).K @ g.reshape(-1, g.shape[-1]).T
-        return self._M_solve(kd).T.reshape(g.shape)
+        return cho_solve_banded((self.M_factor, False), kd, check_finite=False).T.reshape(g.shape)
 
     def describe(self) -> dict:
         return {
@@ -259,26 +268,35 @@ class SpectralModel:
         }
 
 
-def _banded_cholesky_solve(A: sp.csc_matrix):
-    """Banded Cholesky factor of a symmetric positive definite element matrix, as its solve b -> A^-1 b."""
-    u = _REF_NODES.size - 1  # half-bandwidth: an element couples its elem_dofs.shape[1] = 4 dofs
-    ab = np.zeros((u + 1, A.shape[0]))
-    for d in range(u + 1):
-        ab[u - d, d:] = A.diagonal(d)  # upper band storage: ab[u + i - j, j] = A[i, j]
+def _banded_cholesky(A: sp.csc_matrix) -> np.ndarray:
+    """Upper factor R of a symmetric positive definite element matrix A = R^T R,
+    in LAPACK upper band storage: ab[_BAND + i - j, j] = R[i, j]."""
+    ab = np.zeros((_BAND + 1, A.shape[0]))
+    for d in range(_BAND + 1):
+        ab[_BAND - d, d:] = A.diagonal(d)
     try:
-        cb = cholesky_banded(ab, check_finite=False)
+        return cholesky_banded(ab, check_finite=False)
     except np.linalg.LinAlgError:
         raise ValueError(f"element matrix is not positive definite; {_FLOOR_FAILS}") from None
-    return lambda b: cho_solve_banded((cb, False), b, check_finite=False)
 
 
-def _solve_branch(K: sp.csc_matrix, M: sp.csc_matrix, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_modes eigenpairs of K w = omega^2 M w, ascending, by shift-invert
-    Lanczos at sigma = 0 with the banded Cholesky factor of K as the inverse."""
+def _solve_branch(K: sp.csc_matrix, M_factor: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_modes eigenpairs of K w = omega^2 M w, ascending, given M's
+    banded Cholesky factor R (M = R^T R): the shift-invert transformation at
+    sigma = 0 in standard form.  Lanczos (ARPACK mode 1) finds the largest
+    eigenpairs theta, y of C = R K^-1 R^T, K^-1 applied by K's banded
+    Cholesky factor; omega^2 = 1 / theta and w = K^-1 R^T y at unit M-norm |R w|.
+    """
+    k_solve = partial(cho_solve_banded, (_banded_cholesky(K), False), check_finite=False)
+    R = sp.dia_matrix((M_factor[::-1], np.arange(_BAND + 1)), shape=K.shape).tocsr()
+    Rt = R.T.tocsr()
     ndof = K.shape[0]
     v0 = np.full(ndof, 1.0 / math.sqrt(ndof))
-    k_inv = LinearOperator(K.shape, matvec=_banded_cholesky_solve(K), dtype=float)
-    vals, vecs = eigsh(K, k=n_modes, M=M, sigma=0.0, which="LM", v0=v0, OPinv=k_inv)
+    C = LinearOperator(K.shape, matvec=lambda y: R @ k_solve(Rt @ y), dtype=float)
+    theta, y = eigsh(C, k=n_modes, which="LA", v0=v0, ncv=n_modes + _NCV_EXTRA)
+    vals = 1.0 / theta
+    vecs = k_solve(Rt @ y)
+    vecs /= np.linalg.norm(R @ vecs, axis=0)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -328,11 +346,11 @@ def build_spectral(
     gamma : float
         Mesh grading exponent; edges sit at L (i/N)^gamma.
 
-    The mass matrix is assembled once and shared by every branch, and each
-    branch assembles its own stiffness K_m.  When k = beta at every Gauss
-    point the transverse term mu_m / k is mu_m times the mass density
-    1 / beta, so K_m = K_0 + mu_m M and the branches m >= 1 take branch 0's
-    modes with omega^2 + mu_m instead of a solve of their own.
+    The mass matrix is assembled and factored once and shared by every
+    branch, and each branch assembles its own stiffness K_m.  When k = beta
+    at every Gauss point the transverse term mu_m / k is mu_m times the mass
+    density 1 / beta, so K_m = K_0 + mu_m M and the branches m >= 1 take
+    branch 0's modes with omega^2 + mu_m instead of a solve of their own.
     """
     if N < 64:
         raise ValueError(f"N={N} too small; need at least 64 elements")
@@ -347,16 +365,16 @@ def build_spectral(
 
     grid = Grid1D(model.L, N, gamma)
     M, K, separable = _assemble_operators(model, grid, m_max)
-    branches: dict[int, SpectralBranch] = {}
+    sm = SpectralModel(model=model, grid=grid, branches={}, M=M)
     for m in range(m_max + 1):
         if separable and m > 0:
-            vals, vecs = branches[0].omega2 + model.transverse_mu(m), branches[0].phi
+            vals, vecs = sm.branches[0].omega2 + model.transverse_mu(m), sm.branches[0].phi
         else:
-            vals, vecs = _solve_branch(K[m], M, n_modes)
+            vals, vecs = _solve_branch(K[m], sm.M_factor, n_modes)
         if vals[0] <= 0.0:
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
-        branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs, K=K[m])
-    return SpectralModel(model=model, grid=grid, branches=branches, M=M)
+        sm.branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs, K=K[m])
+    return sm
 
 
 def _jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:

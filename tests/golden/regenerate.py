@@ -18,7 +18,10 @@ repository root
     PYTHONPATH=src python tests/golden/regenerate.py
 
 It prints every moved report entry, exit code and CSV hash as
-``before -> after`` before it rewrites; list them with the change.
+``before -> after`` before it rewrites; list them with the change.  A moved
+value or tolerance also prints its size |after - before| / max(|before|,
+|tolerance|), so a round-off move reads near 1e-16 and a change of meaning
+reads large.
 """
 
 from __future__ import annotations
@@ -130,10 +133,19 @@ def generate(workdir: Path) -> tuple[dict[str, int], dict[str, bytes], dict[str,
     return codes, reports, csvs
 
 
+def move_size(before, after, tolerance) -> str:
+    """' (rel X)', X = |after - before| / max(|before|, |tolerance|), for a
+    numeric value or tolerance that moved; '' for any other entry."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (before, after, tolerance)):
+        return ""
+    scale = max(abs(before), abs(tolerance))
+    return f" (rel {abs(after - before) / scale:.2e})" if scale > 0.0 else ""
+
+
 def moved_in_report(name: str, want: dict, got: dict, exact: bool) -> list[str]:
-    """One line per moved entry of a report: 'name check field: before -> after'.
-    Without ``exact``, values and tolerances move only beyond ``REL`` times the
-    larger of the golden value and tolerance."""
+    """One line per moved entry of a report: 'name check field: before -> after',
+    with the size of a numeric move.  Without ``exact``, values and tolerances
+    move only beyond ``REL`` times the larger of the golden value and tolerance."""
     moved = [f"{name} {key}: {want[key]!r} -> {got[key]!r}"
              for key in ("config", "n_checks", "n_failed", "pass") if want[key] != got[key]]
     order = [[c["check"] for c in report["checks"]] for report in (want, got)]
@@ -147,7 +159,8 @@ def moved_in_report(name: str, want: dict, got: dict, exact: bool) -> list[str]:
             else:
                 same = a == b
             if not same:
-                moved.append(f"{name} {w['check']} {key}: {a!r} -> {b!r}")
+                size = move_size(a, b, w.get("tolerance")) if key in ("value", "tolerance") else ""
+                moved.append(f"{name} {w['check']} {key}: {a!r} -> {b!r}{size}")
     return moved
 
 

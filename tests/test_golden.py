@@ -32,3 +32,12 @@ def test_golden_outputs(tmp_path):
     assert sorted(csvs) == sorted(manifest["csv"])
     moved = moved_outputs(codes, reports, csvs, exact)
     assert not moved, f"golden outputs moved ({mode}):\n" + "\n".join(moved)
+
+
+def test_move_size_reads_round_off_apart_from_a_change():
+    from golden.regenerate import move_size
+
+    assert move_size(9.0, 9.0 + 2.0**-49, 6.0) == " (rel 1.97e-16)"  # one unit in the last place
+    assert move_size(9.07, 11.72, 6.0) == " (rel 2.92e-01)"
+    assert move_size(1e-15, 2e-15, 1e-12) == " (rel 1.00e-03)"
+    assert move_size("ok", "failed", 1e-12) == move_size(True, False, 1.0) == move_size(0.0, 0.0, 0.0) == ""

@@ -447,6 +447,28 @@ def test_smoothness_orders(zoo, sm192):
     assert smoothness_decay_order(zoo["lambda_plus"]) < 2.0
 
 
+def _verify_state_difference(nu: float) -> LineSpectrum:
+    """The thermal difference kernel of ``verify``'s defaults (N = 192, K = 32,
+    its time grid and beta = 5 / m) on the strip at nu."""
+    from adskg.cli import _time_step
+
+    sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=32)
+    dt, refine = _time_step(sm)
+    lp, lm = (make_propagator(sm, kind, dt * np.arange(768 * refine)) for kind in ("lambda_plus", "lambda_minus"))
+    return make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt}).difference()
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 8.0])
+def test_polynomial_occupations_read_a_low_order(nu):
+    """The ``difference_smoothness`` row can fail: a bulk difference whose
+    occupations fall only like omega_k^-3 reads a decay order below the row's
+    tolerance of 6, where the Bose occupations of the same run read above it."""
+    diff = _verify_state_difference(nu)
+    n = (diff.omega[0] / diff.omega) ** 3
+    assert smoothness_decay_order(diff) >= 6.0
+    assert smoothness_decay_order(LineSpectrum("difference", diff.t_grid, diff.branch, n, n)) < 6.0
+
+
 def test_omega_floor_follows_the_spatial_factor(zoo, sm192, ads2):
     """A kernel with a spatial factor takes its model's certified floor; the
     boundary and difference lines, without one, the least omega of their branch."""

@@ -512,6 +512,23 @@ def test_apply_matches_direct_trapezoid_sum(sm192, kind, weighting, T):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("kind, T", [("lambda_plus", 32), ("retarded", 33), ("causal", 768), ("lambda_minus", 1000)])
+def test_apply_gain_buffer_keeps_the_bits_of_pad_and_roll(sm192, kind, T):
+    """``apply`` lays the 2T-1 lag gains on its circular buffer with two slice
+    copies; the result keeps the bits of the padded and rolled buffer."""
+    kern = make_propagator(sm192, kind, 0.1 + 0.025 * np.arange(T))
+    rng = np.random.default_rng(T)
+    f = rng.standard_normal((T, sm192.grid.ndof))
+    L = 1 << (2 * T - 2).bit_length()
+    rolled = np.roll(np.pad(kern.gains(), ((0, 0), (0, L + 1 - 2 * T))), 1 - T, axis=1)
+    a = sm192.project(f) * kern.dt
+    a[[0, -1]] *= 0.5
+    conv = np.fft.ifft(np.fft.fft(a.T, n=L, axis=1) * np.fft.fft(rolled, axis=1), axis=1)[:, :T]
+    if np.array_equal(kern.b, np.conj(kern.a)):
+        conv = conv.real
+    assert np.array_equal(apply(kern, f), sm192.synthesize(conv.T))
+
+
 @pytest.mark.parametrize("M", [201, 261, 262, 1535, 2000, 8191])
 def test_slepian_taper_matches_scipy(M):
     for nw in (2.5, 4.0, 7.3):
