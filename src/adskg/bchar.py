@@ -118,10 +118,12 @@ class PhasePointB:
 
 @dataclass
 class Segment:
-    """One smooth Hamilton arc, sampled along the flow parameter."""
+    """One smooth Hamilton arc, sampled along the flow parameter, with the
+    largest drift |p(row) - p(first row)| of the symbol over its rows."""
 
     s: np.ndarray
     data: np.ndarray  # (n, 6) rows (x, y, t, xi, zeta, tau)
+    drift: float
     hit: str | None = None  # None, "boundary", or "wall"
 
     def point(self, i: int) -> PhasePointB:
@@ -146,11 +148,16 @@ class GBBPath:
 
     @property
     def symbol_drift(self) -> float:
-        worst = 0.0
-        for seg in self.segments:
-            vals = _symbol_on_rows(self.model, seg.data)
-            worst = max(worst, float(np.max(np.abs(vals - vals[0]))))
-        return worst
+        """Largest symbol drift of any arc, as ``flow_segment`` measured it."""
+        return max((seg.drift for seg in self.segments), default=0.0)
+
+    @property
+    def tangential_jump(self) -> float:
+        """Largest jump of (t, zeta, tau) across a reflection: the k-th
+        reflection against the last row of the k-th arc that hit a wall."""
+        hits = [seg.data[-1] for seg in self.segments if seg.hit is not None]
+        jumps = [np.abs(pre - ev.point.as_array())[[2, 4, 5]] for pre, ev in zip(hits, self.reflections)]
+        return float(np.max(jumps, initial=0.0))
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Rows (x, y, t, xi, zeta, tau) at the requested coordinate times.
@@ -192,11 +199,6 @@ class GBBPath:
                     event = f"reflect_{seg.hit}"
                 rows.append([seg.s[i], t, x, y, x * xi, xi, zeta, tau, sid, event])
         return rows
-
-
-def _symbol_on_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
-    x, _, _, xi, zeta, tau = rows.T
-    return tau**2 / model.beta(x) - xi**2 - zeta**2 / model.k(x)
 
 
 def _rhs_rows(model: MetricModel, rows: np.ndarray) -> np.ndarray:
@@ -277,7 +279,8 @@ def flow_segment(
     Stops when the flow parameter has advanced by dt_param or the ray
     contacts x = 0 / x = L (located by bisection; the final sample then sits
     on the wall and Segment.hit names it).  Raises if the symbol drifts by
-    more than 1e-8 of the momentum scale along the arc.
+    more than 1e-8 of the momentum scale along the arc, and keeps that drift
+    on the segment otherwise.
     """
     if not (0.0 <= p0.x <= model.L):
         raise ValueError(f"flow_segment starts inside [0, L]; got x = {p0.x}")
@@ -287,8 +290,8 @@ def flow_segment(
         raise ValueError("start on the conformal boundary needs xi > 0 (inward)")
     if p0.x >= model.L - _X_TOL and p0.xi >= 0.0:
         raise ValueError("start on the wall x = L needs xi < 0 (inward)")
-    if not (step > 0.0 and dt_param > 0.0):  # NaN fails too
-        raise ValueError("step and dt_param must be positive")
+    if not (step > 0.0 and dt_param > 0.0 and math.isfinite(step)):  # NaN fails too
+        raise ValueError(f"step and dt_param must be positive and the step finite, got step={step!r}")
     scale = max(p0.tau**2, p0.xi**2, p0.zeta**2)
     p_val = conformal_symbol(model, p0)
     if abs(p_val) > 1e-8 * scale:
@@ -329,14 +332,16 @@ def flow_segment(
         if hit is not None:
             break
 
-    seg = Segment(s=np.array(s_hist), data=np.array(hist), hit=hit)
-    drift = np.abs(_symbol_on_rows(model, seg.data) - p_val)
-    if np.max(drift) > _SYMBOL_TOL * scale:
+    data = np.array(hist)
+    x, _, _, xi, zeta, tau = data.T
+    vals = tau**2 / model.beta(x) - xi**2 - zeta**2 / model.k(x)
+    drift = float(np.max(np.abs(vals - vals[0])))
+    if drift > _SYMBOL_TOL * scale:
         raise RuntimeError(
-            f"integrator could not hold the null condition: drift {np.max(drift):.3e} "
+            f"integrator could not hold the null condition: drift {drift:.3e} "
             f"exceeds {_SYMBOL_TOL:.0e} x momentum scale; reduce the step"
         )
-    return seg
+    return Segment(s=np.array(s_hist), data=data, drift=drift, hit=hit)
 
 
 def reflect(p_in: PhasePointB, L: float | None = None) -> PhasePointB:

@@ -325,50 +325,6 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
     )
 
 
-def _time_slice_suite(sm, seed: int, base_dt: float, span: float, levels: tuple):
-    """Residuals of G [P, chi] u = u on branch 0 over [0, span] at the steps base_dt * level, levels halving.
-
-    Returns (residuals, order, prediction): the convergence order is fitted
-    from the first two runs and extrapolated to the last step, so the last
-    residual can be judged against an independent prediction.
-    """
-    import numpy as np
-
-    from .propagators import TimeCutoff, make_propagator, time_slice_check
-
-    rng = np.random.default_rng(seed)
-    br = sm.branch(0)
-    n_sel = min(10, br.omega.size)
-    sel = np.sort(rng.choice(br.omega.size, size=n_sel, replace=False))
-    amp = rng.standard_normal(n_sel)
-    amp /= np.linalg.norm(amp)
-    phase = rng.uniform(0.0, 2.0 * math.pi, n_sel)
-
-    res = []
-    for level in levels:
-        dt = base_dt * level
-        t = dt * np.arange(int(round(span / dt)) + 1)
-        coef = np.zeros((t.size, br.omega.size))
-        coef[:, sel] = amp[None, :] * np.cos(br.omega[sel][None, :] * t[:, None] + phase[None, :])
-        u = sm.synthesize(coef)
-        g = make_propagator(sm, "causal", t)
-        chi = TimeCutoff(t0=0.2 * span, t1=0.4 * span)
-        res.append(time_slice_check(g, sm, chi, u))
-    order = math.log2(res[0] / res[1]) if res[1] > 0.0 else math.inf
-    prediction = res[1] / 2.0**order if math.isfinite(order) else 0.0
-    return res, order, prediction
-
-
-def _tangential_jump(path) -> float:
-    """Largest jump of (t, zeta, tau) across the reflections of a GBB."""
-    jump = 0.0
-    for i, ev in enumerate(path.reflections):
-        pre = path.segments[i].data[-1]
-        post = path.segments[i + 1].data[0] if i + 1 < len(path.segments) else ev.point.as_array()
-        jump = max(jump, abs(pre[2] - post[2]), abs(pre[5] - post[5]), abs(pre[4] - post[4]))
-    return jump
-
-
 def run_verify(config: RunConfig) -> tuple[int, dict]:
     """Evaluate the ordered check table and assemble the JSON report.
 
@@ -410,6 +366,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         make_feynman,
         make_propagator,
         support_check,
+        time_slice_residuals,
         verify_two_point,
     )
     from .spectral import bessel_collocation_eigs, build_spectral
@@ -453,7 +410,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
 
     @cache
     def time_slice():
-        return _time_slice_suite(sm, config.seed, *plan.time_slice)
+        return time_slice_residuals(sm, config.seed, *plan.time_slice)
 
     @cache
     def boundary():
@@ -556,7 +513,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         ("gbb_reflection_law", "xi -> -xi, tangential data fixed",
          lambda: max((abs(ev.point.xi + ev.xi_in) for ev in gbb().reflections), default=math.inf), lambda: 0.0, le),
         ("gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection",
-         lambda: _tangential_jump(gbb()), lambda: 0.0, le),
+         lambda: gbb().tangential_jump, lambda: 0.0, le),
         # spectral
         *([
             ("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",

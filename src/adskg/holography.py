@@ -165,7 +165,8 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
     branch m: the weighted restriction of the mode times the physical weight
     x^(n/2-1) beta^(-1/2), whose exponent is nu_plus.
 
-    Each mode is fitted on ``fit_window``, or on [``fit_floor``, min(L/4, 4/omega)],
+    Each mode is fitted on ``fit_window``, which must be finite with
+    0 < lo < hi <= L/4, or on [``fit_floor``, min(L/4, 4/omega)],
     where its indicial series S_omega needs few orders.  The recursion runs
     once for every mode of the branch, with enough terms (16 + 1.36 omega x
     on the widest window) that they decay past rounding.
@@ -173,6 +174,8 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
     in the branch's tables.
     """
     br, model, x = sm.branch(m), sm.model, sm.grid.dof_x
+    if fit_window is not None and not (0.0 < fit_window[0] < fit_window[1] <= model.L / 4.0):  # NaN fails too
+        raise ValueError(f"fit window {tuple(fit_window)} must satisfy 0 < lo < hi <= L/4 = {model.L / 4.0}")
 
     def fit() -> np.ndarray:
         modes = br.phi * (x ** (0.5 * model.n - 1.0) / np.sqrt(model.beta(x)))[:, None]

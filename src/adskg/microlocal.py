@@ -70,7 +70,6 @@ _DISPERSE_FRACTION = 0.25
 _MIN_NW = 2.5
 _DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
 _DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
-_GBB_STEP = 1e-3  # IRK step of the reference ray
 _TRACK_BLOCK = 32  # times per table product in evolve_and_track; peak memory grows with it
 
 
@@ -235,14 +234,19 @@ def gbb_reference(
     xi0 and future time component tau = sqrt(beta (xi0^2 + mu/k)) at x0.
     With clip set, the returned curve is floored at that x value, matching
     a centroid tracked on a window x >= clip (the ray dips below the window
-    during a boundary reflection; the windowed centroid cannot).
+    during a boundary reflection; the windowed centroid cannot).  The flow
+    parameter steps by 0.04 L / |xi0|, one step per 0.08 L of x at launch,
+    and the ray runs 0.01 L past the last time, so the work is the same at
+    every L; xi0 = 0 is refused.
     """
+    if xi0 == 0.0:
+        raise ValueError("the reference ray needs xi0 != 0: its step is 0.04 L / |xi0|")
     times = np.asarray(times, dtype=float)
     mu = model.transverse_mu(m)
     q = xi0**2 + mu / model.k(x0)
     tau = math.sqrt(model.beta(x0) * q)
     p0 = PhasePointB(x=x0, t=float(times[0]), tau=tau, xi=xi0, zeta=math.sqrt(mu))
-    path = trace_gbb(model, p0, t_max=float(times[-1]) + 10.0 * _GBB_STEP, step=_GBB_STEP)
+    path = trace_gbb(model, p0, t_max=float(times[-1]) + 0.01 * model.L, step=0.04 * model.L / abs(xi0))
     rows = path.sample(times)
     xs = rows[:, 0]
     if clip is not None:
@@ -310,7 +314,8 @@ def _line_masses(kernel: LineSpectrum, swapped: bool, taper: np.ndarray, offsets
     sp, sm = (tp, tm) if n_w % 2 else (gram(sgn_s > 0), gram(sgn_s < 0))
     forms = (tp * sp.conj(), tm * sm.conj(), tp * sm.conj() + tm * sp.conj(), every * every.conj())
     gamma = c[keep] * e[:, n_w:].T
-    plus, minus, cross, total = (((gamma @ f) * gamma.conj()).sum(axis=1).real for f in forms)
+    # one window at a time, so that its rounding does not depend on the offsets that share this call
+    plus, minus, cross, total = (np.array([(g @ f @ g.conj()).real for g in gamma]) for f in forms)
     total = total + 1e-300
     return list(zip(plus / total, minus / total, cross / total))
 
@@ -499,9 +504,7 @@ def smoothness_decay_order(kernel: LineSpectrum) -> float:
     strongest bin (below that, the leakage skirt of the dominant line
     swamps any genuine content and would flatten the fitted slope).
     """
-    trace = kernel.trace()
-    spec = np.fft.fft(trace * kernel.taper(trace.size, 4.0))
-    om = 2.0 * math.pi * np.fft.fftfreq(trace.size, d=kernel.dt)
+    om, spec = kernel.spectrum(4.0)
     pos = om > 0
     om, mag = om[pos], np.abs(spec)[pos]
 

@@ -63,8 +63,7 @@ __all__ = [
     "frequency_sign_test",
     "make_feynman",
     "feynman_consistency",
-    "time_slice_check",
-    "TimeCutoff",
+    "time_slice_residuals",
     "support_check",
     "adjoint_check",
     "slepian_taper",
@@ -190,6 +189,12 @@ class LineSpectrum:
         read-only with every kernel on it."""
         return self.branch.table(("taper", int(n), float(nw)), lambda: slepian_taper(n, nw))
 
+    def spectrum(self, nw: float) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, dft): the DFT of the trace on the 2T-1 lags under the taper
+        of half-bandwidth nw, and its angular frequencies."""
+        trace = self.trace()
+        return 2.0 * math.pi * np.fft.fftfreq(trace.size, d=self.dt), np.fft.fft(trace * self.taper(trace.size, nw))
+
     def flip(self, modes) -> "LineSpectrum":
         """Copy with the two lines swapped on the given modes, which fakes a
         frequency-sign fault; only the one-sided kernels make a claim to break."""
@@ -288,12 +293,12 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     return sm.synthesize(conv.T, m=kernel.m)
 
 
-def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
-    """Discrete d^2/dt^2 + A on space-time data (T, ndof), second-order
-    central stencil in t; returns the T-2 interior rows."""
+def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float) -> np.ndarray:
+    """Discrete d^2/dt^2 + A of branch 0 on space-time data (T, ndof),
+    second-order central stencil in t; returns the T-2 interior rows."""
     f = np.asarray(f)
     dtt = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dt**2
-    return dtt + sm.apply_A(f[1:-1], m=m)
+    return dtt + sm.apply_A(f[1:-1])
 
 
 def _gram_matrix(kernel: LineSpectrum, n_times: int = _GRAM_TIMES, coeffs: np.ndarray | None = None) -> np.ndarray:
@@ -437,9 +442,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float) -> dict:
     """
     if kernel.frequency_sign == 0:
         raise ValueError(f"a {kernel.kind!r} kernel makes no one-sided frequency claim")
-    dt, n_half = kernel.dt, kernel.T - 1
-    tau = dt * np.arange(-n_half, n_half + 1)
-    T_eff = tau[-1] - tau[0]
+    T_eff = 2.0 * kernel.dt * (kernel.T - 1)
     if 2.0 * math.pi / T_eff >= m_floor_sqrt / 4.0:
         raise ValueError(
             f"window too short: frequency resolution {2 * math.pi / T_eff:.3e} "
@@ -448,10 +451,7 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float) -> dict:
     nw = 0.95 * T_eff * m_floor_sqrt / (4.0 * math.pi)
     if nw < 2.5:
         raise ValueError("window too short for a concentrated taper; lengthen the time grid")
-    window = kernel.taper(tau.size, nw)
-    sig = kernel.trace(np.arange(-n_half, n_half + 1)) * window
-    spec = np.fft.fft(sig)
-    freq = 2.0 * math.pi * np.fft.fftfreq(tau.size, d=dt)
+    freq, spec = kernel.spectrum(nw)
     power = np.abs(spec) ** 2
     total = float(power.sum())
     forbidden = float(power[kernel.frequency_sign * freq <= m_floor_sqrt / 2.0].sum()) / total
@@ -489,40 +489,41 @@ def make_feynman(
     return f, fbar
 
 
-@dataclass(frozen=True)
-class TimeCutoff:
-    """Smooth step from 0 (past) to 1 (future) over [t0, t1], quintic in the
-    transition so the second-order stencil sees a C^2 function."""
+def time_slice_residuals(
+    sm: SpectralModel, seed: int, base_dt: float, span: float, levels: tuple
+) -> tuple[list[float], float, float]:
+    """Time-slice identity G [P, chi] u = u on branch 0 over [0, span] at the
+    steps base_dt * level, the levels halving.
 
-    t0: float
-    t1: float
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - self.t0) / (self.t1 - self.t0), 0.0, 1.0)
-        return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
-
-def time_slice_check(g: LineSpectrum, sm: SpectralModel, chi: TimeCutoff, u: np.ndarray) -> float:
-    """Residual of the time-slice identity G [P, chi] u = u on a solution u.
-
-    u is sampled on (T, ndof); chi must be constant outside the grid
-    interior.  P acts by the second-order stencil plus the assembled form
-    matrix, G by trapezoid mode-sum application, and the residual is the max
-    norm of G P(chi u) - u over rows clear of the stencil edges, relative to
-    the max norm of u.
+    u is a seeded sum of up to ten modes; chi rises from 0 to 1 over
+    [0.2, 0.4] span, quintic so that the second-order stencil of P sees a C^2
+    function; G applies the causal kernel.  A residual is max |G P(chi u) - u|
+    over rows clear of the stencil edges, relative to max |u|.  Returns
+    (residuals, order, prediction): the order is fitted from the first two
+    runs and extrapolated to the last step, which it predicts independently.
     """
-    if g.kind != "causal":
-        raise ValueError("the time-slice identity uses the causal kernel")
-    t = g.t_grid
-    if not (t[1] < chi.t0 and chi.t1 < t[-2]):
-        raise ValueError("cutoff must vary strictly inside the time grid")
-    u = np.asarray(u)
-    v_in = chi(t)[:, None] * u
-    pv = np.zeros_like(u)
-    pv[1:-1] = apply_wave_operator(sm, v_in, g.dt, m=g.m)
-    w = apply(g, pv)
-    err = np.abs(w - u).max(axis=1)
-    scale = float(np.abs(u).max())
-    interior = slice(2, len(t) - 2)
-    return float(err[interior].max()) / scale
+    rng = np.random.default_rng(seed)
+    br = sm.branch(0)
+    n_sel = min(10, br.omega.size)
+    sel = np.sort(rng.choice(br.omega.size, size=n_sel, replace=False))
+    amp = rng.standard_normal(n_sel)
+    amp /= np.linalg.norm(amp)
+    phase = rng.uniform(0.0, 2.0 * math.pi, n_sel)
+    t0, t1 = 0.2 * span, 0.4 * span
+
+    res = []
+    for level in levels:
+        dt = base_dt * level
+        t = dt * np.arange(int(round(span / dt)) + 1)
+        coef = np.zeros((t.size, br.omega.size))
+        coef[:, sel] = amp[None, :] * np.cos(br.omega[sel][None, :] * t[:, None] + phase[None, :])
+        u = sm.synthesize(coef)
+        g = make_propagator(sm, "causal", t)
+        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        pv = np.zeros_like(u)
+        pv[1:-1] = apply_wave_operator(sm, (s**3 * (10.0 - 15.0 * s + 6.0 * s**2))[:, None] * u, g.dt)
+        err = np.abs(apply(g, pv) - u).max(axis=1)
+        res.append(float(err[2:-2].max()) / float(np.abs(u).max()))
+    order = math.log2(res[0] / res[1]) if res[1] > 0.0 else math.inf
+    prediction = res[1] / 2.0**order if math.isfinite(order) else 0.0
+    return res, order, prediction

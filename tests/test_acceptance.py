@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from adskg.cli import RunConfig, _default_tolerances, _plan, _time_slice_suite, main
+from adskg.cli import RunConfig, _default_tolerances, _plan, main
 from adskg.geometry import make_toy_model
 from adskg.holography import (
     boundary_gram,
@@ -37,6 +37,7 @@ from adskg.propagators import (
     frequency_sign_test,
     make_propagator,
     support_check,
+    time_slice_residuals,
     verify_two_point,
 )
 from adskg.spectral import build_spectral
@@ -127,7 +128,7 @@ def test_criterion_04_frequency_sign(sm192):
 
 
 def test_criterion_05_time_slice(sm192):
-    res, order, prediction = _time_slice_suite(sm192, 1234, *_plan(RunConfig(), sm192).time_slice)
+    res, order, prediction = time_slice_residuals(sm192, 1234, *_plan(RunConfig(), sm192).time_slice)
     bound = max(5.0 * prediction, 1e-15)
     ok = order >= 1.9 and res[2] <= bound
     _report(5, ok, f"residuals={[f'{r:.2e}' for r in res]} order={order:.2f} "

@@ -394,3 +394,38 @@ def test_warps_match_the_callables(request, model):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     if model in ("toy", "cyl", "beta_only"):
         assert got[1] == [1.0] * len(xs) and got[3] == [0.0] * len(xs)
+
+
+@pytest.mark.parametrize("model, zeta", [("toy", 0.0), ("cyl", 0.7), ("table", 0.7)])
+def test_symbol_drift_is_the_arcs_own(request, monkeypatch, model, zeta):
+    """``symbol_drift`` is the largest |p(row) - p(first row)| over the rows
+    of every arc, bit for bit, read from what ``flow_segment`` measured: it
+    evaluates no symbol."""
+    m = request.getfixturevalue(model)
+    path = trace_gbb(m, make_null_point(m, x=0.4, tau=2.0, zeta=zeta), t_max=6.0, step=2e-3)
+    want = 0.0
+    for seg in path.segments:
+        x, _, _, xi, z, tau = seg.data.T
+        p = tau**2 / m.beta(x) - xi**2 - z**2 / m.k(x)
+        want = max(want, float(np.max(np.abs(p - p[0]))))
+    assert (want > 0.0) == (model == "table")
+    monkeypatch.setattr(MetricModel, "_warp", None)  # no warp to read
+    assert path.symbol_drift == want
+
+
+def test_tangential_jump_pairs_each_reflection_with_its_arc():
+    """On a steep table an arc can end on its budget without a hit: to t = 24
+    the ray has 57 arcs and 55 reflections.  The k-th reflection is read
+    against the last row of the k-th arc that hit a wall, so a jump put on
+    the last reflection is measured, and the traced ray has none."""
+    steep = _custom(beta=(_X8, 1.0 + 30.0 * _X8**2))
+    path = trace_gbb(steep, make_null_point(steep, x=0.4, tau=2.0), t_max=24.0, step=2e-3)
+    hits = [seg for seg in path.segments if seg.hit is not None]
+    assert (len(path.segments), len(path.reflections), len(hits)) == (57, 55, 55)
+    assert path.segments[-1].hit is None and any(seg.hit is None for seg in path.segments[:-1])
+    for seg, ev in zip(hits, path.reflections):
+        assert seg.hit == ev.wall and seg.data[-1, 2] == ev.point.t
+    assert path.tangential_jump == 0.0
+    last = path.reflections[-1]
+    path.reflections[-1] = replace(last, point=replace(last.point, t=last.point.t + 1e-3))
+    assert path.tangential_jump == pytest.approx(1e-3, rel=1e-9)

@@ -317,6 +317,31 @@ def test_boundary_2pt_needs_both_fit_bounds(small_blobs, tmp_path, capsys, flag)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("boundary-2pt", ["--fit-lo", "0.001", "--fit-hi", "inf"], "fit window (0.001, inf)"),
+        ("boundary-2pt", ["--fit-lo", "0", "--fit-hi", "0.05"], "fit window (0.0, 0.05)"),
+        ("boundary-2pt", ["--fit-lo", "-0.01", "--fit-hi", "0.05"], "fit window (-0.01, 0.05)"),
+        ("trace-gbb", ["--x0", "0.4", "--xi0", "-2", "--tau", "2", "--tmax", "1", "--step", "inf"], "step=inf"),
+    ],
+    ids=["fit-hi-inf", "fit-lo-0", "fit-lo-neg", "step-inf"],
+)
+def test_bad_windows_and_steps_exit_2(small_blobs, tmp_path, capfd, command, flags, named):
+    """A boundary fit window outside 0 < lo < hi <= L/4, or an infinite ray
+    step, is a bad flag: exit 2 with one error line that names it, before
+    any LAPACK call can print, and no output file."""
+    capfd.readouterr()
+    out = tmp_path / "out.csv"
+    blob = ["--model-bin", str(small_blobs[0])] if command == "boundary-2pt" else []
+    assert main([command, *blob, *flags, "--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and named in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_kernel_blob_refuses_flipped_modes(small_blobs, tmp_path):
     """A kernel blob holds an unmutated kernel, written once and read once; a
     blob with the per-mode signs array of older versions loads and ignores it."""
@@ -813,12 +838,14 @@ def test_plan_launches_the_packet_in_the_semiclassical_regime(nu, xi0):
     assert (plan.exponent_window[0] > L / 400.0) == (nu > 4.0)
 
 
-@pytest.mark.parametrize("L", [0.5, 2.0])
+@pytest.mark.parametrize("L", [1e-4, 0.5, 2.0, 1e3])
 def test_verify_is_the_same_at_every_wall_length(verify_run, tmp_path, L):
     """Every check is dimensionless, so a run of ``verify --L`` at another L,
     with the grid worked out by verify, passes, records that L in its config
     block and reproduces the L = 1 values.  The boundary Gram's least
-    eigenvalue sits at round-off and is left out."""
+    eigenvalue sits at round-off and is left out.  The packet's reference
+    ray steps by 0.04 L / |xi0|, so it takes as many steps at L = 1e-4 as at
+    L = 1e3."""
     out = tmp_path / "report.json"
     code = main(["verify", "--L", f"{L:g}", "--out", str(out)])
     report = json.loads(out.read_text())

@@ -165,6 +165,24 @@ def test_gbb_reference_closed_form(ads2):
     assert clipped.min() >= 0.2
 
 
+@pytest.mark.parametrize("L", [1e-4, 1.0, 1e3])
+def test_gbb_reference_steps_with_the_slab(monkeypatch, L):
+    """The reference ray steps by 0.04 L / |xi0| and runs 0.01 L past the last
+    time, so it is the same ray in units of L at every L (1e-3 and 0.01 at
+    L = 1, |xi0| = 40).  A launch with xi0 = 0 has no step and is refused."""
+    calls = []
+    trace = microlocal.trace_gbb
+    monkeypatch.setattr(microlocal, "trace_gbb", lambda *a, **kw: calls.append(kw) or trace(*a, **kw))
+    model = make_toy_model("ads2_strip", nu=1.0, L=L)
+    t = L * np.linspace(0.0, 0.9, 61)
+    assert gbb_reference(model, 0.5 * L, -40.0 / L, t) == pytest.approx(np.abs(0.5 * L - t), abs=1e-9 * L)
+    assert calls == [{"t_max": 0.9 * L + 0.01 * L, "step": 0.04 * L / (40.0 / L)}]
+    if L == 1.0:
+        assert calls == [{"t_max": 0.9 + 1e-2, "step": 1e-3}]
+    with pytest.raises(ValueError, match="xi0 != 0"):
+        gbb_reference(model, 0.5 * L, 0.0, t)
+
+
 def test_scan_quadrants_vacuum(zoo):
     rows = kernel_wavefront_scan(zoo["lambda_plus"], *SCAN)
     assert len(rows) == 9
@@ -317,9 +335,9 @@ def test_scan_forms_no_window_inside_the_band(zoo, monkeypatch):
     ``off_pattern`` would read, at the full scan's row times and masses.  The
     10 L band holds every offset whose lags straddle tau = 0, so that scan
     forms neither the trace nor a 2-D transform; a 3 L band leaves the two
-    offsets +-189 to transform.  The masses agree to round-off, not bit for
-    bit: the Hermitian forms of the offsets of one line set share one
-    product."""
+    offsets +-189 to transform.  The masses agree bit for bit: each window's
+    Hermitian forms are evaluated on their own, whichever offsets share the
+    line set."""
     kern = zoo["feynman"]
     full = kernel_wavefront_scan(kern, 5.0, 4)
     calls = []
@@ -333,8 +351,8 @@ def test_scan_forms_no_window_inside_the_band(zoo, monkeypatch):
         want = [r for r in full if abs(r.t - r.s) > band]
         assert len(rows) == n_rows and [(r.t, r.s) for r in rows] == [(r.t, r.s) for r in want], band
         for r, w in zip(rows, want):
-            got = (r.sign_content_plus, r.sign_content_minus, r.cross)
-            assert got == pytest.approx((w.sign_content_plus, w.sign_content_minus, w.cross), rel=0.0, abs=1e-15)
+            assert (r.sign_content_plus, r.sign_content_minus, r.cross) == \
+                (w.sign_content_plus, w.sign_content_minus, w.cross), band
     with pytest.raises(ValueError, match="outside the diagonal band"):
         off_pattern(kernel_wavefront_scan(kern, 5.0, 4, band=15.0), kern, band=15.0)
 
