@@ -400,8 +400,6 @@ def trace_gbb(
         if len(reflections) > _MAX_REFLECTIONS:
             raise RuntimeError(f"exceeded {_MAX_REFLECTIONS} reflections")
         point = out
-        if t_dir * point.t >= t_dir * t_max:
-            break
     return GBBPath(
         model=model,
         segments=segments,

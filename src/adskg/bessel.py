@@ -2,61 +2,52 @@
 
 On the toys the spatial operator has eigenfunctions sqrt(x) J_nu(omega x)
 with J_nu(omega L) = 0, so eigenvalues and boundary amplitudes reduce to
-Bessel-zero arithmetic.  scipy only tabulates zeros for integer order, so
-the finder below brackets sign changes of J_nu by a fixed-step scan
-(consecutive zeros of J_nu are separated by at least ~3 for nu >= 0) and
-polishes them by bisection.  A model keeps one scan, which the toy
-oracles and the collocation basis extend and share.  These values feed the
-eigensolver comparisons and the boundary-coefficient checks; they never
-come from the solver under test.
+Bessel-zero arithmetic, and a Rayleigh-Ritz solve in that basis (the
+collocation oracle) checks the elements with none of their code.  scipy
+only tabulates zeros for integer order, so ``_scan_zeros`` brackets the sign
+changes of J_nu on a fixed-step grid in one call (consecutive zeros are at
+least ~3 apart) and bisects them; a model keeps its longest scan.  These
+values never come from the solver under test, and no other module
+evaluates a Bessel function.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import gamma as _gamma
 from scipy.special import jv
 
 from .geometry import MetricModel
 
-__all__ = ["model_zeros", "toy_frequencies", "toy_boundary_amplitudes", "toy_line_weights"]
+__all__ = ["model_zeros", "toy_frequencies", "toy_boundary_amplitudes", "toy_line_weights", "bessel_collocation_eigs"]
 
 _SCAN_STEP = 0.5
+# each model's longest zero scan, freed with the model
+_MODEL_ZEROS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-class _ZeroScan:
-    """Positive zeros of J_nu, nu >= 0, found in increasing order as they are
-    asked for.  A request for more zeros than found so far continues the
-    scan where the last one stopped and bisects only the new brackets; a
-    bracket's bisection does not depend on the others, so the first k zeros
-    have the same bits whatever count was asked for first."""
-
-    def __init__(self, nu: float):
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
-        self.nu = nu
-        # all positive zeros of J_nu lie above nu; start just below the first
-        self._x = max(nu, 0.1) + 1e-9 if nu > 0 else 1e-9
-        self._f = jv(nu, self._x)
-        self._zeros = np.empty(0)
-
-    def first(self, count: int) -> np.ndarray:
-        """The first ``count`` zeros, read-only."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count > self._zeros.size:
-            starts, x, f_prev = [], self._x, self._f
-            while self._zeros.size + len(starts) < count:
-                f_next = jv(self.nu, x + _SCAN_STEP)
-                if f_prev == 0.0 or f_prev * f_next < 0.0:
-                    starts.append(x)
-                x, f_prev = x + _SCAN_STEP, f_next
-            self._x, self._f = x, f_prev
-            self._zeros = np.concatenate([self._zeros, _bisect(self.nu, np.array(starts))])
-            self._zeros.setflags(write=False)
-        return self._zeros[:count]
+def _scan_zeros(nu: float, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J_nu, nu > 0, read-only.  One jv
+    call brackets the sign changes on the grid x0 + k _SCAN_STEP, summed step
+    by step and doubled until it holds ``count`` of them; each bracket is
+    bisected on its own, so the first k zeros have the same bits at every count."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    # all positive zeros of J_nu lie above nu; start just below the first
+    x0 = max(nu, 0.1) + 1e-9
+    n, starts = 8 * count, np.empty(0)  # zeros tend to pi apart: 6.3 grid steps each
+    while starts.size < count:
+        x = np.add.accumulate(np.append(x0, np.full(n, _SCAN_STEP)))
+        f = jv(nu, x)
+        starts = x[:-1][(f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)]
+        n *= 2
+    zeros = _bisect(nu, starts[:count])
+    zeros.setflags(write=False)
+    return zeros
 
 
 def _bisect(nu: float, starts: np.ndarray) -> np.ndarray:
@@ -76,9 +67,13 @@ def _bisect(nu: float, starts: np.ndarray) -> np.ndarray:
 
 
 def model_zeros(model: MetricModel, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_nu at the model's nu, from the one
-    ``_ZeroScan`` the model keeps."""
-    return model.derived("bessel_zeros", lambda: _ZeroScan(model.nu)).first(count)
+    """First `count` positive zeros of J_nu at the model's nu, read-only: a
+    slice of the longest scan the model has asked for.  A longer request
+    scans again, and a count below 1 reaches the scan, which refuses it."""
+    zeros = _MODEL_ZEROS.get(model)
+    if zeros is None or not 0 < count <= zeros.size:
+        zeros = _MODEL_ZEROS[model] = _scan_zeros(model.nu, count)
+    return zeros[:count]
 
 
 def toy_frequencies(model: MetricModel, count: int, m: int = 0) -> np.ndarray:
@@ -108,3 +103,45 @@ def toy_boundary_amplitudes(model: MetricModel, count: int) -> np.ndarray:
 def toy_line_weights(model: MetricModel, count: int) -> np.ndarray:
     """Spectral-line weights c_k^2 / (2 omega_k) of the toy boundary kernel."""
     return toy_boundary_amplitudes(model, count) ** 2 / (2.0 * (model_zeros(model, count) / model.L))
+
+
+def _jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w of the n-point Gauss rule for the weight y^b on
+    (0, 1), b > -1, from the eigenpairs of its Jacobi matrix (Golub-Welsch;
+    scipy's ``roots_jacobi`` loses up to ~1e-11 near b = -1)."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
+    y, vec = eigh_tridiagonal(0.5 + 0.5 * diag, k * (k + b) / (s * np.sqrt(s * s - 1.0)))
+    return y, vec[0] ** 2 / (b + 1.0)
+
+
+def bessel_collocation_eigs(model: MetricModel, n_basis: int, n_modes: int, m: int = 0) -> np.ndarray:
+    """Cross-check eigenvalues of a toy model from a sqrt(x) J_nu basis.
+
+    Rayleigh-Ritz for the same quadratic form in the basis
+    psi_j(x) = sqrt(x) J_nu(z_j x / L), z_j the zeros of J_nu: independent of
+    the element discretization, a sanity path for 0 < nu < 1 where the
+    boundary condition is the delicate part.  With u = z_j x / L, DLMF 10.6.2
+    gives psi_j' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x): two Bessel
+    evaluations, and no cancellation as u -> 0.  On the toys (beta = k = 1)
+    every integrand is x^(2 nu - 1) times an entire function, so one
+    Gauss-Jacobi rule with that weight and 2 n_basis + 16 nodes integrates it
+    to round-off at every nu > 0.  Other models raise ``ValueError``.
+    """
+    if not model.is_toy:
+        raise ValueError(f"the collocation rule is exact only on the toy models, not {model.kind!r}")
+    if n_modes > n_basis:
+        raise ValueError("n_modes cannot exceed n_basis")
+    nu, L = model.nu, model.L
+    y, w = _jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)
+    x, wq = L * y, L * w / y ** (2.0 * nu - 1.0)  # sum wq f(x) ~ int_0^L f dx
+    sq = np.sqrt(x)[:, None]
+    arg = x[:, None] * (model_zeros(model, n_basis)[None, :] / L)
+    j = jv(nu, arg)
+    psi = sq * j
+    dpsi = ((nu + 0.5) * j - arg * jv(nu + 1.0, arg)) / sq
+    pot = (nu**2 - 0.25) / x**2 + model.transverse_mu(m)
+    S = dpsi.T @ (dpsi * wq[:, None]) + psi.T @ (psi * (wq * pot)[:, None])
+    G = psi.T @ (psi * wq[:, None])
+    return eigh(S, G, eigvals_only=True)[:n_modes]

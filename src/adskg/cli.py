@@ -315,7 +315,7 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
     gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
     floor = float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L))
     return VerifyPlan(
-        null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.4 * L, 2e-3 * L),
+        null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.2 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
         time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
         # xi0 grows with nu, so the packet stays semiclassical for the ray, which drops (nu^2 - 1/4)/x^2
@@ -345,7 +345,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     import numpy as np
 
     from .bchar import make_null_point, trace_gbb
-    from .bessel import toy_boundary_amplitudes, toy_frequencies, toy_line_weights
+    from .bessel import bessel_collocation_eigs, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
     from .geometry import conformal_symbol, load_model, make_toy_model
     from .holography import boundary_fits, boundary_gram, boundary_two_point, build_series, indicial_polynomial
     from .holography import mellin_exponent_probe
@@ -369,7 +369,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         time_slice_residuals,
         verify_two_point,
     )
-    from .spectral import bessel_collocation_eigs, build_spectral
+    from .spectral import build_spectral
 
     config.validate()
     tol = {**_default_tolerances(), **config.tolerances}
@@ -393,16 +393,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         return kernel("lambda_plus").mutated(0.01)
 
     @cache
-    def feynman():
-        return make_feynman(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced")))[0]
-
-    @cache
     def gbb():
         return trace_gbb(model, make_null_point(model, *plan.gbb[:2]), *plan.gbb[2:])
-
-    @cache
-    def oracle():
-        return toy_frequencies(model, plan.n_cmp)
 
     @cache
     def two_point():
@@ -517,10 +509,11 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         # spectral
         *([
             ("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",
-             lambda: rel_err(np.sqrt(sm.branch(0).omega2), oracle()), lambda: tol["eig_rel"], le),
+             lambda: rel_err(np.sqrt(sm.branch(0).omega2), toy_frequencies(model, plan.n_cmp)),
+             lambda: tol["eig_rel"], le),
             ("collocation_oracle", "independent basis reproduces the line",
-             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, *plan.collocation)), oracle()),
-             lambda: 1e-8, le),
+             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, *plan.collocation)),
+                             toy_frequencies(model, plan.n_cmp)), lambda: 1e-8, le),
         ] if model.kind in ("ads2_strip", "ads3_cylinder") else []),
         *([
             ("eigenvalue_exact_half", "nu = 1/2 line is (k pi / L)^2", half_line_error, lambda: tol["eig_exact"], le),
@@ -603,7 +596,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         ("difference_smoothness", "difference kernel decays superpolynomially in frequency",
          lambda: smoothness_decay_order(difference()), lambda: tol["smooth_order"], ge),
         ("scan_feynman_flip", "time-ordered pattern flips across t = s",
-         lambda: scan_off(feynman(), None, *plan.feynman_scan), lambda: tol["scan_feynman"], le),
+         lambda: scan_off(make_feynman(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced")))[0],
+                          None, *plan.feynman_scan), lambda: tol["scan_feynman"], le),
     ]
 
     checks = []

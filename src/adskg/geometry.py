@@ -50,7 +50,7 @@ class MetricModel:
     """A static warped-product model of an asymptotically AdS metric.
 
     Instances are frozen and compare by identity; ``dataclasses.replace``
-    makes a variant, and a variant gets its own splines and derived data.
+    makes a variant, and a variant gets its own splines.
 
     Attributes
     ----------
@@ -105,14 +105,6 @@ class MetricModel:
             splines["d" + name] = splines[name].derivative()
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_splines", splines)
-        object.__setattr__(self, "_derived", {})
-
-    def derived(self, key: str, build):
-        """``build()``, made on the first request for ``key`` and kept with
-        the model: reference data that follows from the recipe alone."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
 
     def _warp(self, name: str, x, const: float) -> np.ndarray:
         sp = self._splines.get(name)

@@ -45,7 +45,8 @@ matrix in time, whose entries are the gains on the 2T-1 lags).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -108,7 +109,6 @@ class LineSpectrum:
     a: np.ndarray
     b: np.ndarray
     spectral: SpectralModel | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def support(self) -> str:
@@ -159,11 +159,10 @@ class LineSpectrum:
         k = None if lags is None else np.asarray(lags)
         if k is not None and k.size and int(np.abs(k).max()) >= self.T:
             raise ValueError(f"lags must lie in [1-T, T-1] = [{1 - self.T}, {self.T - 1}]")
-        if "all" not in self._memo:
-            self._memo["all"] = self._lag_gains()
         # np.take returns the columns row-major (g[:, idx] would not), which fixes the rounding of mode sums
-        return self._memo["all"] if k is None else np.take(self._memo["all"], self.T - 1 + k, axis=1)
+        return self._lag_gains if k is None else np.take(self._lag_gains, self.T - 1 + k, axis=1)
 
+    @cached_property
     def _lag_gains(self) -> np.ndarray:
         k = np.arange(1 - self.T, self.T)
         e = self.branch.lag_phases(self.dt, self.T)

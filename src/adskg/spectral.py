@@ -35,7 +35,8 @@ eigenvalue over the branches, deflated by ``_FLOOR_DEFLATION``).
 For models with nonconstant beta the eigenvectors are stored in the "form
 frame" w = beta^(1/2) u, where the discrete inner product is the assembled
 mass matrix; divide by beta^(1/2) to recover field values.  For the exact
-toys the two frames coincide.
+toys the two frames coincide; their closed-form references, the
+collocation oracle included, live in ``bessel``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import MetricModel
@@ -56,7 +57,6 @@ __all__ = [
     "SpectralBranch",
     "SpectralModel",
     "build_spectral",
-    "bessel_collocation_eigs",
     "save_spectral",
     "load_spectral",
 ]
@@ -375,52 +375,6 @@ def build_spectral(
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
         sm.branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs, K=K[m])
     return sm
-
-
-def _jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights w of the n-point Gauss rule for the weight y^b on
-    (0, 1), b > -1, from the eigenpairs of its Jacobi matrix (Golub-Welsch;
-    scipy's ``roots_jacobi`` loses up to ~1e-11 near b = -1)."""
-    k = np.arange(1.0, n)
-    s = 2.0 * k + b
-    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
-    y, vec = eigh_tridiagonal(0.5 + 0.5 * diag, k * (k + b) / (s * np.sqrt(s * s - 1.0)))
-    return y, vec[0] ** 2 / (b + 1.0)
-
-
-def bessel_collocation_eigs(model: MetricModel, n_basis: int, n_modes: int, m: int = 0) -> np.ndarray:
-    """Cross-check eigenvalues of a toy model from a sqrt(x) J_nu basis.
-
-    Rayleigh-Ritz for the same quadratic form in the basis
-    psi_j(x) = sqrt(x) J_nu(z_j x / L), z_j the zeros of J_nu: independent of
-    the element discretization, a sanity path for 0 < nu < 1 where the
-    boundary condition is the delicate part.  With u = z_j x / L, DLMF 10.6.2
-    gives psi_j' = ((nu + 1/2) J_nu(u) - u J_{nu+1}(u)) / sqrt(x): two Bessel
-    evaluations, and no cancellation as u -> 0.  On the toys (beta = k = 1)
-    every integrand is x^(2 nu - 1) times an entire function, so one
-    Gauss-Jacobi rule with that weight and 2 n_basis + 16 nodes integrates it
-    to round-off at every nu > 0.  Other models raise ``ValueError``.
-    """
-    from scipy.special import jv
-
-    from .bessel import model_zeros
-
-    if not model.is_toy:
-        raise ValueError(f"the collocation rule is exact only on the toy models, not {model.kind!r}")
-    if n_modes > n_basis:
-        raise ValueError("n_modes cannot exceed n_basis")
-    nu, L = model.nu, model.L
-    y, w = _jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)
-    x, wq = L * y, L * w / y ** (2.0 * nu - 1.0)  # sum wq f(x) ~ int_0^L f dx
-    sq = np.sqrt(x)[:, None]
-    arg = x[:, None] * (model_zeros(model, n_basis)[None, :] / L)
-    j = jv(nu, arg)
-    psi = sq * j
-    dpsi = ((nu + 0.5) * j - arg * jv(nu + 1.0, arg)) / sq
-    pot = (nu**2 - 0.25) / x**2 + model.transverse_mu(m)
-    S = dpsi.T @ (dpsi * wq[:, None]) + psi.T @ (psi * (wq * pot)[:, None])
-    G = psi.T @ (psi * wq[:, None])
-    return eigh(S, G, eigvals_only=True)[:n_modes]
 
 
 def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:

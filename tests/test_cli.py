@@ -772,7 +772,7 @@ def test_default_plan_holds_the_verify_literals(sm192):
     plan = _plan(RunConfig(), sm192)
     want = {
         "null_point": (0.5, 1.0),
-        "gbb": (0.4, 2.0, 2.4, 2e-3),
+        "gbb": (0.4, 2.0, 2.2, 2e-3),
         "n_cmp": 10,
         "collocation": (24, 4),
         "half_line": (192, 8, 4),
@@ -816,7 +816,7 @@ def test_plan_scales_with_L():
     assert plan.series == (1.3, (0, 4))
     assert (plan.n_cmp, plan.half_line) == (8, (128, 8, 4))
     assert plan.packet == (1.0, -20.0, 0.2)
-    assert plan.gbb == (0.8, 2.0, 4.8, 4e-3)
+    assert plan.gbb == (0.8, 2.0, 4.4, 4e-3)
     assert plan.time_slice == (2e-3, 0.512, (4, 2, 1))
     gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
     assert (plan.scan, plan.feynman_scan) == ((3.5 * gap, 3), (2.7 * gap, 4, 20.0))
@@ -836,6 +836,14 @@ def test_plan_launches_the_packet_in_the_semiclassical_regime(nu, xi0):
     assert plan.packet == (0.5 * L, xi0 / L, 0.1 * L)
     assert plan.exponent_window == (float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L)), L / 20.0)
     assert (plan.exponent_window[0] > L / 400.0) == (nu > 4.0)
+
+
+@pytest.mark.parametrize("L", [1.0, 10.0, 100.0])
+def test_verify_ray_reflects_three_times_at_every_wall_length(L):
+    """The ray launched at 0.4 L runs to 2.2 L, between its bounces at 1.4 L
+    and 2.4 L, so rounding never decides whether a fourth arc runs."""
+    _, report = run_verify(RunConfig(model={"kind": "ads2_strip", "nu": 1.0, "L": L}))
+    assert {c["check"]: c["value"] for c in report["checks"]}["gbb_reflections"] == 3.0
 
 
 @pytest.mark.parametrize("L", [1e-4, 0.5, 2.0, 1e3])
@@ -995,13 +1003,18 @@ def test_verify_forms_each_shared_table_once(monkeypatch):
     the counts, so no reuse is carried from one run to the next."""
     from collections import Counter
 
+    from functools import cached_property
+
     from adskg import bessel, propagators
     from adskg.propagators import LineSpectrum
 
     ffts, gains, tapers, bisected = [], [], [], []
-    fft2, lag_gains, slepian, bisect = np.fft.fft2, LineSpectrum._lag_gains, propagators.slepian_taper, bessel._bisect
+    fft2, slepian, bisect = np.fft.fft2, propagators.slepian_taper, bessel._bisect
+    lag_gains = LineSpectrum._lag_gains.func
+    counting_gains = cached_property(lambda self: gains.append(self) or lag_gains(self))
+    counting_gains.__set_name__(LineSpectrum, "_lag_gains")
     monkeypatch.setattr(np.fft, "fft2", lambda x, *a, **kw: ffts.append(np.shape(x)) or fft2(x, *a, **kw))
-    monkeypatch.setattr(LineSpectrum, "_lag_gains", lambda self: gains.append(self) or lag_gains(self))
+    monkeypatch.setattr(LineSpectrum, "_lag_gains", counting_gains)
     monkeypatch.setattr(propagators, "slepian_taper", lambda n, nw: tapers.append((n, nw)) or slepian(n, nw))
     monkeypatch.setattr(bessel, "_bisect", lambda nu, starts: bisected.append((nu, starts.size)) or bisect(nu, starts))
 
@@ -1016,7 +1029,7 @@ def test_verify_forms_each_shared_table_once(monkeypatch):
         all_lag = Counter(map(id, gains))
         assert set(all_lag.values()) == {1}
         assert set(Counter(tapers).values()) == {1}
-        # the eigenvalue oracle's 10 zeros, then the 14 more of the 24-term collocation basis
-        assert bisected == [(1.0, 10), (1.0, 14)]
+        # the eigenvalue oracle's 10 zeros, then one scan of the 24-term collocation basis that the rest slice
+        assert bisected == [(1.0, 10), (1.0, 24)]
         counts.append((sorted(all_lag.values()), sorted(tapers), list(bisected)))
     assert counts[0] == counts[1]

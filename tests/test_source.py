@@ -39,3 +39,20 @@ def test_every_src_definition_is_referenced_in_src():
     dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
     assert set(_UNREFERENCED) <= defined - referenced
     assert defined - referenced - dunders == set(_UNREFERENCED)
+
+
+def test_only_bessel_imports_scipy_special():
+    """The toy models' Bessel functions stay in one module: no other file
+    under src/ imports ``scipy.special`` or a name from it."""
+    importers = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [str(node.module)]
+            else:
+                continue
+            if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
+                importers.add(path.relative_to(ROOT / "src").as_posix())
+    assert importers == {"adskg/bessel.py"}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded
 from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 from oracles import (
@@ -13,7 +15,13 @@ import dataclasses
 from dataclasses import replace
 
 from adskg import bessel, spectral
-from adskg.bessel import model_zeros, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
+from adskg.bessel import (
+    bessel_collocation_eigs,
+    model_zeros,
+    toy_boundary_amplitudes,
+    toy_frequencies,
+    toy_line_weights,
+)
 from adskg.geometry import load_model, make_toy_model
 from adskg.spectral import (
     _GAUSS_R,
@@ -22,7 +30,6 @@ from adskg.spectral import (
     Grid1D,
     SpectralModel,
     _solve_branch,
-    bessel_collocation_eigs,
     build_spectral,
     load_spectral,
     save_spectral,
@@ -38,7 +45,7 @@ def test_oracle_spot_values():
 @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 2.5, 4.0])
 def test_bessel_zeros_match_mpmath(nu):
     want = bessel_zeros_mp(nu, 64)
-    assert np.max(np.abs(bessel._ZeroScan(nu).first(64) - want) / want) <= 4e-16
+    assert np.max(np.abs(bessel._scan_zeros(nu, 64) - want) / want) <= 4e-16
 
 
 def test_grid_grading_and_quadrature():
@@ -352,8 +359,8 @@ def test_collocation_crosscheck_small_nu():
 def _collocation_grid(nu: float, n_basis: int = 24):
     """The nodes and Bessel arguments u = z_j x / L of
     ``bessel_collocation_eigs`` (L = 1): 2 n_basis + 16 Gauss-Jacobi nodes."""
-    x = spectral._jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)[0]
-    return x, x[:, None] * bessel._ZeroScan(nu).first(n_basis)[None, :]
+    x = bessel._jacobi_rule(2 * n_basis + 16, 2.0 * nu - 1.0)[0]
+    return x, x[:, None] * bessel._scan_zeros(nu, n_basis)[None, :]
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 2.5, 4.0])
@@ -382,7 +389,7 @@ def test_collocation_takes_two_bessel_passes(monkeypatch):
     def no_jvp(*args):
         raise AssertionError("jvp called")
 
-    monkeypatch.setattr(scipy.special, "jv", counting_jv)
+    monkeypatch.setattr(bessel, "jv", counting_jv)
     monkeypatch.setattr(scipy.special, "jvp", no_jvp)
     m = make_toy_model("ads2_strip", nu=1.0, L=1.0)
     bessel_collocation_eigs(m, n_basis=24, n_modes=4)
@@ -414,10 +421,10 @@ def test_collocation_converged_at_its_node_count(monkeypatch, nu):
     """Doubling the rule's 64 nodes (at 24 basis functions) moves no
     eigenvalue beyond round-off."""
     model = make_toy_model("ads2_strip", nu=nu, L=1.0)
-    rule, counts = spectral._jacobi_rule, []
-    monkeypatch.setattr(spectral, "_jacobi_rule", lambda n, b: counts.append(n) or rule(n, b))
+    rule, counts = bessel._jacobi_rule, []
+    monkeypatch.setattr(bessel, "_jacobi_rule", lambda n, b: counts.append(n) or rule(n, b))
     vals = bessel_collocation_eigs(model, n_basis=24, n_modes=4)
-    monkeypatch.setattr(spectral, "_jacobi_rule", lambda n, b: counts.append(2 * n) or rule(2 * n, b))
+    monkeypatch.setattr(bessel, "_jacobi_rule", lambda n, b: counts.append(2 * n) or rule(2 * n, b))
     doubled = bessel_collocation_eigs(model, n_basis=24, n_modes=4)
     assert counts == [64, 128]
     assert np.max(np.abs(doubled - vals) / vals) <= 1e-13
@@ -428,7 +435,7 @@ def test_collocation_converged_at_its_node_count(monkeypatch, nu):
 def test_jacobi_rule_is_exact_on_polynomials(n, b):
     """The n-point rule integrates y^k against y^b on (0, 1) exactly for
     k <= 2n - 1: sum w y^k = 1 / (b + k + 1)."""
-    y, w = spectral._jacobi_rule(n, b)
+    y, w = bessel._jacobi_rule(n, b)
     assert y.shape == w.shape == (n,) and 0.0 < y[0] and y[-1] < 1.0
     k = np.arange(2 * n)[:, None]
     assert np.max(np.abs((w * y**k).sum(axis=1) * (b + k[:, 0] + 1.0) - 1.0)) <= 1e-13
@@ -444,10 +451,9 @@ def test_collocation_refuses_custom_models():
 
 
 def test_toy_line_weights_find_zeros_once(monkeypatch):
-    """The toy oracles of one model share its one zero scan: each zero is
-    bisected once, a shorter request is a slice of it, and a longer one
-    bisects only the zeros it adds."""
-    zeros = bessel._ZeroScan(1.5).first(40)
+    """The toy oracles of one model share its longest zero scan: a shorter
+    request is a slice of it, and a longer one scans again."""
+    zeros = bessel._scan_zeros(1.5, 40)
     want = toy_boundary_amplitudes(make_toy_model("ads2_strip", nu=1.5, L=2.0), 32) ** 2 / (2.0 * (zeros[:32] / 2.0))
     m = make_toy_model("ads2_strip", nu=1.5, L=2.0)
     bisected = []
@@ -458,9 +464,36 @@ def test_toy_line_weights_find_zeros_once(monkeypatch):
     assert np.array_equal(toy_frequencies(m, 5), zeros[:5] / 2.0)
     assert bisected == [32]
     assert np.array_equal(model_zeros(m, 40), zeros)
-    assert bisected == [32, 8]
+    assert bisected == [32, 40]
     with pytest.raises(ValueError, match="read-only"):
         model_zeros(m, 3)[0] = 0.0
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        model_zeros(m, 0)
+
+
+def _walked_brackets(nu: float, count: int) -> np.ndarray:
+    """Left ends of the first ``count`` sign-change brackets of a scan that
+    walks x0, x0 + 0.5, ... one step and one jv call at a time."""
+    x = max(nu, 0.1) + 1e-9
+    f, starts = scipy.special.jv(nu, x), []
+    while len(starts) < count:
+        f_next = scipy.special.jv(nu, x + 0.5)
+        if f == 0.0 or f * f_next < 0.0:
+            starts.append(x)
+        x, f = x + 0.5, f_next
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.3, 1.0, 4.0, 12.0])
+def test_zero_scan_brackets_are_those_of_a_walked_scan(monkeypatch, nu):
+    """The one vectorized jv call brackets the zeros at the bits of a
+    step-by-step scan, so the zeros are the bisections of its brackets."""
+    brackets, bisect = [], bessel._bisect
+    monkeypatch.setattr(bessel, "_bisect", lambda nu, starts: brackets.append(starts) or bisect(nu, starts))
+    zeros = bessel._scan_zeros(nu, 100)
+    walked = _walked_brackets(nu, 100)
+    assert len(brackets) == 1 and np.array_equal(brackets[0], walked)
+    assert np.array_equal(zeros, bisect(nu, walked))
 
 
 @pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 2.5, 8.0])
@@ -468,8 +501,19 @@ def test_zero_scan_extends_with_the_bits_of_one_scan(nu):
     """A model's scan extended request by request gives the bits of one
     standalone scan of the longest count."""
     m = make_toy_model("ads2_strip", nu=nu, L=1.0)
-    whole = bessel._ZeroScan(nu).first(64)
+    whole = bessel._scan_zeros(nu, 64)
     for count in (1, 10, 5, 24, 64, 33):
+        assert np.array_equal(model_zeros(m, count), whole[:count]), count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu=st.floats(min_value=0.01, max_value=12.0), counts=st.lists(st.integers(1, 100), min_size=1, max_size=6))
+def test_model_zeros_are_one_scan_of_the_longest_count(nu, counts):
+    """Whatever the order of the requests, a model's zeros are the bits of
+    one standalone scan of the longest count asked for."""
+    m = make_toy_model("ads2_strip", nu=nu, L=1.0)
+    whole = bessel._scan_zeros(nu, max(counts))
+    for count in counts:
         assert np.array_equal(model_zeros(m, count), whole[:count]), count
 
 
