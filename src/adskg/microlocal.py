@@ -310,8 +310,7 @@ def _line_masses(kernel: LineSpectrum, swapped: bool, taper: np.ndarray, offsets
         part = u[:, sel]
         return part @ part.conj().T
 
-    tp, tm, every = (gram(sel) for sel in (sgn_t > 0, sgn_t < 0, slice(None)))
-    sp, sm = (tp, tm) if n_w % 2 else (gram(sgn_s > 0), gram(sgn_s < 0))
+    tp, tm, sp, sm, every = (gram(sel) for sel in (sgn_t > 0, sgn_t < 0, sgn_s > 0, sgn_s < 0, slice(None)))
     forms = (tp * sp.conj(), tm * sm.conj(), tp * sm.conj() + tm * sp.conj(), every * every.conj())
     gamma = c[keep] * e[:, n_w:].T
     # one window at a time, so that its rounding does not depend on the offsets that share this call

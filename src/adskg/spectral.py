@@ -17,16 +17,17 @@ Gauss-Legendre quadrature.  On the first element every retained shape
 function vanishes linearly at x = 0, so the singular potential integrand is
 a polynomial there and the quadrature is exact.  The mass matrix is
 assembled and Cholesky-factored (M = R^T R, banded with half-bandwidth 3:
-an element couples its four dofs) once per model.  The eigenpairs of
+an element couples its four dofs) once per build.  The eigenpairs of
 K w = omega^2 M w come from a Lanczos solve of the standard symmetric
 problem R K^-1 R^T y = y / omega^2, with K^-1 applied through K's own banded
-Cholesky factor and a fixed starting vector, so rebuilds are deterministic;
-M^-1 in ``apply_A`` uses the same factor R.  One solve serves every
-branch when k = beta (the toy cylinder): then mu_m / k times beta is the
-constant mu_m, so A_m = A_0 + mu_m exactly, and branch m >= 1 reuses branch
-0's modes with omega^2 shifted by mu_m.  Otherwise each branch is solved.
-A blob keeps the model recipe, each omega^2 and each distinct eigenbasis;
-loading assembles M and every K_m again with the build's own code.
+Cholesky factor and a fixed starting vector, so rebuilds are deterministic.
+One solve serves every branch when k = beta (the toy cylinder): then
+mu_m / k times beta is the constant mu_m, so A_m = A_0 + mu_m exactly, and
+branch m >= 1 reuses branch 0's modes with omega^2 shifted by mu_m.
+Otherwise each branch is solved.  The model is then its eigendata and M:
+the factors and the K_m are dropped, and A acts on the retained modes as
+omega^2 (``propagators.apply_wave_operator``).  A blob keeps the recipe,
+each omega^2 and each distinct eigenbasis; loading assembles M again.
 
 ``Grid1D(L, N, gamma)`` derives its nodes and quadrature points, and
 ``SpectralModel`` its mode count and certified floor m2_floor (the least
@@ -42,6 +43,7 @@ collocation oracle included, live in ``bessel``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -177,7 +179,6 @@ class SpectralBranch:
     m: int
     omega2: np.ndarray
     phi: np.ndarray  # (ndof, n_modes), orthonormal in the assembled mass matrix
-    K: sp.csc_matrix = field(repr=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -210,10 +211,6 @@ class SpectralModel:
     grid: Grid1D
     branches: dict[int, SpectralBranch]
     M: sp.csc_matrix = field(repr=False)
-    M_factor: np.ndarray = field(init=False, repr=False)  # upper banded Cholesky factor R of M = R^T R
-
-    def __post_init__(self):
-        self.M_factor = _banded_cholesky(self.M)
 
     @property
     def n_modes(self) -> int:
@@ -251,12 +248,6 @@ class SpectralModel:
         """Grid data sum_k a_k phi_k from coefficients with shape (..., K)."""
         return np.asarray(a) @ self.branch(m).phi.T
 
-    def apply_A(self, f: np.ndarray, m: int = 0) -> np.ndarray:
-        """Apply the assembled operator M^-1 K to data with shape (..., ndof)."""
-        g = np.asarray(f)
-        kd = self.branch(m).K @ g.reshape(-1, g.shape[-1]).T
-        return cho_solve_banded((self.M_factor, False), kd, check_finite=False).T.reshape(g.shape)
-
     def describe(self) -> dict:
         return {
             "model": self.model.describe(),
@@ -280,7 +271,7 @@ def _banded_cholesky(A: sp.csc_matrix) -> np.ndarray:
         raise ValueError(f"element matrix is not positive definite; {_FLOOR_FAILS}") from None
 
 
-def _solve_branch(K: sp.csc_matrix, M_factor: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve_branch(K: sp.csc_matrix, m_factor: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_modes eigenpairs of K w = omega^2 M w, ascending, given M's
     banded Cholesky factor R (M = R^T R): the shift-invert transformation at
     sigma = 0 in standard form.  Lanczos (ARPACK mode 1) finds the largest
@@ -288,7 +279,7 @@ def _solve_branch(K: sp.csc_matrix, M_factor: np.ndarray, n_modes: int) -> tuple
     Cholesky factor; omega^2 = 1 / theta and w = K^-1 R^T y at unit M-norm |R w|.
     """
     k_solve = partial(cho_solve_banded, (_banded_cholesky(K), False), check_finite=False)
-    R = sp.dia_matrix((M_factor[::-1], np.arange(_BAND + 1)), shape=K.shape).tocsr()
+    R = sp.dia_matrix((m_factor[::-1], np.arange(_BAND + 1)), shape=K.shape).tocsr()
     Rt = R.T.tocsr()
     ndof = K.shape[0]
     v0 = np.full(ndof, 1.0 / math.sqrt(ndof))
@@ -307,21 +298,24 @@ def _solve_branch(K: sp.csc_matrix, M_factor: np.ndarray, n_modes: int) -> tuple
     return vals, vecs * signs
 
 
-def _assemble_operators(model: MetricModel, grid: Grid1D, m_max: int) -> tuple[sp.csc_matrix, dict, bool]:
-    """The mass matrix, the stiffness K_m of each branch m = 0..m_max, and
-    whether k = beta at every Gauss point (then the branches separate)."""
+def _assemble_operators(model: MetricModel, grid: Grid1D) -> tuple[sp.csc_matrix, Callable, bool]:
+    """The mass matrix, the function that assembles the stiffness K_m of
+    branch m, and whether k = beta at every Gauss point (then the branches
+    separate)."""
     xg = grid.gauss_x
     k_g = model.k(xg)
     # quadrature weights times the measure k^((n-2)/2)
     wm = grid.gauss_w * k_g ** (0.5 * (model.n - 2)) if model.n >= 3 else grid.gauss_w
-    grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
-    base_pot = (model.nu**2 - 0.25) / xg**2
     beta_g = model.beta(xg)
     M = _assemble(grid, _element_matrices(wm * (1.0 / beta_g), _SHAPE_G))
-    # gradient and potential are summed per element, before assembly
-    K = {m: _assemble(grid, grad + _element_matrices(wm * (base_pot + model.transverse_mu(m) / k_g), _SHAPE_G))
-         for m in range(m_max + 1)}
-    return M, K, np.array_equal(k_g, beta_g)
+
+    def stiffness(m: int) -> sp.csc_matrix:
+        grad = _element_matrices(wm / np.diff(grid.edges)[:, None] ** 2, _DSHAPE_G)
+        pot = (model.nu**2 - 0.25) / xg**2 + model.transverse_mu(m) / k_g
+        # gradient and potential are summed per element, before assembly
+        return _assemble(grid, grad + _element_matrices(wm * pot, _SHAPE_G))
+
+    return M, stiffness, np.array_equal(k_g, beta_g)
 
 
 def build_spectral(
@@ -347,10 +341,11 @@ def build_spectral(
         Mesh grading exponent; edges sit at L (i/N)^gamma.
 
     The mass matrix is assembled and factored once and shared by every
-    branch, and each branch assembles its own stiffness K_m.  When k = beta
-    at every Gauss point the transverse term mu_m / k is mu_m times the mass
-    density 1 / beta, so K_m = K_0 + mu_m M and the branches m >= 1 take
-    branch 0's modes with omega^2 + mu_m instead of a solve of their own.
+    branch solve, and each solved branch assembles its own stiffness K_m;
+    the model keeps neither factor nor K_m.  When k = beta at every Gauss
+    point the transverse term mu_m / k is mu_m times the mass density
+    1 / beta, so K_m = K_0 + mu_m M and the branches m >= 1 take branch 0's
+    modes with omega^2 + mu_m instead of a solve of their own.
     """
     if N < 64:
         raise ValueError(f"N={N} too small; need at least 64 elements")
@@ -364,17 +359,18 @@ def build_spectral(
         raise ValueError(f"mesh grading gamma must be finite and > 0, got gamma={gamma}")
 
     grid = Grid1D(model.L, N, gamma)
-    M, K, separable = _assemble_operators(model, grid, m_max)
-    sm = SpectralModel(model=model, grid=grid, branches={}, M=M)
+    M, stiffness, separable = _assemble_operators(model, grid)
+    m_factor = _banded_cholesky(M)
+    branches = {}
     for m in range(m_max + 1):
         if separable and m > 0:
-            vals, vecs = sm.branches[0].omega2 + model.transverse_mu(m), sm.branches[0].phi
+            vals, vecs = branches[0].omega2 + model.transverse_mu(m), branches[0].phi
         else:
-            vals, vecs = _solve_branch(K[m], sm.M_factor, n_modes)
+            vals, vecs = _solve_branch(stiffness(m), m_factor, n_modes)
         if vals[0] <= 0.0:
             raise ValueError(f"lowest eigenvalue {vals[0]:.3e} is not positive; {_FLOOR_FAILS}")
-        sm.branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs, K=K[m])
-    return sm
+        branches[m] = SpectralBranch(m=m, omega2=vals, phi=vecs)
+    return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
 def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:
@@ -403,8 +399,8 @@ def _spectral_record(sm: SpectralModel) -> tuple[dict, dict[str, np.ndarray]]:
 
 def _spectral_from_record(meta: dict, arrays: dict[str, np.ndarray], path: str) -> SpectralModel:
     """Rebuild the spectral model of a record read from the blob at ``path``:
-    M and K_m are assembled again from the recipe, and a branch without its
-    own eigenbasis takes branch 0's."""
+    M is assembled again from the recipe, and a branch without its own
+    eigenbasis takes branch 0's."""
     from .binio import malformed
 
     if meta.get("payload") not in ("spectral_model", "kernel"):
@@ -420,8 +416,8 @@ def _spectral_from_record(meta: dict, arrays: dict[str, np.ndarray], path: str) 
         raise malformed(path, exc) from None
     if not omega2 or any(w2.ndim != 1 or phi[m].shape != (grid.ndof, w2.size) for m, w2 in omega2.items()):
         raise ValueError(f"{path}: the blob's eigendata does not fit its grid of {grid.ndof} dofs")
-    M, K, _ = _assemble_operators(model, grid, max(omega2))
-    branches = {m: SpectralBranch(m=m, omega2=w2, phi=phi[m], K=K[m]) for m, w2 in omega2.items()}
+    M, _, _ = _assemble_operators(model, grid)
+    branches = {m: SpectralBranch(m=m, omega2=w2, phi=phi[m]) for m, w2 in omega2.items()}
     return SpectralModel(model=model, grid=grid, branches=branches, M=M)
 
 
@@ -430,9 +426,9 @@ def save_spectral(sm: SpectralModel, path: str) -> None:
 
     Stores the model recipe, every branch's omega^2 and each distinct
     eigenbasis once: a branch that shares branch 0's modes (a separable
-    model) stores no phi of its own.  Loading assembles M and every K_m again
-    with the build's own code, so it reproduces the object bit for bit
-    without re-solving.  A custom model's recipe includes its warp tables
+    model) stores no phi of its own.  Loading assembles M again with the
+    build's own code, so it reproduces the object bit for bit without
+    re-solving.  A custom model's recipe includes its warp tables
     (``model.tables``), its only warp state; the toy models reconstruct from
     their parameters alone.
     """

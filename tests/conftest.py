@@ -17,8 +17,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run; per-test settings still set max_examples
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 from adskg.geometry import make_toy_model
 from adskg.propagators import make_feynman, make_propagator

@@ -178,7 +178,7 @@ def test_trace_runs_backward(toy):
     assert path.segments[-1].data[-1, 2] <= -1.0
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(
     x0=st.floats(min_value=0.15, max_value=0.85),
     tau=st.floats(min_value=0.5, max_value=3.0),

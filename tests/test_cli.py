@@ -806,6 +806,12 @@ def test_verify_fits_each_boundary_mode_once(monkeypatch):
     assert code == 0 and len(calls) == 32
 
 
+def test_verify_passes_at_seed_301():
+    """At seed 301 the time-slice order once read 1.819 against the bound 1.9."""
+    code, report = run_verify(RunConfig(seed=301))
+    assert code == 0, [row["check"] for row in report["checks"] if not row["pass"]]
+
+
 def test_plan_scales_with_L():
     """At L = 2 every length doubles and xi0 halves, except the scan windows:
     at nu = 0.7 they follow the spectral gap, since 6.5 L and 5 L would give

@@ -37,7 +37,7 @@ def test_indicial_roots_ads3():
     assert m.n == 3
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     nu=st.floats(min_value=0.05, max_value=8.0, allow_nan=False),
     kind=st.sampled_from(["ads2_strip", "ads3_cylinder"]),

@@ -445,6 +445,16 @@ def test_time_slice_identity(sm192):
     assert order >= 1.8
 
 
+@pytest.mark.parametrize("seed", [33, 45, 52, 93, 301, 313])
+def test_time_slice_order_reads_one_set_of_times(sm192, seed):
+    """Every step reads its error on the coarsest step's times, so the order
+    of these seeds, whose per-level maxima once sat on different rows, holds
+    verify's bound 1.9 and the last residual its 5x prediction."""
+    resids, order, prediction = time_slice_residuals(sm192, seed, 1e-3, 0.256, (4, 2, 1))
+    assert order >= 1.9
+    assert resids[2] <= 5.0 * prediction
+
+
 def test_apply_inverts_wave_operator(zoo, sm192):
     from adskg.propagators import apply_wave_operator
 
