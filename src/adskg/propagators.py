@@ -39,7 +39,9 @@ x^(n/2-1) beta^(-1/2) enters only at the boundary restriction
 
 Kernel applications use trapezoid quadrature in s and batched FFT
 convolution over the uniform time grid (every kernel above is a Toeplitz
-matrix in time, whose entries are the gains on the 2T-1 lags).
+matrix in time, whose entries are the gains on the 2T-1 lags), on the mode
+coefficients of the branch: data on the grid (T, ndof) is projected and the
+result synthesized, and coefficients (T, K) stay coefficients.
 """
 
 from __future__ import annotations
@@ -260,8 +262,20 @@ def make_propagator(
     return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), sm)
 
 
+def _coefficients(sm: SpectralModel, m: int, f: np.ndarray, T: int | None = None) -> tuple[np.ndarray, bool]:
+    """Branch-m mode coefficients of space-time data given on the grid (T, ndof)
+    or as those coefficients (T, K), and whether it came on the grid; the last
+    axis picks the frame, as K <= N/4 < ndof."""
+    f = np.asarray(f)
+    ndof, K, rows = sm.grid.ndof, sm.branch(m).omega.size, "T" if T is None else f"T={T}"
+    if f.ndim != 2 or f.shape[1] not in (ndof, K) or (T is not None and f.shape[0] != T):
+        raise ValueError(f"{f.shape} is neither grid data ({rows}, ndof={ndof}) nor mode coefficients ({rows}, K={K})")
+    return (sm.project(f, m=m), True) if f.shape[1] == ndof else (f, False)
+
+
 def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
-    """Apply the kernel to space-time data f of shape (T, ndof).
+    """Apply the kernel to space-time data f, on the grid (T, ndof) or as the
+    mode coefficients (T, K) of its branch, and return the result in that frame.
 
     Trapezoid quadrature in s; the stationary mode sums make this a batched
     Toeplitz product, done by FFT per mode on a circular buffer of the
@@ -269,12 +283,9 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     """
     if kernel.spectral is None:
         raise ValueError(f"{kernel.kind} kernel has no spatial factor to apply")
-    f = np.asarray(f)
-    T = kernel.T
-    if f.shape != (T, kernel.spectral.grid.ndof):
-        raise ValueError(f"data shape {f.shape} does not match (T={T}, ndof={kernel.spectral.grid.ndof})")
-    sm = kernel.spectral
-    a = sm.project(f, m=kernel.m) * kernel.dt  # (T, K) with the trapezoid weights in s
+    T, sm = kernel.T, kernel.spectral
+    a, on_grid = _coefficients(sm, kernel.m, f, T)
+    a = a * kernel.dt  # (T, K) with the trapezoid weights in s; never scales f in place
     a[[0, -1]] *= 0.5
 
     # circular length: the least power of two >= 2T-1 (2T-1 itself can be prime,
@@ -289,16 +300,18 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
     if not np.iscomplexobj(f) and np.array_equal(kernel.b, np.conj(kernel.a)):
         conv = conv.real  # conjugate lines make a real kernel
-    return sm.synthesize(conv.T, m=kernel.m)
+    return sm.synthesize(conv.T, m=kernel.m) if on_grid else conv.T
 
 
 def apply_wave_operator(sm: SpectralModel, f: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete d^2/dt^2 + A of branch 0 on the retained modes of space-time
-    data (T, ndof): the central stencil in t plus omega_k^2 on the mode
-    coefficients; returns the T-2 interior rows.  On the span of the modes A
-    is the assembled M^-1 K up to eigensolve round-off; the rest is dropped."""
-    c = sm.project(f)
-    return sm.synthesize((c[2:] - 2.0 * c[1:-1] + c[:-2]) / dt**2 + sm.branch(0).omega2 * c[1:-1])
+    """Discrete d^2/dt^2 + A of branch 0 on the retained modes of f, given as
+    grid data (T, ndof) or mode coefficients (T, K): the central stencil in t
+    plus omega_k^2 on the coefficients; the T-2 interior rows, in f's frame.
+    On the span of the modes A is the assembled M^-1 K up to eigensolve
+    round-off; the rest is dropped."""
+    c, on_grid = _coefficients(sm, 0, f)
+    p = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dt**2 + sm.branch(0).omega2 * c[1:-1]
+    return sm.synthesize(p) if on_grid else p
 
 
 def _gram_matrix(kernel: LineSpectrum, n_times: int = _GRAM_TIMES, coeffs: np.ndarray | None = None) -> np.ndarray:
@@ -497,9 +510,10 @@ def time_slice_residuals(
 
     u is a seeded sum of up to ten modes; chi rises from 0 to 1 over
     [0.2, 0.4] span, quintic so that the second-order stencil of P sees a C^2
-    function; G applies the causal kernel.  A residual is max |G P(chi u) - u|
-    relative to max |u|, over the first step's rows clear of the stencil
-    edges at every step, so that the sampling does not move the maximum.
+    function; G applies the causal kernel, and all act on u's mode
+    coefficients.  A residual is max |G P(chi u) - u| on the grid relative
+    to max |u|, over the first step's rows clear of the stencil edges at
+    every step, so that the sampling does not move the maximum.
     Returns (residuals, order, prediction): the order is fitted from the
     first two runs and extrapolated to the last step, which it predicts
     independently.
@@ -519,13 +533,12 @@ def time_slice_residuals(
         t = dt * np.arange(int(round(span / dt)) + 1)
         coef = np.zeros((t.size, br.omega.size))
         coef[:, sel] = amp[None, :] * np.cos(br.omega[sel][None, :] * t[:, None] + phase[None, :])
-        u = sm.synthesize(coef)
         g = make_propagator(sm, "causal", t)
         s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        pv = np.zeros_like(u)
-        pv[1:-1] = apply_wave_operator(sm, (s**3 * (10.0 - 15.0 * s + 6.0 * s**2))[:, None] * u, g.dt)
-        err = np.abs(apply(g, pv) - u).max(axis=1)[::levels[0] // level]
-        res.append(float(err[2:-2].max()) / float(np.abs(u).max()))
+        pv = np.zeros_like(coef)
+        pv[1:-1] = apply_wave_operator(sm, (s**3 * (10.0 - 15.0 * s + 6.0 * s**2))[:, None] * coef, g.dt)
+        err = np.abs(sm.synthesize((apply(g, pv) - coef)[::levels[0] // level])).max(axis=1)
+        res.append(float(err[2:-2].max()) / float(np.abs(sm.synthesize(coef)).max()))
     order = math.log2(res[0] / res[1]) if res[1] > 0.0 else math.inf
     prediction = res[1] / 2.0**order if math.isfinite(order) else 0.0
     return res, order, prediction

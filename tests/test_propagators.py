@@ -20,6 +20,7 @@ from adskg.propagators import (
     LineSpectrum,
     adjoint_check,
     apply,
+    apply_wave_operator,
     feynman_consistency,
     frequency_sign_test,
     make_feynman,
@@ -29,7 +30,7 @@ from adskg.propagators import (
     time_slice_residuals,
     verify_two_point,
 )
-from adskg.spectral import SpectralBranch, build_spectral
+from adskg.spectral import SpectralBranch, SpectralModel, build_spectral
 
 TOL = _default_tolerances()
 
@@ -455,9 +456,41 @@ def test_time_slice_order_reads_one_set_of_times(sm192, seed):
     assert resids[2] <= 5.0 * prediction
 
 
-def test_apply_inverts_wave_operator(zoo, sm192):
-    from adskg.propagators import apply_wave_operator
+def test_time_slice_stays_on_mode_coefficients(sm192, monkeypatch):
+    """P and G act on u's mode coefficients: no level projects, and each
+    synthesizes twice, the error on the coarsest step's rows and u itself."""
+    calls = {"project": 0, "synthesize": 0}
+    for name in calls:
 
+        def counting(self, *args, _name=name, _method=getattr(SpectralModel, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralModel, name, counting)
+    time_slice_residuals(sm192, 1234, 1e-3, 0.256, (4, 2, 1))
+    assert calls == {"project": 0, "synthesize": 2 * 3}
+
+
+def test_time_slice_is_the_same_at_one_and_two_blas_threads():
+    """With no grid projection left in the time slice, two BLAS threads give
+    the bits of one on the strip and the cylinder."""
+    code = (
+        "from adskg.geometry import make_toy_model\n"
+        "from adskg.propagators import time_slice_residuals\n"
+        "from adskg.spectral import build_spectral\n"
+        "for kind in ('ads2_strip', 'ads3_cylinder'):\n"
+        "    sm = build_spectral(make_toy_model(kind, nu=1.0, L=1.0), N=192, n_modes=32)\n"
+        "    for seed in (1, 1234):\n"
+        "        print(repr(time_slice_residuals(sm, seed, 1e-3, 0.256, (4, 2, 1))))\n"
+    )
+    one, two = (
+        _run_fresh(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, ADSKG_THREADS=n) for n in ("1", "2")
+    )
+    assert len(one.splitlines()) == 4
+    assert one == two
+
+
+def test_apply_inverts_wave_operator(zoo, sm192):
     t = zoo["retarded"].t_grid
     br = sm192.branch(0)
     envelope = np.exp(-(((t - 6.0) / 1.5) ** 2))
@@ -521,6 +554,46 @@ def test_apply_gain_buffer_keeps_the_bits_of_pad_and_roll(sm192, kind, T):
     assert np.array_equal(apply(kern, f), sm192.synthesize(conv.T))
 
 
+@pytest.mark.parametrize("kind, m", [("causal", 0), ("retarded", 0), ("lambda_plus", 0), ("lambda_minus", 1)])
+def test_apply_acts_in_the_frame_it_is_given(sm192, kind, m):
+    """Mode coefficients (T, K) of the kernel's branch give coefficients: the
+    projection of what their grid synthesis gives, with no grid round trip."""
+    sm = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, m_max=1, n_modes=8) if m else sm192
+    kern = make_propagator(sm, kind, 0.1 + 0.025 * np.arange(100), m=m)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((kern.T, kern.omega.size))
+    if kind.startswith("lambda"):
+        c = c + 1j * rng.standard_normal(c.shape)
+    got = apply(kern, c)
+    want = sm.project(apply(kern, sm.synthesize(c, m=m)), m=m)
+    assert got.shape == c.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_wave_operator_acts_in_the_frame_it_is_given(sm192, complex_data):
+    """P on mode coefficients gives the projection of P on their synthesis."""
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal((40, sm192.n_modes))
+    if complex_data:
+        c = c + 1j * rng.standard_normal(c.shape)
+    got = apply_wave_operator(sm192, c, 0.025)
+    want = sm192.project(apply_wave_operator(sm192, sm192.synthesize(c), 0.025))
+    assert got.shape == (38, sm192.n_modes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_apply_names_both_frames_on_a_foreign_shape(zoo, sm192):
+    kern = zoo["causal"]
+    T, K = kern.T, sm192.n_modes
+    both = r"is neither grid data \(T=768, ndof=575\) nor mode coefficients \(T=768, K=32\)"
+    for shape in ((T, K + 1), (T + 1, K)):
+        with pytest.raises(ValueError, match=both):
+            apply(kern, np.zeros(shape))
+    with pytest.raises(ValueError, match=r"neither grid data \(T, ndof=575\) nor mode coefficients \(T, K=32\)"):
+        apply_wave_operator(sm192, np.zeros((T, K + 1)), kern.dt)
+
+
 @pytest.mark.parametrize("M", [201, 261, 262, 1535, 2000, 8191])
 def test_slepian_taper_matches_scipy(M):
     for nw in (2.5, 4.0, 7.3):
@@ -529,17 +602,23 @@ def test_slepian_taper_matches_scipy(M):
         slepian_taper(M, M / 2.0)
 
 
+def _run_fresh(code: str, **env: str) -> str:
+    """Run code in a fresh interpreter on this package, with env added to the
+    environment before numpy loads; its stdout."""
+    src = str(Path(adskg.__file__).resolve().parent.parent)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _assert_package_import_skips(module: str) -> None:
     """Load every submodule in a fresh interpreter; `module` must stay unloaded."""
-    code = (
+    _run_fresh(
         "import sys, adskg\n"
         "for sub in adskg._SUBMODULES: getattr(adskg, sub)\n"
         f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
-    src = str(Path(adskg.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_import_skips_scipy_signal():
