@@ -221,29 +221,52 @@ def _stage_rhs(model: MetricModel, xs: list, xis: list, zeta: float, tau: float)
 
 def _irk_step(model: MetricModel, state: tuple, h: float) -> tuple:
     """One Gauss-Legendre IRK step on the state (x, y, t, xi, zeta, tau),
-    stages solved by fixed-point iteration in Python floats."""
+    stages solved by fixed-point iteration in Python floats.
+
+    The stage sums over the rows of ``_GL_A``, the right-hand sides of
+    ``_stage_rhs`` at the four stages and the 16 slope changes are written
+    out on plain floats, in the operations and order of their comprehension
+    form, so an iteration builds no tuple or generator beyond its one
+    ``warps`` call."""
     x, y, t, xi, zeta, tau = state
     (f0,) = _stage_rhs(model, [x], [xi], zeta, tau)
-    K = [f0] * 4
-    scale = max(abs(v) for v in f0) + 1.0
+    kx0, ky0, kt0, kxi0 = kx1, ky1, kt1, kxi1 = kx2, ky2, kt2, kxi2 = kx3, ky3, kt3, kxi3 = f0
+    scale = max(abs(kx0), abs(ky0), abs(kt0), abs(kxi0)) + 1.0
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = _GL_A
     for _ in range(_FP_MAXIT):
-        k0, k1, k2, k3 = K
-        xs = [x + h * (a0 * k0[0] + a1 * k1[0] + a2 * k2[0] + a3 * k3[0]) for a0, a1, a2, a3 in _GL_A]
-        xis = [xi + h * (a0 * k0[3] + a1 * k1[3] + a2 * k2[3] + a3 * k3[3]) for a0, a1, a2, a3 in _GL_A]
-        K_new = _stage_rhs(model, xs, xis, zeta, tau)
-        delta = max(abs(u - v) for new, old in zip(K_new, K) for u, v in zip(new, old))
-        K = K_new
+        (be0, be1, be2, be3), (ka0, ka1, ka2, ka3), (db0, db1, db2, db3), (dk0, dk1, dk2, dk3) = model.warps([
+            x + h * (a00 * kx0 + a01 * kx1 + a02 * kx2 + a03 * kx3),
+            x + h * (a10 * kx0 + a11 * kx1 + a12 * kx2 + a13 * kx3),
+            x + h * (a20 * kx0 + a21 * kx1 + a22 * kx2 + a23 * kx3),
+            x + h * (a30 * kx0 + a31 * kx1 + a32 * kx2 + a33 * kx3),
+        ])
+        xi0 = xi + h * (a00 * kxi0 + a01 * kxi1 + a02 * kxi2 + a03 * kxi3)
+        xi1 = xi + h * (a10 * kxi0 + a11 * kxi1 + a12 * kxi2 + a13 * kxi3)
+        xi2 = xi + h * (a20 * kxi0 + a21 * kxi1 + a22 * kxi2 + a23 * kxi3)
+        xi3 = xi + h * (a30 * kxi0 + a31 * kxi1 + a32 * kxi2 + a33 * kxi3)
+        nx0, nx1, nx2, nx3 = 2.0 * xi0, 2.0 * xi1, 2.0 * xi2, 2.0 * xi3
+        ny0, ny1, ny2, ny3 = 2.0 * zeta / ka0, 2.0 * zeta / ka1, 2.0 * zeta / ka2, 2.0 * zeta / ka3
+        nt0, nt1, nt2, nt3 = 2.0 * tau / be0, 2.0 * tau / be1, 2.0 * tau / be2, 2.0 * tau / be3
+        nxi0 = -(tau * tau) * db0 / (be0 * be0) + zeta * zeta * dk0 / (ka0 * ka0)
+        nxi1 = -(tau * tau) * db1 / (be1 * be1) + zeta * zeta * dk1 / (ka1 * ka1)
+        nxi2 = -(tau * tau) * db2 / (be2 * be2) + zeta * zeta * dk2 / (ka2 * ka2)
+        nxi3 = -(tau * tau) * db3 / (be3 * be3) + zeta * zeta * dk3 / (ka3 * ka3)
+        delta = max(abs(nx0 - kx0), abs(ny0 - ky0), abs(nt0 - kt0), abs(nxi0 - kxi0),
+                    abs(nx1 - kx1), abs(ny1 - ky1), abs(nt1 - kt1), abs(nxi1 - kxi1),
+                    abs(nx2 - kx2), abs(ny2 - ky2), abs(nt2 - kt2), abs(nxi2 - kxi2),
+                    abs(nx3 - kx3), abs(ny3 - ky3), abs(nt3 - kt3), abs(nxi3 - kxi3))
+        kx0, ky0, kt0, kxi0, kx1, ky1, kt1, kxi1 = nx0, ny0, nt0, nxi0, nx1, ny1, nt1, nxi1
+        kx2, ky2, kt2, kxi2, kx3, ky3, kt3, kxi3 = nx2, ny2, nt2, nxi2, nx3, ny3, nt3, nxi3
         if delta <= _FP_TOL * scale:
             break
     else:
         raise RuntimeError(f"implicit stage iteration stalled at step size {h:.3e}")
-    b0, b1, b2, b3 = _GL_B
-    k0, k1, k2, k3 = K
+    w0, w1, w2, w3 = _GL_B
     return (
-        x + h * (b0 * k0[0] + b1 * k1[0] + b2 * k2[0] + b3 * k3[0]),
-        y + h * (b0 * k0[1] + b1 * k1[1] + b2 * k2[1] + b3 * k3[1]),
-        t + h * (b0 * k0[2] + b1 * k1[2] + b2 * k2[2] + b3 * k3[2]),
-        xi + h * (b0 * k0[3] + b1 * k1[3] + b2 * k2[3] + b3 * k3[3]),
+        x + h * (w0 * kx0 + w1 * kx1 + w2 * kx2 + w3 * kx3),
+        y + h * (w0 * ky0 + w1 * ky1 + w2 * ky2 + w3 * ky3),
+        t + h * (w0 * kt0 + w1 * kt1 + w2 * kt2 + w3 * kt3),
+        xi + h * (w0 * kxi0 + w1 * kxi1 + w2 * kxi2 + w3 * kxi3),
         zeta,
         tau,
     )

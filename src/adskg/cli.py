@@ -36,6 +36,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+_TRACK_DT = 0.005  # packet tracking step of verify and of wavepacket, in units of L
 
 
 def _default_tolerances() -> dict:
@@ -222,7 +223,8 @@ def _cmd_wavepacket(args) -> int:
 
     sm = load_spectral(args.model_bin)
     w = make_wavepacket(sm, x0=args.x0, xi0=args.xi0, sigma=args.sigma, sign=args.sign)
-    track = evolve_and_track(sm, w, t_max=args.tmax, dt=args.dt)
+    dt = args.dt if args.dt is not None else _TRACK_DT * sm.model.L
+    track = evolve_and_track(sm, w, t_max=args.tmax, dt=dt)
     # a sign -1 packet is the conjugate of the sign +1 launch with -xi0, so it follows that ray
     gx = gbb_reference(sm.model, args.x0, args.sign * args.xi0, track.times, clip=track.window_floor)
     dev = np.abs(track.centroid - gx)
@@ -320,7 +322,7 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
         time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
         # xi0 grows with nu, so the packet stays semiclassical for the ray, which drops (nu^2 - 1/4)/x^2
         exponent_window=(floor, L / 20.0), n_weights=5, packet=(0.5 * L, -max(40.0, 7.5 * nu) / L, 0.1 * L),
-        track=(1.3 * L, 0.005 * L), scan=(max(6.5 * L, 3.5 * gap), 3),
+        track=(1.3 * L, _TRACK_DT * L), scan=(max(6.5 * L, 3.5 * gap), 3),
         thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
 
@@ -725,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--sign", type=int, default=1, choices=[1, -1])
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, default=5e-3)
+    p.add_argument("--dt", type=float, default=None, help="default: 0.005 L, the tracking step of verify")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wavepacket)
 

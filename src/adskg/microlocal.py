@@ -6,8 +6,9 @@ Three instruments, all built on the mode decomposition:
   the eigenbasis) evolved by e^{-+ i t A^(1/2)} and tracked through their
   energy-density centroid, for comparison against broken-bicharacteristic
   paths including boundary reflection.  Tracking tabulates the mode values and
-  x-derivatives on the quadrature points once and takes the times in blocks,
-  each reduced to its density moments by one product;
+  x-derivatives on the quadrature points once and reduces the density to its
+  moments in cache-sized tiles of times by points, four table products and
+  one moment product each;
 * windowed two-slot Fourier scans of kernel traces (a window length and a
   count of window starts per slot), reporting the spectral mass in the four
   frequency-sign quadrants under the primed pairing (sign of Omega_t, sign
@@ -70,7 +71,8 @@ _DISPERSE_FRACTION = 0.25
 _MIN_NW = 2.5
 _DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
 _DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
-_TRACK_BLOCK = 32  # times per table product in evolve_and_track; peak memory grows with it
+_TILE_TIMES = 128  # times per tile of evolve_and_track; a tile's intermediates hold 128 x 128 floats (128 KiB)
+_TILE_POINTS = 128  # kept quadrature points per tile of evolve_and_track
 
 
 # ---------------------------------------------------------------------------
@@ -175,42 +177,53 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     status "partial" at the first time whose spread exceeds L/4.
 
     The values V and x-derivatives D of every mode on the kept points come
-    from one ``eval_gauss`` call.  A block of ``_TRACK_BLOCK`` times with
-    phased coefficients a = c e^{-+ i omega t} then costs four real table
-    products, the real and imaginary parts of u_x = a D and of
-    u_t = (-+ i omega a) V, squared in place and summed into the density.
-    One product of the density with the fixed (points x 3) matrix
-    [w, w x, w x^2] of quadrature weights gives the moments m0, m1, m2 of
-    every time in the block; centroid = m1/m0 and
-    spread = sqrt(max(m2/m0 - centroid^2, 0)).
+    from one ``eval_gauss`` call; the Gauss points ascend, so the kept points
+    are a suffix of them.  The times are taken in tiles of ``_TILE_TIMES``
+    and the points in tiles of ``_TILE_POINTS``, so that every intermediate
+    stays in cache.  With the phased coefficients a = c e^{-+ i omega t} of
+    the tile's times, a tile costs four real table products, the real and
+    imaginary parts of u_x = a D and of u_t = (-+ i omega a) V, squared in
+    place and summed into the density, and one product of the density with
+    the tile's rows of the (points x 3) matrix [w, w x, w x^2] of quadrature
+    weights, which adds the tile's share to the moments m0, m1, m2 of each
+    time; centroid = m1/m0 and spread = sqrt(max(m2/m0 - centroid^2, 0)).
+    The spread is checked after each tile of times.
     """
     if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError(f"tracking needs a finite dt > 0 and a finite t_max >= 0, got dt={dt!r}, t_max={t_max!r}")
     br = sm.branch(w.m)
-    if float(br.omega[-1]) * dt >= math.pi:
-        raise ValueError("dt undersamples the largest retained frequency")
+    wdt = float(br.omega[-1]) * dt
+    if wdt >= math.pi:
+        raise ValueError(f"dt undersamples the largest retained frequency: omega_max*dt = {wdt:.3f} >= pi; "
+                         "refine dt or retain fewer modes")
     times = np.arange(0.0, t_max + 0.5 * dt, dt)
-    xg = sm.grid.gauss_x
     floor = 2.0 * w.width
-    sel = xg >= floor
-    wq = sm.grid.gauss_w[sel]
-    xq = xg[sel]
-    values, derivs = (tab[:, sel] for tab in sm.grid.eval_gauss(br.phi.T))
+    xg = sm.grid.gauss_x.ravel()
+    start = int(np.searchsorted(xg, floor))
+    xq, wq = xg[start:], sm.grid.gauss_w.ravel()[start:]
+    # eval_gauss returns (modes, elements, points) tables laid out points-major: (points, modes) views
+    values, derivs = (tab.transpose(1, 2, 0).reshape(-1, br.omega.size)[start:]
+                      for tab in sm.grid.eval_gauss(br.phi.T))
     moments = np.stack([wq, wq * xq, wq * xq * xq], axis=1)
     limit = _DISPERSE_FRACTION * sm.grid.L
 
     cent, spr = np.zeros(times.size), np.zeros(times.size)
-    for i0 in range(0, times.size, _TRACK_BLOCK):
-        blk = slice(i0, i0 + _TRACK_BLOCK)
+    for i0 in range(0, times.size, _TILE_TIMES):
+        blk = slice(i0, i0 + _TILE_TIMES)
         a = w.coefficients * np.exp(-1j * w.energy_sign * np.outer(times[blk], br.omega))
         at = -1j * w.energy_sign * br.omega * a
         # |u_x|^2 + |u_t|^2 from real products: the tables are real, a is not
-        dens = a.real @ derivs
-        np.square(dens, out=dens)
-        for part, tab in ((a.imag, derivs), (at.real, values), (at.imag, values)):
-            prod = part @ tab
-            dens += np.square(prod, out=prod)
-        m0, m1, m2 = (dens @ moments).T
+        mom = np.zeros((a.shape[0], 3))
+        for j0 in range(0, xq.size, _TILE_POINTS):
+            pts = slice(j0, j0 + _TILE_POINTS)
+            d, v = derivs[pts].T, values[pts].T
+            dens = a.real @ d
+            np.square(dens, out=dens)
+            for part, tab in ((a.imag, d), (at.real, v), (at.imag, v)):
+                prod = part @ tab
+                dens += np.square(prod, out=prod)
+            mom += dens @ moments[pts]
+        m0, m1, m2 = mom.T
         cent[blk] = m1 / m0
         spr[blk] = np.sqrt(np.maximum(m2 / m0 - cent[blk] ** 2, 0.0))
         if np.any(spr[blk] > limit):

@@ -10,6 +10,12 @@ both signs.  ``manifest.json`` records the exit codes, the hashes and the
 software stack (python, numpy, scipy, BLAS, BLAS thread count) that made
 them.
 
+Beside them, ``verdicts.json`` is the verdict map of ``verify`` over a
+fixed list of configurations off the default (``VERDICTS``): per
+configuration the exit code, the row count and each failed row, marked
+"value" or with the first clause of its error text.  It records no values,
+so round-off never moves it; a change in it is a change of verdict.
+
 Every output comes from ``adskg.cli.main`` run in process at one BLAS
 thread.  ``tests/test_golden.py`` regenerates them and compares.  To
 rewrite the golden files after a change that moves a value, run from the
@@ -17,7 +23,7 @@ repository root
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It prints every moved report entry, exit code and CSV hash as
+It prints every moved report entry, exit code, CSV hash and verdict as
 ``before -> after`` before it rewrites; list them with the change.  A moved
 value or tolerance also prints its size |after - before| / max(|before|,
 |tolerance|), so a round-off move reads near 1e-16 and a change of meaning
@@ -33,6 +39,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -83,6 +90,27 @@ CSVS = {
     },
 }
 
+_KNOTS17 = [i / 16.0 for i in range(17)]
+
+
+def _strip(nu: float = 1.0, L: float = 1.0) -> dict:
+    return {"kind": "ads2_strip", "nu": nu, "L": L}
+
+
+# verdict name -> verify config: nu and L across the supported range, too few
+# modes, a coarse mesh, the cylinder and three 17-knot tables beta = 1 + a x^2
+VERDICTS = {
+    **{f"nu={nu!r}": {"model": _strip(nu=nu)}
+       for nu in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 2.5, 4.0, 6.0, 8.0, 10.0, 12.0)},
+    **{f"L={L!r}": {"model": _strip(L=L)} for L in (1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0, 100.0, 1e3)},
+    **{f"n_modes={k}": {"n_modes": k} for k in (8, 16, 20)},
+    "N=64,n_modes=16": {"N": 64, "n_modes": 16},
+    "cylinder,m_max=2": {"model": {"kind": "ads3_cylinder", "nu": 1.0, "L": 1.0}, "m_max": 2},
+    **{f"table,a={a!r}": {"model": {"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0,
+                                     "beta_table": [_KNOTS17, [1.0 + a * x * x for x in _KNOTS17]]}}
+       for a in (0.3, 1.0, 10.0)},
+}
+
 
 def stack() -> dict:
     """The software that decides the bits of the outputs."""
@@ -131,6 +159,41 @@ def generate(workdir: Path) -> tuple[dict[str, int], dict[str, bytes], dict[str,
             codes[f"{name}:{argv[0]}"] = _run([a.format(d=d) for a in argv] + last)
         csvs[out.name] = out.read_bytes()
     return codes, reports, csvs
+
+
+def first_clause(error: str) -> str:
+    """An error text up to its first ':', ';', ',' or digit: the condition it
+    names, without the measured values."""
+    return re.match(r"[^:;,\d]*", error).group().strip()
+
+
+def verdicts(workdir: Path) -> dict[str, dict]:
+    """Run ``verify`` on every configuration of ``VERDICTS`` in ``workdir``:
+    name -> exit code, row count and failed rows ("value" or the first
+    clause of the row's error)."""
+    out = {}
+    cfg, report = workdir / "verdict.cfg.json", workdir / "verdict.json"
+    for name, config in VERDICTS.items():
+        cfg.write_text(json.dumps(config))
+        report.unlink(missing_ok=True)
+        code = _run(["verify", "--config", str(cfg), "--out", str(report)])
+        if not report.exists():
+            out[name] = {"exit": code}
+            continue
+        checks = json.loads(report.read_text())["checks"]
+        out[name] = {"exit": code, "rows": len(checks),
+                     "failed": {c["check"]: first_clause(c["error"]) if "error" in c else "value"
+                                for c in checks if not c["pass"]}}
+    return out
+
+
+def moved_verdicts(got: dict[str, dict]) -> list[str]:
+    """One 'verdict name: before -> after' line per configuration whose
+    verdict differs from ``verdicts.json``."""
+    path = GOLDEN / "verdicts.json"
+    want = json.loads(path.read_text()) if path.exists() else {}
+    return [f"verdict {name}: {want.get(name)} -> {got.get(name)}"
+            for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
 
 
 def move_size(before, after, tolerance) -> str:
@@ -203,12 +266,14 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         codes, reports, csvs = generate(Path(tmp))
-    for line in moved_outputs(codes, reports, csvs, exact=True):
+        verdict_map = verdicts(Path(tmp))
+    for line in moved_outputs(codes, reports, csvs, exact=True) + moved_verdicts(verdict_map):
         print(line)
     for name, data in reports.items():
         (GOLDEN / name).write_bytes(data)
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest(codes, csvs), indent=2) + "\n")
-    print(f"wrote {len(reports)} reports and {len(csvs)} CSV hashes to {GOLDEN}")
+    (GOLDEN / "verdicts.json").write_text(json.dumps(verdict_map, indent=2) + "\n")
+    print(f"wrote {len(reports)} reports, {len(csvs)} CSV hashes and {len(verdict_map)} verdicts to {GOLDEN}")
     return 0
 
 

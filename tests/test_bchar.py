@@ -16,6 +16,7 @@ from adskg.bchar import (
     trace_gbb,
 )
 from adskg.geometry import MetricModel, conformal_symbol, load_model, make_toy_model
+from oracles import irk_step_comprehensions
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,41 @@ def test_irk_step_matches_tableau_form(request, monkeypatch, model, zeta, t_max,
         assert np.array_equal(_rows(got), _rows(want))
     else:
         assert np.max(np.abs(_rows(got) - _rows(want))) <= 1e-13
+
+
+@pytest.mark.parametrize("model, p0, t_max", [
+    ("toy", PhasePointB(x=0.4, t=0.0, tau=2.0, xi=-2.0), 24.0),
+    ("cyl", PhasePointB(x=0.4, t=0.0, tau=2.0, xi=-1.0, zeta=math.sqrt(3.0)), 3.0),
+    ("table", None, 6.0),
+], ids=["strip", "cylinder-zeta-sqrt3", "table"])
+def test_irk_step_keeps_the_bits_of_the_comprehension_form(request, monkeypatch, model, p0, t_max):
+    """The written-out stage sums, right-hand sides and slope changes give
+    the comprehension form's rays bit for bit, the steps that land on a wall
+    by bisection included."""
+    m = request.getfixturevalue(model)
+    if p0 is None:
+        p0 = make_null_point(m, x=0.4, tau=2.0, zeta=0.7)
+    got = trace_gbb(m, p0, t_max=t_max, step=2e-3)
+    monkeypatch.setattr(bchar, "_irk_step", irk_step_comprehensions)
+    want = trace_gbb(m, p0, t_max=t_max, step=2e-3)
+    assert len(got.reflections) == len(want.reflections) >= 3
+    assert all(seg.hit is not None for seg in got.segments[:-1])  # every arc but the last lands on a wall
+    assert np.array_equal(_rows(got), _rows(want))
+    assert np.array_equal(np.concatenate([seg.s for seg in got.segments]),
+                          np.concatenate([seg.s for seg in want.segments]))
+
+
+def test_irk_step_keeps_the_bits_where_round_off_shows(table):
+    """Along a ray, x + h (...) absorbs the last bits of the right-hand sides
+    and of the weighted sums.  On states with x and xi small against a step's
+    increments those bits reach the result, and the written-out step still
+    equals the comprehension form."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        state = (float(10 ** rng.uniform(-9, -0.1)), 0.0, 0.0, float(10 ** rng.uniform(-16, 0.5)),
+                 float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.1, 3.0)))
+        h = float(10 ** rng.uniform(-3, -1))
+        assert bchar._irk_step(table, state, h) == irk_step_comprehensions(table, state, h)
 
 
 def _sample_per_time(path, times):

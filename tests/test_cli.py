@@ -599,6 +599,25 @@ def test_wavepacket_negative_sign_follows_its_ray(packet_blob, tmp_path, capsys)
     assert status["status"] == "ok" and status["max_deviation"] < status["width"]
 
 
+def test_wavepacket_step_defaults_to_verify_step(tmp_path, capsys):
+    """Without --dt, wavepacket steps by 0.005 L as verify's tracking does, so
+    verify's packet scaled to an L = 0.1 blob runs; a step too coarse for the
+    blob's spectrum is refused with omega_max*dt named against pi."""
+    blob = tmp_path / "model.bin"
+    assert main(["build-spectral", "--L", "0.1", "--N", "192", "--n-modes", "32", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "packet.csv"
+    argv = ["wavepacket", "--model-bin", str(blob), "--x0", "0.05", "--xi0", "-400", "--sigma", "0.01",
+            "--tmax", "0.13", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    times = [float(row[0]) for row in _read_csv(out)[1:]]
+    assert len(times) == 261 and times[1] == pytest.approx(5e-4, rel=1e-12)
+    assert main(argv[:-2] + ["--dt", "5e-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt undersamples") and "omega_max*dt = " in err and ">= pi" in err
+
+
 def test_boundary_2pt_has_no_time_grid_flags(small_blobs, tmp_path, capsys):
     """The boundary lines do not depend on a time grid, so the command takes none."""
     out = tmp_path / "b2p.csv"

@@ -9,6 +9,9 @@ config blocks, the check names and their order, identities, verdicts and
 error texts, and the CSV row counts; it compares each value and tolerance
 to ``REL`` times the larger of the golden value and golden tolerance,
 and it cannot check the CSV hashes.
+
+The verdict map ``golden/verdicts.json`` holds no values, so it is compared
+exactly on every stack.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import warnings
 
-from golden.regenerate import GOLDEN, REL, generate, moved_outputs, stack
+from golden.regenerate import GOLDEN, REL, generate, moved_outputs, moved_verdicts, stack, verdicts
 
 
 def test_golden_outputs(tmp_path):
@@ -32,6 +35,21 @@ def test_golden_outputs(tmp_path):
     assert sorted(csvs) == sorted(manifest["csv"])
     moved = moved_outputs(codes, reports, csvs, exact)
     assert not moved, f"golden outputs moved ({mode}):\n" + "\n".join(moved)
+
+
+def test_verdict_map(tmp_path):
+    """verify on each configuration of ``VERDICTS`` gives the exit code, the
+    row count and the failed rows recorded in ``golden/verdicts.json``."""
+    moved = moved_verdicts(verdicts(tmp_path))
+    assert not moved, "verdicts moved:\n" + "\n".join(moved)
+
+
+def test_first_clause_keeps_no_value():
+    from golden.regenerate import first_clause
+
+    assert first_clause("mode truncation tail 4.14e-05 exceeds 1e-06; retain more modes") == "mode truncation tail"
+    assert first_clause("integrator could not hold the null condition: drift 8.742e-04") == (
+        "integrator could not hold the null condition")
 
 
 def test_move_size_reads_round_off_apart_from_a_change():

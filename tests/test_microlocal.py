@@ -129,16 +129,26 @@ def test_track_matches_per_step_loop(sm192, cyl192, table192, model, sign, m):
     sm = {"strip": sm192, "cylinder": cyl192, "table": table192}[model]
     w = make_wavepacket(sm, x0=0.5, xi0=-40.0, sigma=0.1, sign=sign, m=m)
     tr = _assert_track_matches_loop(sm, w, t_max=1.3, dt=0.005)
-    assert tr.times.size == 261 and tr.times.size % microlocal._TRACK_BLOCK != 0
+    assert tr.times.size == 261
 
 
-def test_track_partial_cut_inside_a_block(sm192, monkeypatch):
-    """A spread limit first crossed in the middle of a block keeps exactly
-    the times up to the crossing, as the per-step loop does."""
+def test_track_spans_several_time_tiles(sm192):
+    """A track of 601 times runs through five tiles of times, the last one
+    partial, and still matches the per-step loop time by time."""
+    w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
+    tr = _assert_track_matches_loop(sm192, w, t_max=3.0, dt=0.005)
+    assert tr.status == "ok"
+    assert tr.times.size == 601 and 4 * microlocal._TILE_TIMES < 601 < 5 * microlocal._TILE_TIMES
+
+
+def test_track_partial_cut_inside_a_tile(sm192, monkeypatch):
+    """A spread limit first crossed in the middle of a tile of times after
+    the first keeps exactly the times up to the crossing, as the per-step
+    loop does."""
     w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
     _, _, spr, _ = _track_loop(sm192, w, 1.3, 0.005)
-    block = microlocal._TRACK_BLOCK
-    cut = next(i for i in range(block, spr.size) if 0 < i % block < block - 1 and spr[i] > spr[:i].max() + 1e-9)
+    tile = microlocal._TILE_TIMES
+    cut = next(i for i in range(tile, spr.size) if 0 < i % tile < tile - 1 and spr[i] > spr[:i].max() + 1e-9)
     monkeypatch.setattr(microlocal, "_DISPERSE_FRACTION", 0.5 * (spr[:cut].max() + spr[cut]) / sm192.grid.L)
     tr = _assert_track_matches_loop(sm192, w, t_max=1.3, dt=0.005)
     assert tr.status == "partial"
