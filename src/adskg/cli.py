@@ -347,7 +347,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     import numpy as np
 
     from .bchar import make_null_point, trace_gbb
-    from .bessel import bessel_collocation_eigs, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
+    from .bessel import bessel_collocation_eigs, model_zeros, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
     from .geometry import conformal_symbol, load_model, make_toy_model
     from .holography import boundary_fits, boundary_gram, boundary_two_point, build_series, indicial_polynomial
     from .holography import mellin_exponent_probe
@@ -378,6 +378,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     model = load_model(config.model)
     sm = build_spectral(model, N=config.N, m_max=config.m_max, n_modes=config.n_modes)
     plan = _plan(config, sm)
+    if model.is_toy:  # the toy rows slice one J_nu zero scan, made here at the longest count they read
+        model_zeros(model, max(plan.n_cmp, plan.collocation[0], plan.n_weights))
     L, nu = model.L, model.nu
     # kernel time grid: the span stays 19.2 L
     dt, refine = _time_step(sm)

@@ -170,10 +170,12 @@ class LineSpectrum:
         e = self.branch.lag_phases(self.dt, self.T)
         if self.support == "abs":
             e = np.take(e, self.T - 1 + np.abs(k), axis=1)
-        # (a e + b conj(e)) * (0.5 / omega) evaluated in place: two K x (2T-1) temporaries
-        g = self.a[:, None] * e
-        lower = e.conj()
-        g += np.multiply(self.b[:, None], lower, out=lower)
+        # (a e + b conj(e)) * (0.5 / omega) in place, skipping a line whose coefficients are all zero
+        g = self.a[:, None] * e if self.a.any() or not self.b.any() else None
+        if self.b.any():
+            lower = e.conj()
+            np.multiply(self.b[:, None], lower, out=lower)
+            g = lower if g is None else np.add(g, lower, out=g)
         g *= 0.5 / self.omega[:, None]
         if self.support in ("future", "past"):
             g[:, ~(k > 0 if self.support == "future" else k < 0)] = 0.0
@@ -368,8 +370,8 @@ def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dic
     relative to the mode amplitude, and "wave_op_bound": its O(dt^2) scale
     2 dt^2 omega_max^2 (second-order time stencil); "commutator" and
     "hermiticity": largest per-mode defects of lambda_plus - lambda_minus =
-    i*causal and of K(t,s) = K(s,t)^H on every lag; "gram_plus",
-    "gram_minus": ascending eigenvalues of the space-time Gram matrices.
+    i*causal on every lag and of K(t,s) = K(s,t)^H on tau >= 0, as d(-tau) =
+    -conj d(tau); "gram_plus", "gram_minus": ascending space-time Gram eigenvalues.
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus" or g.kind != "causal":
         raise ValueError("expected (lambda_plus, lambda_minus, causal) kernels")
@@ -377,8 +379,7 @@ def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dic
 
     # wave-operator residual on the lags tau >= 0, exact in space, O(dt^2)
     # from the time stencil
-    dt = lp.dt
-    w = lp.omega
+    dt, w = lp.dt, lp.omega
     wave_op = 0.0
     for gains in (gp[:, lp.T - 1 :], gm[:, lp.T - 1 :]):
         stencil = (gains[:, 2:] - 2.0 * gains[:, 1:-1] + gains[:, :-2]) / dt**2
@@ -390,8 +391,8 @@ def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dic
         "wave_op": wave_op,
         "wave_op_bound": 2.0 * dt**2 * float(np.max(w)) ** 2,
         "commutator": _max_abs(gp - gm - 1j * gg),
-        # reversing the lag axis maps tau to -tau
-        "hermiticity": max(_max_abs(gk - gk[:, ::-1].conj()) for gk in (gp, gm)),
+        # d(tau) = g(tau) - conj g(-tau) on tau >= 0 only: d(-tau) = -conj d(tau) bit for bit
+        "hermiticity": max(_max_abs(gk[:, lp.T - 1 :] - gk[:, lp.T - 1 :: -1].conj()) for gk in (gp, gm)),
         "gram_plus": gram_plus,
         "gram_minus": gram_minus,
     }

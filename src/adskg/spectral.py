@@ -45,11 +45,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import MetricModel
@@ -195,11 +195,18 @@ class SpectralBranch:
         return self._tables[key]
 
     def lag_phases(self, dt: float, T: int) -> np.ndarray:
-        """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of
-        the uniform grid (dt, T), shape (K, 2T-1), shared by every kernel that
-        asks for that grid."""
-        return self.table(("lag_phases", float(dt), int(T)),
-                          lambda: np.exp(1j * (self.omega[:, None] * (dt * np.arange(1 - T, T))[None, :])))
+        """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1) of the
+        grid (dt, T), shape (K, 2T-1), shared by every kernel on that grid: cos and
+        sin on tau >= 0 into its real and imaginary parts, their conjugate on tau < 0."""
+
+        def build() -> np.ndarray:
+            e, x = np.empty((self.omega.size, 2 * T - 1), complex), self.omega[:, None] * (dt * np.arange(T))
+            np.cos(x, out=e.real[:, T - 1 :])
+            np.sin(x, out=e.imag[:, T - 1 :])
+            np.conjugate(e[:, : T - 1 : -1], out=e[:, : T - 1])
+            return e
+
+        return self.table(("lag_phases", float(dt), int(T)), build)
 
 
 @dataclass
@@ -275,10 +282,17 @@ def _solve_branch(K: sp.csc_matrix, m_factor: np.ndarray, n_modes: int) -> tuple
     """Lowest n_modes eigenpairs of K w = omega^2 M w, ascending, given M's
     banded Cholesky factor R (M = R^T R): the shift-invert transformation at
     sigma = 0 in standard form.  Lanczos (ARPACK mode 1) finds the largest
-    eigenpairs theta, y of C = R K^-1 R^T, K^-1 applied by K's banded
-    Cholesky factor; omega^2 = 1 / theta and w = K^-1 R^T y at unit M-norm |R w|.
+    eigenpairs theta, y of C = R K^-1 R^T, K^-1 applied by LAPACK dpbtrs on K's
+    banded Cholesky factor; omega^2 = 1 / theta and w = K^-1 R^T y at unit M-norm |R w|.
     """
-    k_solve = partial(cho_solve_banded, (_banded_cholesky(K), False), check_finite=False)
+    k_factor = _banded_cholesky(K)
+
+    def k_solve(b: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(k_factor, b)
+        if info != 0:
+            raise ValueError(f"dpbtrs rejected argument {-info}")
+        return x
+
     R = sp.dia_matrix((m_factor[::-1], np.arange(_BAND + 1)), shape=K.shape).tocsr()
     Rt = R.T.tocsr()
     ndof = K.shape[0]
@@ -289,11 +303,9 @@ def _solve_branch(K: sp.csc_matrix, m_factor: np.ndarray, n_modes: int) -> tuple
     vecs = k_solve(Rt @ y)
     vecs /= np.linalg.norm(R @ vecs, axis=0)
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     # fix the sign convention deterministically: largest-magnitude entry positive
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
+    signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
     signs[signs == 0.0] = 1.0
     return vals, vecs * signs
 

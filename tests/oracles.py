@@ -2,21 +2,29 @@
 
 Everything here is computed with mpmath at 30 digits and never touches the
 package's own Bessel helpers or solvers, so a test comparing against these
-numbers is a genuine cross-check, not a tautology.  The one numpy oracle,
-``line_gains``, writes the line-spectrum gain out with its own exponential
+numbers is a genuine cross-check, not a tautology.  The numpy oracle
+``line_gains`` writes the line-spectrum gain out with its own exponential
 at arbitrary lags, where the package reads a phase table on grid lags.  The
-one float oracle, ``irk_step_comprehensions``, is the ray step in its plain
-comprehension form over the package's tableau and right-hand sides; the
-package's written-out step must give its steps and rays bit for bit.
+float oracles are older forms of package code that the package must match
+bit for bit: ``irk_step_comprehensions``, the ray step in its plain
+comprehension form over the package's tableau and right-hand sides;
+``lag_phases_exp``, the phase table as one complex exp over every lag;
+``hermiticity_full_lags``, the Hermiticity defect read on every lag; and
+``solve_branch_cho_solve_banded``, the branch eigensolve with K^-1 applied
+through scipy's banded Cholesky wrapper.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 from mpmath import besselj, besseljzero, mp
 from mpmath import gamma as mp_gamma
+from scipy.linalg import cho_solve_banded
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 mp.dps = 30
 
@@ -74,6 +82,42 @@ def line_gains(kernel, tau: np.ndarray) -> np.ndarray:
     g = (kernel.a[:, None] * e + kernel.b[:, None] * e.conj()) * (0.5 / w)
     support = {"future": tau > 0.0, "past": tau < 0.0}.get(kernel.support)
     return g if support is None else np.where(support, g, 0.0)
+
+
+def lag_phases_exp(omega: np.ndarray, dt: float, T: int) -> np.ndarray:
+    """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1), one
+    complex exp over both halves."""
+    return np.exp(1j * (omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
+
+
+def hermiticity_full_lags(*kernels) -> float:
+    """Largest |g_k(tau) - conj g_k(-tau)| over the kernels' gains on all 2T-1
+    lags, -tau read by reversing the lag axis."""
+    return max(float(np.max(np.abs(g - g[:, ::-1].conj()))) for g in (k.gains() for k in kernels))
+
+
+def solve_branch_cho_solve_banded(K, m_factor: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral._solve_branch`` with K^-1 applied through scipy's
+    ``cho_solve_banded`` wrapper: the Lanczos solve of R K^-1 R^T y = y / omega^2,
+    omega^2 = 1 / theta and w = K^-1 R^T y at unit |R w|, ascending, each
+    vector's largest-magnitude entry positive."""
+    from adskg import spectral
+
+    k_solve = partial(cho_solve_banded, (spectral._banded_cholesky(K), False), check_finite=False)
+    R = sp.dia_matrix((m_factor[::-1], np.arange(spectral._BAND + 1)), shape=K.shape).tocsr()
+    Rt = R.T.tocsr()
+    ndof = K.shape[0]
+    v0 = np.full(ndof, 1.0 / math.sqrt(ndof))
+    C = LinearOperator(K.shape, matvec=lambda y: R @ k_solve(Rt @ y), dtype=float)
+    theta, y = eigsh(C, k=n_modes, which="LA", v0=v0, ncv=n_modes + spectral._NCV_EXTRA)
+    vals = 1.0 / theta
+    vecs = k_solve(Rt @ y)
+    vecs /= np.linalg.norm(R @ vecs, axis=0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return vals, vecs * signs
 
 
 def irk_step_comprehensions(model, state: tuple, h: float) -> tuple:

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import line_gains
+from oracles import hermiticity_full_lags, lag_phases_exp, line_gains
 from scipy.signal.windows import dpss
 
 import adskg
 from adskg import propagators
 from adskg.cli import RunConfig, _default_tolerances, run_verify
-from adskg.geometry import make_toy_model
+from adskg.geometry import load_model, make_toy_model
 from adskg.holography import boundary_fits, boundary_two_point
 from adskg.microlocal import kernel_wavefront_scan, make_perturbed_state
 from adskg.propagators import (
@@ -334,6 +334,36 @@ def test_gram_matrix_is_one_product_on_distinct_lags(zoo, sm192, tgrid, monkeypa
         assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * scale, kernel.kind
         assert np.max(np.abs(got - exact)) <= 4.0 * np.finfo(float).eps * scale, kernel.kind
     assert len(sizes) == len(kernels) and all(n < propagators._GRAM_TIMES**2 for n in sizes)
+
+
+@pytest.mark.parametrize("case, T", [("strip", 768), ("strip", 769), ("strip", 4096), ("cylinder", 768),
+                                     ("table", 768)])
+def test_mirrored_lag_phases_match_complex_exp(case, T, sm192):
+    """The phase table, cos and sin on tau >= 0 and their conjugate mirrored
+    to tau < 0, has the bits of one complex exp over all 2T-1 lags: on the
+    strip at even and odd T, on the cylinder's branch m = 1 and on a
+    beta = 1 + x^2 table."""
+    if case == "strip":
+        branch = sm192.branch(0)
+    elif case == "cylinder":
+        branch = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, n_modes=16, m_max=1).branch(1)
+    else:
+        xs = np.linspace(0.0, 1.0, 41)
+        table = load_model({"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0, "beta_table": (xs, 1.0 + xs**2)})
+        branch = build_spectral(table, N=64, n_modes=16).branch(0)
+    assert branch.lag_phases(0.025, T).tobytes() == lag_phases_exp(branch.omega, 0.025, T).tobytes()
+
+
+def test_half_lag_hermiticity_matches_full_lags(zoo, sm192):
+    """verify_two_point reads the Hermiticity defect on tau >= 0; that is the
+    full-lag maximum on the vacuum and thermal pairs and on a fault kernel
+    with a complex line coefficient, whose defect is positive."""
+    lp, lm, g = zoo["lambda_plus"], zoo["lambda_minus"], zoo["causal"]
+    thermal = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    fault = replace(lp, a=lp.a * (1 + 1e-3j))
+    for pair in ((lp, lm), (thermal.lp_b, thermal.lm_b), (fault, lm)):
+        assert verify_two_point(*pair, g)["hermiticity"] == hermiticity_full_lags(*pair)
+    assert verify_two_point(fault, lm, g)["hermiticity"] > 0.0
 
 
 def test_two_point_algebra_catches_sign_fault(zoo):

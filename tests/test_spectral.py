@@ -8,6 +8,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 from oracles import (
     J1_FIRST_ZERO,
     bessel_zeros_mp,
+    solve_branch_cho_solve_banded,
     toy_frequencies_mp,
 )
 
@@ -285,6 +286,20 @@ def test_standard_form_solve_matches_generalized_oracle_at_stress_size():
     sm = build_spectral(make_toy_model("ads2_strip", nu=0.05, L=1.0), N=2000, n_modes=32)
     [(got, want)] = _assert_matches_oracle(sm, orth_tol=1e-12)
     assert got.max() <= want.max()
+
+
+@pytest.mark.parametrize("N", [64, 192])
+@pytest.mark.parametrize("case", ["1", "cylinder", "table"])
+def test_branch_solve_through_dpbtrs_matches_cho_solve_banded(case, N):
+    """K^-1 applied by LAPACK dpbtrs directly gives the eigenpairs of the
+    same solve through scipy's cho_solve_banded wrapper, bit for bit, on
+    every branch's own K_m."""
+    model, m_max = _eigen_case(case)
+    sm = build_spectral(model, N=N, n_modes=min(32, N // 4), m_max=m_max)
+    m_factor = spectral._banded_cholesky(sm.M)
+    for m, K in _stiffness(sm).items():
+        got, want = _solve_branch(K, m_factor, sm.n_modes), solve_branch_cho_solve_banded(K, m_factor, sm.n_modes)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), m
 
 
 def test_mass_factor_is_computed_once_per_model(monkeypatch):
