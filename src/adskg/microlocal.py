@@ -464,7 +464,8 @@ class StatePair:
 
     def difference(self) -> LineSpectrum:
         """lp_b - lp_a (= lm_b - lm_a): sum_k n_k cos(omega_k tau) / omega_k,
-        real and even in tau, with no spatial factor."""
+        real (its lines are conjugate, so its gains are float64) and even in
+        tau, with no spatial factor."""
         n, lp = self.occupation, self.lp_a
         return LineSpectrum("difference", lp.t_grid, lp.branch, n, n)
 

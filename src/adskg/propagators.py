@@ -29,7 +29,8 @@ integer lags tau = dt k of its grid: ``gains`` and ``trace`` read them from
 the one phase table exp(i omega_k tau) of its branch and grid
 (``SpectralBranch.lag_phases``), which every kernel on that branch and
 grid shares, derived kernels included; a kernel builds its gains on the
-2T-1 lags once and reads every other lag set from them.  These ops return
+2T-1 lags once and reads every other lag set from them, as float64 for
+conjugate lines, b = conj a (a real kernel).  These ops return
 measurements (defects, residuals with their data-dependent scale, Gram
 eigenvalues, mass fractions); tolerances and verdicts belong to the
 caller, the check table of ``cli.run_verify``.  Every kernel lives in
@@ -41,7 +42,8 @@ Kernel applications use trapezoid quadrature in s and batched FFT
 convolution over the uniform time grid (every kernel above is a Toeplitz
 matrix in time, whose entries are the gains on the 2T-1 lags), on the mode
 coefficients of the branch: data on the grid (T, ndof) is projected and the
-result synthesized, and coefficients (T, K) stay coefficients.
+result synthesized, and coefficients (T, K) stay coefficients.  A real
+kernel on real data takes rfft/irfft, anything else fft/ifft.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ class LineSpectrum:
         """Per-mode gains at the integer lags k (tau = dt k), shape (K, len(lags));
         the default is all 2T-1 lags 1-T .. T-1 in increasing order, so
         reversing that lag axis maps tau to -tau exactly.  That array is built
-        once per kernel and returned read-only; other lags are its columns."""
+        once per kernel and returned read-only; other lags are its columns.  It
+        is float64 for conjugate lines (a real kernel), else complex."""
         k = None if lags is None else np.asarray(lags)
         if k is not None and k.size and int(np.abs(k).max()) >= self.T:
             raise ValueError(f"lags must lie in [1-T, T-1] = [{1 - self.T}, {self.T - 1}]")
@@ -170,13 +173,17 @@ class LineSpectrum:
         e = self.branch.lag_phases(self.dt, self.T)
         if self.support == "abs":
             e = np.take(e, self.T - 1 + np.abs(k), axis=1)
-        # (a e + b conj(e)) * (0.5 / omega) in place, skipping a line whose coefficients are all zero
-        g = self.a[:, None] * e if self.a.any() or not self.b.any() else None
-        if self.b.any():
-            lower = e.conj()
-            np.multiply(self.b[:, None], lower, out=lower)
-            g = lower if g is None else np.add(g, lower, out=g)
-        g *= 0.5 / self.omega[:, None]
+        h = 0.5 / self.omega[:, None]
+        if np.array_equal(self.b, np.conj(self.a)):  # a real kernel: a e + conj(a e) = 2 Re(a e)
+            g, h = self.a.real[:, None] * e.real, 2.0 * h
+            g -= self.a.imag[:, None] * e.imag
+        else:  # (a e + b conj(e)) in place, skipping a line whose coefficients are all zero
+            g = self.a[:, None] * e if self.a.any() or not self.b.any() else None
+            if self.b.any():
+                lower = e.conj()
+                np.multiply(self.b[:, None], lower, out=lower)
+                g = lower if g is None else np.add(g, lower, out=g)
+        g *= h
         if self.support in ("future", "past"):
             g[:, ~(k > 0 if self.support == "future" else k < 0)] = 0.0
         g.setflags(write=False)
@@ -281,7 +288,7 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
 
     Trapezoid quadrature in s; the stationary mode sums make this a batched
     Toeplitz product, done by FFT per mode on a circular buffer of the
-    kernel's ``gains`` on its 2T-1 lags.
+    kernel's ``gains`` on its 2T-1 lags: rfft/irfft when gains and data are real, else fft/ifft.
     """
     if kernel.spectral is None:
         raise ValueError(f"{kernel.kind} kernel has no spatial factor to apply")
@@ -294,14 +301,14 @@ def apply(kernel: LineSpectrum, f: np.ndarray) -> np.ndarray:
     # pocketfft's slow path); lag -m sits at L-m with zeros in the middle
     L = 1 << (2 * T - 2).bit_length()
     g = kernel.gains()
-    gains = np.zeros((g.shape[0], L), dtype=g.dtype)
-    gains[:, :T] = g[:, T - 1:]
-    gains[:, L + 1 - T:] = g[:, :T - 1]
-    A_hat = np.fft.fft(a.T, n=L, axis=1)
-    G_hat = np.fft.fft(gains, axis=1)
-    conv = np.fft.ifft(A_hat * G_hat, axis=1)[:, :T]  # (K, T)
-    if not np.iscomplexobj(f) and np.array_equal(kernel.b, np.conj(kernel.a)):
-        conv = conv.real  # conjugate lines make a real kernel
+    # a real kernel on real data takes the half spectrum; eight modes at a time keep the buffers small
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(a) or np.iscomplexobj(g) else (np.fft.rfft, np.fft.irfft)
+    conv = np.empty((g.shape[0], T), dtype=np.result_type(a, g))
+    for rows in (slice(k, k + 8) for k in range(0, g.shape[0], 8)):
+        gains = np.zeros((g[rows].shape[0], L), dtype=g.dtype)
+        gains[:, :T] = g[rows, T - 1:]
+        gains[:, L + 1 - T:] = g[rows, :T - 1]
+        conv[rows] = ifft(fft(a.T[rows], n=L, axis=1) * fft(gains, axis=1), n=L, axis=1)[:, :T]
     return sm.synthesize(conv.T, m=kernel.m) if on_grid else conv.T
 
 
@@ -387,10 +394,13 @@ def verify_two_point(lp: LineSpectrum, lm: LineSpectrum, g: LineSpectrum) -> dic
         # scale by the mode amplitude so the number is a relative residual
         wave_op = max(wave_op, float(np.max(np.abs(resid) * (2.0 * w[:, None]) / w[:, None] ** 2)))
     gram_plus, gram_minus = (gram_eigenvalues(_gram_matrix(k)) for k in (lp, lm))
+    commutator = gp - gm  # minus i gg part by part: a real (conjugate-line) gg moves only the imaginary part
+    commutator.real += gg.imag
+    commutator.imag -= gg.real
     return {
         "wave_op": wave_op,
         "wave_op_bound": 2.0 * dt**2 * float(np.max(w)) ** 2,
-        "commutator": _max_abs(gp - gm - 1j * gg),
+        "commutator": _max_abs(commutator),
         # d(tau) = g(tau) - conj g(-tau) on tau >= 0 only: d(-tau) = -conj d(tau) bit for bit
         "hermiticity": max(_max_abs(gk[:, lp.T - 1 :] - gk[:, lp.T - 1 :: -1].conj()) for gk in (gp, gm)),
         "gram_plus": gram_plus,

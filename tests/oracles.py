@@ -9,9 +9,10 @@ float oracles are older forms of package code that the package must match
 bit for bit: ``irk_step_comprehensions``, the ray step in its plain
 comprehension form over the package's tableau and right-hand sides;
 ``lag_phases_exp``, the phase table as one complex exp over every lag;
-``hermiticity_full_lags``, the Hermiticity defect read on every lag; and
+``hermiticity_full_lags``, the Hermiticity defect read on every lag;
 ``solve_branch_cho_solve_banded``, the branch eigensolve with K^-1 applied
-through scipy's banded Cholesky wrapper.
+through scipy's banded Cholesky wrapper; and ``lag_gains_complex``, every
+kernel's gains formed as complex arrays, real kernels included.
 """
 
 from __future__ import annotations
@@ -88,6 +89,26 @@ def lag_phases_exp(omega: np.ndarray, dt: float, T: int) -> np.ndarray:
     """Phases exp(i omega_k tau) on the 2T-1 lags tau = dt (1-T .. T-1), one
     complex exp over both halves."""
     return np.exp(1j * (omega[:, None] * (dt * np.arange(1 - T, T))[None, :]))
+
+
+def lag_gains_complex(kernel) -> np.ndarray:
+    """Gains (a e + b conj(e)) * (0.5 / omega) on the 2T-1 lags as one complex
+    (K, 2T-1) array for every kernel, from the kernel's phase table, skipping
+    a line whose coefficients are all zero; the support zeroes its lags."""
+    T = kernel.T
+    k = np.arange(1 - T, T)
+    e = kernel.branch.lag_phases(kernel.dt, T)
+    if kernel.support == "abs":
+        e = np.take(e, T - 1 + np.abs(k), axis=1)
+    g = kernel.a[:, None] * e if kernel.a.any() or not kernel.b.any() else None
+    if kernel.b.any():
+        lower = e.conj()
+        np.multiply(kernel.b[:, None], lower, out=lower)
+        g = lower if g is None else np.add(g, lower, out=g)
+    g *= 0.5 / kernel.omega[:, None]
+    if kernel.support in ("future", "past"):
+        g[:, ~(k > 0 if kernel.support == "future" else k < 0)] = 0.0
+    return g
 
 
 def hermiticity_full_lags(*kernels) -> float:

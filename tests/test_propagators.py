@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import hermiticity_full_lags, lag_phases_exp, line_gains
+from oracles import hermiticity_full_lags, lag_gains_complex, lag_phases_exp, line_gains
 from scipy.signal.windows import dpss
 
 import adskg
@@ -38,6 +38,18 @@ TOL = _default_tolerances()
 def _psd_ok(evals: np.ndarray) -> bool:
     """The least Gram eigenvalue stays above -psd times the largest |eigenvalue|."""
     return bool(evals[0] >= -TOL["psd"] * np.abs(evals).max())
+
+
+def _case_model(case: str, sm192: SpectralModel) -> tuple[SpectralModel, int]:
+    """(model, branch m) of a bit-pin case: the shared strip, the cylinder's
+    branch m = 1, or a beta = 1 + x^2 table."""
+    if case == "strip":
+        return sm192, 0
+    if case == "cylinder":
+        return build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, n_modes=16, m_max=1), 1
+    xs = np.linspace(0.0, 1.0, 41)
+    table = load_model({"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0, "beta_table": (xs, 1.0 + xs**2)})
+    return build_spectral(table, N=64, n_modes=16), 0
 
 
 def test_gains_closed_forms(zoo, sm192, ads2):
@@ -343,15 +355,59 @@ def test_mirrored_lag_phases_match_complex_exp(case, T, sm192):
     to tau < 0, has the bits of one complex exp over all 2T-1 lags: on the
     strip at even and odd T, on the cylinder's branch m = 1 and on a
     beta = 1 + x^2 table."""
-    if case == "strip":
-        branch = sm192.branch(0)
-    elif case == "cylinder":
-        branch = build_spectral(make_toy_model("ads3_cylinder", nu=1.0, L=1.0), N=64, n_modes=16, m_max=1).branch(1)
-    else:
-        xs = np.linspace(0.0, 1.0, 41)
-        table = load_model({"kind": "custom", "n": 2, "nu": 1.0, "L": 1.0, "beta_table": (xs, 1.0 + xs**2)})
-        branch = build_spectral(table, N=64, n_modes=16).branch(0)
+    sm, m = _case_model(case, sm192)
+    branch = sm.branch(m)
     assert branch.lag_phases(0.025, T).tobytes() == lag_phases_exp(branch.omega, 0.025, T).tobytes()
+
+
+_REAL_KINDS = ("causal", "retarded", "advanced", "difference")  # conjugate lines, b = conj(a)
+
+
+@pytest.mark.parametrize("T", [65, 768, 769, 4096])
+@pytest.mark.parametrize("case", ["strip", "cylinder", "table"])
+def test_conjugate_lines_give_real_gains_with_the_complex_bits(case, T, sm192):
+    """Kernels whose lines are conjugate (causal, retarded, advanced, the
+    thermal state difference) build float64 gains equal to the real part of
+    the complex form, whose imaginary part is all zero; every other kind
+    stays complex with the bits of that form."""
+    sm, m = _case_model(case, sm192)
+    t = 0.025 * np.arange(T)
+    kernels = {kind: make_propagator(sm, kind, t, m=m) for kind in propagators.KINDS}
+    pair = make_perturbed_state(kernels["lambda_plus"], kernels["lambda_minus"], {"thermal": 5.0 / sm.m_floor_sqrt})
+    kernels["difference"] = pair.difference()
+    for name, kern in kernels.items():
+        got, want = kern.gains(), lag_gains_complex(kern)
+        if name in _REAL_KINDS:
+            assert got.dtype == np.float64 and np.array_equal(got, want.real) and not want.imag.any(), name
+        else:
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes(), name
+
+
+def test_non_conjugate_lines_stay_complex(zoo):
+    """A fault on the causal lines breaks b = conj(a): its gains come back
+    complex, with the complex form's bits and a nonzero imaginary part."""
+    fault = replace(zoo["causal"], a=zoo["causal"].a * (1 + 1e-3))
+    got = fault.gains()
+    assert got.dtype == np.complex128 and np.abs(got.imag).max() > 0.0
+    assert got.tobytes() == lag_gains_complex(fault).tobytes()
+
+
+def test_identity_measures_read_the_floats_of_complex_gains(zoo, sm192):
+    """commutator, feynman_consistency, adjoint_check and support_check give
+    the floats of their expressions on complex gains: on the vacuum pair, the
+    thermal pair and the sign-flip mutant that verify --inject-sign-flip makes."""
+    lp, lm, g, ret, adv = map(zoo.get, ("lambda_plus", "lambda_minus", "causal", "retarded", "advanced"))
+    thermal = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    c_g, c_ret, c_adv = map(lag_gains_complex, (g, ret, adv))
+    for pair in ((lp, lm), (thermal.lp_b, thermal.lm_b), (lp.mutated(0.01), lm)):
+        c_p, c_m = map(lag_gains_complex, pair)
+        commutator = verify_two_point(*pair, g)["commutator"]
+        assert commutator == np.max(np.abs(c_p - c_m - 1j * c_g))
+        assert feynman_consistency(*pair, ret, adv) == np.max(np.abs(-1j * c_p + c_adv - (-1j * c_m + c_ret)))
+    assert commutator > 0.0  # the sign-flip pair breaks the identity
+    assert adjoint_check(ret, adv) == np.max(np.abs(c_ret[:, ::-1] - c_adv))
+    assert support_check(ret) == np.max(np.abs(c_ret[:, : ret.T]).sum(axis=0))
+    assert support_check(adv) == np.max(np.abs(c_adv[:, adv.T - 1 :]).sum(axis=0))
 
 
 def test_half_lag_hermiticity_matches_full_lags(zoo, sm192):
@@ -567,21 +623,65 @@ def test_apply_matches_direct_trapezoid_sum(sm192, kind, weighting, T):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _apply_by_pad_and_roll(sm: SpectralModel, kern: LineSpectrum, f: np.ndarray) -> np.ndarray:
+    """Real grid data f under the kernel, with every mode's gains padded and
+    rolled onto the circular buffer and transformed in one call: fft/ifft
+    for complex gains, rfft/irfft (the half spectrum) for real ones."""
+    T = kern.T
+    L = 1 << (2 * T - 2).bit_length()
+    rolled = np.roll(np.pad(kern.gains(), ((0, 0), (0, L + 1 - 2 * T))), 1 - T, axis=1)
+    a = sm.project(f) * kern.dt
+    a[[0, -1]] *= 0.5
+    if np.iscomplexobj(kern.gains()):
+        conv = np.fft.ifft(np.fft.fft(a.T, n=L, axis=1) * np.fft.fft(rolled, axis=1), axis=1)[:, :T]
+    else:
+        conv = np.fft.irfft(np.fft.rfft(a.T, n=L, axis=1) * np.fft.rfft(rolled, axis=1), n=L, axis=1)[:, :T]
+    return sm.synthesize(conv.T)
+
+
 @pytest.mark.parametrize("kind, T", [("lambda_plus", 32), ("retarded", 33), ("causal", 768), ("lambda_minus", 1000)])
 def test_apply_gain_buffer_keeps_the_bits_of_pad_and_roll(sm192, kind, T):
     """``apply`` lays the 2T-1 lag gains on its circular buffer with two slice
     copies; the result keeps the bits of the padded and rolled buffer."""
     kern = make_propagator(sm192, kind, 0.1 + 0.025 * np.arange(T))
-    rng = np.random.default_rng(T)
-    f = rng.standard_normal((T, sm192.grid.ndof))
-    L = 1 << (2 * T - 2).bit_length()
-    rolled = np.roll(np.pad(kern.gains(), ((0, 0), (0, L + 1 - 2 * T))), 1 - T, axis=1)
-    a = sm192.project(f) * kern.dt
-    a[[0, -1]] *= 0.5
-    conv = np.fft.ifft(np.fft.fft(a.T, n=L, axis=1) * np.fft.fft(rolled, axis=1), axis=1)[:, :T]
-    if np.array_equal(kern.b, np.conj(kern.a)):
-        conv = conv.real
-    assert np.array_equal(apply(kern, f), sm192.synthesize(conv.T))
+    f = np.random.default_rng(T).standard_normal((T, sm192.grid.ndof))
+    assert np.array_equal(apply(kern, f), _apply_by_pad_and_roll(sm192, kern, f))
+
+
+@pytest.mark.parametrize("kind", ["causal", "lambda_plus"])
+def test_apply_in_blocks_of_modes_keeps_the_bits_of_one_transform(kind):
+    """``apply`` transforms a few modes at a time; on 13 modes, whose last
+    block is short, that keeps the bits of one transform over all of them."""
+    sm = build_spectral(make_toy_model("ads2_strip", nu=1.0, L=1.0), N=96, n_modes=13)
+    kern = make_propagator(sm, kind, 0.1 + 0.025 * np.arange(100))
+    f = np.random.default_rng(13).standard_normal((kern.T, sm.grid.ndof))
+    assert np.array_equal(apply(kern, f), _apply_by_pad_and_roll(sm, kern, f))
+
+
+@pytest.mark.parametrize("kind", ["causal", "retarded"])
+def test_real_kernel_on_complex_data_takes_the_full_transform(sm192, kind, monkeypatch):
+    """Complex data under a real kernel runs through fft/ifft, not the half
+    spectrum, and gives apply on its real part plus i times apply on its
+    imaginary part."""
+    kern = make_propagator(sm192, kind, 0.1 + 0.025 * np.arange(100))
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((kern.T, kern.omega.size)) + 1j * rng.standard_normal((kern.T, kern.omega.size))
+    want = apply(kern, c.real) + 1j * apply(kern, c.imag)
+    called = []
+    for name in ("fft", "rfft"):
+        monkeypatch.setattr(np.fft, name, _recording(getattr(np.fft, name), called))
+    got = apply(kern, c)
+    assert called and set(called) == {"fft"}
+    assert got.dtype == np.complex128
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _recording(fn, called):
+    def wrapper(*args, **kwargs):
+        called.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @pytest.mark.parametrize("kind, m", [("causal", 0), ("retarded", 0), ("lambda_plus", 0), ("lambda_minus", 1)])
