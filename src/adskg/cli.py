@@ -299,7 +299,7 @@ class VerifyPlan:
     half_line: tuple  # (N, K, eigenvalues compared) of the nu = 1/2 line
     time_slice: tuple  # (base step, span, step multiples)
     series: tuple  # (sigma, orders)
-    exponent_window: tuple  # starts at the fits' accuracy floor on mode 1
+    exponent_window: tuple  # from the fits' accuracy floor on mode 1 to max(L/20, twice that floor)
     n_weights: int  # boundary line weights compared with the oracle
     packet: tuple  # (x0, xi0, sigma)
     track: tuple  # (t_max, dt)
@@ -320,8 +320,9 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
         null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.2 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
         time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
+        exponent_window=(floor, max(L / 20.0, 2.0 * floor)), n_weights=5,
         # xi0 grows with nu, so the packet stays semiclassical for the ray, which drops (nu^2 - 1/4)/x^2
-        exponent_window=(floor, L / 20.0), n_weights=5, packet=(0.5 * L, -max(40.0, 7.5 * nu) / L, 0.1 * L),
+        packet=(0.5 * L, -max(40.0, 7.5 * nu) / L, 0.1 * L),
         track=(1.3 * L, _TRACK_DT * L), scan=(max(6.5 * L, 3.5 * gap), 3),
         thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
@@ -385,7 +386,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     dt, refine = _time_step(sm)
     T = 768 * refine
     t_grid = dt * np.arange(T)
-    phi1 = sm.branch(0).phi[:, 0]
     le, ge = operator.le, operator.ge
 
     @cache
@@ -561,7 +561,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
          series_gain, lambda: tol["gain_per_order"], ge),
         ("series_resonance_refusal", "integer 2 nu <= K must be refused", resonance_refused, lambda: 1.0, ge),
         ("mode_boundary_exponent", "eigenmodes carry the x^(nu + 1/2) branch",
-         lambda: abs(mellin_exponent_probe(phi1, sm.grid.dof_x, plan.exponent_window)[0] - (nu + 0.5)),
+         lambda: abs(mellin_exponent_probe(sm, plan.exponent_window) - (nu + 0.5)),
          lambda: tol["exponent"], le),
         *([
             ("boundary_amplitude_mode1", "weighted restriction matches the line amplitude",

@@ -15,7 +15,8 @@ Frames: every bulk kernel lives in the conjugated frame of the eigensolve,
 where modes behave like x^(nu + 1/2).  The restriction alone applies the
 physical weight x^(n/2-1) beta^(-1/2), to a branch's modes in ``boundary_fits``,
 so the exponent it reads is nu_plus = (n/2-1) + (nu + 1/2); the conjugated
-exponent is probed directly on the modes by ``mellin_exponent_probe``.
+exponent nu + 1/2 is probed on mode 1 by ``mellin_exponent_probe``, which
+divides out the same series S_omega the fits use before it reads a slope.
 """
 
 from __future__ import annotations
@@ -160,6 +161,17 @@ def fit_floor(u: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
     return np.maximum(L / 400.0, x[np.argmax(mag >= 1e-12 * mag.max(axis=0), axis=0)])
 
 
+def _series_table(model: MetricModel, m: int, omega2: np.ndarray, x: np.ndarray, hi) -> np.ndarray:
+    """S_omega, the nu_plus indicial series of branch m, for each entry of ``omega2``
+    on the ascending dofs ``x`` up to max(hi), one column each.  The recursion runs
+    once for every column, with enough terms (16 + 1.36 omega hi, hi per column or
+    shared) that they decay past rounding."""
+    near = np.searchsorted(x, np.max(hi), side="right")
+    J = 16 + math.ceil(1.36 * float(np.max(np.sqrt(omega2) * hi)))
+    w = _recursion(model, model.nu_plus, 2 * J, model.transverse_mu(m) - omega2)
+    return np.vander(x[:near] ** 2, J + 1, increasing=True) @ w[::2]
+
+
 def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Boundary coefficient |c_k| and fit quality of every retained mode of
     branch m: the weighted restriction of the mode times the physical weight
@@ -167,9 +179,7 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
 
     Each mode is fitted on ``fit_window``, which must be finite with
     0 < lo < hi <= L/4, or on [``fit_floor``, min(L/4, 4/omega)],
-    where its indicial series S_omega needs few orders.  The recursion runs
-    once for every mode of the branch, with enough terms (16 + 1.36 omega x
-    on the widest window) that they decay past rounding.
+    where its indicial series S_omega needs few orders.
     The fits of a (branch, window) pair are made once and kept, read-only,
     in the branch's tables.
     """
@@ -181,10 +191,8 @@ def boundary_fits(sm: SpectralModel, m: int = 0, fit_window: tuple | None = None
         modes = br.phi * (x ** (0.5 * model.n - 1.0) / np.sqrt(model.beta(x)))[:, None]
         ends = fit_window or (fit_floor(modes, x, model.L), np.minimum(model.L / 4.0, 4.0 / br.omega))
         lo, hi, _ = np.broadcast_arrays(*ends, br.omega)
-        near = np.searchsorted(x, hi.max(), side="right")  # the dofs are ascending
-        J = 16 + math.ceil(1.36 * float(np.max(br.omega * hi)))
-        w = _recursion(model, model.nu_plus, 2 * J, model.transverse_mu(m) - br.omega2)
-        series = np.vander(x[:near] ** 2, J + 1, increasing=True) @ w[::2]
+        series = _series_table(model, m, br.omega2, x, hi)
+        near = series.shape[0]
         out = np.empty((2, br.omega.size))
         for k in range(br.omega.size):
             f = extract_boundary(modes[:near, k], model, (lo[k], hi[k]), x[:near], series[:, k])
@@ -224,22 +232,19 @@ def boundary_gram(kernel: LineSpectrum) -> np.ndarray:
     return _gram_matrix(kernel, _GRAM_TIMES, np.ones((1, kernel.omega.size)))
 
 
-def mellin_exponent_probe(u: np.ndarray, x: np.ndarray, window: tuple[float, float]) -> tuple[float, float]:
-    """Leading boundary exponent by log-log regression of |u| on window[0] <= x <= window[1].
-
-    Returns (alpha_hat, r_squared).  Raises on degenerate data (too few
-    samples in the window or vanishing values)."""
-    x = np.asarray(x, dtype=float)
-    mag = np.abs(np.asarray(u))
-    sel = (x >= window[0]) & (x <= window[1])
-    if np.count_nonzero(sel) < 8:
+def mellin_exponent_probe(sm: SpectralModel, window: tuple[float, float]) -> float:
+    """Leading boundary exponent of mode 1 of branch 0 in the conjugated frame:
+    the log-log slope of |phi_1 / S_omega_1| on window[0] <= x <= window[1],
+    with S_omega_1 the mode's nu_plus indicial series.  S_omega is even and
+    1 + O(x^2), so dividing it out removes the x^2 bias of a bare log-log fit
+    while a wrong leading power still shows in the slope.  Raises on fewer
+    than 8 dofs in the window or a vanishing ratio."""
+    br, x = sm.branch(0), sm.grid.dof_x
+    series = _series_table(sm.model, 0, br.omega2[:1], x, window[1])[:, 0]
+    sel = slice(np.searchsorted(x, window[0]), series.size)  # the dofs are ascending
+    if series.size - sel.start < 8:
         raise ValueError("exponent probe needs at least 8 samples in the window")
-    xs, ms = x[sel], mag[sel]
-    if np.min(ms) <= 0.0:
+    mag = np.abs(br.phi[sel, 0] / series[sel])
+    if np.min(mag) <= 0.0:
         raise ValueError("exponent probe needs strictly positive magnitudes")
-    lx, lm = np.log(xs), np.log(ms)
-    slope, intercept = np.polyfit(lx, lm, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((lm - fitted) ** 2))
-    ss_tot = float(np.sum((lm - lm.mean()) ** 2)) + 1e-300
-    return float(slope), 1.0 - ss_res / ss_tot
+    return float(np.polyfit(np.log(x[sel]), np.log(mag), 1)[0])

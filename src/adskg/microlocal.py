@@ -19,7 +19,8 @@ Three instruments, all built on the mode decomposition:
   first pair with the thermal occupations n_k = 1/(e^{beta omega_k} - 1)
   added to both lines of every mode, whose difference from the first is an
   explicit smooth (superpolynomially decaying) mode sum, with the
-  commutator preserved exactly.
+  commutator preserved exactly.  The decay order of such a sum is read
+  from its lines, each at its own frequency under one Slepian taper.
 
 Time-slot localization uses a single Slepian (DPSS) taper, the leading
 eigenvector of the Slepian tridiagonal matrix, with its half-bandwidth
@@ -69,8 +70,8 @@ __all__ = [
 _TAIL_TOL = 1e-6
 _DISPERSE_FRACTION = 0.25
 _MIN_NW = 2.5
-_DECAY_BINS = 10  # log-spaced frequency bins of the decay-order fit
-_DECAY_FLOOR = 1e-7  # weakest bin envelope, relative to the strongest, that enters the fit
+_DECAY_NW = 8.0  # taper half-bandwidth of the decay order's line reads
+_DECAY_FLOOR = 1e-11  # weakest line read, relative to the strongest, that enters the fit
 _TILE_TIMES = 128  # times per tile of evolve_and_track; a tile's intermediates hold 128 x 128 floats (128 KiB)
 _TILE_POINTS = 128  # kept quadrature points per tile of evolve_and_track
 
@@ -504,39 +505,20 @@ def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StateP
 
 
 def smoothness_decay_order(kernel: LineSpectrum) -> float:
-    """Decay order of the windowed temporal Fourier envelope of a kernel trace.
+    """Decay order of a kernel trace's lines: -d log(read) / d log(omega) over
+    the lines whose read reaches ``_DECAY_FLOOR`` of the strongest (refusing
+    fewer than 4; below it taper leakage from the strong lines swamps them).
 
-    Fits -d log(envelope) / d log(Omega) over log-spaced bins covering the
-    resolved band; superpolynomial (smooth-kernel) decay shows up as a
-    large order, while the vacuum kernels sit near order 1.  The envelope
-    is the per-bin peak, so line spectra are measured at their lines.
-
-    Only resolved bins enter the fit: a bin must contain at least one
-    modal line (a bin between lines measures only the taper skirt of its
-    neighbours) and its envelope must reach ``_DECAY_FLOOR`` relative to the
-    strongest bin (below that, the leakage skirt of the dominant line
-    swamps any genuine content and would flatten the fitted slope).
-    """
-    om, spec = kernel.spectrum(4.0)
-    pos = om > 0
-    om, mag = om[pos], np.abs(spec)[pos]
-
-    w = np.asarray(kernel.omega, dtype=float)
-    lo, hi = 0.8 * float(w.min()), 1.1 * float(w.max())
-    edges = np.geomspace(lo, min(hi, float(om.max())), _DECAY_BINS + 1)
-    cents, envs = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (om >= a) & (om < b)
-        if not np.any(sel) or not np.any((w >= a) & (w < b)):
-            continue
-        cents.append(math.sqrt(a * b))
-        envs.append(float(mag[sel].max()))
-    if not envs:
-        raise ValueError("no resolved bins to fit a decay order")
-    envs = np.asarray(envs)
-    keep = envs >= _DECAY_FLOOR * envs.max()
-    cents, envs = np.asarray(cents)[keep], envs[keep]
-    if cents.size < 4:
-        raise ValueError("too few resolved bins to fit a decay order")
-    slope, _ = np.polyfit(np.log(cents), np.log(envs), 1)
+    A line is read at its own frequency, |sum_tau taper trace e^(-i omega_k tau)|
+    on the 2T-1 lags under a Slepian taper of half-bandwidth ``_DECAY_NW``
+    (Thomson's line-component estimate, Proc. IEEE 70(9), 1982), all lines in
+    one product with the branch's phase table.  Smooth (superpolynomially
+    decaying) kernels read a large order, the vacuum kernels near 1."""
+    trace = kernel.trace()
+    taper = kernel.taper(trace.size, _DECAY_NW)
+    reads = np.abs(kernel.branch.lag_phases(kernel.dt, kernel.T) @ np.conj(taper * trace))
+    keep = reads >= _DECAY_FLOOR * reads.max()
+    if np.count_nonzero(keep) < 4:
+        raise ValueError(f"fewer than 4 lines read above {_DECAY_FLOOR:g} of the strongest to fit a decay order")
+    slope, _ = np.polyfit(np.log(kernel.omega[keep]), np.log(reads[keep]), 1)
     return float(-slope)

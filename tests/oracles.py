@@ -11,8 +11,10 @@ comprehension form over the package's tableau and right-hand sides;
 ``lag_phases_exp``, the phase table as one complex exp over every lag;
 ``hermiticity_full_lags``, the Hermiticity defect read on every lag;
 ``solve_branch_cho_solve_banded``, the branch eigensolve with K^-1 applied
-through scipy's banded Cholesky wrapper; and ``lag_gains_complex``, every
-kernel's gains formed as complex arrays, real kernels included.
+through scipy's banded Cholesky wrapper; ``lag_gains_complex``, every
+kernel's gains formed as complex arrays, real kernels included; and
+``feynman_consistency_complex``, the Feynman defect formed with complex
+products.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def lag_gains_complex(kernel) -> np.ndarray:
     if kernel.support in ("future", "past"):
         g[:, ~(k > 0 if kernel.support == "future" else k < 0)] = 0.0
     return g
+
+
+def feynman_consistency_complex(lp, lm, ret, adv) -> float:
+    """Largest |-1j g_plus + g_adv - (-1j g_minus + g_ret)| over the kernels'
+    own gains on every lag, formed with complex products."""
+    gp, gm, g_ret, g_adv = (k.gains() for k in (lp, lm, ret, adv))
+    return float(np.max(np.abs(-1j * gp + g_adv - (-1j * gm + g_ret))))
 
 
 def hermiticity_full_lags(*kernels) -> float:

@@ -849,18 +849,44 @@ def test_plan_scales_with_L():
     assert plan.exponent_window == (2.0 / 400.0, 2.0 / 20.0)
 
 
-@pytest.mark.parametrize("nu, xi0", [(1.0, -40.0), (5.0, -40.0), (6.0, -45.0), (8.0, -60.0)])
+@pytest.mark.parametrize("nu, xi0", [(1.0, -40.0), (5.0, -40.0), (6.0, -45.0), (8.0, -60.0), (12.0, -90.0)])
 def test_plan_launches_the_packet_in_the_semiclassical_regime(nu, xi0):
     """The ray drops the centrifugal term (nu^2 - 1/4)/x^2, so the packet's
     frequency grows with nu: xi0 = -max(40, 7.5 nu) / L, the same as before
     for nu <= 16/3.  Above nu = 4 mode 1 is round-off near x = L/400, so its
-    exponent window starts at the fits' accuracy floor."""
+    exponent window starts at the fits' accuracy floor; at nu = 12 that floor
+    lies above L/40, and the window ends at twice the floor."""
     L = 2.0
     sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=L), N=192, n_modes=32)
     plan = _plan(RunConfig(), sm)
+    floor = float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L))
     assert plan.packet == (0.5 * L, xi0 / L, 0.1 * L)
-    assert plan.exponent_window == (float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L)), L / 20.0)
+    assert plan.exponent_window == (floor, max(L / 20.0, 2.0 * floor))
     assert (plan.exponent_window[0] > L / 400.0) == (nu > 4.0)
+    assert (plan.exponent_window[1] == 2.0 * floor) == (nu == 12.0)
+
+
+def test_wrong_boundary_exponent_fails_its_row_alone(monkeypatch):
+    """A mode 1 whose leading power is 0.02 too high, phi_1 x^0.02, fails
+    mode_boundary_exponent on its value and no other row (exit 1): the probe
+    divides out the even series S_omega = 1 + O(x^2), so the wrong power
+    reads in full against the tolerance of 1e-2."""
+    from types import SimpleNamespace
+
+    from adskg import holography
+
+    probe = holography.mellin_exponent_probe
+
+    def faulted(sm, window):
+        br = sm.branch(0)
+        mode1 = SimpleNamespace(omega2=br.omega2, phi=br.phi * sm.grid.dof_x[:, None] ** 0.02)
+        return probe(SimpleNamespace(model=sm.model, grid=sm.grid, branch=lambda m: mode1), window)
+
+    monkeypatch.setattr(holography, "mellin_exponent_probe", faulted)
+    code, report = run_verify(RunConfig())
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert code == 1 and [c["check"] for c in failed] == ["mode_boundary_exponent"]
+    assert "error" not in failed[0] and failed[0]["value"] == pytest.approx(0.02, abs=1e-6)
 
 
 @pytest.mark.parametrize("L", [1.0, 10.0, 100.0])

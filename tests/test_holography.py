@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracles import boundary_amplitudes_mp, line_weights_mp
 
 from adskg.bessel import toy_boundary_amplitudes
-from adskg.cli import _default_tolerances
+from adskg.cli import RunConfig, _default_tolerances, _plan
 from adskg.geometry import make_toy_model
 from adskg.holography import (
     boundary_fits,
@@ -173,10 +174,20 @@ def test_fit_floor_starts_above_round_off():
 
 
 def test_mode_boundary_exponent(sm192, ads2):
-    phi1 = sm192.branch(0).phi[:, 0]
-    slope, r2 = mellin_exponent_probe(np.abs(phi1), sm192.grid.dof_x, (ads2.L / 400.0, ads2.L / 20.0))
-    assert abs(slope - (ads2.nu + 0.5)) <= 1e-2
-    assert r2 > 0.999
+    """With its indicial series divided out, mode 1 reads nu + 1/2 to 1e-6;
+    the bare log-log slope of |phi_1| read 1.3e-3 off, the x^2 term of S_omega."""
+    slope = mellin_exponent_probe(sm192, (ads2.L / 400.0, ads2.L / 20.0))
+    assert abs(slope - (ads2.nu + 0.5)) <= 1e-6
+
+
+@pytest.mark.parametrize("nu", [8.0, 10.0, 12.0])
+def test_mode_boundary_exponent_at_large_nu(nu):
+    """On verify's window the probe reads nu + 1/2 to 1e-4 up to nu = 12; from
+    nu = 10 the fits' floor lies above L/40 and the window is (floor, 2 floor)."""
+    sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=32)
+    window = _plan(RunConfig(), sm).exponent_window
+    assert (window[1] > 1.0 / 20.0) == (nu >= 10.0)
+    assert abs(mellin_exponent_probe(sm, window) - (nu + 0.5)) <= 1e-4
 
 
 def test_boundary_two_point_matches_oracle(sm192, ads2, tgrid):
@@ -276,10 +287,15 @@ def test_minus_kernel_mirrors(sm192, ads2, tgrid):
     assert rep["forbidden_fraction"] <= FREQ_MASS
 
 
-def test_mellin_probe_validation(ads2):
-    x = np.geomspace(1e-4, 0.3, 6)
+def test_mellin_probe_validation(sm192, ads2):
+    x = sm192.grid.dof_x
     with pytest.raises(ValueError, match="at least 8"):
-        mellin_exponent_probe(x**1.5, x, (ads2.L / 400.0, ads2.L / 20.0))
+        mellin_exponent_probe(sm192, (x[20], x[26]))  # 7 dofs
+    br = sm192.branch(0)
+    dead = SimpleNamespace(omega2=br.omega2, phi=np.zeros_like(br.phi))
+    zero = SimpleNamespace(model=sm192.model, grid=sm192.grid, branch=lambda m: dead)
+    with pytest.raises(ValueError, match="strictly positive"):
+        mellin_exponent_probe(zero, (ads2.L / 400.0, ads2.L / 20.0))
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.0, 2.5, 4.0, 8.0])

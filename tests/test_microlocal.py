@@ -475,26 +475,60 @@ def test_smoothness_orders(zoo, sm192):
     assert smoothness_decay_order(zoo["lambda_plus"]) < 2.0
 
 
-def _verify_state_difference(nu: float) -> LineSpectrum:
-    """The thermal difference kernel of ``verify``'s defaults (N = 192, K = 32,
-    its time grid and beta = 5 / m) on the strip at nu."""
+def _verify_state_pair(nu: float, gamma: float = 2.0):
+    """The thermal state pair of ``verify``'s defaults (N = 192, K = 32, its
+    time grid and beta = 5 / m) on the strip at nu, on a mesh graded by gamma."""
     from adskg.cli import _time_step
 
-    sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=32)
+    sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=32, gamma=gamma)
     dt, refine = _time_step(sm)
     lp, lm = (make_propagator(sm, kind, dt * np.arange(768 * refine)) for kind in ("lambda_plus", "lambda_minus"))
-    return make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt}).difference()
+    return make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt})
+
+
+def _decay_fit(kernel: LineSpectrum, monkeypatch) -> tuple[float, np.ndarray, np.ndarray]:
+    """``smoothness_decay_order`` of the kernel, with the frequencies and line
+    reads its log-log fit takes."""
+    fits, polyfit = [], np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append((x, y)) or polyfit(x, y, deg))
+    order = smoothness_decay_order(kernel)
+    monkeypatch.undo()
+    return order, np.exp(fits[-1][0]), np.exp(fits[-1][1])
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.0, 8.0])
 def test_polynomial_occupations_read_a_low_order(nu):
     """The ``difference_smoothness`` row can fail: a bulk difference whose
-    occupations fall only like omega_k^-3 reads a decay order below the row's
-    tolerance of 6, where the Bose occupations of the same run read above it."""
-    diff = _verify_state_difference(nu)
+    occupations fall only like omega_k^-3 reads a decay order of 4, the
+    power of its lines n_k / (2 omega_k), below the row's tolerance of 6,
+    where the Bose occupations of the same run read above it."""
+    diff = _verify_state_pair(nu).difference()
     n = (diff.omega[0] / diff.omega) ** 3
     assert smoothness_decay_order(diff) >= 6.0
-    assert smoothness_decay_order(LineSpectrum("difference", diff.t_grid, diff.branch, n, n)) < 6.0
+    assert smoothness_decay_order(LineSpectrum("difference", diff.t_grid, diff.branch, n, n)) == pytest.approx(
+        4.0, abs=1e-6
+    )
+
+
+def test_decay_order_reads_the_injected_lines(monkeypatch):
+    """At nu = 1 each line read is the injected content n_k / (2 omega_k)
+    times the taper's sum, to 1e-3 on every line above 1e-9 of the strongest."""
+    pair = _verify_state_pair(1.0)
+    diff = pair.difference()
+    _, omega, reads = _decay_fit(diff, monkeypatch)
+    assert np.allclose(omega, diff.omega[: omega.size], rtol=1e-12, atol=0.0)  # the Bose lines fall in order
+    content = (pair.occupation / (2.0 * diff.omega))[: omega.size] * diff.taper(2 * diff.T - 1, 8.0).sum()
+    strong = reads >= 1e-9 * reads.max()
+    assert np.count_nonzero(strong) >= 5
+    assert np.max(np.abs(reads[strong] / content[strong] - 1.0)) <= 1e-3
+
+
+@pytest.mark.parametrize("gamma", [3.0, 6.0, 12.0])
+def test_decay_order_resolves_small_nu(gamma, monkeypatch):
+    """At nu = 0.1 on the meshes graded for it, the Bose difference reads an
+    order of at least 6 on 4 lines; the binned envelope resolved too few bins."""
+    order, omega, _ = _decay_fit(_verify_state_pair(0.1, gamma).difference(), monkeypatch)
+    assert omega.size == 4 and order >= 6.0
 
 
 def test_omega_floor_follows_the_spatial_factor(zoo, sm192, ads2):

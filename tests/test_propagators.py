@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import hermiticity_full_lags, lag_gains_complex, lag_phases_exp, line_gains
+from oracles import feynman_consistency_complex, hermiticity_full_lags, lag_gains_complex, lag_phases_exp, line_gains
 from scipy.signal.windows import dpss
 
 import adskg
@@ -390,6 +390,22 @@ def test_non_conjugate_lines_stay_complex(zoo):
     got = fault.gains()
     assert got.dtype == np.complex128 and np.abs(got.imag).max() > 0.0
     assert got.tobytes() == lag_gains_complex(fault).tobytes()
+
+
+def test_feynman_consistency_keeps_the_bits_of_complex_products(zoo, sm192):
+    """feynman_consistency forms the real and imaginary parts of its defect
+    apart and takes their hypot.  That reads the float of the complex products
+    on the vacuum, thermal and sign-flip pairs, and on a fault pair whose
+    lambda_minus line is 1.5 times too strong, so that the defect's imaginary
+    part is nonzero (np.hypot and numpy's complex abs can differ by an ulp on
+    other data, so the pin is on these pairs)."""
+    lp, lm, ret, adv = map(zoo.get, ("lambda_plus", "lambda_minus", "retarded", "advanced"))
+    thermal = make_perturbed_state(lp, lm, {"thermal": 5.0 / sm192.m_floor_sqrt})
+    fault = (lp, replace(lm, b=1.5 * lm.b))
+    assert np.abs(fault[0].gains().real - fault[1].gains().real).max() > 0.0
+    for pair in ((lp, lm), (thermal.lp_b, thermal.lm_b), (lp.mutated(0.01), lm), fault):
+        assert feynman_consistency(*pair, ret, adv) == feynman_consistency_complex(*pair, ret, adv)
+    assert feynman_consistency(*fault, ret, adv) > 1e-3
 
 
 def test_identity_measures_read_the_floats_of_complex_gains(zoo, sm192):
