@@ -28,8 +28,9 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cached_property
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -170,22 +171,10 @@ def _cmd_trace_gbb(args) -> int:
     model = load_model(_model_cfg(args))
     p0 = PhasePointB(x=args.x0, t=args.t0, tau=args.tau, xi=args.xi0, y=args.y0, zeta=args.zeta0)
     path = trace_gbb(model, p0, t_max=args.tmax, step=args.step)
-    binio.write_csv(
-        args.out,
-        ["s", "t", "x", "y", "xi_bar", "xi", "zeta", "tau", "segment_id", "event"],
-        path.to_rows(),
-    )
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "segments": len(path.segments),
-                "reflections": len(path.reflections),
-                "energy_sign": path.energy_sign,
-                "symbol_drift": path.symbol_drift,
-            }
-        )
-    )
+    header = ["s", "t", "x", "y", "xi_bar", "xi", "zeta", "tau", "segment_id", "event"]
+    binio.write_csv(args.out, header, path.to_rows())
+    print(json.dumps({"out": args.out, "segments": len(path.segments), "reflections": len(path.reflections),
+                      "energy_sign": path.energy_sign, "symbol_drift": path.symbol_drift}))
     return EXIT_PASS
 
 
@@ -230,17 +219,8 @@ def _cmd_wavepacket(args) -> int:
     dev = np.abs(track.centroid - gx)
     rows = list(zip(track.times, track.centroid, track.spread, gx, dev))
     binio.write_csv(args.out, ["t", "centroid", "spread", "gbb_x", "deviation"], rows)
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "status": track.status,
-                "max_deviation": float(dev.max()),
-                "width": args.sigma,
-                "tail": w.tail,
-            }
-        )
-    )
+    print(json.dumps({"out": args.out, "status": track.status, "max_deviation": float(dev.max()),
+                      "width": args.sigma, "tail": w.tail}))
     return EXIT_PASS
 
 
@@ -250,11 +230,8 @@ def _cmd_wf_scan(args) -> int:
 
     kernel = _load_kernel(args.kernel_bin)
     rows = kernel_wavefront_scan(kernel, args.window, args.centers)
-    binio.write_csv(
-        args.out,
-        ["t", "s", "sign_content_plus", "sign_content_minus", "cross"],
-        [(r.t, r.s, r.sign_content_plus, r.sign_content_minus, r.cross) for r in rows],
-    )
+    binio.write_csv(args.out, ["t", "s", "sign_content_plus", "sign_content_minus", "cross"],
+                    [(r.t, r.s, r.sign_content_plus, r.sign_content_minus, r.cross) for r in rows])
     print(json.dumps({"out": args.out, "windows": len(rows), "kind": kernel.kind}))
     return EXIT_PASS
 
@@ -328,50 +305,293 @@ def _plan(config: RunConfig, sm) -> VerifyPlan:
     )
 
 
+class VerifyRun:
+    """What the rows of one verify run read: config, tolerances, eigenbasis,
+    plan and kernel grid (T steps of dt).  Objects that rows share are cached
+    properties, kernels go through ``kernel``, and library functions are read
+    off the modules held here at call time (the ``cli`` module top has no numpy)."""
+
+    def __init__(self, config: RunConfig, tol: dict, sm, plan: VerifyPlan, dt: float, T: int):
+        import numpy as np
+
+        from . import bchar, bessel, geometry, holography, microlocal, propagators, spectral
+
+        self.config, self.tol, self.sm, self.plan, self.dt, self.T = config, tol, sm, plan, dt, T
+        self.model, self.t_grid, self.kernels = sm.model, dt * np.arange(T), {}
+        self.np, self.bchar, self.bessel, self.geometry = np, bchar, bessel, geometry
+        self.holography, self.microlocal = holography, microlocal
+        self.propagators, self.spectral = propagators, spectral
+
+    def kernel(self, kind: str):
+        """The kernel of one kind on the run's grid, made on its first request."""
+        if kind not in self.kernels:
+            self.kernels[kind] = self.propagators.make_propagator(self.sm, kind, self.t_grid)
+        return self.kernels[kind]
+
+    @cached_property
+    def mutant(self):
+        return self.kernel("lambda_plus").mutated(0.01)
+
+    @cached_property
+    def gbb(self):
+        return self.bchar.trace_gbb(self.model, self.bchar.make_null_point(self.model, *self.plan.gbb[:2]),
+                                    *self.plan.gbb[2:])
+
+    @cached_property
+    def two_point(self) -> dict:
+        return self.propagators.verify_two_point(*map(self.kernel, ("lambda_plus", "lambda_minus", "causal")))
+
+    @cached_property
+    def time_slice(self) -> tuple:
+        return self.propagators.time_slice_residuals(self.sm, self.config.seed, *self.plan.time_slice)
+
+    @cached_property
+    def boundary(self):
+        return self.holography.boundary_two_point(self.kernel("lambda_plus"), self.model)
+
+    @cached_property
+    def boundary_evals(self):
+        return self.propagators.gram_eigenvalues(self.holography.boundary_gram(self.boundary))
+
+    @cached_property
+    def packet(self):
+        return self.microlocal.make_wavepacket(self.sm, *self.plan.packet)
+
+    @cached_property
+    def track(self):
+        return self.microlocal.evolve_and_track(self.sm, self.packet, *self.plan.track)
+
+    @cached_property
+    def pair(self):
+        thermal = {"thermal": self.plan.thermal_beta}
+        return self.microlocal.make_perturbed_state(self.kernel("lambda_plus"), self.kernel("lambda_minus"), thermal)
+
+    @cached_property
+    def state_two_point(self) -> dict:
+        return self.propagators.verify_two_point(self.pair.lp_b, self.pair.lm_b, self.kernel("causal"))
+
+    @cached_property
+    def difference(self):
+        return self.pair.difference()
+
+    @cached_property
+    def difference_traces(self) -> tuple:
+        lags = self.np.arange(0, self.T, self.plan.difference_stride)
+        return self.pair.lp_b.trace(lags) - self.pair.lp_a.trace(lags), self.difference.trace(lags)
+
+    def forbidden(self, k) -> float:
+        return self.propagators.frequency_sign_test(k, self.sm.m_floor_sqrt)["forbidden_fraction"]
+
+    def scan_off(self, k, length: float, starts: int, band=None) -> float:
+        scan = self.microlocal.kernel_wavefront_scan(k, length, starts, band)
+        return self.microlocal.off_pattern(scan, k, band=band)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One verify check.  ``value(run)`` and then ``tolerance(run)`` are read
+    in report order, and ``passes(value, tolerance)`` gives the verdict.  A
+    row with ``kinds`` runs only on models of those kinds."""
+
+    name: str
+    identity: str
+    value: Callable
+    tolerance: Callable
+    passes: Callable = operator.le
+    kinds: tuple = ()
+
+
+def _rel_err(got, want) -> float:
+    """Largest relative error on the leading entries the two arrays share."""
+    n = min(len(got), len(want))
+    return float((abs(got[:n] - want[:n]) / want[:n]).max())
+
+
+def _series_gain(r: VerifyRun) -> float:
+    sigma, (k0, k1) = r.plan.series
+    slope = {K: r.holography.build_series(r.model, w0=1.0, K=K, sigma=sigma).residual_slope for K in (k0, k1)}
+    return (slope[k1] - slope[k0]) / (k1 - k0)
+
+
+def _resonance_refused(r: VerifyRun) -> float:
+    """1.0 when the series builder refuses the nu_minus recursion at the resonant order 2 nu = 2 <= K."""
+    toy = r.geometry.make_toy_model("ads2_strip", nu=1.0, L=r.model.L)
+    try:
+        r.holography.build_series(toy, w0=1.0, K=2, alpha=toy.nu_minus)
+    except ValueError:
+        return 1.0
+    return 0.0
+
+
+def _half_line_error(r: VerifyRun) -> float:
+    N_half, K_half, n_half = r.plan.half_line
+    toy = r.geometry.make_toy_model("ads2_strip", nu=0.5, L=r.model.L)
+    sm_half = r.spectral.build_spectral(toy, N=N_half, n_modes=K_half)
+    return _rel_err(sm_half.branch(0).omega2, (r.np.arange(1, n_half + 1) * math.pi / r.model.L) ** 2)
+
+
+def _amplitude_error(r: VerifyRun) -> float:
+    """Mode 1 of the fits the boundary kernel reads, against its toy amplitude."""
+    c_oracle = r.bessel.toy_boundary_amplitudes(r.model, 1)[0]
+    return abs(r.holography.boundary_fits(r.sm)[0][0] - c_oracle) / c_oracle
+
+
+def _packet_deviation(r: VerifyRun) -> float:
+    if r.track.status != "ok":
+        raise ValueError(f"the packet dispersed at t = {r.track.times[-1]:g}, before t_max = {r.plan.track[0]:g}")
+    gx = r.microlocal.gbb_reference(r.model, *r.plan.packet[:2], r.track.times, clip=r.track.window_floor)
+    return float(abs(r.track.centroid - gx).max()) / r.plan.packet[2]
+
+
+def _reflection_time_error(r: VerifyRun) -> float:
+    """|t_back - 2 x0|, t_back the tracked time after 1.2 x0 whose centroid comes closest to x0."""
+    tr, x0 = r.track, r.plan.packet[0]
+    after = tr.times > 1.2 * x0
+    if not after.any():
+        raise ValueError(f"the track ended at t = {tr.times[-1]:g}, before the return window t > 1.2 x0 = {1.2 * x0:g}")
+    return abs(float(tr.times[after][abs(tr.centroid[after] - x0).argmin()]) - 2.0 * x0)
+
+
+def _psd(name: str, identity: str, evals, kinds: tuple = ()) -> Row:
+    """Row of the PSD rule on the ascending eigenvalues evals(run): the least is >= -psd * max |eigenvalue|."""
+    return Row(name, identity, lambda r: evals(r)[0], lambda r: -r.tol["psd"] * float(abs(evals(r)).max()),
+               operator.ge, kinds)
+
+
+_TOYS, _STRIP = ("ads2_strip", "ads3_cylinder"), ("ads2_strip",)
+_WAVE_OP, _COMMUTATOR = "P Lambda_pm = 0", "Lambda_plus - Lambda_minus = i G"
+_PSD, _SIGN = "(f | Lambda_pm f) >= 0", "chi_mp(D_t) Lambda_pm = 0"
+_FEYNMAN_PARTS = ("lambda_plus", "lambda_minus", "retarded", "advanced")
+
+# The verify checks in report order.  Identity texts, tolerances and
+# comparisons live only here; the library functions the rows call return
+# measurements, and every other value a row uses comes from the run's plan.
+ROWS = (
+    # geometry
+    Row("indicial_sum", "nu_plus + nu_minus = n - 1",
+        lambda r: abs(r.model.nu_plus + r.model.nu_minus - (r.model.n - 1)),
+        lambda r: 1e-14 * max(1.0, r.model.n - 1.0)),
+    Row("indicial_gap", "nu_plus - nu_minus = 2 nu",
+        lambda r: abs(r.model.nu_plus - r.model.nu_minus - 2.0 * r.model.nu),
+        lambda r: 1e-14 * max(1.0, 2.0 * r.model.nu)),
+    Row("even_warp_slope", "beta' (0) = k'(0) = 0",
+        lambda r: abs(float(r.model.dbeta(r.np.zeros(1))[0])) + abs(float(r.model.dk(r.np.zeros(1))[0])),
+        lambda r: 1e-12),
+    Row("null_point_symbol", "p(x, xi, zeta, tau) = 0 on the characteristic set",
+        lambda r: abs(r.geometry.conformal_symbol(r.model, r.bchar.make_null_point(r.model, *r.plan.null_point))),
+        lambda r: 1e-13),
+    # broken bicharacteristics
+    Row("gbb_symbol_drift", "p = 0 along Hamilton arcs",
+        lambda r: r.gbb.symbol_drift, lambda r: r.tol["symbol_drift"] * 4.0),
+    Row("gbb_reflections", "maximal GBBs reflect at the walls",
+        lambda r: len(r.gbb.reflections), lambda r: 1.0, operator.ge),
+    Row("gbb_reflection_law", "xi -> -xi, tangential data fixed",
+        lambda r: max((abs(ev.point.xi + ev.xi_in) for ev in r.gbb.reflections), default=math.inf), lambda r: 0.0),
+    Row("gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection",
+        lambda r: r.gbb.tangential_jump, lambda r: 0.0),
+    # spectral
+    Row("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",
+        lambda r: _rel_err(r.np.sqrt(r.sm.branch(0).omega2), r.bessel.toy_frequencies(r.model, r.plan.n_cmp)),
+        lambda r: r.tol["eig_rel"], kinds=_TOYS),
+    Row("collocation_oracle", "independent basis reproduces the line",
+        lambda r: _rel_err(r.np.sqrt(r.bessel.bessel_collocation_eigs(r.model, *r.plan.collocation)),
+                           r.bessel.toy_frequencies(r.model, r.plan.n_cmp)), lambda r: 1e-8, kinds=_TOYS),
+    Row("eigenvalue_exact_half", "nu = 1/2 line is (k pi / L)^2",
+        _half_line_error, lambda r: r.tol["eig_exact"], kinds=_STRIP),
+    Row("spectral_floor", "0 < m2_floor <= omega_1^2",
+        lambda r: (r.sm.branch(0).omega2[0] - r.sm.m2_floor) / r.sm.branch(0).omega2[0], lambda r: 2e-6,
+        lambda v, t: 0.0 < v <= t),
+    # propagator algebra
+    Row("wave_op_on_lambda", _WAVE_OP, lambda r: r.two_point["wave_op"], lambda r: r.two_point["wave_op_bound"]),
+    Row("commutator_identity", _COMMUTATOR, lambda r: r.two_point["commutator"], lambda r: r.tol["algebra"]),
+    Row("hermiticity", "Lambda_pm(t,s) = Lambda_pm(s,t)*",
+        lambda r: r.two_point["hermiticity"], lambda r: r.tol["algebra"]),
+    _psd("psd_lambda_plus", _PSD, lambda r: r.two_point["gram_plus"]),
+    _psd("psd_lambda_minus", _PSD, lambda r: r.two_point["gram_minus"]),
+    Row("support_retarded", "retarded kernel vanishes for t <= s",
+        lambda r: r.propagators.support_check(r.kernel("retarded")), lambda r: 0.0),
+    Row("adjoint_pair", "retarded(s,t)^T = advanced(t,s)",
+        lambda r: r.propagators.adjoint_check(r.kernel("retarded"), r.kernel("advanced")), lambda r: r.tol["algebra"]),
+    Row("feynman_consistency", "(1/i) Lambda_plus + advanced = (1/i) Lambda_minus + retarded",
+        lambda r: r.propagators.feynman_consistency(*map(r.kernel, _FEYNMAN_PARTS)), lambda r: r.tol["algebra"]),
+    Row("frequency_sign_plus", _SIGN,
+        lambda r: r.forbidden(r.mutant if r.config.inject_sign_flip else r.kernel("lambda_plus")),
+        lambda r: r.tol["freq_mass"]),
+    Row("frequency_sign_minus", _SIGN, lambda r: r.forbidden(r.kernel("lambda_minus")), lambda r: r.tol["freq_mass"]),
+    Row("frequency_sign_mutation", "1% flipped modes must fail the one-sided test",
+        lambda r: r.forbidden(r.mutant) / r.tol["freq_mass"], lambda r: r.tol["mutation_ratio"], operator.ge),
+    Row("time_slice_order", "G [P, chi] u - u shrinks at stencil order",
+        lambda r: r.time_slice[1], lambda r: 1.9, operator.ge),
+    Row("time_slice_residual", "G [P, chi] u = u (interior of the cutoff window)",
+        lambda r: r.time_slice[0][2], lambda r: max(r.tol["time_slice_factor"] * r.time_slice[2], 1e-15)),
+    # indicial / boundary
+    Row("indicial_roots_annihilated", "c_alpha = 0 at alpha = nu_minus, nu_plus",
+        lambda r: abs(r.holography.indicial_polynomial(r.model, r.model.nu_plus))
+        + abs(r.holography.indicial_polynomial(r.model, r.model.nu_minus)), lambda r: 0.0),
+    Row("indicial_midpoint", "c at the midpoint of the roots equals nu^2",
+        lambda r: abs(r.holography.indicial_polynomial(r.model, 0.5 * (r.model.nu_plus + r.model.nu_minus))
+                      - r.model.nu**2),
+        lambda r: 1e-13 * max(1.0, r.model.nu**2)),
+    Row("series_order_gain", "each series order gains one residual power",
+        _series_gain, lambda r: r.tol["gain_per_order"], operator.ge),
+    Row("series_resonance_refusal", "integer 2 nu <= K must be refused",
+        _resonance_refused, lambda r: 1.0, operator.ge),
+    Row("mode_boundary_exponent", "eigenmodes carry the x^(nu + 1/2) branch",
+        lambda r: abs(r.holography.mellin_exponent_probe(r.sm, r.plan.exponent_window) - (r.model.nu + 0.5)),
+        lambda r: r.tol["exponent"]),
+    Row("boundary_amplitude_mode1", "weighted restriction matches the line amplitude",
+        _amplitude_error, lambda r: r.tol["weights_rel"], kinds=_STRIP),
+    Row("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
+        lambda r: _rel_err(r.boundary.weights, r.bessel.toy_line_weights(r.model, r.plan.n_weights)),
+        lambda r: r.tol["weights_rel"], kinds=_STRIP),
+    _psd("boundary_psd", "(f | k_plus f) >= 0", lambda r: r.boundary_evals, _STRIP),
+    Row("boundary_one_sided", _SIGN, lambda r: r.forbidden(r.boundary), lambda r: r.tol["freq_mass"], kinds=_STRIP),
+    # wavepacket / GBB
+    Row("packet_moments", "second moments within 2 sigma^2 and 2/sigma^2",
+        lambda r: max(r.packet.x_var / (2.0 * r.packet.width**2), r.packet.xi_var / (2.0 / r.packet.width**2)),
+        lambda r: 1.0),
+    Row("packet_follows_gbb", "centroid tracks the reflected ray",
+        _packet_deviation, lambda r: 1.0),
+    Row("packet_reflection_time", "round trip takes 2 x0 / speed",
+        _reflection_time_error, lambda r: 2.0 * r.plan.packet[2]),
+    # state pair / scans
+    Row("scan_vacuum_plus", "vacuum kernel mass sits in one sign quadrant",
+        lambda r: r.scan_off(r.kernel("lambda_plus"), *r.plan.scan), lambda r: r.tol["scan_vacuum"]),
+    Row("scan_mutation", "1% flipped modes must fail the quadrant scan",
+        lambda r: r.scan_off(r.mutant, *r.plan.scan) / r.tol["scan_state"], lambda r: r.tol["mutation_ratio"],
+        operator.ge),
+    Row("scan_thermal_state", "perturbed state stays Hadamard-graded",
+        lambda r: max(r.scan_off(r.pair.lp_b, *r.plan.scan), r.scan_off(r.pair.lm_b, *r.plan.scan)),
+        lambda r: r.tol["scan_state"]),
+    Row("state_wave_op_on_lambda", _WAVE_OP,
+        lambda r: r.state_two_point["wave_op"], lambda r: r.state_two_point["wave_op_bound"]),
+    Row("state_commutator_identity", _COMMUTATOR,
+        lambda r: r.state_two_point["commutator"], lambda r: r.tol["algebra"]),
+    _psd("state_psd_lambda_plus", _PSD, lambda r: r.state_two_point["gram_plus"]),
+    _psd("state_psd_lambda_minus", _PSD, lambda r: r.state_two_point["gram_minus"]),
+    Row("difference_coefficients", "state difference is the injected mode sum",
+        lambda r: float(abs(r.difference_traces[0] - r.difference_traces[1]).max()),
+        lambda r: 1e-13 * (float(abs(r.difference_traces[1]).max()) + 1.0)),
+    Row("difference_smoothness", "difference kernel decays superpolynomially in frequency",
+        lambda r: r.microlocal.smoothness_decay_order(r.difference), lambda r: r.tol["smooth_order"], operator.ge),
+    Row("scan_feynman_flip", "time-ordered pattern flips across t = s",
+        lambda r: r.scan_off(r.propagators.make_feynman(*map(r.kernel, _FEYNMAN_PARTS))[0], *r.plan.feynman_scan),
+        lambda r: r.tol["scan_feynman"]),
+)
+
+
 def run_verify(config: RunConfig) -> tuple[int, dict]:
-    """Evaluate the ordered check table and assemble the JSON report.
+    """Evaluate the ``ROWS`` that apply to the model, in order, on one
+    ``VerifyRun``, and assemble the JSON report.
 
-    Each row is (name, identity, value, tolerance, passes): value and
-    tolerance are thunks, evaluated in report order, and passes(value, tol)
-    gives the verdict.  Identity texts, tolerances and comparisons live
-    only here; the library functions the rows call return measurements.
-    Every other value a row uses comes from the ``VerifyPlan`` that
-    ``_plan`` works out once from the config and the spectrum; nothing else
-    sets it.  Tolerances the config leaves out take their defaults.
-    Objects that several rows share are built on first use by caches local
-    to this call.  A ValueError or RuntimeError raised inside a row fails
-    that row alone: its entry has null value and tolerance and the message
-    under "error", and the next row runs.  The config is validated and the
-    model and the eigenbasis are built before any row, so their errors
-    reach the caller.
+    The config is validated and the model and the eigenbasis are built
+    before any row, so their errors reach the caller; tolerances the config
+    leaves out take their defaults.  A ValueError or RuntimeError raised
+    inside a row fails that row alone: its entry has null value and
+    tolerance and the message under "error", and the next row runs.
     """
-    import numpy as np
-
-    from .bchar import make_null_point, trace_gbb
-    from .bessel import bessel_collocation_eigs, model_zeros, toy_boundary_amplitudes, toy_frequencies, toy_line_weights
-    from .geometry import conformal_symbol, load_model, make_toy_model
-    from .holography import boundary_fits, boundary_gram, boundary_two_point, build_series, indicial_polynomial
-    from .holography import mellin_exponent_probe
-    from .microlocal import (
-        evolve_and_track,
-        gbb_reference,
-        kernel_wavefront_scan,
-        make_perturbed_state,
-        make_wavepacket,
-        off_pattern,
-        smoothness_decay_order,
-    )
-    from .propagators import (
-        adjoint_check,
-        feynman_consistency,
-        frequency_sign_test,
-        gram_eigenvalues,
-        make_feynman,
-        make_propagator,
-        support_check,
-        time_slice_residuals,
-        verify_two_point,
-    )
+    from .bessel import model_zeros
+    from .geometry import load_model
     from .spectral import build_spectral
 
     config.validate()
@@ -381,256 +601,26 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     plan = _plan(config, sm)
     if model.is_toy:  # the toy rows slice one J_nu zero scan, made here at the longest count they read
         model_zeros(model, max(plan.n_cmp, plan.collocation[0], plan.n_weights))
-    L, nu = model.L, model.nu
-    # kernel time grid: the span stays 19.2 L
     dt, refine = _time_step(sm)
-    T = 768 * refine
-    t_grid = dt * np.arange(T)
-    le, ge = operator.le, operator.ge
-
-    @cache
-    def kernel(kind: str):
-        return make_propagator(sm, kind, t_grid)
-
-    @cache
-    def mutant():
-        return kernel("lambda_plus").mutated(0.01)
-
-    @cache
-    def gbb():
-        return trace_gbb(model, make_null_point(model, *plan.gbb[:2]), *plan.gbb[2:])
-
-    @cache
-    def two_point():
-        return verify_two_point(*map(kernel, ("lambda_plus", "lambda_minus", "causal")))
-
-    @cache
-    def time_slice():
-        return time_slice_residuals(sm, config.seed, *plan.time_slice)
-
-    @cache
-    def boundary():
-        return boundary_two_point(kernel("lambda_plus"), model)
-
-    @cache
-    def packet():
-        return make_wavepacket(sm, *plan.packet)
-
-    @cache
-    def track():
-        return evolve_and_track(sm, packet(), *plan.track)
-
-    @cache
-    def pair():
-        return make_perturbed_state(kernel("lambda_plus"), kernel("lambda_minus"), {"thermal": plan.thermal_beta})
-
-    @cache
-    def state_two_point():
-        return verify_two_point(pair().lp_b, pair().lm_b, kernel("causal"))
-
-    @cache
-    def difference():
-        return pair().difference()
-
-    @cache
-    def difference_traces():
-        lags = np.arange(0, T, plan.difference_stride)
-        return pair().lp_b.trace(lags) - pair().lp_a.trace(lags), difference().trace(lags)
-
-    def forbidden(k) -> float:
-        return frequency_sign_test(k, sm.m_floor_sqrt)["forbidden_fraction"]
-
-    def scan_off(k, length: float = plan.scan[0], starts: int = plan.scan[1], band=None) -> float:
-        return off_pattern(kernel_wavefront_scan(k, length, starts, band), k, band=band)
-
-    def rel_err(got, want) -> float:
-        """Largest relative error on the leading entries the two arrays share."""
-        n = min(len(got), len(want))
-        return float(np.max(np.abs(got[:n] - want[:n]) / want[:n]))
-
-    def series_gain() -> float:
-        sigma, (k0, k1) = plan.series
-        slope = {K: build_series(model, w0=1.0, K=K, sigma=sigma).residual_slope for K in (k0, k1)}
-        return (slope[k1] - slope[k0]) / (k1 - k0)
-
-    def resonance_refused() -> float:
-        """1.0 when the series builder refuses the nu_minus recursion at the resonant order 2 nu = 2 <= K."""
-        toy = make_toy_model("ads2_strip", nu=1.0, L=L)
-        try:
-            build_series(toy, w0=1.0, K=2, alpha=toy.nu_minus)
-        except ValueError:
-            return 1.0
-        return 0.0
-
-    def half_line_error() -> float:
-        N_half, K_half, n_half = plan.half_line
-        sm_half = build_spectral(make_toy_model("ads2_strip", nu=0.5, L=L), N=N_half, n_modes=K_half)
-        return rel_err(sm_half.branch(0).omega2, (np.arange(1, n_half + 1) * math.pi / L) ** 2)
-
-    def amplitude_error() -> float:
-        """Mode 1 of the fits the boundary kernel reads, against its toy amplitude."""
-        c_oracle = toy_boundary_amplitudes(model, 1)[0]
-        return abs(boundary_fits(sm)[0][0] - c_oracle) / c_oracle
-
-    def packet_deviation() -> float:
-        tr = track()
-        gx = gbb_reference(model, *plan.packet[:2], tr.times, clip=tr.window_floor)
-        return float(np.max(np.abs(tr.centroid - gx))) / plan.packet[2]
-
-    def reflection_time_error() -> float:
-        tr, x0 = track(), plan.packet[0]
-        after = tr.times > 1.2 * x0
-        t_back = float(tr.times[after][np.argmin(np.abs(tr.centroid[after] - x0))])
-        return abs(t_back - 2.0 * x0)
-
-    def psd(name: str, identity: str, evals) -> tuple:
-        """Row of the PSD rule: least Gram eigenvalue >= -psd * max |eigenvalue|."""
-        evals = cache(evals)  # a thunk of ascending eigenvalues, read by both thunks of the row
-        return name, identity, lambda: evals()[0], lambda: -tol["psd"] * float(np.max(np.abs(evals()))), ge
-
-    wave_op_identity, comm_identity = "P Lambda_pm = 0", "Lambda_plus - Lambda_minus = i G"
-    psd_identity = "(f | Lambda_pm f) >= 0"
-    sign_identity = "chi_mp(D_t) Lambda_pm = 0"
-    rows = [
-        # geometry
-        ("indicial_sum", "nu_plus + nu_minus = n - 1",
-         lambda: abs(model.nu_plus + model.nu_minus - (model.n - 1)), lambda: 1e-14 * max(1.0, model.n - 1.0), le),
-        ("indicial_gap", "nu_plus - nu_minus = 2 nu",
-         lambda: abs(model.nu_plus - model.nu_minus - 2.0 * nu), lambda: 1e-14 * max(1.0, 2.0 * nu), le),
-        ("even_warp_slope", "beta' (0) = k'(0) = 0",
-         lambda: abs(float(model.dbeta(np.zeros(1))[0])) + abs(float(model.dk(np.zeros(1))[0])), lambda: 1e-12, le),
-        ("null_point_symbol", "p(x, xi, zeta, tau) = 0 on the characteristic set",
-         lambda: abs(conformal_symbol(model, make_null_point(model, *plan.null_point))), lambda: 1e-13, le),
-        # broken bicharacteristics
-        ("gbb_symbol_drift", "p = 0 along Hamilton arcs",
-         lambda: gbb().symbol_drift, lambda: tol["symbol_drift"] * 4.0, le),
-        ("gbb_reflections", "maximal GBBs reflect at the walls", lambda: len(gbb().reflections), lambda: 1.0, ge),
-        ("gbb_reflection_law", "xi -> -xi, tangential data fixed",
-         lambda: max((abs(ev.point.xi + ev.xi_in) for ev in gbb().reflections), default=math.inf), lambda: 0.0, le),
-        ("gbb_tangential_continuity", "(t, zeta, tau) continuous at reflection",
-         lambda: gbb().tangential_jump, lambda: 0.0, le),
-        # spectral
-        *([
-            ("eigenvalue_oracle", "omega_k = j_{nu,k} / L (toy line)",
-             lambda: rel_err(np.sqrt(sm.branch(0).omega2), toy_frequencies(model, plan.n_cmp)),
-             lambda: tol["eig_rel"], le),
-            ("collocation_oracle", "independent basis reproduces the line",
-             lambda: rel_err(np.sqrt(bessel_collocation_eigs(model, *plan.collocation)),
-                             toy_frequencies(model, plan.n_cmp)), lambda: 1e-8, le),
-        ] if model.kind in ("ads2_strip", "ads3_cylinder") else []),
-        *([
-            ("eigenvalue_exact_half", "nu = 1/2 line is (k pi / L)^2", half_line_error, lambda: tol["eig_exact"], le),
-        ] if model.kind == "ads2_strip" else []),
-        ("spectral_floor", "0 < m2_floor <= omega_1^2",
-         lambda: (sm.branch(0).omega2[0] - sm.m2_floor) / sm.branch(0).omega2[0], lambda: 2e-6,
-         lambda v, t: 0.0 < v <= t),
-        # propagator algebra
-        ("wave_op_on_lambda", wave_op_identity,
-         lambda: two_point()["wave_op"], lambda: two_point()["wave_op_bound"], le),
-        ("commutator_identity", comm_identity,
-         lambda: two_point()["commutator"], lambda: tol["algebra"], le),
-        ("hermiticity", "Lambda_pm(t,s) = Lambda_pm(s,t)*",
-         lambda: two_point()["hermiticity"], lambda: tol["algebra"], le),
-        psd("psd_lambda_plus", psd_identity, lambda: two_point()["gram_plus"]),
-        psd("psd_lambda_minus", psd_identity, lambda: two_point()["gram_minus"]),
-        ("support_retarded", "retarded kernel vanishes for t <= s",
-         lambda: support_check(kernel("retarded")), lambda: 0.0, le),
-        ("adjoint_pair", "retarded(s,t)^T = advanced(t,s)",
-         lambda: adjoint_check(kernel("retarded"), kernel("advanced")), lambda: tol["algebra"], le),
-        ("feynman_consistency", "(1/i) Lambda_plus + advanced = (1/i) Lambda_minus + retarded",
-         lambda: feynman_consistency(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced"))),
-         lambda: tol["algebra"], le),
-        ("frequency_sign_plus", sign_identity,
-         lambda: forbidden(mutant() if config.inject_sign_flip else kernel("lambda_plus")),
-         lambda: tol["freq_mass"], le),
-        ("frequency_sign_minus", sign_identity,
-         lambda: forbidden(kernel("lambda_minus")), lambda: tol["freq_mass"], le),
-        ("frequency_sign_mutation", "1% flipped modes must fail the one-sided test",
-         lambda: forbidden(mutant()) / tol["freq_mass"], lambda: tol["mutation_ratio"], ge),
-        ("time_slice_order", "G [P, chi] u - u shrinks at stencil order", lambda: time_slice()[1], lambda: 1.9, ge),
-        ("time_slice_residual", "G [P, chi] u = u (interior of the cutoff window)",
-         lambda: time_slice()[0][2], lambda: max(tol["time_slice_factor"] * time_slice()[2], 1e-15), le),
-        # indicial / boundary
-        ("indicial_roots_annihilated", "c_alpha = 0 at alpha = nu_minus, nu_plus",
-         lambda: abs(indicial_polynomial(model, model.nu_plus)) + abs(indicial_polynomial(model, model.nu_minus)),
-         lambda: 0.0, le),
-        ("indicial_midpoint", "c at the midpoint of the roots equals nu^2",
-         lambda: abs(indicial_polynomial(model, 0.5 * (model.nu_plus + model.nu_minus)) - nu**2),
-         lambda: 1e-13 * max(1.0, nu**2), le),
-        ("series_order_gain", "each series order gains one residual power",
-         series_gain, lambda: tol["gain_per_order"], ge),
-        ("series_resonance_refusal", "integer 2 nu <= K must be refused", resonance_refused, lambda: 1.0, ge),
-        ("mode_boundary_exponent", "eigenmodes carry the x^(nu + 1/2) branch",
-         lambda: abs(mellin_exponent_probe(sm, plan.exponent_window) - (nu + 0.5)),
-         lambda: tol["exponent"], le),
-        *([
-            ("boundary_amplitude_mode1", "weighted restriction matches the line amplitude",
-             amplitude_error, lambda: tol["weights_rel"], le),
-            ("boundary_weights_oracle", "line weights c_k^2/(2 omega_k)",
-             lambda: rel_err(boundary().weights, toy_line_weights(model, plan.n_weights)),
-             lambda: tol["weights_rel"], le),
-            psd("boundary_psd", "(f | k_plus f) >= 0", lambda: gram_eigenvalues(boundary_gram(boundary()))),
-            ("boundary_one_sided", sign_identity, lambda: forbidden(boundary()), lambda: tol["freq_mass"], le),
-        ] if model.kind == "ads2_strip" else []),
-        # wavepacket / GBB
-        ("packet_moments", "second moments within 2 sigma^2 and 2/sigma^2",
-         lambda: max(packet().x_var / (2.0 * packet().width**2), packet().xi_var / (2.0 / packet().width**2)),
-         lambda: 1.0, le),
-        ("packet_follows_gbb", "centroid tracks the reflected ray",
-         packet_deviation, lambda: 1.0, lambda v, t: v <= t and track().status == "ok"),
-        ("packet_reflection_time", "round trip takes 2 x0 / speed",
-         reflection_time_error, lambda: 2.0 * plan.packet[2], le),
-        # state pair / scans
-        ("scan_vacuum_plus", "vacuum kernel mass sits in one sign quadrant",
-         lambda: scan_off(kernel("lambda_plus")), lambda: tol["scan_vacuum"], le),
-        ("scan_mutation", "1% flipped modes must fail the quadrant scan",
-         lambda: scan_off(mutant()) / tol["scan_state"], lambda: tol["mutation_ratio"], ge),
-        ("scan_thermal_state", "perturbed state stays Hadamard-graded",
-         lambda: max(scan_off(pair().lp_b), scan_off(pair().lm_b)), lambda: tol["scan_state"], le),
-        ("state_wave_op_on_lambda", wave_op_identity,
-         lambda: state_two_point()["wave_op"], lambda: state_two_point()["wave_op_bound"], le),
-        ("state_commutator_identity", comm_identity,
-         lambda: state_two_point()["commutator"], lambda: tol["algebra"], le),
-        psd("state_psd_lambda_plus", psd_identity, lambda: state_two_point()["gram_plus"]),
-        psd("state_psd_lambda_minus", psd_identity, lambda: state_two_point()["gram_minus"]),
-        ("difference_coefficients", "state difference is the injected mode sum",
-         lambda: float(np.max(np.abs(np.subtract(*difference_traces())))),
-         lambda: 1e-13 * (float(np.max(np.abs(difference_traces()[1]))) + 1.0), le),
-        ("difference_smoothness", "difference kernel decays superpolynomially in frequency",
-         lambda: smoothness_decay_order(difference()), lambda: tol["smooth_order"], ge),
-        ("scan_feynman_flip", "time-ordered pattern flips across t = s",
-         lambda: scan_off(make_feynman(*map(kernel, ("lambda_plus", "lambda_minus", "retarded", "advanced")))[0],
-                          *plan.feynman_scan), lambda: tol["scan_feynman"], le),
-    ]
-
+    run = VerifyRun(config, tol, sm, plan, dt, 768 * refine)  # the kernel grid spans 19.2 L
     checks = []
-    for name, identity, value, tolerance, passes in rows:
-        entry = {"check": name, "identity": identity}
+    for row in ROWS:
+        if row.kinds and model.kind not in row.kinds:
+            continue
+        entry = {"check": row.name, "identity": row.identity}
         try:
-            v, t = float(value()), float(tolerance())
-            entry.update({"value": v, "tolerance": t, "pass": bool(passes(v, t))})
+            v, t = float(row.value(run)), float(row.tolerance(run))
+            entry.update({"value": v, "tolerance": t, "pass": bool(row.passes(v, t))})
         except (ValueError, RuntimeError) as exc:
             entry.update({"value": None, "tolerance": None, "pass": False, "error": str(exc)})
         checks.append(entry)
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = {
-        "config": {
-            "model": config.model,
-            "N": config.N,
-            "n_modes": config.n_modes,
-            "m_max": config.m_max,
-            "T": T,
-            "dt": dt,
-            "gamma": sm.grid.gamma,
-            "seed": config.seed,
-            "inject_sign_flip": config.inject_sign_flip,
-            "tolerances": tol,
-        },
-        "n_checks": len(checks),
-        "n_failed": n_failed,
-        "pass": n_failed == 0,
-        "checks": checks,
+        "config": {"model": config.model, "N": config.N, "n_modes": config.n_modes, "m_max": config.m_max,
+                   "T": run.T, "dt": run.dt, "gamma": sm.grid.gamma, "seed": config.seed,
+                   "inject_sign_flip": config.inject_sign_flip, "tolerances": tol},
+        "n_checks": len(checks), "n_failed": n_failed, "pass": n_failed == 0, "checks": checks,
     }
     return (EXIT_PASS if n_failed == 0 else EXIT_FAIL), report
 
@@ -651,11 +641,8 @@ def _cmd_verify(args) -> int:
     if args.csv is not None:
         from . import binio
 
-        binio.write_csv(
-            args.csv,
-            ["check", "identity", "value", "tolerance", "pass"],
-            [[c["check"], c["identity"], c["value"], c["tolerance"], int(c["pass"])] for c in report["checks"]],
-        )
+        rows = [[c["check"], c["identity"], c["value"], c["tolerance"], int(c["pass"])] for c in report["checks"]]
+        binio.write_csv(args.csv, ["check", "identity", "value", "tolerance", "pass"], rows)
     for c in report["checks"]:
         mark = "ok  " if c["pass"] else "FAIL"
         detail = f"error: {c['error']}" if "error" in c else f"value={c['value']:.6e} tol={c['tolerance']:.6e}"

@@ -15,17 +15,22 @@ import pytest
 import adskg
 from adskg.cli import (
     _THREAD_VARS,
+    ROWS,
     RunConfig,
     VerifyPlan,
+    VerifyRun,
     _default_tolerances,
     _plan,
+    _time_step,
     main,
     run_verify,
 )
 from adskg.geometry import make_toy_model
 from adskg.holography import fit_floor
+from adskg.propagators import _gram_matrix, gram_eigenvalues
 from adskg.spectral import build_spectral
 from oracles import line_weights_mp
+from test_propagators import _run_fresh
 
 
 def test_public_names_resolve():
@@ -1021,6 +1026,42 @@ def test_verify_passes_at_nu_8(tmp_path):
     assert report["n_failed"] == 0 and all(c["pass"] for c in report["checks"])
 
 
+_ENDED_AT_HALF = "the track ended at t = 0.5, before the return window t > 1.2 x0 = 0.6"
+_ENDED_AT_ZERO = "the track ended at t = 0, before the return window t > 1.2 x0 = 0.6"
+
+
+@pytest.mark.parametrize(
+    "cut, failing",
+    [
+        ("t_max", {"packet_reflection_time": _ENDED_AT_HALF}),
+        ("spread", {"packet_follows_gbb": "the packet dispersed at t = 0, before t_max = 1.3",
+                    "packet_reflection_time": _ENDED_AT_ZERO}),
+    ],
+)
+def test_verify_records_a_track_cut_short(tmp_path, capsys, monkeypatch, cut, failing):
+    """A track that holds no time after 1.2 x0 = 0.6 L, where the packet's
+    return is read, fails packet_reflection_time on a message that names
+    that precondition; a track cut by the packet's spread also fails
+    packet_follows_gbb on one.  The track is cut at t_max = 0.5 L, or at its
+    first time by a spread limit of L/20 (the packet starts 0.073 L wide).
+    Every other row runs and passes, and the report is written (exit 1)."""
+    from adskg import cli, microlocal
+
+    if cut == "t_max":
+        plan = cli._plan
+        monkeypatch.setattr(cli, "_plan", lambda config, sm: dataclasses.replace(plan(config, sm), track=(0.5, 0.005)))
+    else:
+        monkeypatch.setattr(microlocal, "_DISPERSE_FRACTION", 0.05)
+    out, table = tmp_path / "report.json", tmp_path / "checks.csv"
+    assert main(["verify", "--out", str(out), "--csv", str(table)]) == 1
+    assert f"FAIL packet_reflection_time: error: {failing['packet_reflection_time']}" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["n_checks"] == len(DEFAULT_CHECKS) and report["n_failed"] == len(failing)
+    assert {c["check"]: c.get("error") for c in report["checks"] if not c["pass"]} == failing
+    rows = {r[0]: r for r in _read_csv(table)[1:]}
+    assert all(rows[name][2:] == ["", "", "0"] for name in failing)
+
+
 def test_verify_band_over_every_feynman_window(tmp_path, capsys, monkeypatch):
     """With 15 L Feynman windows every window of the 4 x 4 grid lies inside
     the 10 L band: the scan forms none, and scan_feynman_flip fails alone on
@@ -1084,3 +1125,80 @@ def test_verify_forms_each_shared_table_once(monkeypatch):
         assert bisected == [(1.0, 24)]
         counts.append((sorted(all_lag.values()), sorted(tapers), list(bisected)))
     assert counts[0] == counts[1]
+
+
+def _default_run(sm) -> VerifyRun:
+    """The run object of a default verify, on the shared eigenbasis."""
+    config = RunConfig()
+    dt, refine = _time_step(sm)
+    return VerifyRun(config, _default_tolerances(), sm, _plan(config, sm), dt, 768 * refine)
+
+
+def test_a_row_reads_alone_on_a_run(sm192, verify_run):
+    """A row is a record read off one run object: mode_boundary_exponent,
+    evaluated alone on a fresh default run, gives the default report's value,
+    tolerance and verdict, and makes no kernel and no shared object."""
+    run = _default_run(sm192)
+    attributes = set(vars(run))
+    row = next(row for row in ROWS if row.name == "mode_boundary_exponent")
+    want = {c["check"]: c for c in json.loads(verify_run[1])["checks"]}[row.name]
+    value, tolerance = row.value(run), row.tolerance(run)
+    assert (value, tolerance) == (want["value"], want["tolerance"]) == (4.459865499129023e-08, 0.01)
+    assert row.passes(value, tolerance)
+    assert run.kernels == {} and set(vars(run)) == attributes
+
+
+def test_row_table_is_the_report_order():
+    """The module-level table lists the 47 default checks in report order; only
+    the toy-oracle and boundary rows name the model kinds they apply to."""
+    assert [row.name for row in ROWS] == DEFAULT_CHECKS
+    kinds = {row.name: row.kinds for row in ROWS if row.kinds}
+    assert kinds == {
+        "eigenvalue_oracle": ("ads2_strip", "ads3_cylinder"),
+        "collocation_oracle": ("ads2_strip", "ads3_cylinder"),
+        **dict.fromkeys(("eigenvalue_exact_half", *_BOUNDARY_ROWS), ("ads2_strip",)),
+    }
+
+
+def _wave_residuals(kernel) -> np.ndarray:
+    """Largest relative wave residual of each mode on tau >= 0, formed as
+    ``verify_two_point`` forms it."""
+    g, w = kernel.gains()[:, kernel.T - 1:], kernel.omega[:, None]
+    resid = (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2]) / kernel.dt**2 + w**2 * g[:, 1:-1]
+    return np.max(np.abs(resid) * (2.0 * w) / w**2, axis=1)
+
+
+def test_equal_float_rows_are_equal_for_their_reasons(sm192, verify_run):
+    """Three pairs of default rows read the same float, each for a reason
+    that is not the row's construction.
+
+    wave_op_on_lambda and state_wave_op_on_lambda: the residual of all four
+    lambda kernels peaks on the top retained mode (index 31), where the
+    thermal occupation is 3.8e-58, so 1 + n rounds to 1 and the state's
+    residual there is the vacuum's; at mode 1 they differ.  The two PSD rows
+    of the vacuum, and the two of the state: lambda_minus's Gram matrix is
+    the conjugate of lambda_plus's, bit for bit, and has the same
+    eigenvalues."""
+    run = _default_run(sm192)
+    values = {c["check"]: c["value"] for c in json.loads(verify_run[1])["checks"]}
+    vacuum = [_wave_residuals(run.kernel(kind)) for kind in ("lambda_plus", "lambda_minus")]
+    state = [_wave_residuals(kernel) for kernel in (run.pair.lp_b, run.pair.lm_b)]
+    n = run.pair.occupation
+    assert [int(np.argmax(r)) for r in vacuum + state] == [31] * 4
+    assert n[31] == pytest.approx(3.8e-58, rel=0.01) and 1.0 + n[31] == 1.0
+    assert max(r[31] for r in vacuum) == max(r[31] for r in state) == values["wave_op_on_lambda"]
+    assert values["state_wave_op_on_lambda"] == values["wave_op_on_lambda"]
+    assert vacuum[0][0] != state[0][0]
+    for prefix, lp, lm in (("", run.kernel("lambda_plus"), run.kernel("lambda_minus")),
+                           ("state_", run.pair.lp_b, run.pair.lm_b)):
+        gram_plus, gram_minus = _gram_matrix(lp), _gram_matrix(lm)
+        assert np.array_equal(gram_minus, gram_plus.conj())
+        evals = gram_eigenvalues(gram_plus)
+        assert np.array_equal(gram_eigenvalues(gram_minus), evals)
+        assert values[f"{prefix}psd_lambda_plus"] == values[f"{prefix}psd_lambda_minus"] == evals[0]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """The cli module top, its row table included, imports only the standard
+    library, so a thread count can be exported before numpy loads."""
+    _run_fresh("import sys\nimport adskg.cli\nassert 'numpy' not in sys.modules, 'numpy was imported'\n")
