@@ -37,7 +37,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-_TRACK_DT = 0.005  # packet tracking step of verify and of wavepacket, in units of L
+_KERNEL_DT, _TRACK_DT = 0.025, 0.005  # kernel and tracking steps in units of L, before _sampled_step refines them
 
 
 def _default_tolerances() -> dict:
@@ -66,7 +66,7 @@ class RunConfig:
 
     The model block follows the geometry loader's schema; numerics fix the
     discretization (the kernel time grid is worked out from L and the
-    spectrum by ``run_verify``); the seed drives every randomized probe so
+    spectrum by ``_plan``); the seed drives every randomized probe so
     reports are reproducible byte for byte.
     """
 
@@ -192,12 +192,12 @@ def _cmd_build_spectral(args) -> int:
 def _cmd_kernels(args) -> int:
     import numpy as np
 
-    from .propagators import make_propagator
+    from .propagators import _sampled_step, make_propagator
     from .spectral import load_spectral
 
     sm = load_spectral(args.model_bin)
-    t_grid = args.t0 + (args.dt if args.dt is not None else _time_step(sm, args.m)[0]) * np.arange(args.T)
-    kernel = make_propagator(sm, args.kind, t_grid, m=args.m)
+    dt = args.dt if args.dt is not None else _sampled_step(sm.branch(args.m), _KERNEL_DT * sm.model.L, refine=True)[0]
+    kernel = make_propagator(sm, args.kind, args.t0 + dt * np.arange(args.T), m=args.m)
     _save_kernel(kernel, args.out)
     print(json.dumps({"out": args.out, **kernel.describe()}))
     return EXIT_PASS
@@ -208,11 +208,12 @@ def _cmd_wavepacket(args) -> int:
 
     from . import binio
     from .microlocal import evolve_and_track, gbb_reference, make_wavepacket
+    from .propagators import _sampled_step
     from .spectral import load_spectral
 
     sm = load_spectral(args.model_bin)
     w = make_wavepacket(sm, x0=args.x0, xi0=args.xi0, sigma=args.sigma, sign=args.sign)
-    dt = args.dt if args.dt is not None else _TRACK_DT * sm.model.L
+    dt = args.dt if args.dt is not None else _sampled_step(sm.branch(w.m), _TRACK_DT * sm.model.L, refine=True)[0]
     track = evolve_and_track(sm, w, t_max=args.tmax, dt=dt)
     # a sign -1 packet is the conjugate of the sign +1 launch with -xi0, so it follows that ray
     gx = gbb_reference(sm.model, args.x0, args.sign * args.xi0, track.times, clip=track.window_floor)
@@ -259,27 +260,22 @@ def _cmd_boundary_2pt(args) -> int:
 # verify
 
 
-def _time_step(sm, m: int = 0) -> tuple[float, int]:
-    """Kernel time step 0.025 L / r and r, the least integer with omega_max dt < pi (omega_max of branch m)."""
-    r = math.floor(0.025 * sm.model.L * float(sm.branch(m).omega[-1]) / math.pi) + 1
-    return 0.025 * sm.model.L / r, r
-
-
 @dataclass(frozen=True)
 class VerifyPlan:
-    """Every value verify picks for itself, in report order; ``_plan`` is the only place that sets them."""
+    """Every value verify picks for itself, in report order, set only by ``_plan``, time steps by ``_sampled_step``."""
 
     null_point: tuple  # (x, tau) of the symbol probe
     gbb: tuple  # launch (x, tau), t_max, step
     n_cmp: int  # eigenvalues compared with the toy oracle
     collocation: tuple  # (n_basis, n_modes)
     half_line: tuple  # (N, K, eigenvalues compared) of the nu = 1/2 line
+    kernel_grid: tuple  # (dt, T) of every kernel: 0.025 L / r and 768 r, so the grid spans 19.2 L
     time_slice: tuple  # (base step, span, step multiples)
     series: tuple  # (sigma, orders)
     exponent_window: tuple  # from the fits' accuracy floor on mode 1 to max(L/20, twice that floor)
     n_weights: int  # boundary line weights compared with the oracle
     packet: tuple  # (x0, xi0, sigma)
-    track: tuple  # (t_max, dt)
+    track: tuple  # (t_max, dt), dt = 0.005 L / r
     scan: tuple  # (length, starts) of the vacuum and state scans
     thermal_beta: float
     difference_stride: int  # lag stride of the state-difference check
@@ -288,36 +284,38 @@ class VerifyPlan:
 
 def _plan(config: RunConfig, sm) -> VerifyPlan:
     from .holography import fit_floor
+    from .propagators import _sampled_step
 
-    L, nu = sm.model.L, sm.model.nu
+    L, nu, br = sm.model.L, sm.model.nu, sm.branch(0)
+    dt, r = _sampled_step(br, _KERNEL_DT * L, refine=True)
     # scan windows keep time-bandwidth 0.9 l omega_1 / 2 pi >= 3.5 and 2.7; 6.5 L and 5 L do only at nu >= 1
     gap = 2.0 * math.pi / (0.9 * sm.m_floor_sqrt)
-    floor = float(fit_floor(sm.branch(0).phi[:, 0], sm.grid.dof_x, L))
+    floor = float(fit_floor(br.phi[:, 0], sm.grid.dof_x, L))
     return VerifyPlan(
         null_point=(0.5 * L, 1.0), gbb=(0.4 * L, 2.0, 2.2 * L, 2e-3 * L),
         n_cmp=min(10, config.n_modes), collocation=(24, 4), half_line=(max(128, config.N), 8, 4),
-        time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
+        kernel_grid=(dt, 768 * r), time_slice=(1e-3 * L, 0.256 * L, (4, 2, 1)), series=(1.3, (0, 4)),
         exponent_window=(floor, max(L / 20.0, 2.0 * floor)), n_weights=5,
         # xi0 grows with nu, so the packet stays semiclassical for the ray, which drops (nu^2 - 1/4)/x^2
         packet=(0.5 * L, -max(40.0, 7.5 * nu) / L, 0.1 * L),
-        track=(1.3 * L, _TRACK_DT * L), scan=(max(6.5 * L, 3.5 * gap), 3),
+        track=(1.3 * L, _sampled_step(br, _TRACK_DT * L, refine=True)[0]), scan=(max(6.5 * L, 3.5 * gap), 3),
         thermal_beta=5.0 / sm.m_floor_sqrt, difference_stride=7, feynman_scan=(max(5.0 * L, 2.7 * gap), 4, 10.0 * L),
     )
 
 
 class VerifyRun:
-    """What the rows of one verify run read: config, tolerances, eigenbasis,
-    plan and kernel grid (T steps of dt).  Objects that rows share are cached
+    """What the rows of one verify run read: config, tolerances, eigenbasis and
+    plan, whose kernel grid every kernel takes.  Objects that rows share are cached
     properties, kernels go through ``kernel``, and library functions are read
     off the modules held here at call time (the ``cli`` module top has no numpy)."""
 
-    def __init__(self, config: RunConfig, tol: dict, sm, plan: VerifyPlan, dt: float, T: int):
+    def __init__(self, config: RunConfig, tol: dict, sm, plan: VerifyPlan):
         import numpy as np
 
         from . import bchar, bessel, geometry, holography, microlocal, propagators, spectral
 
-        self.config, self.tol, self.sm, self.plan, self.dt, self.T = config, tol, sm, plan, dt, T
-        self.model, self.t_grid, self.kernels = sm.model, dt * np.arange(T), {}
+        self.config, self.tol, self.sm, self.plan = config, tol, sm, plan
+        self.model, self.t_grid, self.kernels = sm.model, plan.kernel_grid[0] * np.arange(plan.kernel_grid[1]), {}
         self.np, self.bchar, self.bessel, self.geometry = np, bchar, bessel, geometry
         self.holography, self.microlocal = holography, microlocal
         self.propagators, self.spectral = propagators, spectral
@@ -376,7 +374,7 @@ class VerifyRun:
 
     @cached_property
     def difference_traces(self) -> tuple:
-        lags = self.np.arange(0, self.T, self.plan.difference_stride)
+        lags = self.np.arange(0, self.t_grid.size, self.plan.difference_stride)
         return self.pair.lp_b.trace(lags) - self.pair.lp_a.trace(lags), self.difference.trace(lags)
 
     def forbidden(self, k) -> float:
@@ -601,8 +599,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     plan = _plan(config, sm)
     if model.is_toy:  # the toy rows slice one J_nu zero scan, made here at the longest count they read
         model_zeros(model, max(plan.n_cmp, plan.collocation[0], plan.n_weights))
-    dt, refine = _time_step(sm)
-    run = VerifyRun(config, tol, sm, plan, dt, 768 * refine)  # the kernel grid spans 19.2 L
+    run = VerifyRun(config, tol, sm, plan)
     checks = []
     for row in ROWS:
         if row.kinds and model.kind not in row.kinds:
@@ -618,7 +615,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     n_failed = sum(1 for c in checks if not c["pass"])
     report = {
         "config": {"model": config.model, "N": config.N, "n_modes": config.n_modes, "m_max": config.m_max,
-                   "T": run.T, "dt": run.dt, "gamma": sm.grid.gamma, "seed": config.seed,
+                   "T": plan.kernel_grid[1], "dt": plan.kernel_grid[0], "gamma": sm.grid.gamma, "seed": config.seed,
                    "inject_sign_flip": config.inject_sign_flip, "tolerances": tol},
         "n_checks": len(checks), "n_failed": n_failed, "pass": n_failed == 0, "checks": checks,
     }
@@ -703,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-bin", required=True)
     p.add_argument("--kind", required=True, help="kernel kind (propagators.KINDS)")
     p.add_argument("--T", type=int, default=256)
-    p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi")
+    p.add_argument("--dt", type=float, default=None, help="default: 0.025 L / r, least r with omega_max dt < pi on --m")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -716,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--sign", type=int, default=1, choices=[1, -1])
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None, help="default: 0.005 L, the tracking step of verify")
+    p.add_argument("--dt", type=float, default=None,
+                   help="default: verify's tracking step 0.005 L / r, least r with omega_max dt < pi")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wavepacket)
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from .bchar import PhasePointB, trace_gbb
 from .geometry import MetricModel
-from .propagators import LineSpectrum
+from .propagators import _MIN_NW, LineSpectrum, _check_one_grid, _sampled_step
 from .spectral import SpectralModel
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
 
 _TAIL_TOL = 1e-6
 _DISPERSE_FRACTION = 0.25
-_MIN_NW = 2.5
 _DECAY_NW = 8.0  # taper half-bandwidth of the decay order's line reads
 _DECAY_FLOOR = 1e-11  # weakest line read, relative to the strongest, that enters the fit
 _TILE_TIMES = 128  # times per tile of evolve_and_track; a tile's intermediates hold 128 x 128 floats (128 KiB)
@@ -169,8 +168,8 @@ class TrackResult:
 
 def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) -> TrackResult:
     """Evolve by e^{-+ i t A^(1/2)} over the times 0, dt, .. <= t_max and track
-    the energy-density centroid; dt must be finite and positive, t_max
-    finite and nonnegative.
+    the energy-density centroid; dt must be finite, positive and sample the
+    top retained frequency (``propagators._sampled_step``), t_max >= 0 finite.
 
     The tilde-frame energy density |u_t|^2 + |u_x|^2 is integrated on the
     quadrature points restricted to x >= 2 sigma (the boundary weight would
@@ -193,10 +192,7 @@ def evolve_and_track(sm: SpectralModel, w: Wavepacket, t_max: float, dt: float) 
     if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError(f"tracking needs a finite dt > 0 and a finite t_max >= 0, got dt={dt!r}, t_max={t_max!r}")
     br = sm.branch(w.m)
-    wdt = float(br.omega[-1]) * dt
-    if wdt >= math.pi:
-        raise ValueError(f"dt undersamples the largest retained frequency: omega_max*dt = {wdt:.3f} >= pi; "
-                         "refine dt or retain fewer modes")
+    _sampled_step(br, dt)
     times = np.arange(0.0, t_max + 0.5 * dt, dt)
     floor = 2.0 * w.width
     xg = sm.grid.gauss_x.ravel()
@@ -480,7 +476,8 @@ def _parse_rotation(spec, omega: np.ndarray) -> np.ndarray:
     beta = float(spec["thermal"])
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("thermal spec needs a positive finite beta")
-    return 1.0 / np.expm1(beta * omega)
+    with np.errstate(over="ignore"):  # e^{beta omega_k} = inf past beta omega_k ~ 709, where n_k is exactly 0
+        return 1.0 / np.expm1(beta * omega)
 
 
 def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StatePair:
@@ -495,8 +492,7 @@ def make_perturbed_state(lp: LineSpectrum, lm: LineSpectrum, rotation) -> StateP
     """
     if lp.kind != "lambda_plus" or lm.kind != "lambda_minus":
         raise ValueError("expected a (lambda_plus, lambda_minus) pair")
-    if not np.array_equal(lp.t_grid, lm.t_grid) or lp.m != lm.m:
-        raise ValueError("pair members must share grid and transverse mode")
+    _check_one_grid(lp, lm)
     if np.any(lp.flipped) or np.any(lm.flipped):
         raise ValueError("cannot rotate a sign-mutated pair")
     n = _parse_rotation(rotation, lp.omega)

@@ -89,6 +89,7 @@ _LINES = {
 KINDS = tuple(_LINES)
 _SIGNS = {"lambda_plus": +1, "plus": +1, "lambda_minus": -1, "minus": -1}
 _GRAM_TIMES, _GRAM_VECS = 16, 6  # Gram test family: subsampled times, random mode vectors
+_MIN_NW = 2.5  # least time-bandwidth of a slepian_taper window: the frequency-sign test's and a scan's
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +235,7 @@ def make_propagator(
     """Build a mode-sum kernel on a finite, strictly increasing uniform time grid.
 
     Rejects grids that undersample the largest retained frequency
-    (omega_max * dt must stay below pi).  ``weighting`` ("tilde" or
+    (``_sampled_step``: omega_max * dt must stay below pi).  ``weighting`` ("tilde" or
     "physical") changes nothing, as every kernel lives in one frame; only
     the benchmark passes it, until the ROADMAP's benchmark upkeep.
     """
@@ -255,14 +256,19 @@ def make_propagator(
     if np.max(np.abs(steps - dt)) > 4.0 * np.spacing(np.max(np.abs(t_grid))):
         raise ValueError("time grid must be uniform")
     br = sm.branch(m)
-    omega = br.omega
-    if float(omega[-1]) * dt >= math.pi:
-        raise ValueError(
-            f"time grid too coarse: omega_max*dt = {float(omega[-1]) * dt:.3f} >= pi; "
-            "refine dt or retain fewer modes"
-        )
+    _sampled_step(br, dt)
     a, b, _ = _LINES[kind]
-    return LineSpectrum(kind, t_grid, br, np.full(omega.size, a), np.full(omega.size, b), sm)
+    return LineSpectrum(kind, t_grid, br, np.full(br.omega.size, a), np.full(br.omega.size, b), sm)
+
+
+def _sampled_step(branch: SpectralBranch, dt: float, refine: bool = False) -> tuple[float, int]:
+    """The one sampling rule: (dt / r, r), least r with omega_max dt / r < pi; r > 1 is refused unless ``refine``."""
+    wdt = float(branch.omega[-1]) * dt
+    if wdt >= math.pi and not refine:
+        raise ValueError(f"dt undersamples the largest retained frequency: omega_max*dt = {wdt:.3f} >= pi; "
+                         "refine dt or retain fewer modes")
+    r = math.floor(wdt / math.pi) + 1
+    return dt / r, r
 
 
 def _coefficients(sm: SpectralModel, m: int, f: np.ndarray, T: int | None = None) -> tuple[np.ndarray, bool]:
@@ -346,16 +352,19 @@ def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
 
 
+def _check_one_grid(*kernels: LineSpectrum) -> None:
+    """Refuse kernels that do not share one spectral model, branch and time grid."""
+    first = kernels[0]
+    if any(k.spectral is not first.spectral or k.m != first.m or not np.array_equal(k.t_grid, first.t_grid)
+           for k in kernels[1:]):
+        raise ValueError("kernels must share one spectral model, transverse mode and time grid")
+
+
 def _grid_gains(*kernels: LineSpectrum) -> list[np.ndarray]:
     """Per-mode gains on the 2T-1 lags of kernels that share one grid and
     spatial factor: identities between such kernels are
     identities between these arrays, all read from one lag phase table."""
-    first = kernels[0]
-    for k in kernels[1:]:
-        if k.spectral is not first.spectral or k.m != first.m:
-            raise ValueError("kernels must share one spectral model and transverse mode")
-        if not np.array_equal(k.t_grid, first.t_grid):
-            raise ValueError("kernels must share one time grid")
+    _check_one_grid(*kernels)
     return [k.gains() for k in kernels]
 
 
@@ -461,13 +470,9 @@ def frequency_sign_test(kernel: LineSpectrum, m_floor_sqrt: float) -> dict:
     if kernel.frequency_sign == 0:
         raise ValueError(f"a {kernel.kind!r} kernel makes no one-sided frequency claim")
     T_eff = 2.0 * kernel.dt * (kernel.T - 1)
-    if 2.0 * math.pi / T_eff >= m_floor_sqrt / 4.0:
-        raise ValueError(
-            f"window too short: frequency resolution {2 * math.pi / T_eff:.3e} "
-            f"exceeds m/4 = {m_floor_sqrt / 4.0:.3e}"
-        )
     nw = 0.95 * T_eff * m_floor_sqrt / (4.0 * math.pi)
-    if nw < 2.5:
+    # the floor also keeps the resolution 2 pi / T_eff below m/4: there nw is 1.9
+    if nw < _MIN_NW:
         raise ValueError("window too short for a concentrated taper; lengthen the time grid")
     trace = kernel.trace()
     freq = 2.0 * math.pi * np.fft.fftfreq(trace.size, d=kernel.dt)

@@ -21,7 +21,6 @@ from adskg.cli import (
     VerifyRun,
     _default_tolerances,
     _plan,
-    _time_step,
     main,
     run_verify,
 )
@@ -800,6 +799,7 @@ def test_default_plan_holds_the_verify_literals(sm192):
         "n_cmp": 10,
         "collocation": (24, 4),
         "half_line": (192, 8, 4),
+        "kernel_grid": (0.025, 768),
         "time_slice": (1e-3, 0.256, (4, 2, 1)),
         "series": (1.3, (0, 4)),
         "exponent_window": (1.0 / 400.0, 1.0 / 20.0),
@@ -925,11 +925,32 @@ def test_verify_is_the_same_at_every_wall_length(verify_run, tmp_path, L):
 
 
 def test_verify_refines_the_grid_for_more_modes():
-    """48 modes put omega_max * 0.025 above pi: verify halves the step and
-    doubles the grid, and every check passes."""
-    code, report = run_verify(RunConfig(n_modes=48))
+    """48 modes put omega_max * 0.025 above pi: verify's plan halves the step
+    and doubles the grid, the tracking step 0.005 stays, the report prints
+    the plan's grid, and every check passes."""
+    config = RunConfig(n_modes=48)
+    plan = _plan(config, build_spectral(make_toy_model("ads2_strip", nu=1.0, L=1.0), N=192, n_modes=48))
+    assert (plan.kernel_grid, plan.track) == ((0.0125, 1536), (1.3, 0.005))
+    code, report = run_verify(config)
     assert code == 0
-    assert (report["config"]["T"], report["config"]["dt"]) == (1536, 0.0125)
+    assert (report["config"]["dt"], report["config"]["T"]) == plan.kernel_grid
+
+
+def test_plan_refines_the_track_for_many_modes():
+    """At N = 960 with 240 modes omega_max * 0.005 L = 3.774 exceeds pi: the
+    plan halves the tracking step as it divides the kernel step by 7, so
+    packet_follows_gbb, read alone on a run, holds its value with no
+    precondition error."""
+    config = RunConfig(N=960, n_modes=240)
+    sm = build_spectral(make_toy_model("ads2_strip", nu=1.0, L=1.0), N=960, n_modes=240)
+    plan = _plan(config, sm)
+    assert float(sm.branch(0).omega[-1]) * 0.005 == pytest.approx(3.774, abs=1e-3)
+    assert (plan.kernel_grid, plan.track) == ((0.025 / 7, 768 * 7), (1.3, 0.0025))
+    run = VerifyRun(config, _default_tolerances(), sm, plan)
+    row = next(row for row in ROWS if row.name == "packet_follows_gbb")
+    value, tolerance = row.value(run), row.tolerance(run)
+    assert row.passes(value, tolerance) and value < 0.7
+    assert run.track.times[1] == 0.0025 and run.kernels == {}
 
 
 def test_constant_tables_reproduce_the_toy(verify_run):
@@ -1130,8 +1151,7 @@ def test_verify_forms_each_shared_table_once(monkeypatch):
 def _default_run(sm) -> VerifyRun:
     """The run object of a default verify, on the shared eigenbasis."""
     config = RunConfig()
-    dt, refine = _time_step(sm)
-    return VerifyRun(config, _default_tolerances(), sm, _plan(config, sm), dt, 768 * refine)
+    return VerifyRun(config, _default_tolerances(), sm, _plan(config, sm))
 
 
 def test_a_row_reads_alone_on_a_run(sm192, verify_run):

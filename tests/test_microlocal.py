@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ def test_evolution_nyquist_guard(sm192):
     w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
     with pytest.raises(ValueError, match="undersamples"):
         evolve_and_track(sm192, w, t_max=0.5, dt=0.1)
+
+
+@pytest.mark.parametrize("dt", [0.04, 0.1])
+def test_kernels_and_tracks_refuse_a_step_in_one_text(sm192, dt):
+    """Kernel grids and packet tracks obey one sampling rule, so a step with
+    omega_max * dt >= pi is refused by both with the same message."""
+    w = make_wavepacket(sm192, x0=0.5, xi0=-40.0, sigma=0.1)
+    texts = []
+    for build in (lambda: make_propagator(sm192, "causal", dt * np.arange(64)),
+                  lambda: evolve_and_track(sm192, w, t_max=0.5, dt=dt)):
+        with pytest.raises(ValueError) as err:
+            build()
+        texts.append(str(err.value))
+    wdt = float(sm192.branch(0).omega[-1]) * dt
+    assert texts == [f"dt undersamples the largest retained frequency: omega_max*dt = {wdt:.3f} >= pi; "
+                     "refine dt or retain fewer modes"] * 2
 
 
 def test_short_track_stays_put(sm192):
@@ -393,9 +410,11 @@ def test_gbb_reference_cylinder_branch(m):
 
 def test_bogoliubov_reduces_to_vacuum(zoo, sm192):
     # a cold thermal state is the vacuum: beta omega_k >= 40 on every mode, and where
-    # e^{beta omega_k} overflows to inf the occupation is exactly zero
-    with np.errstate(over="ignore"):
+    # e^{beta omega_k} overflows to inf the occupation is exactly zero, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pair = make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": 40.0 / sm192.m_floor_sqrt})
+    assert float(pair.lp_b.omega[-1]) * 40.0 / sm192.m_floor_sqrt > 709.0 and pair.occupation[-1] == 0.0
     assert np.all(pair.occupation <= math.exp(-40.0))
     lags = np.array([-52, 0, 16])  # tau = -1.3, 0, 0.4
     for bk, vac in ((pair.lp_b, zoo["lambda_plus"]), (pair.lm_b, zoo["lambda_minus"])):
@@ -455,10 +474,25 @@ def test_perturbed_state_rejections(zoo):
         )
     with pytest.raises(ValueError, match="positive finite beta"):
         make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], {"thermal": -2.0})
+    with pytest.raises(ValueError, match="transverse mode and time grid"):
+        make_perturbed_state(zoo["lambda_plus"], make_propagator(zoo["lambda_minus"].spectral, "lambda_minus",
+                                                                 0.02 * np.arange(768)), {"thermal": 1.0})
     # the rotation is thermal: a string, a list of (mode, r) pairs or a mixed dict is refused
     for spec in ("thermal", [(0, 0.5)], [], {"thermal": 1.0, "modes": [(0, 0.5)]}):
         with pytest.raises(ValueError, match="rotation spec"):
             make_perturbed_state(zoo["lambda_plus"], zoo["lambda_minus"], spec)
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.5])
+def test_perturbed_state_refuses_a_pair_on_two_models(nu):
+    """A lambda_minus on another spectral model of the same grid and m would be
+    rotated with lambda_plus's frequencies; the pair is refused up front, as
+    every identity between kernels refuses it."""
+    t = 0.025 * np.arange(768)
+    lp, lm = (make_propagator(build_spectral(make_toy_model("ads2_strip", nu=v, L=1.0), N=128, n_modes=16), kind, t)
+              for v, kind in ((1.0, "lambda_plus"), (nu, "lambda_minus")))
+    with pytest.raises(ValueError, match="share one spectral model"):
+        make_perturbed_state(lp, lm, {"thermal": 1.0})
 
 
 def test_thermal_state_passes_scan(zoo, sm192):
@@ -477,12 +511,12 @@ def test_smoothness_orders(zoo, sm192):
 
 def _verify_state_pair(nu: float, gamma: float = 2.0):
     """The thermal state pair of ``verify``'s defaults (N = 192, K = 32, its
-    time grid and beta = 5 / m) on the strip at nu, on a mesh graded by gamma."""
-    from adskg.cli import _time_step
+    plan's kernel grid and beta = 5 / m) on the strip at nu, on a mesh graded by gamma."""
+    from adskg.cli import RunConfig, _plan
 
     sm = build_spectral(make_toy_model("ads2_strip", nu=nu, L=1.0), N=192, n_modes=32, gamma=gamma)
-    dt, refine = _time_step(sm)
-    lp, lm = (make_propagator(sm, kind, dt * np.arange(768 * refine)) for kind in ("lambda_plus", "lambda_minus"))
+    dt, T = _plan(RunConfig(), sm).kernel_grid
+    lp, lm = (make_propagator(sm, kind, dt * np.arange(T)) for kind in ("lambda_plus", "lambda_minus"))
     return make_perturbed_state(lp, lm, {"thermal": 5.0 / sm.m_floor_sqrt})
 
 

@@ -268,7 +268,7 @@ def test_kernel_grid_validation(sm192):
         make_propagator(sm192, "causal", 0.025 * np.arange(8))
     with pytest.raises(ValueError, match="uniform"):
         make_propagator(sm192, "causal", np.array([0.0, 0.1, 0.15] + list(0.2 + 0.1 * np.arange(40))))
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError, match="undersamples"):
         make_propagator(sm192, "causal", 0.2 * np.arange(64))
     with pytest.raises(ValueError, match="unknown kind"):
         make_propagator(sm192, "schwinger", 0.025 * np.arange(64))
